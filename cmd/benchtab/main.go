@@ -36,6 +36,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 	"repro/internal/run"
 )
 
@@ -61,7 +62,7 @@ func realMain() int {
 	benchCompare := flag.String("bench-compare", "", "baseline BENCH_*.json to compare the perf suite against (runs the suite even without -bench-out)")
 	benchGate := flag.Bool("bench-gate", false, "with -bench-compare: exit nonzero when a metric regresses more than 10%")
 	benchShort := flag.Bool("bench-short", false, "short perf measurement windows (CI smoke; numbers get noisier)")
-	obsFlags := registerObsFlags()
+	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -71,7 +72,7 @@ func realMain() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	obsCleanup, err := obsFlags.setup(ctx)
+	obsCleanup, err := obsFlags.Setup(ctx)
 	if err != nil {
 		log.Print(err)
 		return 2

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/dag"
+	"repro/internal/obs"
 	"repro/internal/obs/tracestat"
 	"repro/internal/opt"
 	"repro/internal/pim"
@@ -53,7 +54,7 @@ func main() {
 	schedOut := flag.String("schedule", "", "write the Para-CONV kernel schedule (CSV) to this file")
 	timeout := flag.Duration("timeout", 0, "abort planning and simulation after this duration (0 = no limit)")
 	analyze := flag.Bool("analyze", false, "print the per-PE utilization timeline and idle-time breakdown from an event-level run")
-	obsFlags := registerObsFlags()
+	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 
 	// One session scopes the whole invocation: Ctrl-C (or -timeout)
@@ -66,7 +67,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	obsCleanup, err := obsFlags.setup(ctx)
+	obsCleanup, err := obsFlags.Setup(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func main() {
 			res.Merged, g.NumNodes(), res.Graph.NumNodes())
 		g = res.Graph
 	}
-	cfg, err := configFor(*arch, *pes)
+	cfg, err := pim.Preset(*arch, *pes)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -162,22 +163,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote schedule CSV to %s\n", *schedOut)
-	}
-}
-
-// configFor resolves an architecture preset by name.
-func configFor(arch string, pes int) (pim.Config, error) {
-	switch arch {
-	case "neurocube":
-		return pim.Neurocube(pes), nil
-	case "prime":
-		return pim.PRIME(pes), nil
-	case "hmc2":
-		return pim.HMCGen2(pes), nil
-	case "edge":
-		return pim.EdgeDevice(pes), nil
-	default:
-		return pim.Config{}, fmt.Errorf("unknown architecture %q (want neurocube, prime, hmc2 or edge)", arch)
 	}
 }
 

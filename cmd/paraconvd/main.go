@@ -77,7 +77,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paraconvd: ")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (empty host binds loopback; port 0 picks a free port)")
-	workers := flag.Int("workers", 0, "solve-pool workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "requests solving concurrently (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission-queue depth; requests beyond it are shed with 429")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGTERM drain waits for queued work before cutting it off")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default per-request solve deadline (clients may lower it via timeout_ms)")
@@ -89,7 +89,7 @@ func main() {
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "plan-store payload byte bound, LRU-evicted past it (0 = unbounded)")
 	peers := flag.String("peers", "", "comma-separated cluster member list, host:port each, identical on every node (empty = single node)")
 	nodeID := flag.String("node-id", "", "this node's entry in -peers (default: the bound -addr)")
-	jobWorkers := flag.Int("job-workers", 0, "async job workers (0 = solve-pool worker count)")
+	jobWorkers := flag.Int("job-workers", 0, "async job workers (0 = -workers)")
 	jobQueue := flag.Int("job-queue", 256, "async job queue depth; submissions beyond it are shed with 429")
 	jobTTL := flag.Duration("job-ttl", 5*time.Minute, "how long finished async jobs stay pollable")
 	traceSample := flag.Int("trace-sample", 0, "trace one request in N (1 = all, 0 = tracing off)")

@@ -18,10 +18,10 @@ import (
 // else is a goroutine the daemon's drain sequence cannot reach; the
 // serving stack's graceful shutdown depends on there being none.
 //
-// Inside handler-shaped functions (w http.ResponseWriter, r
-// *http.Request) a bare `go` is flagged regardless: per-request
-// goroutines multiply with request rate, so concurrency there must go
-// through the bounded worker pool.
+// Inside handler-shaped functions (anything handed the *http.Request)
+// a bare `go` is flagged regardless: per-request goroutines multiply
+// with request rate, so a request's work runs on its own connection
+// goroutine, behind the admission gate.
 func runGoroLeak(m *Module, p *Package) []Diagnostic {
 	if !strings.Contains(p.Path, "/internal/") {
 		return nil
@@ -36,7 +36,7 @@ func runGoroLeak(m *Module, p *Package) []Diagnostic {
 			}
 			if inHandler(p, stack) {
 				diags = append(diags, diag(m, "goroleak", gs.Pos(),
-					"goroutine spawned inside an HTTP handler; per-request work must go through the bounded worker pool"))
+					"goroutine spawned inside an HTTP handler; per-request work runs on the request's own goroutine behind the admission gate"))
 				return true
 			}
 			if goroutineStoppable(p, decls, gs) {
@@ -67,20 +67,27 @@ func inHandler(p *Package, stack []ast.Node) bool {
 			return true
 		}
 		// Only the innermost enclosing function decides: a closure
-		// inside a handler that is itself not handler-shaped is the
-		// worker-pool job shape and is judged by the stoppable rule.
+		// inside a handler that is itself not handler-shaped (an async
+		// job body) is judged by the stoppable rule.
 		return false
 	}
 	return false
 }
 
-// isHandlerType matches func(http.ResponseWriter, *http.Request).
+// isHandlerType matches any function that is handed the request: the
+// func(http.ResponseWriter, *http.Request) shape itself, and the
+// serving stack's handlers behind it, which take the *http.Request
+// next to a wrapped writer and further arguments.
 func isHandlerType(p *Package, ft *ast.FuncType) bool {
-	if ft.Params == nil || len(ft.Params.List) != 2 {
+	if ft.Params == nil {
 		return false
 	}
-	return isNamedType(p, ft.Params.List[0].Type, "net/http", "ResponseWriter") &&
-		isPtrToNamedType(p, ft.Params.List[1].Type, "net/http", "Request")
+	for _, param := range ft.Params.List {
+		if isPtrToNamedType(p, param.Type, "net/http", "Request") {
+			return true
+		}
+	}
+	return false
 }
 
 func isNamedType(p *Package, e ast.Expr, pkgPath, name string) bool {

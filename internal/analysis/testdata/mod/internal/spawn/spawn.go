@@ -78,10 +78,22 @@ func (s *Srv) Start() {
 }
 
 // Handle spawns per-request work directly from a handler; flagged even
-// though the goroutine is stoppable — request-rate concurrency must go
-// through the bounded worker pool.
+// though the goroutine is stoppable — request-rate concurrency stays
+// on the request's own goroutine.
 func Handle(w http.ResponseWriter, r *http.Request, done chan struct{}) {
 	_ = done
+}
+
+// HandleWrapped is handed the request next to further arguments — the
+// shape of the serving stack's handlers behind a route wrapper — and
+// spawns; flagged.
+func HandleWrapped(w http.ResponseWriter, r *http.Request, op string) {
+	done := make(chan struct{})
+	go func() { // want goroleak
+		<-done
+	}()
+	close(done)
+	_ = op
 }
 
 // HandleExact is handler-shaped and spawns; flagged.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -134,49 +133,22 @@ func (r *Runner) runJobs(n int, job func(i int) error) error {
 	return nil
 }
 
-// planKind selects which planner evaluates an experiment cell.
-type planKind int
+// planKind selects which planner evaluates an experiment cell: one of
+// run.Session's variant names.
+type planKind string
 
 const (
-	planSPARTA planKind = iota
-	planParaCONV
-	planParaSingle
-	planNaive
+	planSPARTA     planKind = "sparta"
+	planParaCONV   planKind = "para-conv"
+	planParaSingle planKind = "para-conv-single"
 )
-
-// String implements fmt.Stringer for error messages.
-func (k planKind) String() string {
-	switch k {
-	case planSPARTA:
-		return "sparta"
-	case planParaCONV:
-		return "para-conv"
-	case planParaSingle:
-		return "para-conv-single"
-	case planNaive:
-		return "naive"
-	default:
-		return fmt.Sprintf("planKind(%d)", int(k))
-	}
-}
 
 // planCell solves one (graph, architecture, planner) cell through the
 // session's plan cache — the shared evaluation step behind every
 // Table-1-shaped experiment (Table 1, movement, energy, latency,
 // scalability, sensitivity and the real-graph table).
 func (r *Runner) planCell(g *dag.Graph, cfg pim.Config, kind planKind) (*sched.Plan, error) {
-	switch kind {
-	case planSPARTA:
-		return r.Session.Baseline(g, cfg)
-	case planParaCONV:
-		return r.Session.Plan(g, cfg)
-	case planParaSingle:
-		return r.Session.PlanSingle(g, cfg)
-	case planNaive:
-		return r.Session.BaselineNaive(g, cfg)
-	default:
-		return nil, fmt.Errorf("bench: unknown plan kind %d", int(kind))
-	}
+	return r.Session.PlanVariant(string(kind), g, cfg)
 }
 
 // simCell plans one cell and runs the closed-form simulator on it.

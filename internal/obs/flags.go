@@ -1,4 +1,4 @@
-package main
+package obs
 
 import (
 	"context"
@@ -6,13 +6,11 @@ import (
 	"log"
 	"os"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// obsOptions carries the observability flag values shared by the
-// module's commands.
-type obsOptions struct {
+// Flags carries the observability flag values shared by the module's
+// batch commands (paraconv, benchtab).
+type Flags struct {
 	httpAddr   string
 	httpHold   time.Duration
 	metricsOut string
@@ -20,10 +18,10 @@ type obsOptions struct {
 	metrics    bool
 }
 
-// registerObsFlags declares the observability flags on the default
-// flag set and returns the struct their values land in.
-func registerObsFlags() *obsOptions {
-	o := &obsOptions{}
+// RegisterFlags declares the observability flags on the default flag
+// set and returns the struct their values land in.
+func RegisterFlags() *Flags {
+	o := &Flags{}
 	flag.StringVar(&o.httpAddr, "http", "", "serve /metrics, /metrics.json and /debug/pprof on this address (empty host binds loopback; port 0 picks a free port)")
 	flag.DurationVar(&o.httpHold, "http-hold", 0, "keep the -http debug server up this long after the run finishes")
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write a JSON metrics snapshot to this file at exit")
@@ -32,20 +30,20 @@ func registerObsFlags() *obsOptions {
 	return o
 }
 
-// setup applies the parsed flag values: log level, the metrics enable
+// Setup applies the parsed flag values: log level, the metrics enable
 // gate, and the debug server.  The returned cleanup writes the
 // -metrics-out snapshot, holds the server for -http-hold
 // (interruptible through ctx), then shuts it down.
-func (o *obsOptions) setup(ctx context.Context) (func(), error) {
-	lvl, err := obs.ParseLevel(o.logLevel)
+func (o *Flags) Setup(ctx context.Context) (func(), error) {
+	lvl, err := ParseLevel(o.logLevel)
 	if err != nil {
 		return nil, err
 	}
-	obs.SetLogger(obs.SetupLogging(os.Stderr, lvl, false))
-	obs.SetEnabled(o.metrics)
-	var srv *obs.DebugServer
+	SetLogger(SetupLogging(os.Stderr, lvl, false))
+	SetEnabled(o.metrics)
+	var srv *DebugServer
 	if o.httpAddr != "" {
-		srv, err = obs.StartDebugServer(o.httpAddr, obs.Default())
+		srv, err = StartDebugServer(o.httpAddr, Default())
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +74,7 @@ func writeMetricsSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := obs.Default().WriteJSON(f); err != nil {
+	if err := Default().WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -27,9 +27,9 @@ var (
 // Planning service (internal/server): admission control and request
 // accounting for the paraconvd daemon.
 var (
-	ServerQueueDepth    = Default().Gauge("paraconv_server_queue_depth", "admission-queue entries waiting for a worker")
+	ServerQueueDepth    = Default().Gauge("paraconv_server_queue_depth", "admitted requests waiting for a run slot")
 	ServerQueueCapacity = Default().Gauge("paraconv_server_queue_capacity", "admission-queue capacity (requests beyond it are shed with 429)")
-	ServerInflight      = Default().Gauge("paraconv_server_inflight", "requests currently executing on a pool worker")
+	ServerInflight      = Default().Gauge("paraconv_server_inflight", "requests currently holding a run slot")
 	ServerShed          = Default().Counter("paraconv_server_shed_total", "requests rejected with 429 because the admission queue was full")
 )
 

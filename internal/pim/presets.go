@@ -88,3 +88,20 @@ func EdgeDevice(numPEs int) Config {
 func Presets(numPEs int) []Config {
 	return []Config{Neurocube(numPEs), PRIME(numPEs), HMCGen2(numPEs), EdgeDevice(numPEs)}
 }
+
+// Preset resolves a built-in architecture by its request name (the
+// empty name is Neurocube, the paper's platform).
+func Preset(name string, numPEs int) (Config, error) {
+	switch name {
+	case "", "neurocube":
+		return Neurocube(numPEs), nil
+	case "prime":
+		return PRIME(numPEs), nil
+	case "hmc2":
+		return HMCGen2(numPEs), nil
+	case "edge":
+		return EdgeDevice(numPEs), nil
+	default:
+		return Config{}, fmt.Errorf("unknown architecture %q (want neurocube, prime, hmc2 or edge)", name)
+	}
+}

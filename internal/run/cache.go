@@ -18,16 +18,6 @@ import (
 // hits) while still bounding memory for unbounded sweeps.
 const DefaultCacheBound = 1024
 
-// cacheKey identifies one planning problem: what graph, on what
-// architecture, under which planner variant (and, for the
-// given-schedule variant, which fixed schedule).
-type cacheKey struct {
-	graph   string
-	config  string
-	variant string
-	extra   string
-}
-
 // CacheStats is a snapshot of a Session's plan-cache counters.
 type CacheStats struct {
 	Hits      uint64
@@ -55,8 +45,7 @@ type CacheStats struct {
 }
 
 type cacheEntry struct {
-	key  cacheKey
-	fp   string // planFingerprint(key), indexed in byFP
+	fp   string
 	plan *sched.Plan
 	// lean is the entry's encoded kernel-free fill frame, built lazily
 	// on the first peer fill served from this entry and shared by
@@ -65,41 +54,36 @@ type cacheEntry struct {
 	lean []byte
 }
 
-// planCache is a mutex-guarded LRU map from planning problems to
-// solved plans.  Cached *Plan values are shared between callers and
-// treated as immutable by every consumer in the module.
+// planCache is the tier chain's shared state: a mutex-guarded LRU of
+// solved plans plus the attachments and counters of the two outer
+// tiers.  Every tier — the LRU, the flight map, the durable store, the
+// cluster — is keyed by the one plan fingerprint Session.plan computes
+// (see PlanFingerprint).  Cached *Plan values are shared between
+// callers and treated as immutable by every consumer in the module.
 type planCache struct {
-	mu        sync.Mutex
-	bound     int
-	ll        *list.List // front = most recently used
-	items     map[cacheKey]*list.Element
-	byFP      map[string]*list.Element // same entries, keyed by plan fingerprint
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	dedupHits uint64
+	mu    sync.Mutex
+	bound int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
+	// n holds every tier's counters (Size and Bound are filled in by
+	// stats); guarded by mu.
+	n CacheStats
 
-	// store is the optional durable second tier (see store.go); the
-	// counters record its consultations.  Set once via AttachStore
-	// before traffic, read lock-free afterwards.
-	store       BlobStore
-	storeHits   uint64
-	storeMisses uint64
+	// store is the optional durable second tier (see tiers.go).  Set
+	// once via AttachStore before traffic, read lock-free afterwards.
+	store BlobStore
 
-	// peers is the optional cluster tier consulted after the store
-	// (see peer.go).  Atomic because a cluster attaches after the
-	// server has already bound its listener — tests and the bench
-	// harness attach once the :0 port is known, possibly with
-	// requests in flight.
-	peers         atomic.Pointer[peerRef]
-	peerFills     uint64
-	peerFallbacks uint64
+	// peers is the optional cluster tier consulted after the store.
+	// Atomic because a cluster attaches after the server has already
+	// bound its listener — tests and the bench harness attach once the
+	// :0 port is known, possibly with requests in flight.
+	peers atomic.Pointer[PeerFiller]
 
 	// flights holds the in-progress solves concurrent misses attach
 	// to (see singleflight.go).  A separate mutex so waiters never
-	// contend with the LRU's get/put fast path.
+	// contend with the LRU's lookup/put fast path.
 	flightMu sync.Mutex
-	flights  map[cacheKey]*flightCall
+	flights  map[string]*flightCall
 }
 
 func newPlanCache(bound int) *planCache {
@@ -109,67 +93,53 @@ func newPlanCache(bound int) *planCache {
 	return &planCache{
 		bound:   bound,
 		ll:      list.New(),
-		items:   make(map[cacheKey]*list.Element),
-		byFP:    make(map[string]*list.Element),
-		flights: make(map[cacheKey]*flightCall),
+		items:   make(map[string]*list.Element),
+		flights: make(map[string]*flightCall),
 	}
 }
 
-func (c *planCache) get(key cacheKey) (*sched.Plan, bool) {
+// lookup is the memory tier's one read.  count selects hit/miss
+// accounting: on for a caller's own first probe, off for the two
+// lookups that are not a local miss story — a flight leader's
+// double-check (a solve that completed between its miss and its flight
+// registration has already populated the cache) and a peer's
+// by-fingerprint probe.
+func (c *planCache) lookup(fp string, count bool) (*sched.Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[fp]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
-		obs.PlanCacheHits.Inc()
+		if count {
+			c.n.Hits++
+			obs.PlanCacheHits.Inc()
+		}
 		return el.Value.(*cacheEntry).plan, true
 	}
-	c.misses++
-	obs.PlanCacheMisses.Inc()
-	return nil, false
-}
-
-// peek is get without the hit/miss accounting, for the double-check a
-// flight leader performs after winning leadership: a solve that
-// completed between this caller's miss and its flight registration
-// has already populated the cache, and re-reading it there keeps
-// every caller on one shared *Plan without recounting the lookup.
-func (c *planCache) peek(key cacheKey) (*sched.Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).plan, true
+	if count {
+		c.n.Misses++
+		obs.PlanCacheMisses.Inc()
 	}
 	return nil, false
 }
 
-func (c *planCache) put(key cacheKey, plan *sched.Plan) {
+func (c *planCache) put(fp string, plan *sched.Plan) {
 	if c.bound == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[fp]; ok {
 		// A concurrent solver beat us to it; keep the first entry so
 		// every caller shares one plan pointer.
 		c.ll.MoveToFront(el)
 		return
 	}
-	// The fingerprint (a few µs of hashing, vs. the solve that just
-	// ran) doubles as the cluster-protocol index: an owner answers
-	// GET /v1/plans/{fp} straight from byFP without reconstructing
-	// the cache key.
-	el := c.ll.PushFront(&cacheEntry{key: key, fp: planFingerprint(key), plan: plan})
-	c.items[key] = el
-	c.byFP[el.Value.(*cacheEntry).fp] = el
+	c.items[fp] = c.ll.PushFront(&cacheEntry{fp: fp, plan: plan})
 	for c.ll.Len() > c.bound {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		ent := oldest.Value.(*cacheEntry)
-		delete(c.items, ent.key)
-		delete(c.byFP, ent.fp)
-		c.evictions++
+		delete(c.items, oldest.Value.(*cacheEntry).fp)
+		c.n.Evictions++
 		obs.PlanCacheEvictions.Inc()
 	}
 	// The gauges track the most recently updated session's cache —
@@ -178,28 +148,14 @@ func (c *planCache) put(key cacheKey, plan *sched.Plan) {
 	obs.PlanCacheCapacity.Set(int64(c.bound))
 }
 
-// getByFingerprint looks an entry up by plan fingerprint — the
-// cluster fill path, where a peer's request carries only the content
-// hash.  No hit/miss accounting: the counters tell the local miss
-// story, and a peer's lookup is not a local miss.
-func (c *planCache) getByFingerprint(fp string) (*sched.Plan, bool) {
+// lean returns the entry's cached kernel-free fill frame, encoding it
+// on first use.  ok=false means no entry, or the entry's scheme cannot
+// be lean-framed (the caller serves the full frame).  The encode runs
+// outside the lock — a fill that loses the publish race just wrote
+// identical bytes (plan encodings are deterministic).
+func (c *planCache) lean(fp string) ([]byte, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byFP[fp]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).plan, true
-	}
-	return nil, false
-}
-
-// leanByFingerprint returns the entry's cached kernel-free fill frame,
-// encoding it on first use.  ok=false means no entry, or the entry's
-// scheme cannot be lean-framed (the caller serves the full frame).
-// The encode runs outside the lock — a fill that loses the publish
-// race just wrote identical bytes (plan encodings are deterministic).
-func (c *planCache) leanByFingerprint(fp string) ([]byte, bool) {
-	c.mu.Lock()
-	el, ok := c.byFP[fp]
+	el, ok := c.items[fp]
 	if !ok {
 		c.mu.Unlock()
 		return nil, false
@@ -217,39 +173,24 @@ func (c *planCache) leanByFingerprint(fp string) ([]byte, bool) {
 	}
 	lean := wire.AppendLeanPlan(nil, plan)
 	c.mu.Lock()
-	if el, ok := c.byFP[fp]; ok {
+	if el, ok := c.items[fp]; ok {
 		el.Value.(*cacheEntry).lean = lean
 	}
 	c.mu.Unlock()
 	return lean, true
 }
 
-func (c *planCache) recordPeerFill() {
+// count bumps one of c.n's counters under the lock.
+func (c *planCache) count(n *uint64) {
 	c.mu.Lock()
-	c.peerFills++
+	*n++
 	c.mu.Unlock()
-}
-
-func (c *planCache) recordPeerFallback() {
-	c.mu.Lock()
-	c.peerFallbacks++
-	c.mu.Unlock()
-	obs.ClusterFallbackSolves.Inc()
 }
 
 func (c *planCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		DedupHits:     c.dedupHits,
-		StoreHits:     c.storeHits,
-		StoreMisses:   c.storeMisses,
-		PeerFills:     c.peerFills,
-		PeerFallbacks: c.peerFallbacks,
-		Size:          c.ll.Len(),
-		Bound:         c.bound,
-	}
+	st := c.n
+	st.Size, st.Bound = c.ll.Len(), c.bound
+	return st
 }

@@ -60,39 +60,26 @@ func GraphFingerprint(g *dag.Graph) string {
 	return fp
 }
 
-// planFingerprint flattens a cache key into the module's content
-// fingerprint for a complete planning problem: hex sha256 over the
-// '|'-joined key fields.  This one string is the durable store's file
-// key AND the {fp} of the cluster's GET /v1/plans/{fp} protocol —
-// sharing the keyspace is what lets an owner serve a peer's lookup
-// straight from the store's payload bytes.
-func planFingerprint(key cacheKey) string {
-	h := sha256.New()
-	io.WriteString(h, key.variant)
-	io.WriteString(h, "|")
-	io.WriteString(h, key.graph)
-	io.WriteString(h, "|")
-	io.WriteString(h, key.config)
-	io.WriteString(h, "|")
-	io.WriteString(h, key.extra)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// PlanFingerprint returns the cluster-wide content fingerprint of one
-// planning problem, as routed by the consistent-hash ring and served
-// at GET /v1/plans/{fp}.  The empty variant normalizes to the default
-// full Para-CONV planner, mirroring the server's dispatch, so clients
-// and servers fingerprint identically.
+// PlanFingerprint is the module's content fingerprint for a complete
+// planning problem: hex sha256 over the '|'-joined variant, graph
+// fingerprint, config fingerprint and extra.  This one string keys
+// every tier — the memory LRU, the flight map, the durable store's
+// files AND the {fp} the consistent-hash ring routes and GET
+// /v1/plans/{fp} serves — and sharing the keyspace is what lets an
+// owner answer a peer's lookup straight from the store's payload
+// bytes.  The empty variant normalizes to the default full Para-CONV
+// planner exactly as PlanVariant's dispatch does, so clients and
+// servers fingerprint identically.
 func PlanFingerprint(variant, extra string, g *dag.Graph, cfg pim.Config) string {
-	if variant == "" {
-		variant = variantParaCONV
-	}
-	return planFingerprint(cacheKey{
-		graph:   GraphFingerprint(g),
-		config:  ConfigFingerprint(cfg),
-		variant: variant,
-		extra:   extra,
-	})
+	h := sha256.New()
+	io.WriteString(h, canonicalVariant(variant))
+	io.WriteString(h, "|")
+	io.WriteString(h, GraphFingerprint(g))
+	io.WriteString(h, "|")
+	io.WriteString(h, ConfigFingerprint(cfg))
+	io.WriteString(h, "|")
+	io.WriteString(h, extra)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ConfigFingerprint returns a content key for a PIM configuration.

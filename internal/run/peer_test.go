@@ -120,7 +120,7 @@ func TestPeerFillServesAndPromotes(t *testing.T) {
 		t.Error("fill was not written through to the durable store")
 	}
 	// …and into the memory tier's fingerprint index.
-	payload, ok := s.EncodedPlanByFingerprint(fp)
+	payload, ok := s.EncodedPlanByFingerprint(fp, false)
 	if !ok {
 		t.Fatal("EncodedPlanByFingerprint missed after a fill")
 	}
@@ -210,7 +210,7 @@ func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 
 	boot2 := New(context.Background())
 	boot2.AttachStore(st)
-	payload, ok := boot2.EncodedPlanByFingerprint(fp)
+	payload, ok := boot2.EncodedPlanByFingerprint(fp, false)
 	if !ok {
 		t.Fatal("restarted owner missed a store-resident fingerprint")
 	}
@@ -221,7 +221,7 @@ func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 	if p.Iter.Period != want.Iter.Period {
 		t.Fatalf("store-served plan period = %d, want %d", p.Iter.Period, want.Iter.Period)
 	}
-	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"); ok {
+	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", false); ok {
 		t.Fatal("unknown fingerprint claimed a hit")
 	}
 }
@@ -279,7 +279,7 @@ func TestPeerFillLeanPayload(t *testing.T) {
 	}
 }
 
-// TestEncodedFillByFingerprint: fill serving prefers the lean frame on
+// TestEncodedFillByFingerprint: lean fill serving prefers the lean frame on
 // both local tiers — entry-cached on the memory tier, byte-spliced
 // from the payload on the durable tier — and both hand out identical
 // bytes.
@@ -296,7 +296,7 @@ func TestEncodedFillByFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	memLean, ok := boot1.EncodedFillByFingerprint(fp)
+	memLean, ok := boot1.EncodedPlanByFingerprint(fp, true)
 	if !ok {
 		t.Fatal("memory tier missed its own fingerprint")
 	}
@@ -304,14 +304,14 @@ func TestEncodedFillByFingerprint(t *testing.T) {
 		t.Fatal("memory-tier fill payload is not a lean frame")
 	}
 	// Second call serves the entry's cached bytes.
-	again, ok := boot1.EncodedFillByFingerprint(fp)
+	again, ok := boot1.EncodedPlanByFingerprint(fp, true)
 	if !ok || &again[0] != &memLean[0] {
 		t.Error("second fill encode did not reuse the entry's cached lean frame")
 	}
 
 	boot2 := New(context.Background())
 	boot2.AttachStore(st)
-	storeLean, ok := boot2.EncodedFillByFingerprint(fp)
+	storeLean, ok := boot2.EncodedPlanByFingerprint(fp, true)
 	if !ok {
 		t.Fatal("store tier missed a store-resident fingerprint")
 	}
@@ -325,7 +325,7 @@ func TestEncodedFillByFingerprint(t *testing.T) {
 	if p.Iter.Period != want.Iter.Period {
 		t.Fatalf("lean store fill period = %d, want %d", p.Iter.Period, want.Iter.Period)
 	}
-	if _, ok := boot2.EncodedFillByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"); ok {
+	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", true); ok {
 		t.Fatal("unknown fingerprint claimed a fill hit")
 	}
 }

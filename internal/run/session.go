@@ -15,6 +15,8 @@ package run
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"repro/internal/dag"
 	"repro/internal/obs"
@@ -24,7 +26,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Planner variants used in cache keys.
+// Planner variants: the names requests and cache keys use.
 const (
 	variantParaCONV = "para-conv"
 	variantSingle   = "para-conv-single"
@@ -32,6 +34,30 @@ const (
 	variantSPARTA   = "sparta"
 	variantNaive    = "naive"
 )
+
+// solvers is the one variant table: every planner a variant name alone
+// selects (the given-schedule variant also needs its schedule, so it
+// is reachable only through PlanWithSchedule).
+var solvers = map[string]func(context.Context, *dag.Graph, pim.Config) (*sched.Plan, error){
+	variantParaCONV: sched.ParaCONVCtx,
+	variantSingle:   sched.ParaCONVSingleCtx,
+	variantSPARTA:   sched.SPARTACtx,
+	variantNaive:    sched.NaiveCtx,
+}
+
+// ErrUnknownVariant is wrapped by PlanVariant's error for a variant
+// name outside the table — the caller's mistake, not a planner
+// rejection.
+var ErrUnknownVariant = errors.New("unknown variant")
+
+// canonicalVariant maps the empty variant to the default full
+// Para-CONV planner, so clients and servers key identically.
+func canonicalVariant(variant string) string {
+	if variant == "" {
+		return variantParaCONV
+	}
+	return variant
+}
 
 // Session scopes planning and simulation work: one context governing
 // cancellation, one bounded plan cache shared by every call.  A
@@ -62,9 +88,6 @@ func New(ctx context.Context) *Session {
 func NewWithCacheBound(ctx context.Context, bound int) *Session {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if bound < 0 {
-		bound = 0
 	}
 	return &Session{ctx: ctx, cache: newPlanCache(bound)}
 }
@@ -101,10 +124,11 @@ func (s *Session) CacheStats() CacheStats {
 	return s.cache.stats()
 }
 
-// plan runs one planner variant through the cache: content-keyed
-// lookup, solve on miss, store on success.  Failed solves are not
-// cached (they are cheap — validation rejects before the DP runs — and
-// the error should be re-derived fresh for each caller).
+// plan runs one planner variant through the tier chain: one
+// fingerprint, then memory → flight → store → peer → solver, each
+// keyed by that fingerprint.  Failed solves are not cached (they are
+// cheap — validation rejects before the DP runs — and the error should
+// be re-derived fresh for each caller).
 func (s *Session) plan(variant, extra string, g *dag.Graph, cfg pim.Config,
 	solve func(context.Context) (*sched.Plan, error)) (*sched.Plan, error) {
 	if g == nil {
@@ -112,18 +136,13 @@ func (s *Session) plan(variant, extra string, g *dag.Graph, cfg pim.Config,
 		return solve(s.ctx)
 	}
 	fpSpan := span.Start(s.ctx, "run.fingerprint")
-	key := cacheKey{
-		graph:   GraphFingerprint(g),
-		config:  ConfigFingerprint(cfg),
-		variant: variant,
-		extra:   extra,
-	}
+	fp := PlanFingerprint(variant, extra, g, cfg)
 	fpSpan.End()
 	lookupSpan := span.Start(s.ctx, "run.cache")
-	p, ok := s.cache.get(key)
+	p, ok := s.cache.lookup(fp, true)
 	lookupSpan.End()
 	if ok {
-		obs.Log().Debug("plan cache hit", "variant", variant, "graph", key.graph)
+		obs.Log().Debug("plan cache hit", "variant", variant, "fp", fp)
 		return p, nil
 	}
 	// Miss: collapse concurrent solves of the same problem into one
@@ -135,39 +154,26 @@ func (s *Session) plan(variant, extra string, g *dag.Graph, cfg pim.Config,
 	// else's solve.
 	flightSpan := span.Start(s.ctx, "run.singleflight")
 	defer flightSpan.End()
-	return s.cache.doFlight(s.ctx, key, func() (*sched.Plan, error) {
+	return s.cache.doFlight(s.ctx, fp, func() (*sched.Plan, error) {
 		// Double-check under flight leadership: a solve finishing
 		// between our miss and our registration has already stored
 		// the plan, and returning it keeps the pointer shared.
-		if p, ok := s.cache.peek(key); ok {
+		if p, ok := s.cache.lookup(fp, false); ok {
 			return p, nil
 		}
 		// Second tier: the durable store (when attached).  A hit skips
-		// the solver entirely — this is the warm-restart path — and is
-		// promoted into the in-memory cache for the next lookup.
-		if s.cache.store != nil {
-			storeSpan := span.Start(s.ctx, "run.store")
-			p, ok := s.cache.flightStore(key)
-			storeSpan.End()
-			if ok {
-				obs.Log().Debug("plan store hit", "variant", variant, "graph", key.graph)
-				return p, nil
-			}
+		// the solver entirely — this is the warm-restart path.
+		if p, ok := s.storeTier(fp, g); ok {
+			return p, nil
 		}
-		// Third tier: the cluster (when attached).  If another node
-		// owns this fingerprint, fetch its plan — shipping the full
-		// problem so the owner can solve it — before solving here.
-		// Only for problems the peer-fill frame can express: the
-		// given-schedule variant's extra (a schedule fingerprint) has
-		// no wire form, so it always solves locally.  A (nil, nil)
-		// return is the degradation path: fall through to the solver.
-		if pr := s.cache.peers.Load(); pr != nil && !s.noPeer && extra == "" {
-			p, err := s.peerFill(pr.filler, key, g, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if p != nil {
-				return p, nil
+		// Third tier: the cluster (when attached).  Only for problems
+		// the peer-fill frame can express: the given-schedule variant's
+		// extra (a schedule fingerprint) has no wire form, so it always
+		// solves locally.  A (nil, nil) return is the degradation path:
+		// fall through to the solver.
+		if extra == "" {
+			if p, err := s.peerTier(fp, variant, g, cfg); p != nil || err != nil {
+				return p, err
 			}
 		}
 		stop := obs.PlanSolveTimer(variant).Start()
@@ -176,29 +182,36 @@ func (s *Session) plan(variant, extra string, g *dag.Graph, cfg pim.Config,
 		if err != nil {
 			return nil, err
 		}
-		obs.Log().Debug("plan solved", "variant", variant, "graph", key.graph, "period", p.Iter.Period)
-		s.cache.put(key, p)
-		if s.cache.store != nil {
-			s.cache.storeWriteThrough(key, p)
-		}
+		obs.Log().Debug("plan solved", "variant", variant, "fp", fp, "period", p.Iter.Period)
+		s.cache.promote(fp, p, true)
 		return p, nil
+	})
+}
+
+// PlanVariant runs the planner named by variant ("" is the default
+// full Para-CONV flow) for g on cfg.  An unknown name is an error
+// wrapping ErrUnknownVariant.
+func (s *Session) PlanVariant(variant string, g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
+	variant = canonicalVariant(variant)
+	solver, ok := solvers[variant]
+	if !ok {
+		return nil, fmt.Errorf("%w %s (want para-conv, para-conv-single, sparta or naive)", ErrUnknownVariant, variant)
+	}
+	return s.plan(variant, "", g, cfg, func(ctx context.Context) (*sched.Plan, error) {
+		return solver(ctx, g, cfg)
 	})
 }
 
 // Plan runs the full Para-CONV flow (group-count search, retiming,
 // knapsack cache allocation, objective schedule) for g on cfg.
 func (s *Session) Plan(g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
-	return s.plan(variantParaCONV, "", g, cfg, func(ctx context.Context) (*sched.Plan, error) {
-		return sched.ParaCONVCtx(ctx, g, cfg)
-	})
+	return s.PlanVariant(variantParaCONV, g, cfg)
 }
 
 // PlanSingle runs Para-CONV pinned to a single group (no parallel
 // group packing) — the paper's single-kernel configuration.
 func (s *Session) PlanSingle(g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
-	return s.plan(variantSingle, "", g, cfg, func(ctx context.Context) (*sched.Plan, error) {
-		return sched.ParaCONVSingleCtx(ctx, g, cfg)
-	})
+	return s.PlanVariant(variantSingle, g, cfg)
 }
 
 // PlanWithSchedule runs the Para-CONV reallocation on a fixed
@@ -212,16 +225,12 @@ func (s *Session) PlanWithSchedule(g *dag.Graph, iter sched.IterationSchedule, c
 
 // Baseline runs the SPARTA baseline scheduler.
 func (s *Session) Baseline(g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
-	return s.plan(variantSPARTA, "", g, cfg, func(ctx context.Context) (*sched.Plan, error) {
-		return sched.SPARTACtx(ctx, g, cfg)
-	})
+	return s.PlanVariant(variantSPARTA, g, cfg)
 }
 
 // BaselineNaive runs the round-robin, all-eDRAM floor scheduler.
 func (s *Session) BaselineNaive(g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
-	return s.plan(variantNaive, "", g, cfg, func(ctx context.Context) (*sched.Plan, error) {
-		return sched.NaiveCtx(ctx, g, cfg)
-	})
+	return s.PlanVariant(variantNaive, g, cfg)
 }
 
 // Simulate runs the closed-form simulator on a plan under the

@@ -9,7 +9,7 @@ import (
 )
 
 // flightCall is one in-progress plan solve that concurrent cache
-// misses for the same key attach to.
+// misses for the same fingerprint attach to.
 type flightCall struct {
 	// done is closed once plan and err are final.
 	done chan struct{}
@@ -21,7 +21,7 @@ type flightCall struct {
 }
 
 // doFlight collapses concurrent solves of one planning problem: the
-// first caller for a key (the leader) runs solve; every caller that
+// first caller for a fingerprint (the leader) runs solve; every caller that
 // arrives before the leader finishes waits for the shared result
 // instead of redoing the DP.  This is the dedup layer the concurrent
 // planning service leans on — without it, a burst of identical
@@ -34,10 +34,10 @@ type flightCall struct {
 // cancelled, surviving waiters re-enter the flight under their own
 // still-live contexts rather than inheriting a cancellation that was
 // never theirs.
-func (c *planCache) doFlight(ctx context.Context, key cacheKey, solve func() (*sched.Plan, error)) (*sched.Plan, error) {
+func (c *planCache) doFlight(ctx context.Context, fp string, solve func() (*sched.Plan, error)) (*sched.Plan, error) {
 	for {
 		c.flightMu.Lock()
-		if call, ok := c.flights[key]; ok {
+		if call, ok := c.flights[fp]; ok {
 			call.waiters++
 			c.flightMu.Unlock()
 			select {
@@ -57,28 +57,20 @@ func (c *planCache) doFlight(ctx context.Context, key cacheKey, solve func() (*s
 				}
 				return nil, call.err
 			}
-			c.recordDedupHit()
+			c.count(&c.n.DedupHits)
+			obs.PlanCacheDedupHits.Inc()
 			return call.plan, nil
 		}
 		call := &flightCall{done: make(chan struct{})}
-		c.flights[key] = call
+		c.flights[fp] = call
 		c.flightMu.Unlock()
 
 		call.plan, call.err = solve()
 
 		c.flightMu.Lock()
-		delete(c.flights, key)
+		delete(c.flights, fp)
 		c.flightMu.Unlock()
 		close(call.done)
 		return call.plan, call.err
 	}
-}
-
-// recordDedupHit counts one solve avoided by riding another caller's
-// in-flight solve.
-func (c *planCache) recordDedupHit() {
-	c.mu.Lock()
-	c.dedupHits++
-	c.mu.Unlock()
-	obs.PlanCacheDedupHits.Inc()
 }

@@ -20,7 +20,7 @@ import (
 // waitForWaiters blocks until the flight for key has n attached
 // waiters (the leader excluded), so tests can release a blocked solve
 // only after every racing goroutine is provably riding it.
-func waitForWaiters(t *testing.T, c *planCache, key cacheKey, n int) {
+func waitForWaiters(t *testing.T, c *planCache, key string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -41,7 +41,7 @@ func waitForWaiters(t *testing.T, c *planCache, key cacheKey, n int) {
 
 func TestDoFlightCollapsesRacingSolves(t *testing.T) {
 	c := newPlanCache(8)
-	key := cacheKey{graph: "g", config: "c", variant: "v"}
+	key := "g|c|v"
 	want := &sched.Plan{Scheme: "test"}
 
 	var solves atomic.Int32
@@ -105,7 +105,7 @@ func TestDoFlightCollapsesRacingSolves(t *testing.T) {
 
 func TestDoFlightSharesLeaderError(t *testing.T) {
 	c := newPlanCache(8)
-	key := cacheKey{graph: "g"}
+	key := "g"
 	boom := errors.New("boom")
 
 	entered := make(chan struct{})
@@ -145,7 +145,7 @@ func TestDoFlightSharesLeaderError(t *testing.T) {
 
 func TestDoFlightFollowerRetriesAfterLeaderCancel(t *testing.T) {
 	c := newPlanCache(8)
-	key := cacheKey{graph: "g"}
+	key := "g"
 	want := &sched.Plan{Scheme: "retry"}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -188,7 +188,7 @@ func TestDoFlightFollowerRetriesAfterLeaderCancel(t *testing.T) {
 
 func TestDoFlightWaiterHonorsOwnContext(t *testing.T) {
 	c := newPlanCache(8)
-	key := cacheKey{graph: "g"}
+	key := "g"
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -255,12 +255,11 @@ func TestPlanLeaderCancelDuringPeerFill(t *testing.T) {
 	// Find a problem the httptest peer owns, so the flight leader
 	// actually issues a fill instead of solving as the owner.
 	var g *dag.Graph
-	var key cacheKey
+	var key string
 	for seed := int64(0); seed < 64; seed++ {
 		cand := testGraph(t, fmt.Sprintf("peercancel-%d", seed), 24, 50, 9100+seed)
-		k := cacheKey{graph: GraphFingerprint(cand), config: ConfigFingerprint(cfg), variant: variantParaCONV}
-		if cl.Owner(planFingerprint(k)) == peer {
-			g, key = cand, k
+		if fp := PlanFingerprint("", "", cand, cfg); cl.Owner(fp) == peer {
+			g, key = cand, fp
 			break
 		}
 	}

@@ -98,11 +98,7 @@ func TestStoreUndecodableEntryFallsThrough(t *testing.T) {
 	}
 	g := storeTestGraph(t, 4)
 	cfg := pim.Neurocube(8)
-	key := storeKey(cacheKey{
-		graph:   GraphFingerprint(g),
-		config:  ConfigFingerprint(cfg),
-		variant: variantParaCONV,
-	})
+	key := PlanFingerprint("", "", g, cfg)
 	if err := st.Put(key, []byte("not a plan frame")); err != nil {
 		t.Fatal(err)
 	}

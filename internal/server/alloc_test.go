@@ -158,14 +158,14 @@ func TestAllocsWriteBinary(t *testing.T) {
 	resp := &planResponse{Scheme: "para-conv", Arch: "neurocube", PEs: 16, Period: 42,
 		VertexRetiming: []int{0, 1, 2}, CachedEdges: []int{1, 2, 3, 5, 8, 13}}
 	w := &discardResponseWriter{h: make(http.Header)}
-	writeBinary(w, http.StatusOK, resp) // warm the pool
+	writeResponse(w, http.StatusOK, resp, true) // warm the pool
 	allocs := testing.AllocsPerRun(50, func() {
-		writeBinary(w, http.StatusOK, resp)
+		writeResponse(w, http.StatusOK, resp, true)
 	})
 	// Header.Set("Content-Length", ...) allocates its value slice; the
 	// frame staging itself must contribute nothing.
 	if allocs > 4 {
-		t.Errorf("writeBinary allocates %.0f objects per response; want <= 4", allocs)
+		t.Errorf("binary writeResponse allocates %.0f objects per response; want <= 4", allocs)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/obs"
-	"repro/internal/pim"
+	"repro/internal/run"
 	"repro/internal/wire"
 )
 
@@ -35,83 +35,63 @@ type (
 // it, but the access metrics need the case distinguished from 5xx.
 const statusClientClosed = 499
 
-// respBufPool recycles the response-encoding buffers writeJSON stages
-// bodies in; buffers that ballooned past maxPooledBodyBytes are
-// dropped rather than pinned.
+// respBufPool recycles the buffers writeResponse stages bodies in;
+// buffers that ballooned past maxPooledBodyBytes are dropped rather
+// than pinned.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// writeJSON encodes v as the response body with the given status.  The
-// body is staged in a pooled buffer and written in one call, so an
-// encoding failure can still become a 500 (nothing has been sent yet)
-// and the connection sees a single write with a Content-Length instead
-// of the chunked drip of an encoder bound to the wire.
+// writeResponse encodes v — as JSON, or as its binary wire frame — and
+// sends it with the given status.  The body is staged in a pooled
+// buffer and written in one call, so an encoding failure can still
+// become a 500 (nothing has been sent yet) and the connection sees a
+// single write with a Content-Length instead of the chunked drip of an
+// encoder bound to the wire.  Errors never come here in binary: they
+// are always JSON (see writeError), whatever codec the payloads use.
 //
 //paraconv:hotpath
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func writeResponse(w http.ResponseWriter, status int, v any, binary bool) {
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	contentType := "application/json; charset=utf-8"
+	var err error
+	if binary {
+		contentType = wire.ContentTypeBinary
+		switch p := v.(type) {
+		case *planResponse:
+			buf.Write(wire.AppendPlanResponse(buf.AvailableBuffer(), p))
+		case *simulateResponse:
+			buf.Write(wire.AppendSimulateResponse(buf.AvailableBuffer(), p))
+		case *selectArchResponse:
+			buf.Write(wire.AppendSelectArchResponse(buf.AvailableBuffer(), p))
+		default:
+			err = fmt.Errorf("no binary frame for %T", v)
+		}
+	} else {
+		err = json.NewEncoder(buf).Encode(v)
+	}
+	if err != nil {
 		obs.Log().Debug("server: encoding response", "err", err)
 		http.Error(w, `{"error":"encoding response","kind":"internal"}`, http.StatusInternalServerError)
-		respBufPool.Put(buf)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		obs.Log().Debug("server: writing response", "err", err)
+	} else {
+		writeBody(w, status, contentType, buf.Bytes())
 	}
 	if buf.Cap() <= maxPooledBodyBytes {
 		respBufPool.Put(buf)
 	}
 }
 
-// writeBinary encodes v as a binary wire frame with the given status,
-// staged in the same pooled buffers as writeJSON and under the same
-// pin cap (a response that ballooned past maxPooledBodyBytes is
-// dropped, not recycled).
-//
-//paraconv:hotpath
-func writeBinary(w http.ResponseWriter, status int, v any) {
-	buf := respBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	var frame []byte
-	switch p := v.(type) {
-	case *planResponse:
-		frame = wire.AppendPlanResponse(buf.AvailableBuffer(), p)
-	case *simulateResponse:
-		frame = wire.AppendSimulateResponse(buf.AvailableBuffer(), p)
-	case *selectArchResponse:
-		frame = wire.AppendSelectArchResponse(buf.AvailableBuffer(), p)
-	default:
-		obs.Log().Debug("server: no binary frame for payload", "type", fmt.Sprintf("%T", v))
-		http.Error(w, `{"error":"encoding response","kind":"internal"}`, http.StatusInternalServerError)
-		respBufPool.Put(buf)
-		return
-	}
-	buf.Write(frame)
-	w.Header().Set("Content-Type", wire.ContentTypeBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+// writeBody sends one fully staged body.  Content-Length is explicit
+// because the cluster's lean client refuses chunked responses.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		obs.Log().Debug("server: writing response", "err", err)
-	}
-	if buf.Cap() <= maxPooledBodyBytes {
-		respBufPool.Put(buf)
 	}
 }
 
-// writeResponse dispatches a success payload through the negotiated
-// response codec.  Errors never come here: they are always JSON (see
-// writeError), whatever codec the payloads use.
-func writeResponse(w http.ResponseWriter, status int, v any, binary bool) {
-	if binary {
-		writeBinary(w, status, v)
-		return
-	}
-	writeJSON(w, status, v)
-}
+func writeJSON(w http.ResponseWriter, status int, v any) { writeResponse(w, status, v, false) }
 
 // writeError sends a structured JSON error.  When the writer is the
 // request's statusRecorder and a trace was sampled, the body carries
@@ -163,13 +143,12 @@ func responseBinary(r *http.Request, reqBinary bool) bool {
 // out, a bad variant is a request error, everything else is the
 // planner rejecting the input.
 func solveErrorKind(err error) string {
-	var badVariant *badVariantError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout"
 	case errors.Is(err, context.Canceled):
 		return "canceled"
-	case errors.As(err, &badVariant):
+	case errors.Is(err, run.ErrUnknownVariant):
 		return "bad_request"
 	default:
 		return "unplannable"
@@ -181,15 +160,13 @@ func solveErrorKind(err error) string {
 // server), everything else is the planner rejecting the input — the
 // graph validated, so the problem is still the client's data.
 func writeSolveError(w http.ResponseWriter, err error) {
-	switch solveErrorKind(err) {
+	switch kind := solveErrorKind(err); kind {
 	case "timeout":
-		writeError(w, http.StatusGatewayTimeout, "timeout", "request deadline expired: %v", err)
+		writeError(w, http.StatusGatewayTimeout, kind, "request deadline expired: %v", err)
 	case "canceled":
-		writeError(w, statusClientClosed, "canceled", "request canceled: %v", err)
-	case "bad_request":
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
+		writeError(w, statusClientClosed, kind, "request canceled: %v", err)
 	default:
-		writeError(w, http.StatusBadRequest, "unplannable", "%v", err)
+		writeError(w, http.StatusBadRequest, kind, "%v", err)
 	}
 }
 
@@ -212,38 +189,24 @@ func statusClass(status int) string {
 	}
 }
 
-// configFor resolves an architecture preset name.
-func configFor(arch string, pes int) (pim.Config, error) {
-	switch arch {
-	case "", "neurocube":
-		return pim.Neurocube(pes), nil
-	case "prime":
-		return pim.PRIME(pes), nil
-	case "hmc2":
-		return pim.HMCGen2(pes), nil
-	case "edge":
-		return pim.EdgeDevice(pes), nil
-	default:
-		return pim.Config{}, fmt.Errorf("unknown architecture %q (want neurocube, prime, hmc2 or edge)", arch)
-	}
-}
-
 // graphReaderPool recycles the strings.Reader parseGraph wraps the
 // request's graph text in; readers are reset to the empty string
 // before pooling so they do not pin request bodies.
 var graphReaderPool = sync.Pool{New: func() any { return new(strings.Reader) }}
 
 // parseGraph reads the request's graph text under the server's size
-// caps.
+// caps; failures carry the wire taxonomy writeDecodeError maps.
 func (s *Server) parseGraph(req *request) (*dag.Graph, error) {
 	if strings.TrimSpace(req.Graph) == "" {
-		return nil, errors.New("request has no graph")
+		return nil, wire.ErrNoGraph
 	}
 	rd := graphReaderPool.Get().(*strings.Reader)
 	rd.Reset(req.Graph)
-	g, err := dag.ReadTextLimits(rd,
-		dag.Limits{MaxNodes: s.cfg.MaxGraphNodes, MaxEdges: s.cfg.MaxGraphEdges})
+	g, err := dag.ReadTextLimits(rd, s.limits())
 	rd.Reset("")
 	graphReaderPool.Put(rd)
-	return g, err
+	if err != nil {
+		return nil, &wire.GraphError{Err: err}
+	}
+	return g, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -37,103 +38,134 @@ func (sr *statusRecorder) WriteHeader(status int) {
 	sr.ResponseWriter.WriteHeader(status)
 }
 
-// solve is the shared request path of the three POST endpoints:
-// decode under the body cap, parse and size-check the graph, derive
-// the request deadline, admit into the worker pool (or shed), then
-// wait for the result or the deadline — whichever comes first.
-func (s *Server) solve(w http.ResponseWriter, r *http.Request, endpoint string, fn solveFunc) {
-	stop := obs.ServerRequestTimer(endpoint).Start()
-	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-
-	// When tracing is on, EVERY request carries a trace (starting a
-	// span is two atomic ops and a locked append); the sampler decides
-	// at the end which finished traces the ring keeps, so a request
-	// that only turned out slow is never lost to the 1-in-N counter.
-	var tr *span.Trace
-	var root span.Span
-	sampled := false
-	if s.sampler.Tracing() {
-		tr = span.New()
-		sampled = s.sampler.Sampled()
-		sr.traceID = tr.ID().String()
-		sr.Header().Set("X-Paraconv-Trace", sr.traceID)
-		r = r.WithContext(span.NewContext(r.Context(), tr))
-		root = span.Start(r.Context(), "server."+endpoint)
+// route wraps h in the skeleton every /v1 route shares: the endpoint's
+// latency timer, a statusRecorder, and the outcome-class counter.
+func route(endpoint string, h func(sr *statusRecorder, r *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		stop := obs.ServerRequestTimer(endpoint).Start()
+		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		defer func() {
+			stop()
+			obs.ServerRequests(endpoint, statusClass(sr.status)).Inc()
+		}()
+		h(sr, r)
 	}
-	defer func() {
-		stop()
-		obs.ServerRequests(endpoint, statusClass(sr.status)).Inc()
-		if tr == nil {
-			return
-		}
-		root.End()
-		if d := tr.Finish(); s.sampler.Admit(sampled, d) {
-			if sampled {
+}
+
+// requestTrace is one request's trace; nil (tracing off) does nothing.
+type requestTrace struct {
+	s       *Server
+	tr      *span.Trace
+	sampled bool
+}
+
+// newTrace gives sr's request a trace, named in the response header and
+// in every error body.  When tracing is on EVERY request carries one
+// (a span costs two atomic ops and a locked append); the sampler
+// decides at the end which the ring keeps, so a request that only
+// turned out slow is never lost to the 1-in-N counter.
+func (s *Server) newTrace(sr *statusRecorder) *requestTrace {
+	if !s.sampler.Tracing() {
+		return nil
+	}
+	t := &requestTrace{s: s, tr: span.New(), sampled: s.sampler.Sampled()}
+	sr.traceID = t.tr.ID().String()
+	sr.Header().Set("X-Paraconv-Trace", sr.traceID)
+	return t
+}
+
+// begin attaches the trace to ctx and opens its root span layer.op; end
+// closes the root and offers the finished trace to the sampler.
+func (t *requestTrace) begin(ctx context.Context, layer, op string) (_ context.Context, end func()) {
+	if t == nil {
+		return ctx, func() {}
+	}
+	ctx = span.NewContext(ctx, t.tr)
+	rootSpan := span.Start(ctx, layer+"."+op)
+	return ctx, func() {
+		rootSpan.End()
+		if d := t.tr.Finish(); t.s.sampler.Admit(t.sampled, d) {
+			if t.sampled {
 				obs.TraceSampled.Inc()
 			} else {
 				obs.TraceSlow.Inc()
 			}
-			s.ring.Add(tr)
+			t.s.ring.Add(t.tr)
 		}
-	}()
+	}
+}
 
-	decodeSpan := span.Start(r.Context(), "server.decode")
+// requestTimeout derives a request's solve deadline from timeout_ms:
+// the server default when absent, capped at MaxTimeout — in
+// milliseconds, before the multiplication, which a timeout_ms near
+// MaxInt would overflow into the past.
+func (s *Server) requestTimeout(timeoutMS int) time.Duration {
+	switch {
+	case timeoutMS <= 0:
+		return s.cfg.DefaultTimeout
+	case int64(timeoutMS) > s.cfg.MaxTimeout.Milliseconds():
+		return s.cfg.MaxTimeout
+	default:
+		return time.Duration(timeoutMS) * time.Millisecond
+	}
+}
+
+// admitted runs fn inside the admission gate, on the caller's own
+// goroutine, and reports whether it ran; if not, the shed (429) or the
+// deadline that expired waiting for a run slot (504) is answered.
+func (s *Server) admitted(ctx context.Context, sr *statusRecorder, endpoint string, fn func()) bool {
+	switch err := s.gate.enter(ctx); {
+	case err == nil:
+		defer s.gate.leave()
+		fn()
+		return true
+	case errors.Is(err, errShed):
+		shed(sr, endpoint, "admission", s.cfg.QueueDepth)
+	default:
+		writeSolveError(sr, err)
+	}
+	return false
+}
+
+// shed counts and answers a request turned away at a full queue.
+func shed(sr *statusRecorder, endpoint, queue string, depth int) {
+	obs.ServerShed.Inc()
+	obs.Log().Warn("request shed", "endpoint", endpoint, "queue", queue,
+		"queue_depth", depth, "trace_id", sr.traceID)
+	sr.Header().Set("Retry-After", "1")
+	writeError(sr, http.StatusTooManyRequests, "shed", "%s queue full (%d deep); retry later", queue, depth)
+}
+
+// solve is the shared request path of the three POST endpoints:
+// decode, derive the deadline, pass the admission gate, then run fn
+// right here on the connection's goroutine.  Nothing races the solver
+// to the response: a deadline that expires mid-solve answers 504 at
+// the solver's next context check.
+func (s *Server) solve(sr *statusRecorder, r *http.Request, endpoint string, fn solveFunc) {
+	ctx, endTrace := s.newTrace(sr).begin(r.Context(), "server", endpoint)
+	defer endTrace()
+
+	decodeSpan := span.Start(ctx, "server.decode")
 	req, g, respBinary, ok := s.decodeRequest(sr, r)
 	decodeSpan.End()
 	if !ok {
 		return
 	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req.TimeoutMS))
 	defer cancel()
 
-	// The job runs on a pool worker under the request's context; the
-	// buffered channel lets a late-finishing job complete after the
-	// handler has already answered 504.
-	type result struct {
-		payload any
-		err     error
-	}
-	done := make(chan result, 1)
-	job := func() {
-		if err := ctx.Err(); err != nil {
-			// Dead on dequeue: the deadline expired while queued.
-			done <- result{err: err}
-			return
-		}
-		obs.ServerInflight.Add(1)
-		defer obs.ServerInflight.Add(-1)
-		payload, err := fn(s.session.WithContext(ctx), req, g)
-		done <- result{payload: payload, err: err}
-	}
-	if !s.pool.trySubmit(job) {
-		obs.ServerShed.Inc()
-		obs.Log().Warn("request shed", "endpoint", endpoint,
-			"queue_depth", s.cfg.QueueDepth, "trace_id", sr.traceID)
-		sr.Header().Set("Retry-After", "1")
-		writeError(sr, http.StatusTooManyRequests, "shed", "admission queue full (%d deep); retry later", s.cfg.QueueDepth)
+	var payload any
+	var err error
+	if !s.admitted(ctx, sr, endpoint, func() {
+		payload, err = fn(s.session.WithContext(ctx), req, g)
+	}) {
 		return
 	}
-
-	select {
-	case res := <-done:
-		if res.err != nil {
-			writeSolveError(sr, res.err)
-			return
-		}
-		writeResponse(sr, http.StatusOK, res.payload, respBinary)
-	case <-ctx.Done():
-		// Queued or running past the deadline; the job will observe
-		// the same dead context and bail on its own.
-		writeSolveError(sr, ctx.Err())
+	if err != nil {
+		writeSolveError(sr, err)
+		return
 	}
+	writeResponse(sr, http.StatusOK, payload, respBinary)
 }
 
 // bodyState is the per-request decode scratch recycled by
@@ -160,6 +192,46 @@ func putBodyState(bs *bodyState) {
 	bodyStatePool.Put(bs)
 }
 
+// readBody reads r's body into bs under the server's size cap.  false
+// means the read failed and has been answered (413 past the cap).
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, bs *bodyState, what string) bool {
+	bs.buf.Reset()
+	_, err := bs.buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			"%s body exceeds %d bytes", what, tooBig.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad_request", "reading %s body: %v", what, err)
+	}
+	return false
+}
+
+// writeDecodeError answers a request or peer-fill frame (what) that
+// failed to decode: every case a 400, told apart by kind.
+func writeDecodeError(w http.ResponseWriter, what string, err error) {
+	var lim *dag.LimitError
+	var graphErr *wire.GraphError
+	switch {
+	case errors.As(err, &lim):
+		writeError(w, http.StatusBadRequest, "graph_too_large", "%v", lim)
+	case errors.Is(err, wire.ErrNoGraph):
+		writeError(w, http.StatusBadRequest, "bad_graph", "%s has no graph", what)
+	case errors.As(err, &graphErr):
+		writeError(w, http.StatusBadRequest, "bad_graph", "%v", graphErr.Err)
+	default:
+		writeError(w, http.StatusBadRequest, "bad_request", "decoding %s: %v", what, err)
+	}
+}
+
+// limits is the graph size cap applied to every graph off the network.
+func (s *Server) limits() dag.Limits {
+	return dag.Limits{MaxNodes: s.cfg.MaxGraphNodes, MaxEdges: s.cfg.MaxGraphEdges}
+}
+
 // decodeRequest negotiates the request codec from Content-Type (415
 // for anything that is neither JSON nor the binary wire format), reads
 // the body under the size cap, decodes it, parses and size-checks the
@@ -178,61 +250,29 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *req
 	}
 	respBinary = responseBinary(r, reqBinary)
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	bs := bodyStatePool.Get().(*bodyState)
 	defer putBodyState(bs)
-	bs.buf.Reset()
-	if _, err := bs.buf.ReadFrom(body); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-				"request body exceeds %d bytes", tooBig.Limit)
-			return nil, nil, respBinary, false
-		}
-		writeError(w, http.StatusBadRequest, "bad_request", "reading request: %v", err)
+	if !s.readBody(w, r, bs, "request") {
 		return nil, nil, respBinary, false
 	}
 
 	req = &request{}
+	var err error
 	if reqBinary {
 		// wire.DecodeRequest copies every string out of the frame, so
 		// the pooled body buffer is free the moment it returns.
-		var err error
-		g, err = wire.DecodeRequest(bs.buf.Bytes(), req, dag.Limits{MaxNodes: s.cfg.MaxGraphNodes, MaxEdges: s.cfg.MaxGraphEdges})
-		if err != nil {
-			var lim *dag.LimitError
-			var graphErr *wire.GraphError
-			switch {
-			case errors.As(err, &lim):
-				writeError(w, http.StatusBadRequest, "graph_too_large", "%v", lim)
-			case errors.Is(err, wire.ErrNoGraph):
-				writeError(w, http.StatusBadRequest, "bad_graph", "request has no graph")
-			case errors.As(err, &graphErr):
-				writeError(w, http.StatusBadRequest, "bad_graph", "%v", err)
-			default:
-				writeError(w, http.StatusBadRequest, "bad_request", "decoding request: %v", err)
-			}
-			return nil, nil, respBinary, false
-		}
+		g, err = wire.DecodeRequest(bs.buf.Bytes(), req, s.limits())
 	} else {
 		bs.rd.Reset(bs.buf.Bytes())
 		dec := json.NewDecoder(&bs.rd)
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "decoding request: %v", err)
-			return nil, nil, respBinary, false
+		if err = dec.Decode(req); err == nil {
+			g, err = s.parseGraph(req)
 		}
-		var err error
-		g, err = s.parseGraph(req)
-		if err != nil {
-			var lim *dag.LimitError
-			if errors.As(err, &lim) {
-				writeError(w, http.StatusBadRequest, "graph_too_large", "%v", lim)
-				return nil, nil, respBinary, false
-			}
-			writeError(w, http.StatusBadRequest, "bad_graph", "%v", err)
-			return nil, nil, respBinary, false
-		}
+	}
+	if err != nil {
+		writeDecodeError(w, "request", err)
+		return nil, nil, respBinary, false
 	}
 
 	if req.PEs == 0 {
@@ -243,49 +283,33 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *req
 	}
 	switch {
 	case req.PEs < 1 || req.PEs > 4096:
-		writeError(w, http.StatusBadRequest, "bad_request", "pes %d out of range [1, 4096]", req.PEs)
-		return nil, nil, respBinary, false
+		err = fmt.Errorf("pes %d out of range [1, 4096]", req.PEs)
 	case req.Iterations < 1 || req.Iterations > 1_000_000_000:
-		writeError(w, http.StatusBadRequest, "bad_request", "iterations %d out of range [1, 1e9]", req.Iterations)
-		return nil, nil, respBinary, false
+		err = fmt.Errorf("iterations %d out of range [1, 1e9]", req.Iterations)
 	case req.TimeoutMS < 0:
-		writeError(w, http.StatusBadRequest, "bad_request", "timeout_ms %d is negative", req.TimeoutMS)
+		err = fmt.Errorf("timeout_ms %d is negative", req.TimeoutMS)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return nil, nil, respBinary, false
 	}
 	return req, g, respBinary, true
 }
 
-// planVariant dispatches a planner variant name through the session.
-func planVariant(sess *run.Session, variant string, g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
-	switch variant {
-	case "", "para-conv":
-		return sess.Plan(g, cfg)
-	case "para-conv-single":
-		return sess.PlanSingle(g, cfg)
-	case "sparta":
-		return sess.Baseline(g, cfg)
-	case "naive":
-		return sess.BaselineNaive(g, cfg)
-	default:
-		return nil, &badVariantError{variant}
+// planFor resolves the request's architecture preset and runs its
+// planner variant — the step /v1/plan and /v1/simulate share.
+func planFor(sess *run.Session, req *request, g *dag.Graph) (*sched.Plan, pim.Config, error) {
+	cfg, err := pim.Preset(req.Arch, req.PEs)
+	if err != nil {
+		return nil, cfg, err
 	}
-}
-
-// badVariantError distinguishes an unknown variant name (a 400) from
-// a planner rejection.
-type badVariantError struct{ variant string }
-
-func (e *badVariantError) Error() string {
-	return "unknown variant " + e.variant + " (want para-conv, para-conv-single, sparta or naive)"
+	plan, err := sess.PlanVariant(req.Variant, g, cfg)
+	return plan, cfg, err
 }
 
 // solvePlan implements POST /v1/plan.
 func (s *Server) solvePlan(sess *run.Session, req *request, g *dag.Graph) (any, error) {
-	cfg, err := configFor(req.Arch, req.PEs)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := planVariant(sess, req.Variant, g, cfg)
+	plan, cfg, err := planFor(sess, req, g)
 	if err != nil {
 		return nil, err
 	}
@@ -319,11 +343,7 @@ func (s *Server) solvePlan(sess *run.Session, req *request, g *dag.Graph) (any, 
 // solveSimulate implements POST /v1/simulate: plan, then run the
 // closed-form simulator over the requested horizon.
 func (s *Server) solveSimulate(sess *run.Session, req *request, g *dag.Graph) (any, error) {
-	cfg, err := configFor(req.Arch, req.PEs)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := planVariant(sess, req.Variant, g, cfg)
+	plan, cfg, err := planFor(sess, req, g)
 	if err != nil {
 		return nil, err
 	}
@@ -351,17 +371,16 @@ func (s *Server) solveSimulate(sess *run.Session, req *request, g *dag.Graph) (a
 // solveSelectArch implements POST /v1/selectarch: plan the graph on
 // every candidate architecture and rank by total time.
 func (s *Server) solveSelectArch(sess *run.Session, req *request, g *dag.Graph) (any, error) {
-	names := req.Archs
-	if len(names) == 0 {
-		names = []string{"neurocube", "prime", "hmc2", "edge"}
-	}
-	candidates := make([]pim.Config, 0, len(names))
-	for _, name := range names {
-		cfg, err := configFor(name, req.PEs)
-		if err != nil {
-			return nil, err
+	candidates := pim.Presets(req.PEs)
+	if len(req.Archs) > 0 {
+		candidates = candidates[:0]
+		for _, name := range req.Archs {
+			cfg, err := pim.Preset(name, req.PEs)
+			if err != nil {
+				return nil, err
+			}
+			candidates = append(candidates, cfg)
 		}
-		candidates = append(candidates, cfg)
 	}
 	best, ranking, err := sess.SelectArch(g, candidates, req.Iterations)
 	if err != nil {

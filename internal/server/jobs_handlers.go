@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/obs"
-	"repro/internal/obs/span"
 	"repro/internal/wire"
 )
 
@@ -22,67 +20,27 @@ const maxJobWait = 30 * time.Second
 // path, then queue the solve on the async engine and answer 202 with
 // the job id immediately.  The solve itself — and its span tree, when
 // tracing — runs later on an async worker.
-func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, op string, fn solveFunc) {
-	stop := obs.ServerRequestTimer("jobs").Start()
-	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	defer func() {
-		stop()
-		obs.ServerRequests("jobs", statusClass(sr.status)).Inc()
-	}()
-
+func (s *Server) submitJob(sr *statusRecorder, r *http.Request, op string, fn solveFunc) {
 	// Job traces are per-job, not per-submission-request: the trace is
 	// created here so the 202 can carry its id, but every span in it is
 	// opened and finished inside the job function on the async worker.
-	var tr *span.Trace
-	sampled := false
-	if s.sampler.Tracing() {
-		tr = span.New()
-		sampled = s.sampler.Sampled()
-		sr.traceID = tr.ID().String()
-		sr.Header().Set("X-Paraconv-Trace", sr.traceID)
-	}
+	tr := s.newTrace(sr)
 
 	req, g, _, ok := s.decodeRequest(sr, r)
 	if !ok {
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-
 	job := func(ctx context.Context) (any, error) {
-		if tr != nil {
-			ctx = span.NewContext(ctx, tr)
-			root := span.Start(ctx, "jobs."+op)
-			defer func() {
-				root.End()
-				if d := tr.Finish(); s.sampler.Admit(sampled, d) {
-					if sampled {
-						obs.TraceSampled.Inc()
-					} else {
-						obs.TraceSlow.Inc()
-					}
-					s.ring.Add(tr)
-				}
-			}()
-		}
+		ctx, endTrace := tr.begin(ctx, "jobs", op)
+		defer endTrace()
 		return fn(s.session.WithContext(ctx), req, g)
 	}
 
-	snap, err := s.jobs.Submit(op, timeout, job)
+	snap, err := s.jobs.Submit(op, s.requestTimeout(req.TimeoutMS), job)
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			obs.ServerShed.Inc()
-			obs.Log().Warn("async job shed", "op", op,
-				"queue_depth", s.cfg.JobQueueDepth, "trace_id", sr.traceID)
-			sr.Header().Set("Retry-After", "1")
-			writeError(sr, http.StatusTooManyRequests, "shed",
-				"async job queue full (%d deep); retry later", s.cfg.JobQueueDepth)
+			shed(sr, "jobs/"+op, "async job", s.cfg.JobQueueDepth)
 		case errors.Is(err, jobs.ErrClosed):
 			writeError(sr, http.StatusServiceUnavailable, "draining", "server is draining")
 		default:
@@ -123,14 +81,7 @@ func jobStatusBody(snap jobs.Snapshot) *wire.JobStatus {
 // jobStatus is GET /v1/jobs/{id}: the job's current state, long-polled
 // when ?wait=<duration> is present (bounded by maxJobWait; the
 // response is the latest state either way).
-func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
-	stop := obs.ServerRequestTimer("jobs_poll").Start()
-	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	defer func() {
-		stop()
-		obs.ServerRequests("jobs_poll", statusClass(sr.status)).Inc()
-	}()
-
+func (s *Server) jobStatus(sr *statusRecorder, r *http.Request) {
 	var wait time.Duration
 	if q := r.URL.Query().Get("wait"); q != "" {
 		d, err := time.ParseDuration(q)
@@ -156,13 +107,7 @@ func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
 // immediately, running jobs when their solve observes the dead
 // context; terminal jobs are unchanged.  The response is the job's
 // state after the cancel took effect at the engine.
-func (s *Server) jobCancel(w http.ResponseWriter, r *http.Request) {
-	stop := obs.ServerRequestTimer("jobs_poll").Start()
-	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	defer func() {
-		stop()
-		obs.ServerRequests("jobs_poll", statusClass(sr.status)).Inc()
-	}()
+func (s *Server) jobCancel(sr *statusRecorder, r *http.Request) {
 	id := r.PathValue("id")
 	snap, ok := s.jobs.Cancel(id)
 	if !ok {

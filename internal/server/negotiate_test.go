@@ -270,7 +270,7 @@ func TestWriteBinaryPinCap(t *testing.T) {
 		t.Fatalf("test payload is %d bytes; needs > %d to exercise the pin cap", len(frame), maxPooledBodyBytes)
 	}
 	rec := httptest.NewRecorder()
-	writeBinary(rec, http.StatusOK, big)
+	writeResponse(rec, http.StatusOK, big, true)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}

@@ -2,14 +2,11 @@ package server
 
 import (
 	"context"
-	"errors"
-	"io"
 	"net/http"
-	"strconv"
 
-	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/run"
+	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
@@ -19,8 +16,8 @@ import (
 // (in-memory cache, then durable store); on a full miss, a request
 // body — a wire peer-fill frame carrying the complete planning problem
 // — lets this node solve on the requester's behalf, through the same
-// worker pool and admission queue as every other solve (a 429 shed
-// degrades the requester to its own local solve).  A bodiless miss is
+// admission gate as every other solve (a 429 shed degrades the
+// requester to its own local solve).  A bodiless miss is
 // a 404.  The response body is the binary stored-plan frame — or, when
 // the request carries X-Paraconv-Rebuild (the sender holds the problem
 // graph and can derive a para-conv kernel itself), the kernel-free
@@ -31,13 +28,7 @@ import (
 // ownership: the requester routed here off its view, and answering is
 // correct even when the views disagree (the solve itself never
 // re-enters the cluster tier, so divergent views cannot loop).
-func (s *Server) planByFingerprint(w http.ResponseWriter, r *http.Request) {
-	stop := obs.ServerRequestTimer("plans").Start()
-	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	defer func() {
-		stop()
-		obs.ServerRequests("plans", statusClass(sr.status)).Inc()
-	}()
+func (s *Server) planByFingerprint(sr *statusRecorder, r *http.Request) {
 	obs.ClusterForwards.Inc()
 
 	fp := r.PathValue("fp")
@@ -50,47 +41,25 @@ func (s *Server) planByFingerprint(w http.ResponseWriter, r *http.Request) {
 	}
 
 	lean := r.Header.Get("X-Paraconv-Rebuild") != ""
-	if lean {
-		if payload, ok := s.session.EncodedFillByFingerprint(fp); ok {
-			writePlanFrame(sr, payload)
-			return
-		}
-	} else if payload, ok := s.session.EncodedPlanByFingerprint(fp); ok {
-		writePlanFrame(sr, payload)
+	if payload, ok := s.session.EncodedPlanByFingerprint(fp, lean); ok {
+		writeBody(sr, http.StatusOK, wire.ContentTypeBinary, payload)
 		return
 	}
 
-	body := http.MaxBytesReader(sr, r.Body, s.cfg.MaxBodyBytes)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(sr, http.StatusRequestEntityTooLarge, "too_large",
-				"fill body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(sr, http.StatusBadRequest, "bad_request", "reading fill body: %v", err)
+	bs := bodyStatePool.Get().(*bodyState)
+	defer putBodyState(bs)
+	if !s.readBody(sr, r, bs, "fill") {
 		return
 	}
-	if len(data) == 0 {
+	if bs.buf.Len() == 0 {
 		writeError(sr, http.StatusNotFound, "not_found", "no plan stored for %s", fp)
 		return
 	}
-
-	pf, g, err := wire.DecodePeerFill(data, dag.Limits{MaxNodes: s.cfg.MaxGraphNodes, MaxEdges: s.cfg.MaxGraphEdges})
+	// Like wire.DecodeRequest, DecodePeerFill copies every string out of
+	// the pooled frame.
+	pf, g, err := wire.DecodePeerFill(bs.buf.Bytes(), s.limits())
 	if err != nil {
-		var lim *dag.LimitError
-		var graphErr *wire.GraphError
-		switch {
-		case errors.As(err, &lim):
-			writeError(sr, http.StatusBadRequest, "graph_too_large", "%v", lim)
-		case errors.Is(err, wire.ErrNoGraph):
-			writeError(sr, http.StatusBadRequest, "bad_graph", "fill frame has no graph")
-		case errors.As(err, &graphErr):
-			writeError(sr, http.StatusBadRequest, "bad_graph", "%v", err)
-		default:
-			writeError(sr, http.StatusBadRequest, "bad_request", "decoding fill frame: %v", err)
-		}
+		writeDecodeError(sr, "fill frame", err)
 		return
 	}
 	if run.PlanFingerprint(pf.Variant, "", g, pf.Config) != fp {
@@ -104,56 +73,25 @@ func (s *Server) planByFingerprint(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
-	type result struct {
-		payload []byte
-		err     error
-	}
-	done := make(chan result, 1)
-	job := func() {
-		if err := ctx.Err(); err != nil {
-			done <- result{err: err}
-			return
-		}
-		obs.ServerInflight.Add(1)
-		defer obs.ServerInflight.Add(-1)
-		p, err := planVariant(s.session.WithContext(ctx).WithoutPeerFill(), pf.Variant, g, pf.Config)
-		if err != nil {
-			done <- result{err: err}
+	var payload []byte
+	if !s.admitted(ctx, sr, "plans", func() {
+		var p *sched.Plan
+		if p, err = s.session.WithContext(ctx).WithoutPeerFill().PlanVariant(pf.Variant, g, pf.Config); err != nil {
 			return
 		}
 		if lean && p.Scheme == wire.SchemeParaCONV {
-			done <- result{payload: wire.AppendLeanPlan(nil, p)}
-			return
+			payload = wire.AppendLeanPlan(nil, p)
+		} else {
+			payload = wire.AppendPlan(nil, p)
 		}
-		done <- result{payload: wire.AppendPlan(nil, p)}
-	}
-	if !s.pool.trySubmit(job) {
-		obs.ServerShed.Inc()
-		obs.Log().Warn("fill solve shed", "fp", fp, "queue_depth", s.cfg.QueueDepth)
-		sr.Header().Set("Retry-After", "1")
-		writeError(sr, http.StatusTooManyRequests, "shed", "admission queue full (%d deep); retry later", s.cfg.QueueDepth)
+	}) {
 		return
 	}
-	select {
-	case res := <-done:
-		if res.err != nil {
-			writeSolveError(sr, res.err)
-			return
-		}
-		writePlanFrame(sr, res.payload)
-	case <-ctx.Done():
-		writeSolveError(sr, ctx.Err())
+	if err != nil {
+		writeSolveError(sr, err)
+		return
 	}
-}
-
-// writePlanFrame writes a binary stored-plan payload.  Content-Length
-// is explicit because the cluster's lean client refuses chunked
-// responses.
-func writePlanFrame(w http.ResponseWriter, payload []byte) {
-	w.Header().Set("Content-Type", wire.ContentTypeBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(payload)
+	writeBody(sr, http.StatusOK, wire.ContentTypeBinary, payload)
 }
 
 // validFingerprint reports whether fp is a canonical plan fingerprint:

@@ -5,19 +5,25 @@
 //
 // The service is shaped for sustained load rather than a toy mux:
 //
-//   - a bounded worker pool behind an admission queue; when the queue
-//     is full, requests are shed immediately with 429 + Retry-After
-//     instead of queueing unboundedly (counts exported as
-//     paraconv_server_* metrics);
+//   - one request, one goroutine: a solve runs on the goroutine of the
+//     connection that asked for it, behind a two-stage admission gate
+//     (see gate) — at most Workers requests solve at once, at most
+//     QueueDepth more wait for a run slot, and the next is shed
+//     immediately with 429 + Retry-After instead of queueing
+//     unboundedly (counts exported as paraconv_server_* metrics);
 //   - per-request deadlines (server default, client-overridable)
 //     propagated through run.Session contexts into every DP row and
-//     scheduling loop;
+//     scheduling loop.  Nothing races the solver to the response, so a
+//     deadline that expires mid-solve is answered 504 when the solver
+//     reaches its next context check (one DP row away), not before;
 //   - concurrent identical requests ride one solve via the plan
 //     cache's singleflight, then the shared content-keyed cache;
 //   - http.MaxBytesReader input caps and dag.ReadTextLimits graph
 //     caps, both mapped to structured JSON client errors;
-//   - graceful drain: Running.Drain stops intake, finishes queued
-//     work up to a timeout, then releases the port.
+//   - graceful drain: Running.Drain stops intake and waits, up to a
+//     timeout, for every connection's in-flight request to finish —
+//     http.Server.Shutdown is the whole drain, there is no second
+//     queue to empty — then releases the port.
 //
 // Endpoints: POST /v1/plan, POST /v1/simulate, POST /v1/selectarch,
 // GET /healthz, GET /readyz, plus the obs debug endpoints (/metrics,
@@ -46,10 +52,11 @@ import (
 // Config parameterizes a Server.  The zero value is usable: every
 // field has a production-shaped default.
 type Config struct {
-	// Workers is the solve-pool size (default: GOMAXPROCS).
+	// Workers is how many requests may solve at once (default:
+	// GOMAXPROCS).
 	Workers int
-	// QueueDepth is the admission-queue capacity; requests arriving
-	// with the queue full are shed with 429 (default 64).
+	// QueueDepth is how many more may wait for a run slot; requests
+	// arriving beyond Workers+QueueDepth are shed with 429 (default 64).
 	QueueDepth int
 	// MaxBodyBytes caps a request body (default 1 MiB).
 	MaxBodyBytes int64
@@ -145,11 +152,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the planning service: one shared Session (cache +
-// singleflight), one worker pool, one mux.
+// singleflight), one admission gate, one mux.
 type Server struct {
 	cfg      Config
 	session  *run.Session
-	pool     *pool
+	gate     *gate
 	jobs     *jobs.Engine
 	mux      *http.ServeMux
 	draining atomic.Bool
@@ -164,13 +171,13 @@ type Server struct {
 }
 
 // New builds a Server from cfg.  Close (or Running.Drain) must be
-// called to stop the worker pool.
+// called to stop the async job engine.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
 		session: run.NewWithCacheBound(context.Background(), cfg.CacheBound),
-		pool:    newPool(cfg.Workers, cfg.QueueDepth),
+		gate:    newGate(cfg.Workers, cfg.QueueDepth),
 		jobs: jobs.New(jobs.Options{
 			Workers:        cfg.JobWorkers,
 			QueueDepth:     cfg.JobQueueDepth,
@@ -194,39 +201,37 @@ func New(cfg Config) *Server {
 		span.SetEnabled(true)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		s.solve(w, r, "plan", s.solvePlan)
-	})
-	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
-		s.solve(w, r, "simulate", s.solveSimulate)
-	})
-	mux.HandleFunc("POST /v1/selectarch", func(w http.ResponseWriter, r *http.Request) {
-		s.solve(w, r, "selectarch", s.solveSelectArch)
-	})
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		s.submitJob(w, r, "plan", s.solvePlan)
-	})
-	mux.HandleFunc("POST /v1/jobs/{op}", func(w http.ResponseWriter, r *http.Request) {
+	// One table for the sync endpoints and the async job operations.
+	ops := map[string]solveFunc{
+		"plan":       s.solvePlan,
+		"simulate":   s.solveSimulate,
+		"selectarch": s.solveSelectArch,
+	}
+	for op, fn := range ops {
+		mux.HandleFunc("POST /v1/"+op, route(op, func(sr *statusRecorder, r *http.Request) {
+			s.solve(sr, r, op, fn)
+		}))
+	}
+	mux.HandleFunc("POST /v1/jobs", route("jobs", func(sr *statusRecorder, r *http.Request) {
+		s.submitJob(sr, r, "plan", s.solvePlan)
+	}))
+	mux.HandleFunc("POST /v1/jobs/{op}", route("jobs", func(sr *statusRecorder, r *http.Request) {
 		op := r.PathValue("op")
-		fn, ok := map[string]solveFunc{
-			"plan":       s.solvePlan,
-			"simulate":   s.solveSimulate,
-			"selectarch": s.solveSelectArch,
-		}[op]
+		fn, ok := ops[op]
 		if !ok {
-			writeError(w, http.StatusNotFound, "not_found",
+			writeError(sr, http.StatusNotFound, "not_found",
 				"unknown job operation %q (want plan, simulate or selectarch)", op)
 			return
 		}
-		s.submitJob(w, r, op, fn)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", s.jobStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.jobCancel)
+		s.submitJob(sr, r, op, fn)
+	}))
+	mux.HandleFunc("GET /v1/jobs/{id}", route("jobs_poll", s.jobStatus))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", route("jobs_poll", s.jobCancel))
 	// Content-addressed plan lookup + the cluster fill protocol's
 	// server side.  Registered unconditionally: without a cluster it
 	// is still a useful cache probe, and an owner must answer fills
 	// even when its own breaker view disagrees about ownership.
-	mux.HandleFunc("GET /v1/plans/{fp}", s.planByFingerprint)
+	mux.HandleFunc("GET /v1/plans/{fp}", route("plans", s.planByFingerprint))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -314,11 +319,11 @@ func (s *Server) AttachCluster(cl *cluster.Cluster) {
 // CacheStats exposes the shared plan cache's counters.
 func (s *Server) CacheStats() run.CacheStats { return s.session.CacheStats() }
 
-// Close stops the async job engine and the worker pool after draining
-// queued work.  It is not needed when Running.Drain is used.
+// Close stops the async job engine.  Sync requests own no server-side
+// resource beyond their connection, so there is nothing else to stop.
+// It is not needed when Running.Drain is used.
 func (s *Server) Close() {
 	s.jobs.Close()
-	s.pool.close()
 }
 
 // Running is a listening planning server.
@@ -360,7 +365,7 @@ func (s *Server) Start(addr string) (*Running, error) {
 		}
 	}()
 	// The burn-rate evaluator samples for as long as the daemon
-	// listens; Drain closes sloStop before the pool goes down.
+	// listens; Drain closes sloStop first.
 	sloStop := make(chan struct{})
 	go s.sloEval.Run(sloStop)
 	return &Running{s: s, ln: ln, srv: srv, sloStop: sloStop}, nil
@@ -371,10 +376,11 @@ func (s *Server) Start(addr string) (*Running, error) {
 func (r *Running) Addr() string { return r.ln.Addr().String() }
 
 // Drain performs the graceful shutdown sequence: flip /readyz to 503,
-// stop accepting connections, wait up to timeout for in-flight and
-// queued requests to finish, then stop the worker pool.  A nil return
-// means every accepted request completed; a non-nil return means the
-// timeout expired and remaining connections were cut.
+// stop accepting connections, and wait up to timeout for every request
+// already inside the gate — solving or waiting for a run slot — to
+// finish on its own connection.  A nil return means every accepted
+// request completed; a non-nil return means the timeout expired and
+// remaining connections were cut.
 func (r *Running) Drain(timeout time.Duration) error {
 	r.s.draining.Store(true)
 	r.stop.Do(func() { close(r.sloStop) })
@@ -382,15 +388,13 @@ func (r *Running) Drain(timeout time.Duration) error {
 	defer cancel()
 	err := r.srv.Shutdown(ctx)
 	if err != nil {
-		// Shutdown gave up waiting; cut the stragglers so the pool's
-		// jobs see their request contexts die and the close below
-		// cannot wait on a connection that will never finish.
+		// Shutdown gave up waiting; cut the stragglers so their solves
+		// see the request contexts die.
 		r.srv.Close()
 	}
 	// Async jobs still queued or running are cancelled — their clients
 	// poll a different (or restarted) process, and a restarted daemon
 	// re-serves finished solves from the durable store anyway.
 	r.s.jobs.Close()
-	r.s.pool.close()
 	return err
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -283,30 +285,34 @@ func TestMetricsMounted(t *testing.T) {
 	}
 }
 
-// blockWorkers occupies every pool worker with a job that holds until
-// the returned release function is called, then waits until the
-// workers have actually dequeued them.
+// blockWorkers takes every run slot of s's gate, as that many stuck
+// solves would, until the returned release function is called.
 func blockWorkers(t *testing.T, s *Server, workers int) (release func()) {
 	t.Helper()
-	hold := make(chan struct{})
 	for i := 0; i < workers; i++ {
-		if !s.pool.trySubmit(func() { <-hold }) {
-			t.Fatal("could not submit blocking job")
+		if err := s.gate.enter(context.Background()); err != nil {
+			t.Fatalf("could not take run slot %d: %v", i, err)
 		}
 	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for i := 0; i < workers; i++ {
+				s.gate.leave()
+			}
+		})
+	}
+}
+
+// waitAdmitted blocks until n requests are inside s's gate.
+func waitAdmitted(t *testing.T, s *Server, n int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.pool.queued() > 0 {
+	for len(s.gate.admitted) != n {
 		if !time.Now().Before(deadline) {
-			t.Fatal("workers never picked up the blocking jobs")
+			t.Fatalf("gate holds %d requests, want %d", len(s.gate.admitted), n)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	released := false
-	return func() {
-		if !released {
-			released = true
-			close(hold)
-		}
 	}
 }
 
@@ -330,10 +336,13 @@ func TestFullQueueSheds(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	release := blockWorkers(t, s, 1)
 	defer release()
-	// Fill the single queue slot so the HTTP request has nowhere to go.
-	if !s.pool.trySubmit(func() {}) {
-		t.Fatal("could not fill the queue slot")
-	}
+	// Park a waiter in the single queue slot so the HTTP request has
+	// nowhere to go.
+	parked, unpark := context.WithCancel(context.Background())
+	defer unpark()
+	parkedDone := make(chan error, 1)
+	go func() { parkedDone <- s.gate.enter(parked) }()
+	waitAdmitted(t, s, 2)
 
 	resp, data := post(t, ts, "/v1/plan", map[string]any{"graph": testGraphText})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -347,6 +356,10 @@ func TestFullQueueSheds(t *testing.T) {
 	}
 
 	// After releasing the workers the service accepts again.
+	unpark()
+	if err := <-parkedDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("parked waiter left the gate with %v, want context.Canceled", err)
+	}
 	release()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -361,7 +374,7 @@ func TestFullQueueSheds(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdenticalRequests exercises the pool and the
+// TestConcurrentIdenticalRequests exercises the gate and the
 // cache/singleflight path under -race: a burst of identical plans
 // must all succeed and agree.
 func TestConcurrentIdenticalRequests(t *testing.T) {

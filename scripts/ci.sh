@@ -160,10 +160,26 @@ assert plan["scheme"] == "para-conv", plan.get("scheme")
 assert plan["period"] > 0 and plan["total_time"] > 0, plan
 PYEOF
 curl -fsS "http://$pd_addr/metrics" > "$tmpdir/pd_metrics.txt"
+# Besides the gate's own gauges, every family benchmark/scrape.go
+# reads: all are registered at boot (or by the one plan request above),
+# so a rename fails here in seconds, not in a 20 s benchmark window.
 for family in \
     paraconv_server_requests_total \
     paraconv_server_queue_capacity \
-    paraconv_plancache_misses_total; do
+    paraconv_server_queue_depth \
+    paraconv_server_inflight \
+    paraconv_server_shed_total \
+    paraconv_plancache_hits_total \
+    paraconv_plancache_misses_total \
+    paraconv_plancache_dedup_hits_total \
+    paraconv_plan_solve_seconds_count \
+    paraconv_sched_dp_rows_total \
+    paraconv_store_hits_total \
+    paraconv_store_writes_total \
+    paraconv_store_evictions_total \
+    paraconv_cluster_peer_fills_total \
+    paraconv_cluster_peer_fill_failures_total \
+    paraconv_cluster_fallback_solves_total; do
     if ! grep -q "^$family" "$tmpdir/pd_metrics.txt"; then
         echo "paraconvd /metrics is missing family $family:" >&2
         head -n 40 "$tmpdir/pd_metrics.txt" >&2
