@@ -25,8 +25,11 @@ import (
 //
 // Encoding is byte-for-byte deterministic: the same graph always
 // yields the same bytes (field order is fixed and varints have a
-// unique minimal form).  Decoding rejects trailing bytes, unknown
-// versions and out-of-range references, and enforces the same Limits
+// unique minimal form), and decoding accepts no other bytes for it:
+// padded varints are rejected, so an accepted frame is byte-for-byte
+// what AppendBinary would write for the decoded graph.  Decoding also
+// rejects trailing bytes, unknown versions and out-of-range
+// references, and enforces the same Limits
 // policy as the text parser — with the counts checked against the
 // remaining input length first, so a lying header cannot reserve
 // memory the body could never justify.
@@ -273,8 +276,20 @@ func (d *binDecoder) buvarint(what string) (uint64, error) {
 	if n <= 0 {
 		return 0, d.truncated(what)
 	}
+	if n > 1 && d.data[d.off+n-1] == 0 {
+		return 0, d.padded(what)
+	}
 	d.off += n
 	return v, nil
+}
+
+// padded rejects a varint carrying a redundant trailing zero group
+// (0x80 0x00 for 0): AppendBinary never emits one, and accepting it
+// would let two byte strings decode to one graph — servers key plans by
+// a hash of the frame's bytes, so an accepted frame must be THE
+// encoding of its graph.
+func (d *binDecoder) padded(what string) error {
+	return fmt.Errorf("dag: binary graph: non-minimal varint at offset %d reading %s", d.off, what)
 }
 
 // maxAbsWeight bounds signed frame values to what the text codec can
@@ -286,6 +301,9 @@ func (d *binDecoder) bvarint(what string) (int64, error) {
 	v, n := binary.Varint(d.data[d.off:])
 	if n <= 0 {
 		return 0, d.truncated(what)
+	}
+	if n > 1 && d.data[d.off+n-1] == 0 {
+		return 0, d.padded(what)
 	}
 	if v > maxAbsWeight || v < -maxAbsWeight {
 		return 0, fmt.Errorf("dag: binary graph: %s %d out of range", what, v)

@@ -199,6 +199,10 @@ func TestDecodeBinaryErrors(t *testing.T) {
 		{"truncated mid-frame", valid[:len(valid)-3], "truncated"},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0x00), "trailing"},
 		{"lying header", []byte{'P', 'C', 'G', 1, 0, 0xff, 0xff, 0x03, 0}, "exceed"},
+		// Padded varints decode to the same values as their minimal
+		// forms; accepting them would give one graph two byte strings.
+		{"padded count", []byte{'P', 'C', 'G', 1, 0, 0x80, 0x00, 0}, "non-minimal"},
+		{"padded exec", []byte{'P', 'C', 'G', 1, 0, 1, 0, byte(OpConv), 0x82, 0x00, 0}, "non-minimal"},
 		{"bad kind", corrupt(func(b []byte) []byte {
 			// header(4) + name len(1)+"bin-test"(8) + counts(2) = offset 15
 			// is the first node's kind byte.

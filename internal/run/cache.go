@@ -44,9 +44,21 @@ type CacheStats struct {
 	Bound int
 }
 
+// Answer is a plan as the memory tier hands it out: the plan itself,
+// and — when it came from a memory entry — the request-independent
+// bytes of its binary /v1/plan response, encoded once when the plan
+// entered the tier.  A hit is thus answered by appending the request's
+// horizon between two cached byte runs, whatever the plan's size.
+// Frame is unbuilt for a plan fresh from a miss (or with caching off);
+// wire.AppendPlanResponse of wire.NewPlanResponse is the same bytes.
+type Answer struct {
+	Plan  *sched.Plan
+	Frame wire.PlanResponseFrame
+}
+
 type cacheEntry struct {
-	fp   string
-	plan *sched.Plan
+	fp string
+	Answer
 	// lean is the entry's encoded kernel-free fill frame, built lazily
 	// on the first peer fill served from this entry and shared by
 	// reference afterwards (fill responses only read it).  Nil for
@@ -104,7 +116,7 @@ func newPlanCache(bound int) *planCache {
 // double-check (a solve that completed between its miss and its flight
 // registration has already populated the cache) and a peer's
 // by-fingerprint probe.
-func (c *planCache) lookup(fp string, count bool) (*sched.Plan, bool) {
+func (c *planCache) lookup(fp string, count bool) (Answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[fp]; ok {
@@ -113,19 +125,23 @@ func (c *planCache) lookup(fp string, count bool) (*sched.Plan, bool) {
 			c.n.Hits++
 			obs.PlanCacheHits.Inc()
 		}
-		return el.Value.(*cacheEntry).plan, true
+		return el.Value.(*cacheEntry).Answer, true
 	}
 	if count {
 		c.n.Misses++
 		obs.PlanCacheMisses.Inc()
 	}
-	return nil, false
+	return Answer{}, false
 }
 
-func (c *planCache) put(fp string, plan *sched.Plan) {
+// put inserts plan, solved for the architecture named arch, under fp.
+func (c *planCache) put(fp, arch string, plan *sched.Plan) {
 	if c.bound == 0 {
 		return
 	}
+	// Encoded outside the lock; a put that loses the race below wasted
+	// one encode of identical bytes.
+	frame := wire.NewPlanResponseFrame(wire.NewPlanResponse(plan, arch, 0))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[fp]; ok {
@@ -134,7 +150,7 @@ func (c *planCache) put(fp string, plan *sched.Plan) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[fp] = c.ll.PushFront(&cacheEntry{fp: fp, plan: plan})
+	c.items[fp] = c.ll.PushFront(&cacheEntry{fp: fp, Answer: Answer{Plan: plan, Frame: frame}})
 	for c.ll.Len() > c.bound {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -166,7 +182,7 @@ func (c *planCache) lean(fp string) ([]byte, bool) {
 		c.mu.Unlock()
 		return lean, true
 	}
-	plan := ent.plan
+	plan := ent.Plan
 	c.mu.Unlock()
 	if plan.Scheme != wire.SchemeParaCONV {
 		return nil, false

@@ -12,52 +12,45 @@ import (
 	"repro/internal/sched"
 )
 
-// graphFPs memoizes graph fingerprints by pointer.  Graphs are treated
-// as immutable once built (every mutation path in the module — synth
-// generation, Clone, Perturb — produces a fresh *Graph), so a pointer
-// identifies its content for the life of the process.  The memo is
-// bounded: once it holds maxGraphFPs entries it is cleared wholesale,
-// so a long-lived server churning through graphs does not pin every
-// one of them (the map key keeps the *Graph alive) — eviction only
-// costs a re-hash on the next lookup.
-var (
-	graphFPMu sync.Mutex
-	graphFPs  = make(map[*dag.Graph]string, 64)
-)
-
-const maxGraphFPs = 4096
-
 // fpBufPool recycles the binary-encoding scratch GraphFingerprint
 // serializes graphs into before hashing.
 var fpBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
+// nilGraphFP is GraphFingerprint's value for no graph at all; no frame
+// hashes to it.
+const nilGraphFP = "graph:nil"
+
 // GraphFingerprint returns a content hash of the graph: sha256 over
 // the dag binary codec, which covers the name, every node (kind, exec)
 // and every edge (endpoints, size, transfer times) — exactly the
-// inputs the planners read.  The result is memoized per *Graph.
+// inputs the planners read.  A caller that already holds the graph's
+// binary frame hashes that instead (FrameFingerprint) and never builds
+// the graph at all.
 func GraphFingerprint(g *dag.Graph) string {
 	if g == nil {
-		return "graph:nil"
-	}
-	graphFPMu.Lock()
-	fp, ok := graphFPs[g]
-	graphFPMu.Unlock()
-	if ok {
-		return fp
+		return nilGraphFP
 	}
 	bp := fpBufPool.Get().(*[]byte)
 	frame := dag.AppendBinary((*bp)[:0], g)
-	sum := sha256.Sum256(frame)
+	fp := FrameFingerprint(frame)
 	*bp = frame[:0]
 	fpBufPool.Put(bp)
-	fp = "graph:" + hex.EncodeToString(sum[:])
-	graphFPMu.Lock()
-	if len(graphFPs) >= maxGraphFPs {
-		clear(graphFPs)
-	}
-	graphFPs[g] = fp
-	graphFPMu.Unlock()
 	return fp
+}
+
+// FrameFingerprint is GraphFingerprint for a graph still in its dag
+// binary frame — the trailing frame of a binary request or a peer-fill
+// frame (wire.SplitRequest, wire.SplitPeerFill).  dag.DecodeBinary
+// accepts only the canonical encoding of a graph, so for every frame
+// it accepts, FrameFingerprint(frame) == GraphFingerprint(decoded); a
+// frame it would reject hashes to a key no plan is ever stored under.
+func FrameFingerprint(frame []byte) string {
+	const prefix = "graph:"
+	sum := sha256.Sum256(frame)
+	var fp [len(prefix) + 2*sha256.Size]byte
+	copy(fp[:], prefix)
+	hex.Encode(fp[len(prefix):], sum[:])
+	return string(fp[:])
 }
 
 // PlanFingerprint is the module's content fingerprint for a complete
@@ -71,22 +64,37 @@ func GraphFingerprint(g *dag.Graph) string {
 // planner exactly as PlanVariant's dispatch does, so clients and
 // servers fingerprint identically.
 func PlanFingerprint(variant, extra string, g *dag.Graph, cfg pim.Config) string {
-	h := sha256.New()
-	io.WriteString(h, canonicalVariant(variant))
-	io.WriteString(h, "|")
-	io.WriteString(h, GraphFingerprint(g))
-	io.WriteString(h, "|")
-	io.WriteString(h, ConfigFingerprint(cfg))
-	io.WriteString(h, "|")
-	io.WriteString(h, extra)
-	return hex.EncodeToString(h.Sum(nil))
+	return PlanFingerprintHashed(variant, extra, GraphFingerprint(g), cfg)
+}
+
+// PlanFingerprintHashed is PlanFingerprint for a graph known only by
+// its fingerprint (GraphFingerprint or FrameFingerprint).
+func PlanFingerprintHashed(variant, extra, graphFP string, cfg pim.Config) string {
+	// Every served request passes here, so the key is assembled in one
+	// stack buffer rather than streamed through a heap-allocated hash.
+	key := make([]byte, 0, 512)
+	key = append(key, canonicalVariant(variant)...)
+	key = append(key, '|')
+	key = append(key, graphFP...)
+	key = append(key, '|')
+	key = appendConfigFingerprint(key, cfg)
+	key = append(key, '|')
+	key = append(key, extra...)
+	sum := sha256.Sum256(key)
+	var fp [2 * sha256.Size]byte
+	hex.Encode(fp[:], sum[:])
+	return string(fp[:])
 }
 
 // ConfigFingerprint returns a content key for a PIM configuration.
 // Config is a flat struct of scalars and a name, so the Go-syntax
 // representation is a complete, deterministic encoding.
 func ConfigFingerprint(cfg pim.Config) string {
-	return fmt.Sprintf("cfg:%#v", cfg)
+	return string(appendConfigFingerprint(nil, cfg))
+}
+
+func appendConfigFingerprint(dst []byte, cfg pim.Config) []byte {
+	return fmt.Appendf(dst, "cfg:%#v", cfg)
 }
 
 // ScheduleFingerprint returns a content hash of a fixed iteration

@@ -100,14 +100,14 @@ func TestPeerFillServesAndPromotes(t *testing.T) {
 	}
 	// The fill frame must carry the full problem so the owner can solve
 	// on the requester's behalf.
-	pf, fg, err := wire.DecodePeerFill(gotFill, dag.Limits{})
+	pf, frame, err := wire.SplitPeerFill(gotFill)
 	if err != nil {
-		t.Fatalf("fill frame failed to decode: %v", err)
+		t.Fatalf("fill frame failed to split: %v", err)
 	}
 	if pf.Variant != variantParaCONV || pf.Config != cfg {
 		t.Errorf("fill frame carries variant %q config %+v, want %q %+v", pf.Variant, pf.Config, variantParaCONV, cfg)
 	}
-	if GraphFingerprint(fg) != GraphFingerprint(g) {
+	if FrameFingerprint(frame) != GraphFingerprint(g) {
 		t.Error("fill frame's graph does not match the requested graph")
 	}
 

@@ -45,23 +45,6 @@ func TestPlanCacheHitSharesPointer(t *testing.T) {
 	}
 }
 
-// TestGraphFingerprintMemoReset floods the pointer memo past its bound
-// and checks that fingerprints stay stable across the reset (only the
-// cached hash is discarded, never the content key).
-func TestGraphFingerprintMemoReset(t *testing.T) {
-	g := testGraph(t, "reset", 12, 20, 7)
-	want := GraphFingerprint(g)
-	base := testGraph(t, "flood", 6, 8, 1)
-	for i := 0; i < maxGraphFPs+8; i++ {
-		// Clone gives each flood graph a distinct pointer with zero
-		// synth cost; content is irrelevant to the memo bound.
-		GraphFingerprint(base.Clone())
-	}
-	if got := GraphFingerprint(g); got != want {
-		t.Fatalf("fingerprint changed across memo reset: %s vs %s", got, want)
-	}
-}
-
 func TestPlanCacheKeysByContent(t *testing.T) {
 	s := New(context.Background())
 	// Two separately generated graphs with identical parameters have

@@ -124,26 +124,40 @@ func (s *Session) CacheStats() CacheStats {
 	return s.cache.stats()
 }
 
-// plan runs one planner variant through the tier chain: one
-// fingerprint, then memory → flight → store → peer → solver, each
-// keyed by that fingerprint.  Failed solves are not cached (they are
-// cheap — validation rejects before the DP runs — and the error should
-// be re-derived fresh for each caller).
-func (s *Session) plan(variant, extra string, g *dag.Graph, cfg pim.Config,
-	solve func(context.Context) (*sched.Plan, error)) (*sched.Plan, error) {
-	if g == nil {
-		// Let the planner produce its own nil-graph error.
-		return solve(s.ctx)
+// plan runs one planning problem through the tier chain: one
+// fingerprint, composed from graphFP (GraphFingerprint of the problem
+// graph, or FrameFingerprint of its undecoded frame), then memory →
+// flight → store → peer → solver, each keyed by that fingerprint.  The
+// memory tier is probed before anything needs the graph itself: graph
+// is called only on a miss, at most once, and its error is returned
+// as-is — so a caller holding just the graph's bytes decodes them only
+// when some tier behind memory has to read them.  Failed solves are not
+// cached (they are cheap — validation rejects before the DP runs — and
+// the error should be re-derived fresh for each caller).
+func (s *Session) plan(variant, extra, graphFP string, cfg pim.Config,
+	graph func() (*dag.Graph, error),
+	solve func(context.Context, *dag.Graph) (*sched.Plan, error)) (Answer, error) {
+	if graphFP == nilGraphFP {
+		// Nothing to key: let the planner produce its own nil-graph
+		// error.
+		p, err := solve(s.ctx, nil)
+		return Answer{Plan: p}, err
 	}
 	fpSpan := span.Start(s.ctx, "run.fingerprint")
-	fp := PlanFingerprint(variant, extra, g, cfg)
+	fp := PlanFingerprintHashed(variant, extra, graphFP, cfg)
 	fpSpan.End()
 	lookupSpan := span.Start(s.ctx, "run.cache")
-	p, ok := s.cache.lookup(fp, true)
+	a, ok := s.cache.lookup(fp, true)
 	lookupSpan.End()
 	if ok {
 		obs.Log().Debug("plan cache hit", "variant", variant, "fp", fp)
-		return p, nil
+		return a, nil
+	}
+	graphSpan := span.Start(s.ctx, "run.graph")
+	g, err := graph()
+	graphSpan.End()
+	if err != nil {
+		return Answer{}, err
 	}
 	// Miss: collapse concurrent solves of the same problem into one
 	// (singleflight) — under the concurrent server, a burst of
@@ -154,16 +168,16 @@ func (s *Session) plan(variant, extra string, g *dag.Graph, cfg pim.Config,
 	// else's solve.
 	flightSpan := span.Start(s.ctx, "run.singleflight")
 	defer flightSpan.End()
-	return s.cache.doFlight(s.ctx, fp, func() (*sched.Plan, error) {
+	p, err := s.cache.doFlight(s.ctx, fp, func() (*sched.Plan, error) {
 		// Double-check under flight leadership: a solve finishing
 		// between our miss and our registration has already stored
 		// the plan, and returning it keeps the pointer shared.
-		if p, ok := s.cache.lookup(fp, false); ok {
-			return p, nil
+		if a, ok := s.cache.lookup(fp, false); ok {
+			return a.Plan, nil
 		}
 		// Second tier: the durable store (when attached).  A hit skips
 		// the solver entirely — this is the warm-restart path.
-		if p, ok := s.storeTier(fp, g); ok {
+		if p, ok := s.storeTier(fp, cfg.Name, g); ok {
 			return p, nil
 		}
 		// Third tier: the cluster (when attached).  Only for problems
@@ -177,29 +191,42 @@ func (s *Session) plan(variant, extra string, g *dag.Graph, cfg pim.Config,
 			}
 		}
 		stop := obs.PlanSolveTimer(variant).Start()
-		p, err := solve(s.ctx)
+		p, err := solve(s.ctx, g)
 		stop()
 		if err != nil {
 			return nil, err
 		}
 		obs.Log().Debug("plan solved", "variant", variant, "fp", fp, "period", p.Iter.Period)
-		s.cache.promote(fp, p, true)
+		s.cache.promote(fp, cfg.Name, p, true)
 		return p, nil
 	})
+	return Answer{Plan: p}, err
 }
 
 // PlanVariant runs the planner named by variant ("" is the default
 // full Para-CONV flow) for g on cfg.  An unknown name is an error
 // wrapping ErrUnknownVariant.
 func (s *Session) PlanVariant(variant string, g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
+	a, err := s.PlanVariantHashed(variant, GraphFingerprint(g), cfg,
+		func() (*dag.Graph, error) { return g, nil })
+	return a.Plan, err
+}
+
+// PlanVariantHashed is PlanVariant for a caller that knows the graph's
+// fingerprint (GraphFingerprint, or FrameFingerprint of its undecoded
+// dag frame) and can produce the graph on demand: graph is called only
+// if the memory tier misses, and an error from it is returned unwrapped.
+// This is the planning daemon's entry — it hashes a request's graph
+// bytes in place and decodes them only for a plan it has not got.
+func (s *Session) PlanVariantHashed(variant, graphFP string, cfg pim.Config,
+	graph func() (*dag.Graph, error)) (Answer, error) {
 	variant = canonicalVariant(variant)
 	solver, ok := solvers[variant]
 	if !ok {
-		return nil, fmt.Errorf("%w %s (want para-conv, para-conv-single, sparta or naive)", ErrUnknownVariant, variant)
+		return Answer{}, fmt.Errorf("%w %s (want para-conv, para-conv-single, sparta or naive)", ErrUnknownVariant, variant)
 	}
-	return s.plan(variant, "", g, cfg, func(ctx context.Context) (*sched.Plan, error) {
-		return solver(ctx, g, cfg)
-	})
+	return s.plan(variant, "", graphFP, cfg, graph,
+		func(ctx context.Context, g *dag.Graph) (*sched.Plan, error) { return solver(ctx, g, cfg) })
 }
 
 // Plan runs the full Para-CONV flow (group-count search, retiming,
@@ -218,9 +245,12 @@ func (s *Session) PlanSingle(g *dag.Graph, cfg pim.Config) (*sched.Plan, error) 
 // iteration schedule (retiming + cache allocation only).  The cache
 // key incorporates a fingerprint of the given schedule.
 func (s *Session) PlanWithSchedule(g *dag.Graph, iter sched.IterationSchedule, cfg pim.Config) (*sched.Plan, error) {
-	return s.plan(variantGiven, ScheduleFingerprint(iter), g, cfg, func(ctx context.Context) (*sched.Plan, error) {
-		return sched.ParaCONVGivenScheduleCtx(ctx, g, iter, cfg)
-	})
+	a, err := s.plan(variantGiven, ScheduleFingerprint(iter), GraphFingerprint(g), cfg,
+		func() (*dag.Graph, error) { return g, nil },
+		func(ctx context.Context, g *dag.Graph) (*sched.Plan, error) {
+			return sched.ParaCONVGivenScheduleCtx(ctx, g, iter, cfg)
+		})
+	return a.Plan, err
 }
 
 // Baseline runs the SPARTA baseline scheduler.

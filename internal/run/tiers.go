@@ -95,8 +95,8 @@ func admit(tier, fp string, frame []byte, g *dag.Graph) (*sched.Plan, bool) {
 // frame (a store payload must never depend on a graph its reader does
 // not have), and its errors are logged, never propagated: a full disk
 // must not fail the solve that just succeeded.
-func (c *planCache) promote(fp string, p *sched.Plan, toStore bool) {
-	c.put(fp, p)
+func (c *planCache) promote(fp, arch string, p *sched.Plan, toStore bool) {
+	c.put(fp, arch, p)
 	if !toStore || c.store == nil {
 		return
 	}
@@ -106,7 +106,7 @@ func (c *planCache) promote(fp string, p *sched.Plan, toStore bool) {
 }
 
 // storeTier runs the durable-tier consultation for a flight leader.
-func (s *Session) storeTier(fp string, g *dag.Graph) (*sched.Plan, bool) {
+func (s *Session) storeTier(fp, arch string, g *dag.Graph) (*sched.Plan, bool) {
 	c := s.cache
 	if c.store == nil {
 		return nil, false
@@ -123,7 +123,7 @@ func (s *Session) storeTier(fp string, g *dag.Graph) (*sched.Plan, bool) {
 		return nil, false
 	}
 	c.count(&c.n.StoreHits)
-	c.promote(fp, p, false)
+	c.promote(fp, arch, p, false)
 	return p, true
 }
 
@@ -161,7 +161,7 @@ func (s *Session) peerTier(fp, variant string, g *dag.Graph, cfg pim.Config) (*s
 		return nil, nil
 	}
 	c.count(&c.n.PeerFills)
-	c.promote(fp, p, true)
+	c.promote(fp, cfg.Name, p, true)
 	return p, nil
 }
 
@@ -181,8 +181,8 @@ func (s *Session) EncodedPlanByFingerprint(fp string, lean bool) ([]byte, bool) 
 			return frame, true
 		}
 	}
-	if p, ok := s.cache.lookup(fp, false); ok {
-		return wire.AppendPlan(nil, p), true
+	if a, ok := s.cache.lookup(fp, false); ok {
+		return wire.AppendPlan(nil, a.Plan), true
 	}
 	if s.cache.store == nil {
 		return nil, false

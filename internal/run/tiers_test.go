@@ -3,8 +3,10 @@ package run
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/pim"
 	"repro/internal/sched"
@@ -54,8 +56,9 @@ func (a tierCounts) minus(b tierCounts) tierCounts {
 // can take — local solve, memory hit, store hit, peer fill with a full
 // and with a lean frame, and a corrupted frame in either outer tier —
 // and requires that each path returns the plan a local solve produces
-// (byte-identical wire.AppendPlan frames) and moves exactly the
-// counters that name its tier.
+// (byte-identical wire.AppendPlan frames), moves exactly the counters
+// that name its tier, and leaves a memory entry whose cached response
+// bytes are the object path's.
 func TestTierDifferential(t *testing.T) {
 	g := testGraph(t, "tierdiff", 30, 70, 9900)
 	cfg := pim.Neurocube(16)
@@ -168,11 +171,25 @@ func TestTierDifferential(t *testing.T) {
 			if !bytes.Equal(wire.AppendPlan(nil, p), want) {
 				t.Error("plan does not re-encode to the local solve's frame")
 			}
-			// Whatever tier answered, the memory tier now holds the plan
-			// and serves it to a peer in both framings.
-			again, err := s.Plan(g, cfg)
-			if err != nil || again != p {
-				t.Fatalf("second Plan = (%p, %v), want the promoted %p", again, err, p)
+			// Whatever tier answered, the memory tier now holds the plan:
+			// a caller knowing only the graph's hash gets it without ever
+			// producing the graph, along with response bytes that equal
+			// the object path's encoding at any horizon.
+			hit, err := s.PlanVariantHashed("", GraphFingerprint(g), cfg, func() (*dag.Graph, error) {
+				t.Error("a memory hit asked for the graph")
+				return g, nil
+			})
+			if err != nil || hit.Plan != p {
+				t.Fatalf("second plan = (%p, %v), want the promoted %p", hit.Plan, err, p)
+			}
+			if !hit.Frame.Built() {
+				t.Fatal("memory entry carries no response frame")
+			}
+			for _, n := range []int{1, 100, 1_000_003} {
+				got := hit.Frame.Append(nil, n, hit.Plan.TotalTime(n), hit.Plan.Throughput(n))
+				if !bytes.Equal(got, wire.AppendPlanResponse(nil, wire.NewPlanResponse(ref, cfg.Name, n))) {
+					t.Errorf("cached response frame at %d iterations differs from the object path's encoding", n)
+				}
 			}
 			full, ok := s.EncodedPlanByFingerprint(fp, false)
 			if !ok || !bytes.Equal(full, want) {
@@ -190,5 +207,101 @@ func TestTierDifferential(t *testing.T) {
 				t.Error("lean frame does not rebuild to the local solve's frame")
 			}
 		})
+	}
+}
+
+// TestFingerprintValuesPinned holds fingerprints to the hex strings the
+// builds before hash-before-decode produced.  They name files in every
+// existing -data-dir and route fills in every mixed-version ring, so a
+// change here silently turns a warm fleet cold.
+func TestFingerprintValuesPinned(t *testing.T) {
+	g := testGraph(t, "pinned", 30, 70, 4242)
+	for _, tc := range []struct{ name, got, want string }{
+		{"graph", GraphFingerprint(g),
+			"graph:e5b427d9dead54ca7d87467702e6601e7d8b07f48a24d12369ace1b410e0cb74"},
+		{"default plan", PlanFingerprint("", "", g, pim.Neurocube(16)),
+			"29d3cd09e088a773646ecd01537aec02a1550a54d08c4d12383cbdd75376f0fd"},
+		{"variant and extra", PlanFingerprint("sparta", "x", g, pim.Neurocube(32)),
+			"4edc81ff598351aa16709f7810441d53b381258ca079be04b72b186bb702e1ef"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s fingerprint = %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestFrameAndGraphFingerprintsAgree: hashing a graph's frame in place
+// and hashing the graph object give one key, across shapes and for
+// every part of the plan key that is composed around it.
+func TestFrameAndGraphFingerprintsAgree(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		g := testGraph(t, "agree", 10+int(seed)*7, 20+int(seed)*19, 5000+seed)
+		gfp := FrameFingerprint(dag.AppendBinary(nil, g))
+		if gfp != GraphFingerprint(g) {
+			t.Fatalf("seed %d: frame hash %s, graph hash %s", seed, gfp, GraphFingerprint(g))
+		}
+		cfg := pim.Neurocube(8 << (seed % 3))
+		for _, k := range []struct{ variant, extra string }{{"", ""}, {"sparta", ""}, {variantGiven, "iter:abc"}} {
+			if got, want := PlanFingerprintHashed(k.variant, k.extra, gfp, cfg), PlanFingerprint(k.variant, k.extra, g, cfg); got != want {
+				t.Fatalf("seed %d %+v: hashed entry %s, graph entry %s", seed, k, got, want)
+			}
+		}
+	}
+}
+
+// TestTextAndBinarySubmissionsAgree: one problem arriving as a text
+// graph (parsed, then fingerprinted) and as a binary frame (hashed in
+// place, decoded only on the miss) is one fingerprint and, solved on
+// separate sessions, one plan byte for byte.
+func TestTextAndBinarySubmissionsAgree(t *testing.T) {
+	g := testGraph(t, "codecs", 40, 95, 9901)
+	cfg := pim.Neurocube(16)
+	var text bytes.Buffer
+	if err := dag.WriteText(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := dag.ReadText(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := dag.AppendBinary(nil, g)
+	if a, b := GraphFingerprint(fromText), FrameFingerprint(frame); a != b {
+		t.Fatalf("text submission hashes to %s, binary to %s", a, b)
+	}
+
+	viaText, err := New(context.Background()).Plan(fromText, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodes := 0
+	viaFrame, err := New(context.Background()).PlanVariantHashed("", FrameFingerprint(frame), cfg,
+		func() (*dag.Graph, error) {
+			decodes++
+			return dag.DecodeBinary(frame, dag.Limits{})
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decodes != 1 {
+		t.Errorf("a miss decoded the frame %d times, want once", decodes)
+	}
+	if !bytes.Equal(wire.AppendPlan(nil, viaText), wire.AppendPlan(nil, viaFrame.Plan)) {
+		t.Error("text and binary submissions of one problem planned differently")
+	}
+}
+
+// TestGraphErrorSurfacesUnwrapped: a graph that fails to materialise on
+// the miss path is the caller's error verbatim — one counted miss, no
+// flight, nothing cached.
+func TestGraphErrorSurfacesUnwrapped(t *testing.T) {
+	s := New(context.Background())
+	boom := errors.New("frame does not decode")
+	_, err := s.PlanVariantHashed("", FrameFingerprint([]byte("not a frame")), pim.Neurocube(16),
+		func() (*dag.Graph, error) { return nil, boom })
+	if err != boom {
+		t.Fatalf("err = %v, want the graph func's own error", err)
+	}
+	if st := s.CacheStats(); st.Misses != 1 || st.Hits != 0 || st.Size != 0 {
+		t.Errorf("stats = %+v, want exactly one miss and no entry", st)
 	}
 }

@@ -67,11 +67,13 @@ func TestAllocsDecodePath(t *testing.T) {
 
 	decodeOnce := func() {
 		body.Reset(payload)
-		req, gotG, _, ok := s.decodeRequest(w, httpReq)
+		bs := bodyStatePool.Get().(*bodyState)
+		defer putBodyState(bs)
+		in, ok := s.decodeRequest(w, httpReq, bs)
 		if !ok {
 			t.Fatal("decodeRequest rejected the request")
 		}
-		if req == nil || gotG == nil || gotG.NumNodes() != g.NumNodes() {
+		if in.g == nil || in.g.NumNodes() != g.NumNodes() {
 			t.Fatal("decodeRequest returned an incomplete request")
 		}
 	}
@@ -84,11 +86,13 @@ func TestAllocsDecodePath(t *testing.T) {
 	t.Logf("decode+parse: %.1f allocs per request (budget %.0f)", allocs, budget)
 }
 
-// TestAllocsDecodePathBinary gates the binary request path: unlike the
-// text path (whose per-node name strings dominate), the binary decoder
-// backs all node names with one string, so the whole decode — envelope,
-// request strings, graph and its storage — must stay within a fixed
-// budget independent of graph size.
+// TestAllocsDecodePathBinary gates the binary request path of a plan
+// cache MISS (a hit never decodes the graph; see
+// TestAllocsWarmBinaryHit): unlike the text path (whose per-node name
+// strings dominate), the binary decoder backs all node names with one
+// string, so the whole decode — envelope, request strings, graph and
+// its storage — must stay within a fixed budget independent of graph
+// size.
 func TestAllocsDecodePathBinary(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc gate runs without -race")
@@ -110,12 +114,17 @@ func TestAllocsDecodePathBinary(t *testing.T) {
 
 	decodeOnce := func() {
 		body.Reset(payload)
-		req, gotG, respBin, ok := s.decodeRequest(w, httpReq)
-		if !ok || !respBin {
+		bs := bodyStatePool.Get().(*bodyState)
+		defer putBodyState(bs)
+		in, ok := s.decodeRequest(w, httpReq, bs)
+		if !ok || !in.respBinary {
 			t.Fatal("decodeRequest rejected the binary request")
 		}
-		if req == nil || gotG == nil || gotG.NumNodes() != g.NumNodes() {
-			t.Fatal("decodeRequest returned an incomplete request")
+		if in.g != nil {
+			t.Fatal("decodeRequest decoded a binary request's graph up front")
+		}
+		if gotG, err := in.graph(); err != nil || gotG.NumNodes() != g.NumNodes() {
+			t.Fatalf("graph() = %v, %v; want the %d-vertex graph", gotG, err, g.NumNodes())
 		}
 	}
 	decodeOnce() // warm the pools
@@ -124,6 +133,53 @@ func TestAllocsDecodePathBinary(t *testing.T) {
 		t.Errorf("binary decode allocates %.0f objects per request; budget 48", allocs)
 	}
 	t.Logf("binary decode: %.1f allocs per request (budget 48)", allocs)
+}
+
+// TestAllocsWarmBinaryHit gates the whole serve path of a binary
+// /v1/plan memory hit — header parse, frame hash, lookup, cached-frame
+// response — at a small constant that does not depend on the graph: the
+// graph is never decoded, and the plan's arrays are never re-encoded.
+// (At the parent commit the decode alone was 48 objects and ≈ 188 KB at
+// protein shape.)
+func TestAllocsWarmBinaryHit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc gate runs without -race")
+	}
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+
+	hitAllocs := func(vertices, edges int) float64 {
+		g, err := synth.Generate(synth.Params{Name: "alloc-hit", Vertices: vertices, Edges: edges, Seed: 78})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := wire.AppendRequest(nil, &request{PEs: 16}, g)
+		body := &resettableBody{}
+		httpReq := httptest.NewRequest("POST", "/v1/plan", nil)
+		httpReq.Body = body
+		httpReq.Header.Set("Content-Type", wire.ContentTypeBinary)
+		w := &discardResponseWriter{h: make(http.Header)}
+		serveOnce := func() {
+			body.Reset(payload)
+			h.ServeHTTP(w, httpReq)
+		}
+		serveOnce() // the miss that fills the cache
+		before := s.CacheStats()
+		allocs := testing.AllocsPerRun(30, serveOnce)
+		if after := s.CacheStats(); after.Misses != before.Misses || after.Hits == before.Hits {
+			t.Fatalf("measured requests were not memory hits: %+v -> %+v", before, after)
+		}
+		return allocs
+	}
+	small, large := hitAllocs(60, 150), hitAllocs(600, 1600)
+	t.Logf("warm binary hit: %.1f allocs at 60 vertices, %.1f at 600", small, large)
+	if small != large {
+		t.Errorf("hit allocations depend on graph size: %.1f at 60 vertices, %.1f at 600", small, large)
+	}
+	if large > 40 {
+		t.Errorf("warm binary hit allocates %.0f objects per request; budget 40", large)
+	}
 }
 
 // TestAllocsWriteJSON gates the response encode path: after warm-up, a

@@ -59,6 +59,8 @@ func writeResponse(w http.ResponseWriter, status int, v any, binary bool) {
 		switch p := v.(type) {
 		case *planResponse:
 			buf.Write(wire.AppendPlanResponse(buf.AvailableBuffer(), p))
+		case *planFrame:
+			buf.Write(p.frame.Append(buf.AvailableBuffer(), p.iterations, p.totalTime, p.throughput))
 		case *simulateResponse:
 			buf.Write(wire.AppendSimulateResponse(buf.AvailableBuffer(), p))
 		case *selectArchResponse:
@@ -157,9 +159,18 @@ func solveErrorKind(err error) string {
 
 // writeSolveError maps a solve failure to a response: context errors
 // become 504/499 (the deadline or the client gave out, not the
-// server), everything else is the planner rejecting the input — the
-// graph validated, so the problem is still the client's data.
+// server), a graph that failed its deferred decode is the decode error
+// it would have been up front, everything else is the planner
+// rejecting the input — the graph validated, so the problem is still
+// the client's data.
 func writeSolveError(w http.ResponseWriter, err error) {
+	var graphErr *wire.GraphError
+	if errors.As(err, &graphErr) {
+		// A binary request's graph is decoded only once the plan cache
+		// has missed, so its decode failure arrives down the solve path.
+		writeDecodeError(w, "request", err)
+		return
+	}
 	switch kind := solveErrorKind(err); kind {
 	case "timeout":
 		writeError(w, http.StatusGatewayTimeout, kind, "request deadline expired: %v", err)

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/run"
 )
@@ -49,7 +48,7 @@ func newSolveServer(t *testing.T, cfg Config, fn solveFunc) (*Server, *httptest.
 // and a channel that receives once per solve that has started.
 func blockingSolve(release <-chan struct{}) (solveFunc, <-chan struct{}) {
 	started := make(chan struct{}, 64) // one send per request; no test starts more
-	return func(*run.Session, *request, *dag.Graph) (any, error) {
+	return func(*run.Session, *decoded) (any, error) {
 		started <- struct{}{}
 		<-release
 		return &planResponse{Scheme: "test"}, nil
@@ -153,7 +152,7 @@ func TestGateDeadlineWhileWaitingReturnsToken(t *testing.T) {
 func TestGatePanickingSolveReleasesSlot(t *testing.T) {
 	var boom sync.Once
 	s, ts := newSolveServer(t, Config{Workers: 1, QueueDepth: 1},
-		func(*run.Session, *request, *dag.Graph) (any, error) {
+		func(*run.Session, *decoded) (any, error) {
 			boom.Do(func() { panic("solver bug") })
 			return &planResponse{Scheme: "test"}, nil
 		})
@@ -262,7 +261,7 @@ func TestRequestTimeoutSyncAsyncAgree(t *testing.T) {
 	const def, max = 7 * time.Second, 11 * time.Second
 	// remaining captures how far away the solve's deadline is.
 	remaining := make(chan time.Duration, 1)
-	fn := func(sess *run.Session, _ *request, _ *dag.Graph) (any, error) {
+	fn := func(sess *run.Session, _ *decoded) (any, error) {
 		dl, ok := sess.Context().Deadline()
 		if !ok {
 			return nil, errors.New("solve ran with no deadline")

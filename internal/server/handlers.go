@@ -20,8 +20,8 @@ import (
 )
 
 // solveFunc computes one endpoint's response under a request-scoped
-// session.  The graph is already parsed and size-checked.
-type solveFunc func(sess *run.Session, req *request, g *dag.Graph) (any, error)
+// session.
+type solveFunc func(sess *run.Session, in *decoded) (any, error)
 
 // statusRecorder captures the status written to a ResponseWriter so
 // the request counter can label by outcome class, and carries the
@@ -145,19 +145,23 @@ func (s *Server) solve(sr *statusRecorder, r *http.Request, endpoint string, fn 
 	ctx, endTrace := s.newTrace(sr).begin(r.Context(), "server", endpoint)
 	defer endTrace()
 
+	// Held until the response is written: a binary request's graph
+	// frame is read in place (see decoded) and aliases this buffer.
+	bs := bodyStatePool.Get().(*bodyState)
+	defer putBodyState(bs)
 	decodeSpan := span.Start(ctx, "server.decode")
-	req, g, respBinary, ok := s.decodeRequest(sr, r)
+	in, ok := s.decodeRequest(sr, r, bs)
 	decodeSpan.End()
 	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req.TimeoutMS))
+	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(in.req.TimeoutMS))
 	defer cancel()
 
 	var payload any
 	var err error
 	if !s.admitted(ctx, sr, endpoint, func() {
-		payload, err = fn(s.session.WithContext(ctx), req, g)
+		payload, err = fn(s.session.WithContext(ctx), in)
 	}) {
 		return
 	}
@@ -165,14 +169,16 @@ func (s *Server) solve(sr *statusRecorder, r *http.Request, endpoint string, fn 
 		writeSolveError(sr, err)
 		return
 	}
-	writeResponse(sr, http.StatusOK, payload, respBinary)
+	writeResponse(sr, http.StatusOK, payload, in.respBinary)
 }
 
 // bodyState is the per-request decode scratch recycled by
 // bodyStatePool: the body lands in buf in one read, then rd replays it
-// to the JSON decoder without another copy.  The decoded request's
-// strings are fresh allocations (encoding/json never aliases its
-// input), so the buffer is safe to recycle the moment decoding ends.
+// to the JSON decoder without another copy.  A decoded request's
+// strings are fresh allocations (neither codec aliases its input), but
+// a binary request's graph frame stays in buf undecoded, so whoever
+// Gets a bodyState Puts it back only once nothing will read that frame
+// again (see decoded).
 type bodyState struct {
 	buf bytes.Buffer
 	rd  bytes.Reader
@@ -232,47 +238,97 @@ func (s *Server) limits() dag.Limits {
 	return dag.Limits{MaxNodes: s.cfg.MaxGraphNodes, MaxEdges: s.cfg.MaxGraphEdges}
 }
 
+// decoded is one request after decodeRequest: scalar fields normalized
+// and range-checked, response codec negotiated, and the graph either
+// parsed (a JSON request) or still the undecoded trailing dag frame of
+// a binary body.  The frame's bytes identify the graph — dag's decoder
+// accepts only the canonical encoding — so a binary request is
+// fingerprinted, and on a plan-cache hit answered, without its graph
+// ever being built; graph() decodes it for whoever does need it.
+type decoded struct {
+	req        request
+	respBinary bool
+	lim        dag.Limits
+	g          *dag.Graph
+	// frame aliases the pooled body buffer the request was read into.
+	frame []byte
+	fp    string
+}
+
+// graphFP returns the graph's content fingerprint (a
+// run.GraphFingerprint value): a hash of the frame where there is one,
+// of the parsed graph's encoding otherwise.
+func (in *decoded) graphFP() string {
+	if in.fp == "" {
+		if in.frame != nil {
+			in.fp = run.FrameFingerprint(in.frame)
+		} else {
+			in.fp = run.GraphFingerprint(in.g)
+		}
+	}
+	return in.fp
+}
+
+// graph returns the request's graph, decoding and size-checking a
+// binary frame on first use.  A failure is a *wire.GraphError, which
+// writeSolveError answers as the 400 it is.
+func (in *decoded) graph() (*dag.Graph, error) {
+	if in.g == nil {
+		g, err := wire.DecodeGraph(in.frame, in.lim)
+		if err != nil {
+			return nil, err
+		}
+		in.g = g
+	}
+	return in.g, nil
+}
+
+// detach settles everything that reads the frame — the fingerprint and
+// the graph — and drops it, so in may outlive the body buffer.
+func (in *decoded) detach() error {
+	in.graphFP()
+	_, err := in.graph()
+	in.frame = nil
+	return err
+}
+
 // decodeRequest negotiates the request codec from Content-Type (415
 // for anything that is neither JSON nor the binary wire format), reads
-// the body under the size cap, decodes it, parses and size-checks the
-// graph, and normalizes defaults.  The returned respBinary is the
-// negotiated response codec (Accept header, mirroring the request
-// codec when absent); errors themselves are always JSON.
+// the body into bs under the size cap, decodes it — a JSON request's
+// graph is parsed and size-checked here, a binary one's stays in bs as
+// bytes — and normalizes defaults.  The negotiated response codec
+// follows the Accept header, mirroring the request codec when absent;
+// errors themselves are always JSON.
 //
 //paraconv:hotpath
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *request, g *dag.Graph, respBinary, ok bool) {
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, bs *bodyState) (*decoded, bool) {
 	reqBinary, supported := requestCodec(r)
 	if !supported {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
 			"unsupported Content-Type %q (want %s or %s)", r.Header.Get("Content-Type"),
 			wire.ContentTypeJSON, wire.ContentTypeBinary)
-		return nil, nil, false, false
+		return nil, false
 	}
-	respBinary = responseBinary(r, reqBinary)
-
-	bs := bodyStatePool.Get().(*bodyState)
-	defer putBodyState(bs)
 	if !s.readBody(w, r, bs, "request") {
-		return nil, nil, respBinary, false
+		return nil, false
 	}
 
-	req = &request{}
+	in := &decoded{respBinary: responseBinary(r, reqBinary), lim: s.limits()}
+	req := &in.req
 	var err error
 	if reqBinary {
-		// wire.DecodeRequest copies every string out of the frame, so
-		// the pooled body buffer is free the moment it returns.
-		g, err = wire.DecodeRequest(bs.buf.Bytes(), req, s.limits())
+		in.frame, err = wire.SplitRequest(bs.buf.Bytes(), req)
 	} else {
 		bs.rd.Reset(bs.buf.Bytes())
 		dec := json.NewDecoder(&bs.rd)
 		dec.DisallowUnknownFields()
 		if err = dec.Decode(req); err == nil {
-			g, err = s.parseGraph(req)
+			in.g, err = s.parseGraph(req)
 		}
 	}
 	if err != nil {
 		writeDecodeError(w, "request", err)
-		return nil, nil, respBinary, false
+		return nil, false
 	}
 
 	if req.PEs == 0 {
@@ -291,63 +347,55 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *req
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return nil, nil, respBinary, false
+		return nil, false
 	}
-	return req, g, respBinary, true
+	return in, true
 }
 
 // planFor resolves the request's architecture preset and runs its
-// planner variant — the step /v1/plan and /v1/simulate share.
-func planFor(sess *run.Session, req *request, g *dag.Graph) (*sched.Plan, pim.Config, error) {
-	cfg, err := pim.Preset(req.Arch, req.PEs)
+// planner variant — the step /v1/plan and /v1/simulate share.  The
+// plan cache is probed by fingerprint first; in.graph runs only on a
+// miss.
+func planFor(sess *run.Session, in *decoded) (run.Answer, pim.Config, error) {
+	cfg, err := pim.Preset(in.req.Arch, in.req.PEs)
 	if err != nil {
-		return nil, cfg, err
+		return run.Answer{}, cfg, err
 	}
-	plan, err := sess.PlanVariant(req.Variant, g, cfg)
-	return plan, cfg, err
+	a, err := sess.PlanVariantHashed(in.req.Variant, in.graphFP(), cfg, in.graph)
+	return a, cfg, err
+}
+
+// planFrame is a /v1/plan answer already in binary form: a memory
+// entry's cached frame plus the request's horizon.
+type planFrame struct {
+	frame      wire.PlanResponseFrame
+	iterations int
+	totalTime  int
+	throughput float64
 }
 
 // solvePlan implements POST /v1/plan.
-func (s *Server) solvePlan(sess *run.Session, req *request, g *dag.Graph) (any, error) {
-	plan, cfg, err := planFor(sess, req, g)
+func (s *Server) solvePlan(sess *run.Session, in *decoded) (any, error) {
+	a, cfg, err := planFor(sess, in)
 	if err != nil {
 		return nil, err
 	}
-	resp := &planResponse{
-		Scheme:               plan.Scheme,
-		Arch:                 cfg.Name,
-		PEs:                  plan.Iter.PEs,
-		Period:               plan.Iter.Period,
-		ConcurrentIterations: plan.ConcurrentIterations,
-		RMax:                 plan.RMax,
-		PrologueTime:         plan.PrologueTime(),
-		CachedIPRs:           plan.CachedIPRs,
-		CacheLoadUnits:       plan.CacheLoadUnits,
-		Vertices:             plan.Iter.Graph.NumNodes(),
-		Edges:                plan.Iter.Graph.NumEdges(),
-		Iterations:           req.Iterations,
-		TotalTime:            plan.TotalTime(req.Iterations),
-		Throughput:           plan.Throughput(req.Iterations),
+	n := in.req.Iterations
+	if in.respBinary && a.Frame.Built() {
+		return &planFrame{a.Frame, n, a.Plan.TotalTime(n), a.Plan.Throughput(n)}, nil
 	}
-	if len(plan.LogicalRetiming.R) > 0 {
-		resp.VertexRetiming = append([]int(nil), plan.LogicalRetiming.R...)
-	}
-	for i, place := range plan.Iter.Assignment {
-		if place == pim.InCache {
-			resp.CachedEdges = append(resp.CachedEdges, i)
-		}
-	}
-	return resp, nil
+	return wire.NewPlanResponse(a.Plan, cfg.Name, n), nil
 }
 
 // solveSimulate implements POST /v1/simulate: plan, then run the
 // closed-form simulator over the requested horizon.
-func (s *Server) solveSimulate(sess *run.Session, req *request, g *dag.Graph) (any, error) {
-	plan, cfg, err := planFor(sess, req, g)
+func (s *Server) solveSimulate(sess *run.Session, in *decoded) (any, error) {
+	a, cfg, err := planFor(sess, in)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := sess.Simulate(plan, cfg, req.Iterations)
+	plan := a.Plan
+	stats, err := sess.Simulate(plan, cfg, in.req.Iterations)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +418,12 @@ func (s *Server) solveSimulate(sess *run.Session, req *request, g *dag.Graph) (a
 
 // solveSelectArch implements POST /v1/selectarch: plan the graph on
 // every candidate architecture and rank by total time.
-func (s *Server) solveSelectArch(sess *run.Session, req *request, g *dag.Graph) (any, error) {
+func (s *Server) solveSelectArch(sess *run.Session, in *decoded) (any, error) {
+	req := &in.req
+	g, err := in.graph()
+	if err != nil {
+		return nil, err
+	}
 	candidates := pim.Presets(req.PEs)
 	if len(req.Archs) > 0 {
 		candidates = candidates[:0]

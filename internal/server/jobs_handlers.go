@@ -26,17 +26,29 @@ func (s *Server) submitJob(sr *statusRecorder, r *http.Request, op string, fn so
 	// opened and finished inside the job function on the async worker.
 	tr := s.newTrace(sr)
 
-	req, g, _, ok := s.decodeRequest(sr, r)
+	// The job outlives this handler, so nothing it holds may alias the
+	// pooled body: a binary graph frame is fingerprinted and decoded
+	// now — which also keeps a bad graph a 400 here, not a failed job.
+	bs := bodyStatePool.Get().(*bodyState)
+	in, ok := s.decodeRequest(sr, r, bs)
+	if ok {
+		if err := in.detach(); err != nil {
+			writeDecodeError(sr, "request", err)
+			ok = false
+		}
+	}
+	putBodyState(bs)
 	if !ok {
 		return
 	}
+	in.respBinary = false // results are polled as JSON (wire.JobStatus)
 	job := func(ctx context.Context) (any, error) {
 		ctx, endTrace := tr.begin(ctx, "jobs", op)
 		defer endTrace()
-		return fn(s.session.WithContext(ctx), req, g)
+		return fn(s.session.WithContext(ctx), in)
 	}
 
-	snap, err := s.jobs.Submit(op, s.requestTimeout(req.TimeoutMS), job)
+	snap, err := s.jobs.Submit(op, s.requestTimeout(in.req.TimeoutMS), job)
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):

@@ -4,9 +4,9 @@ import (
 	"context"
 	"net/http"
 
+	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/run"
-	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
@@ -55,14 +55,16 @@ func (s *Server) planByFingerprint(sr *statusRecorder, r *http.Request) {
 		writeError(sr, http.StatusNotFound, "not_found", "no plan stored for %s", fp)
 		return
 	}
-	// Like wire.DecodeRequest, DecodePeerFill copies every string out of
-	// the pooled frame.
-	pf, g, err := wire.DecodePeerFill(bs.buf.Bytes(), s.limits())
+	// The fill frame ends in the problem graph's dag frame, like a
+	// binary request: fingerprint it from its bytes, and decode it only
+	// if the plan still is not in memory by the time the gate opens.
+	pf, frame, err := wire.SplitPeerFill(bs.buf.Bytes())
 	if err != nil {
 		writeDecodeError(sr, "fill frame", err)
 		return
 	}
-	if run.PlanFingerprint(pf.Variant, "", g, pf.Config) != fp {
+	graphFP := run.FrameFingerprint(frame)
+	if run.PlanFingerprintHashed(pf.Variant, "", graphFP, pf.Config) != fp {
 		// A mismatch means the requester and this node disagree on what
 		// the problem hashes to — solving would poison the keyspace
 		// under the requested fingerprint's name.
@@ -75,14 +77,16 @@ func (s *Server) planByFingerprint(sr *statusRecorder, r *http.Request) {
 	defer cancel()
 	var payload []byte
 	if !s.admitted(ctx, sr, "plans", func() {
-		var p *sched.Plan
-		if p, err = s.session.WithContext(ctx).WithoutPeerFill().PlanVariant(pf.Variant, g, pf.Config); err != nil {
+		var a run.Answer
+		a, err = s.session.WithContext(ctx).WithoutPeerFill().PlanVariantHashed(pf.Variant, graphFP, pf.Config,
+			func() (*dag.Graph, error) { return wire.DecodeGraph(frame, s.limits()) })
+		if err != nil {
 			return
 		}
-		if lean && p.Scheme == wire.SchemeParaCONV {
-			payload = wire.AppendLeanPlan(nil, p)
+		if lean && a.Plan.Scheme == wire.SchemeParaCONV {
+			payload = wire.AppendLeanPlan(nil, a.Plan)
 		} else {
-			payload = wire.AppendPlan(nil, p)
+			payload = wire.AppendPlan(nil, a.Plan)
 		}
 	}) {
 		return

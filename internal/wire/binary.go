@@ -94,14 +94,17 @@ func AppendRequest(dst []byte, req *Request, g *dag.Graph) []byte {
 	return dst
 }
 
-// DecodeRequest parses a binary request frame into req (fully
-// overwritten; its Archs capacity is reused) and decodes the trailing
-// graph under lim.  All strings are copied out of data.  Graph size
-// violations surface as the dag package's *LimitError so servers map
-// them exactly like the text path.
+// SplitRequest parses a binary request frame's scalar header into req
+// (fully overwritten; its Archs capacity is reused) and returns the
+// trailing dag frame undecoded, as a sub-slice of data.  All strings
+// are copied out of data; the frame is not, so it lives only as long
+// as data does.  The frame's bytes are what identify the graph: dag's
+// decoder accepts only the canonical encoding, so hashing them (see
+// run.FrameFingerprint) keys a plan lookup before — on a hit, instead
+// of — decoding.
 //
 //paraconv:hotpath
-func DecodeRequest(data []byte, req *Request, lim dag.Limits) (*dag.Graph, error) {
+func SplitRequest(data []byte, req *Request) (frame []byte, err error) {
 	d, err := newDecoder(data, kindRequest)
 	if err != nil {
 		return nil, err
@@ -133,20 +136,55 @@ func DecodeRequest(data []byte, req *Request, lim dag.Limits) (*dag.Graph, error
 	if req.TimeoutMS, err = d.integer("timeout_ms"); err != nil {
 		return nil, err
 	}
+	return d.graphFrame()
+}
+
+// graphFrame returns the rest of the input as the trailing dag frame.
+func (d *decoder) graphFrame() ([]byte, error) {
 	if d.off == len(d.data) {
 		return nil, ErrNoGraph
 	}
-	g, err := dag.DecodeBinary(d.data[d.off:], lim)
+	return d.data[d.off:], nil
+}
+
+// DecodeGraph decodes a trailing dag frame (from SplitRequest or
+// SplitPeerFill) under lim.  Failures surface as *GraphError, size
+// violations inside it as the dag package's *LimitError, so servers map
+// them exactly like the text path.
+func DecodeGraph(frame []byte, lim dag.Limits) (*dag.Graph, error) {
+	g, err := dag.DecodeBinary(frame, lim)
 	if err != nil {
 		return nil, &GraphError{Err: err}
 	}
 	return g, nil
 }
 
+// DecodeRequest is SplitRequest followed by DecodeGraph: the whole
+// request, graph included.
+//
+//paraconv:hotpath
+func DecodeRequest(data []byte, req *Request, lim dag.Limits) (*dag.Graph, error) {
+	frame, err := SplitRequest(data, req)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeGraph(frame, lim)
+}
+
 // AppendPlanResponse appends the binary encoding of r to dst.
 //
 //paraconv:hotpath
 func AppendPlanResponse(dst []byte, r *PlanResponse) []byte {
+	dst = appendPlanResponseHead(dst, r)
+	dst = appendHorizon(dst, r.Iterations, r.TotalTime, r.Throughput)
+	return appendPlanResponseTail(dst, r)
+}
+
+// A plan frame is three runs of fields: a head and a tail fixed by the
+// plan, around the three fields that depend on the request's iteration
+// count.  PlanResponseFrame caches the first and last.
+
+func appendPlanResponseHead(dst []byte, r *PlanResponse) []byte {
 	dst = appendHeader(dst, kindPlan)
 	dst = appendString(dst, r.Scheme)
 	dst = appendString(dst, r.Arch)
@@ -158,12 +196,49 @@ func AppendPlanResponse(dst []byte, r *PlanResponse) []byte {
 	dst = appendInt(dst, r.CachedIPRs)
 	dst = appendInt(dst, r.CacheLoadUnits)
 	dst = appendInt(dst, r.Vertices)
-	dst = appendInt(dst, r.Edges)
-	dst = appendInt(dst, r.Iterations)
-	dst = appendInt(dst, r.TotalTime)
-	dst = appendFloat(dst, r.Throughput)
+	return appendInt(dst, r.Edges)
+}
+
+func appendHorizon(dst []byte, iterations, totalTime int, throughput float64) []byte {
+	dst = appendInt(dst, iterations)
+	dst = appendInt(dst, totalTime)
+	return appendFloat(dst, throughput)
+}
+
+func appendPlanResponseTail(dst []byte, r *PlanResponse) []byte {
 	dst = appendInts(dst, r.VertexRetiming)
 	return appendInts(dst, r.CachedEdges)
+}
+
+// PlanResponseFrame is the part of a plan frame that does not depend
+// on the request's iteration count: everything before and everything
+// after the iterations / total_time / throughput fields.  A plan cache
+// builds it once per plan; Append then answers any horizon without
+// touching the plan's arrays again.  The zero value means "not built".
+type PlanResponseFrame struct {
+	head, tail []byte
+}
+
+// NewPlanResponseFrame encodes r's request-independent fields.
+func NewPlanResponseFrame(r *PlanResponse) PlanResponseFrame {
+	b := appendPlanResponseHead(nil, r)
+	cut := len(b)
+	b = appendPlanResponseTail(b, r)
+	return PlanResponseFrame{head: b[:cut:cut], tail: b[cut:]}
+}
+
+// Built reports whether f holds a frame.
+func (f PlanResponseFrame) Built() bool { return f.head != nil }
+
+// Append appends the complete plan frame for the given horizon: the
+// bytes AppendPlanResponse writes for the response f was built from
+// with these three fields set.
+//
+//paraconv:hotpath
+func (f PlanResponseFrame) Append(dst []byte, iterations, totalTime int, throughput float64) []byte {
+	dst = append(dst, f.head...)
+	dst = appendHorizon(dst, iterations, totalTime, throughput)
+	return append(dst, f.tail...)
 }
 
 // DecodePlanResponse parses a binary plan frame into r, reusing the

@@ -26,7 +26,7 @@ const kindPeerFill = 'F'
 
 // PeerFill is one decoded fill request: the planner variant and the
 // target architecture.  The graph travels as the trailing dag frame
-// and is returned separately by DecodePeerFill.
+// and is returned separately, undecoded, by SplitPeerFill.
 type PeerFill struct {
 	Variant string
 	Config  pim.Config
@@ -57,10 +57,10 @@ func AppendPeerFill(dst []byte, variant string, cfg pim.Config, g *dag.Graph) []
 	return dst
 }
 
-// DecodePeerFill parses a fill frame and decodes the trailing graph
-// under lim.  A missing graph is ErrNoGraph; graph failures surface as
-// *GraphError so servers map them like any other bad graph.
-func DecodePeerFill(data []byte, lim dag.Limits) (*PeerFill, *dag.Graph, error) {
+// SplitPeerFill parses a fill frame's header and returns the trailing
+// dag frame undecoded, as a sub-slice of data (see SplitRequest).  A
+// missing graph is ErrNoGraph.
+func SplitPeerFill(data []byte) (*PeerFill, []byte, error) {
 	d, err := newDecoder(data, kindPeerFill)
 	if err != nil {
 		return nil, nil, err
@@ -101,12 +101,9 @@ func DecodePeerFill(data []byte, lim dag.Limits) (*PeerFill, *dag.Graph, error) 
 	if pf.Config.CyclesPerTimeUnit, err = d.integer("cycles_per_time_unit"); err != nil {
 		return nil, nil, err
 	}
-	if d.off == len(d.data) {
-		return nil, nil, ErrNoGraph
-	}
-	g, err := dag.DecodeBinary(d.data[d.off:], lim)
+	frame, err := d.graphFrame()
 	if err != nil {
-		return nil, nil, &GraphError{Err: err}
+		return nil, nil, err
 	}
-	return pf, g, nil
+	return pf, frame, nil
 }

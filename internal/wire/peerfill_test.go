@@ -18,14 +18,25 @@ func peerFillGraph(t *testing.T) *dag.Graph {
 	return g
 }
 
+// decodePeerFill is the owner's whole read of a fill frame: split off
+// the header, then decode the trailing graph under lim.
+func decodePeerFill(data []byte, lim dag.Limits) (*PeerFill, *dag.Graph, error) {
+	pf, frame, err := SplitPeerFill(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := DecodeGraph(frame, lim)
+	return pf, g, err
+}
+
 func TestPeerFillRoundTrip(t *testing.T) {
 	g := peerFillGraph(t)
 	cfg := pim.Neurocube(32)
 	frame := AppendPeerFill(nil, "para-conv", cfg, g)
 
-	pf, got, err := DecodePeerFill(frame, dag.Limits{})
+	pf, got, err := decodePeerFill(frame, dag.Limits{})
 	if err != nil {
-		t.Fatalf("DecodePeerFill: %v", err)
+		t.Fatalf("SplitPeerFill + DecodeGraph: %v", err)
 	}
 	if pf.Variant != "para-conv" {
 		t.Errorf("Variant = %q, want para-conv", pf.Variant)
@@ -47,14 +58,14 @@ func equalGraphBytes(a, b *dag.Graph) bool {
 
 func TestPeerFillMissingGraph(t *testing.T) {
 	frame := AppendPeerFill(nil, "para-conv", pim.Neurocube(8), nil)
-	if _, _, err := DecodePeerFill(frame, dag.Limits{}); !errors.Is(err, ErrNoGraph) {
+	if _, _, err := decodePeerFill(frame, dag.Limits{}); !errors.Is(err, ErrNoGraph) {
 		t.Fatalf("err = %v, want ErrNoGraph", err)
 	}
 }
 
 func TestPeerFillGraphLimit(t *testing.T) {
 	frame := AppendPeerFill(nil, "para-conv", pim.Neurocube(8), peerFillGraph(t))
-	_, _, err := DecodePeerFill(frame, dag.Limits{MaxNodes: 3})
+	_, _, err := decodePeerFill(frame, dag.Limits{MaxNodes: 3})
 	var lim *dag.LimitError
 	if !errors.As(err, &lim) {
 		t.Fatalf("err = %v, want *dag.LimitError", err)
@@ -66,7 +77,7 @@ func TestPeerFillGraphLimit(t *testing.T) {
 func TestPeerFillTruncation(t *testing.T) {
 	frame := AppendPeerFill(nil, "para-conv", pim.Neurocube(8), peerFillGraph(t))
 	for n := 0; n < len(frame); n++ {
-		if _, _, err := DecodePeerFill(frame[:n], dag.Limits{}); err == nil {
+		if _, _, err := decodePeerFill(frame[:n], dag.Limits{}); err == nil {
 			t.Fatalf("truncated frame of %d/%d bytes decoded without error", n, len(frame))
 		}
 	}
@@ -74,7 +85,7 @@ func TestPeerFillTruncation(t *testing.T) {
 
 func TestPeerFillWrongKind(t *testing.T) {
 	p := testPlan(t)
-	if _, _, err := DecodePeerFill(AppendPlan(nil, p), dag.Limits{}); err == nil {
+	if _, _, err := decodePeerFill(AppendPlan(nil, p), dag.Limits{}); err == nil {
 		t.Fatal("stored-plan frame decoded as a peer fill")
 	}
 }

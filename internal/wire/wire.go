@@ -12,6 +12,11 @@
 // frame it asked for must still be able to read why.
 package wire
 
+import (
+	"repro/internal/pim"
+	"repro/internal/sched"
+)
+
 // ContentTypeJSON and ContentTypeBinary are the media types the
 // service negotiates between.  Requests with no Content-Type are
 // treated as JSON.
@@ -65,6 +70,37 @@ type PlanResponse struct {
 	Throughput           float64 `json:"throughput"`
 	VertexRetiming       []int   `json:"vertex_retiming,omitempty"`
 	CachedEdges          []int   `json:"cached_edges,omitempty"`
+}
+
+// NewPlanResponse summarises plan, solved for the architecture named
+// arch, over a horizon of iterations.  Only Iterations, TotalTime and
+// Throughput depend on the horizon (see PlanResponseFrame).
+func NewPlanResponse(plan *sched.Plan, arch string, iterations int) *PlanResponse {
+	resp := &PlanResponse{
+		Scheme:               plan.Scheme,
+		Arch:                 arch,
+		PEs:                  plan.Iter.PEs,
+		Period:               plan.Iter.Period,
+		ConcurrentIterations: plan.ConcurrentIterations,
+		RMax:                 plan.RMax,
+		PrologueTime:         plan.PrologueTime(),
+		CachedIPRs:           plan.CachedIPRs,
+		CacheLoadUnits:       plan.CacheLoadUnits,
+		Vertices:             plan.Iter.Graph.NumNodes(),
+		Edges:                plan.Iter.Graph.NumEdges(),
+		Iterations:           iterations,
+		TotalTime:            plan.TotalTime(iterations),
+		Throughput:           plan.Throughput(iterations),
+	}
+	if len(plan.LogicalRetiming.R) > 0 {
+		resp.VertexRetiming = append([]int(nil), plan.LogicalRetiming.R...)
+	}
+	for i, place := range plan.Iter.Assignment {
+		if place == pim.InCache {
+			resp.CachedEdges = append(resp.CachedEdges, i)
+		}
+	}
+	return resp
 }
 
 // SimulateResponse is the /v1/simulate result: the closed-form

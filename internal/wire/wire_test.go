@@ -101,6 +101,41 @@ func TestPlanResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPlanResponseFrameMatchesAppend: a frame built once from a
+// response re-creates AppendPlanResponse's bytes for any horizon, with
+// and without the array fields, and never through the heap.
+func TestPlanResponseFrameMatchesAppend(t *testing.T) {
+	for _, r := range []PlanResponse{
+		{Scheme: "para-conv", Arch: "neurocube-16", PEs: 16, Period: 17, ConcurrentIterations: 4,
+			RMax: 2, PrologueTime: 34, CachedIPRs: 9, CacheLoadUnits: 40, Vertices: 200, Edges: 520,
+			VertexRetiming: []int{0, 1, 2, 1, 0, 300}, CachedEdges: []int{3, 7, 11, 1 << 20}},
+		{Scheme: "naive", Arch: "edge"},
+	} {
+		frame := NewPlanResponseFrame(&r)
+		if !frame.Built() {
+			t.Fatal("a built frame reports unbuilt")
+		}
+		for _, h := range []struct {
+			iterations, totalTime int
+			throughput            float64
+		}{{1, 51, 1.0 / 51}, {100, 459, 100.0 / 459}, {1e9, -1, 0}} {
+			r.Iterations, r.TotalTime, r.Throughput = h.iterations, h.totalTime, h.throughput
+			if got, want := frame.Append(nil, h.iterations, h.totalTime, h.throughput), AppendPlanResponse(nil, &r); !bytes.Equal(got, want) {
+				t.Errorf("%s at %d iterations:\n got % x\nwant % x", r.Scheme, h.iterations, got, want)
+			}
+		}
+		if !raceEnabled {
+			buf := make([]byte, 0, 256)
+			if allocs := testing.AllocsPerRun(100, func() { buf = frame.Append(buf[:0], 100, 459, 0.2) }); allocs > 0 {
+				t.Errorf("PlanResponseFrame.Append allocates %.1f times per call, want 0", allocs)
+			}
+		}
+	}
+	if (PlanResponseFrame{}).Built() {
+		t.Error("the zero frame reports built")
+	}
+}
+
 func TestPlanResponseEmptySlicesRoundTrip(t *testing.T) {
 	r := PlanResponse{Scheme: "naive", Arch: "edge"}
 	var got PlanResponse
