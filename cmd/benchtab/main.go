@@ -299,9 +299,8 @@ func realMain() int {
 	return 0
 }
 
-// runPerfSuite measures the hot-path workloads, optionally persists
-// the report, optionally compares against a baseline, and optionally
-// gates on regressions — the machinery behind scripts/bench.sh.
+// runPerfSuite measures the kernel workloads and hands the report to
+// recordPerf — the machinery behind scripts/bench.sh.
 func runPerfSuite(ctx context.Context, outPath, comparePath string, gate, short bool) int {
 	rep, err := bench.RunPerf(ctx, short)
 	if err != nil {
@@ -309,6 +308,31 @@ func runPerfSuite(ctx context.Context, outPath, comparePath string, gate, short 
 		return 1
 	}
 	fmt.Print(bench.FormatPerf(rep))
+	return recordPerf(rep, outPath, comparePath, gate)
+}
+
+// recordPerf compares rep against the baseline at comparePath, gates on
+// regressions, and only then writes rep to outPath: a run that fails
+// the gate must leave no file behind, or the next scripts/bench.sh
+// would take the regressed numbers as its baseline.
+func recordPerf(rep *bench.PerfReport, outPath, comparePath string, gate bool) int {
+	if comparePath != "" {
+		prev, err := bench.ReadPerfFile(comparePath)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		cmp := bench.ComparePerf(prev, rep)
+		fmt.Printf("comparison against %s:\n", comparePath)
+		fmt.Print(bench.FormatPerfCompare(cmp))
+		if gate {
+			if err := bench.GatePerf(cmp.Deltas); err != nil {
+				log.Print(err)
+				return 1
+			}
+			fmt.Println("bench gate: no metric regressed past the 10% tolerance")
+		}
+	}
 	if outPath != "" {
 		f, err := os.Create(outPath)
 		if err != nil {
@@ -325,23 +349,6 @@ func runPerfSuite(ctx context.Context, outPath, comparePath string, gate, short 
 			return 1
 		}
 		fmt.Printf("wrote perf report to %s\n", outPath)
-	}
-	if comparePath != "" {
-		prev, err := bench.ReadPerfFile(comparePath)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		deltas := bench.ComparePerf(prev, rep)
-		fmt.Printf("comparison against %s:\n", comparePath)
-		fmt.Print(bench.FormatPerfCompare(deltas))
-		if gate {
-			if err := bench.GatePerf(deltas); err != nil {
-				log.Print(err)
-				return 1
-			}
-			fmt.Println("bench gate: no metric regressed past the 10% tolerance")
-		}
 	}
 	return 0
 }

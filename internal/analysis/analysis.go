@@ -91,7 +91,7 @@ func AllPasses() []Pass {
 		},
 		{
 			Name: "peercall",
-			Doc:  "ad-hoc net/http client construction outside internal/cluster and internal/bench; peer calls go through the cluster's pooled fill client",
+			Doc:  "ad-hoc net/http client construction outside internal/cluster; peer calls go through the cluster's pooled fill client",
 			Run:  runPeerCall,
 		},
 		{

@@ -6,13 +6,12 @@ import (
 )
 
 // peerPackageSuffixes are the package trees allowed to construct HTTP
-// clients: the cluster's pooled fill client (the sanctioned peer-call
-// path) and the bench harness's lean driver (which measures the
-// serving path and must not share the daemon's machinery).  Anywhere
-// else, an ad-hoc net/http client is a second, unpooled, unmetered
-// peer-call path — it bypasses the cluster's breaker and connection
-// pool, so a failing peer would not be flipped out of the ring.
-var peerPackageSuffixes = []string{"/internal/cluster", "/internal/bench"}
+// clients: the cluster's pooled fill client, the sanctioned peer-call
+// path.  Anywhere else, an ad-hoc net/http client is a second,
+// unpooled, unmetered peer-call path — it bypasses the cluster's
+// breaker and connection pool, so a failing peer would not be flipped
+// out of the ring.
+var peerPackageSuffixes = []string{"/internal/cluster"}
 
 // bannedClientFuncs are the net/http package-level helpers that route
 // through the default client.
@@ -34,7 +33,7 @@ func runPeerCall(m *Module, p *Package) []Diagnostic {
 			case *ast.CompositeLit:
 				if isHTTPClientType(p, n.Type) {
 					diags = append(diags, diag(m, "peercall", n.Pos(),
-						"http.Client constructed outside internal/cluster and internal/bench; peer calls go through the cluster's pooled fill client"))
+						"http.Client constructed outside internal/cluster; peer calls go through the cluster's pooled fill client"))
 				}
 			case *ast.SelectorExpr:
 				if kind, ok := bannedClientSelector(p, n); ok {

@@ -1,10 +1,11 @@
-// Package bench is the other sanctioned peer-call tree: the harness's
-// lean driver measures the serving path with its own client.
+// Package bench measures kernels in process and holds no client: an
+// http.Client here would be a peer-call path outside the cluster's
+// breaker and pool, like anywhere else.
 package bench
 
 import "net/http"
 
-// Driver constructs a measurement client; no diagnostics expected.
+// Driver constructs a measurement client.
 func Driver() http.Client {
-	return http.Client{}
+	return http.Client{} // want peercall
 }

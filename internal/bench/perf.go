@@ -1,35 +1,25 @@
 package bench
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/jobs"
 	"repro/internal/pim"
 	"repro/internal/retime"
-	"repro/internal/run"
 	"repro/internal/sched"
-	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/wire"
 )
@@ -45,13 +35,11 @@ type PerfRecord struct {
 	// step joins on it).
 	Name string `json:"name"`
 	// NsPerOp, BytesPerOp and AllocsPerOp are per-operation averages
-	// over the measurement window (runtime.MemStats deltas, so they
-	// cover every goroutine the workload runs).
+	// over the measurement window (runtime.MemStats deltas).
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// OpsPerSec is the completed-operation rate; for the daemon
-	// workload this is the requests-per-second figure.
+	// OpsPerSec is the completed-operation rate.
 	OpsPerSec float64 `json:"ops_per_sec"`
 	// Ops is how many operations the window fitted (a confidence
 	// signal: single-digit counts are noisy).
@@ -111,12 +99,17 @@ func measureLoop(ctx context.Context, target time.Duration, fn func() error) (Pe
 	}, nil
 }
 
-// perfWorkloads builds the suite's fixtures once and returns the named
-// workload closures in report order.
-func perfWorkloads(ctx context.Context) ([]struct {
+// perfWorkload is one named row of the suite.
+type perfWorkload struct {
 	name string
 	fn   func() error
-}, func(), error) {
+}
+
+// perfWorkloads builds the suite's fixtures once and returns the
+// workloads in report order.  Every row is a single-goroutine kernel
+// with no socket and no file, so the code alone determines its number;
+// the daemon's serving paths are measured by `go run ./benchmark`.
+func perfWorkloads(ctx context.Context) ([]perfWorkload, error) {
 	const vertices = 1200
 	cfg := pim.Neurocube(32)
 	g, err := synth.Generate(synth.Params{
@@ -126,28 +119,28 @@ func perfWorkloads(ctx context.Context) ([]struct {
 		Seed:     int64(9000 + vertices),
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: perf fixture: %w", err)
+		return nil, fmt.Errorf("bench: perf fixture: %w", err)
 	}
 	plan, err := sched.ParaCONV(g, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: perf fixture plan: %w", err)
+		return nil, fmt.Errorf("bench: perf fixture plan: %w", err)
 	}
 	kernel := plan.Iter.Graph
 	tm := plan.Iter.Timing()
 	classes, err := retime.Classify(kernel, tm)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: perf fixture classify: %w", err)
+		return nil, fmt.Errorf("bench: perf fixture classify: %w", err)
 	}
 	items, err := core.BuildItems(kernel, classes, tm)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: perf fixture items: %w", err)
+		return nil, fmt.Errorf("bench: perf fixture items: %w", err)
 	}
 	capacity := cfg.TotalCacheUnits()
 	chosen := make([]bool, len(items))
 
 	var gtext bytes.Buffer
 	if err := dag.WriteText(&gtext, g); err != nil {
-		return nil, nil, fmt.Errorf("bench: perf fixture encode: %w", err)
+		return nil, fmt.Errorf("bench: perf fixture encode: %w", err)
 	}
 	encoded := gtext.Bytes()
 	bframe := dag.AppendBinary(nil, g)
@@ -156,54 +149,15 @@ func perfWorkloads(ctx context.Context) ([]struct {
 
 	gPlan, err := synth.Generate(synth.Params{Name: "perfplan", Vertices: 200, Edges: 520, Seed: 9200})
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: perf fixture: %w", err)
+		return nil, fmt.Errorf("bench: perf fixture: %w", err)
 	}
-
-	// Durable-store fixtures: a solved 200-vertex plan round-trips
-	// through the stored-plan codec against a throwaway store directory.
-	// NoSync keeps fsync out of the loop — the gate watches the codec
-	// and file plumbing, not the host's disk cache behaviour.
 	planSmall, err := sched.ParaCONV(gPlan, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: perf fixture store plan: %w", err)
+		return nil, fmt.Errorf("bench: perf fixture small plan: %w", err)
 	}
 	payload := wire.AppendPlan(nil, planSmall)
-	storeDir, err := os.MkdirTemp("", "paraconv-bench-store-*")
-	if err != nil {
-		return nil, nil, fmt.Errorf("bench: perf fixture store dir: %w", err)
-	}
-	st, err := store.Open(storeDir, store.Options{NoSync: true})
-	if err != nil {
-		os.RemoveAll(storeDir)
-		return nil, nil, fmt.Errorf("bench: perf fixture store: %w", err)
-	}
-	const storeBenchKey = "bench|perfplan|neurocube-32|iters=100"
-	if err := st.Put(storeBenchKey, payload); err != nil {
-		os.RemoveAll(storeDir)
-		return nil, nil, fmt.Errorf("bench: perf fixture store put: %w", err)
-	}
 
-	// Async-engine fixture: the submit→done round trip of a no-op job,
-	// measuring the engine's queue, worker and notification plumbing
-	// with no solve cost inside.  The TTL is tiny so the hundreds of
-	// thousands of terminal jobs a measurement window produces are swept
-	// as it runs — at the production default they would all stay live
-	// and their heap would tax every workload measured after this one.
-	eng := jobs.New(jobs.Options{Workers: 2, QueueDepth: 256, TTL: 20 * time.Millisecond})
-	noop := func(context.Context) (any, error) { return nil, nil }
-
-	var cleanupOnce sync.Once
-	cleanup := func() {
-		cleanupOnce.Do(func() {
-			eng.Close()
-			os.RemoveAll(storeDir)
-		})
-	}
-
-	workloads := []struct {
-		name string
-		fn   func() error
-	}{
+	return []perfWorkload{
 		{"core/knapsack_bitset_1200", func() error {
 			_, err := core.KnapsackInto(ctx, chosen, items, capacity)
 			return err
@@ -233,40 +187,19 @@ func perfWorkloads(ctx context.Context) ([]struct {
 			_, err := sim.Run(plan, cfg, 100)
 			return err
 		}},
+		// The encoder of the frame the durable store holds: pure CPU
+		// into a reused buffer.  Named for the store so the row joins
+		// BENCH_3 and BENCH_4.
 		{"store/plan_encode_200", func() error {
 			wire.AppendPlan(payload[:0], planSmall)
 			return nil
 		}},
-		{"store/put_200", func() error {
-			return st.Put(storeBenchKey, payload)
-		}},
-		{"store/get_decode_200", func() error {
-			raw, ok := st.Get(storeBenchKey)
-			if !ok {
-				return fmt.Errorf("bench key missing from store")
-			}
-			_, err := wire.DecodePlan(raw, dag.Limits{})
-			return err
-		}},
-		{"jobs/submit_wait", func() error {
-			snap, err := eng.Submit("bench", 0, noop)
-			if err != nil {
-				return err
-			}
-			final, ok := eng.Wait(ctx, snap.ID, 5*time.Second)
-			if !ok || final.State != jobs.StateDone {
-				return fmt.Errorf("bench job %s = %+v/%v, want done", snap.ID, final, ok)
-			}
-			return nil
-		}},
-	}
-	return workloads, cleanup, nil
+	}, nil
 }
 
-// RunPerf measures every hot-path workload plus the daemon's request
-// rate and returns the populated report.  short shrinks the
-// measurement windows for CI smoke use (the numbers get noisier; the
-// compare gate should be off).
+// RunPerf measures every kernel workload and returns the populated
+// report.  short shrinks the measurement windows for CI smoke use (the
+// numbers get noisier; the compare gate should be off).
 func RunPerf(ctx context.Context, short bool) (*PerfReport, error) {
 	target := time.Second
 	if short {
@@ -280,11 +213,10 @@ func RunPerf(ctx context.Context, short bool) (*PerfReport, error) {
 		CreatedUnix: time.Now().Unix(),
 		Short:       short,
 	}
-	workloads, cleanup, err := perfWorkloads(ctx)
+	workloads, err := perfWorkloads(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
 	for _, w := range workloads {
 		rec, err := measureLoop(ctx, target, w.fn)
 		if err != nil {
@@ -293,410 +225,7 @@ func RunPerf(ctx context.Context, short bool) (*PerfReport, error) {
 		rec.Name = w.name
 		rep.Records = append(rep.Records, rec)
 	}
-	// Tear the fixtures down and settle the heap before the daemon
-	// rows: live fixture state (retained jobs, the store index, the
-	// 1200-vertex plan) would otherwise tax the daemon's GC cycles with
-	// work no production server pays.
-	cleanup()
-	runtime.GC()
-	// The cluster rows come before the daemon rows for the same
-	// span-gate reason the traced daemon row comes last: they build
-	// untraced servers, and nothing may run after a tracing server has
-	// flipped the process-wide gate on.
-	clusterRecs, err := measureCluster(ctx, target)
-	if err != nil {
-		return nil, err
-	}
-	rep.Records = append(rep.Records, clusterRecs...)
-	runtime.GC()
-	daemon, err := measureDaemon(ctx, target)
-	if err != nil {
-		return nil, err
-	}
-	rep.Records = append(rep.Records, daemon...)
 	return rep, nil
-}
-
-// fillSpeedup is the cluster/peer_fill absolute gate: on loopback a
-// warm peer fill (fetch + decode + revalidate) must beat solving the
-// 1200-vertex fixture locally by at least this factor, or shipping
-// plans around the ring would be slower than the solves it avoids.
-const fillSpeedup = 5.0
-
-// measureCluster spins a three-node loopback fleet sharing one ring
-// and reports the cluster tier's two costs.  cluster/peer_fill is one
-// non-owner's warm fill of the owner's 1200-vertex plan, end to end:
-// routed GET over the pooled raw-TCP client, frame decode, schedule
-// revalidation — everything a requester pays instead of solving.
-// cluster/plan_req_3node is the sustained plan-request rate with one
-// persistent client per node; after warm-up the fleet has solved the
-// problem exactly once (owner), filled it twice (non-owners), and the
-// window measures three serving paths running concurrently.
-func measureCluster(ctx context.Context, target time.Duration) ([]PerfRecord, error) {
-	fail := func(err error) ([]PerfRecord, error) {
-		return nil, fmt.Errorf("bench: perf cluster: %w", err)
-	}
-	const vertices = 1200
-	cfg := pim.Neurocube(32)
-	g, err := synth.Generate(synth.Params{
-		Name:     fmt.Sprintf("scale-%d", vertices),
-		Vertices: vertices,
-		Edges:    vertices * 26 / 10,
-		Seed:     int64(9000 + vertices),
-	})
-	if err != nil {
-		return fail(err)
-	}
-
-	// The fill gate's yardstick: the local solve the fill replaces,
-	// timed directly before any server contends for the CPU.
-	solveStart := time.Now()
-	const solveReps = 3
-	for i := 0; i < solveReps; i++ {
-		if _, err := sched.ParaCONV(g, cfg); err != nil {
-			return fail(err)
-		}
-	}
-	solveNs := float64(time.Since(solveStart).Nanoseconds()) / solveReps
-
-	// Three daemons on loopback, one ring over their bound addresses.
-	const nodes = 3
-	srvs := make([]*server.Server, nodes)
-	addrs := make([]string, nodes)
-	for i := range srvs {
-		srvs[i] = server.New(server.Config{})
-		rn, err := srvs[i].Start("127.0.0.1:0")
-		if err != nil {
-			srvs[i].Close()
-			return fail(err)
-		}
-		defer rn.Drain(5 * time.Second)
-		addrs[i] = rn.Addr()
-	}
-	cls := make([]*cluster.Cluster, nodes)
-	for i := range srvs {
-		cl, err := cluster.New(cluster.Config{Self: addrs[i], Peers: addrs, ProbeInterval: time.Hour})
-		if err != nil {
-			return fail(err)
-		}
-		defer cl.Close()
-		cls[i] = cl
-		srvs[i].AttachCluster(cl)
-	}
-
-	// cluster/peer_fill: warm the owner once (it solves on the
-	// requester's behalf), then measure the steady-state fill.
-	fp := run.PlanFingerprint("", "", g, cfg)
-	owner := cls[0].Owner(fp)
-	requester := cls[0]
-	for i, addr := range addrs {
-		if addr != owner {
-			requester = cls[i]
-			break
-		}
-	}
-	buildFill := func() []byte { return wire.AppendPeerFill(nil, "para-conv", cfg, g) }
-	if _, ok := requester.Fill(ctx, fp, buildFill); !ok {
-		return fail(fmt.Errorf("warm-up fill of %s against %s failed", fp, owner))
-	}
-	fillRec, err := measureLoop(ctx, target, func() error {
-		payload, ok := requester.Fill(ctx, fp, buildFill)
-		if !ok {
-			return fmt.Errorf("warm peer fill failed")
-		}
-		p, err := wire.DecodeFillPlan(payload, g, dag.Limits{})
-		if err != nil {
-			return err
-		}
-		return p.Iter.Validate()
-	})
-	if err != nil {
-		return fail(fmt.Errorf("cluster/peer_fill: %w", err))
-	}
-	fillRec.Name = "cluster/peer_fill"
-	if fillRec.NsPerOp*fillSpeedup > solveNs {
-		return fail(fmt.Errorf("cluster/peer_fill %.0fns/op does not beat the %d-vertex local solve (%.0fns) by %.0fx",
-			fillRec.NsPerOp, vertices, solveNs, fillSpeedup))
-	}
-
-	// cluster/plan_req_3node: the same plan request hammered at every
-	// node at once through the lean client.  The warm-up exchanges are
-	// where the fills happen; the window is pure concurrent serving.
-	gReq, err := synth.Generate(synth.Params{Name: "perfreq3", Vertices: 60, Edges: 150, Seed: 9063})
-	if err != nil {
-		return fail(err)
-	}
-	binBody := wire.AppendRequest(nil, &wire.Request{PEs: 16}, gReq)
-	clients := make([]*leanClient, nodes)
-	for i, addr := range addrs {
-		c, err := dialLean(addr, rawPlanRequest(addr, wire.ContentTypeBinary, binBody))
-		if err != nil {
-			return fail(err)
-		}
-		defer c.close()
-		clients[i] = c
-		if err := c.do(); err != nil {
-			return fail(fmt.Errorf("warm-up request to node %d: %w", i, err))
-		}
-	}
-
-	var before, after runtime.MemStats
-	var total, failures atomic.Int64
-	var firstErr atomic.Value
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	deadline := start.Add(target)
-	var wg sync.WaitGroup
-	for _, c := range clients {
-		wg.Add(1)
-		go func(c *leanClient) {
-			defer wg.Done()
-			for time.Now().Before(deadline) && ctx.Err() == nil {
-				if err := c.do(); err != nil {
-					failures.Add(1)
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				total.Add(1)
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	if f := failures.Load(); f > 0 {
-		return fail(fmt.Errorf("cluster/plan_req_3node: %d requests failed (first: %v)", f, firstErr.Load()))
-	}
-	ops := total.Load()
-	if ops == 0 {
-		return fail(fmt.Errorf("cluster/plan_req_3node: no requests completed in %v", target))
-	}
-	reqRec := PerfRecord{
-		Name:        "cluster/plan_req_3node",
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ops),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(ops),
-		OpsPerSec:   float64(ops) / elapsed.Seconds(),
-		Ops:         int(ops),
-	}
-	return []PerfRecord{fillRec, reqRec}, nil
-}
-
-// measureDaemon drives a live loopback paraconvd at full tilt with one
-// client goroutine per core and reports sustained requests/second on
-// the plan endpoint, once per codec: server/plan_req is the binary
-// wire format, server/plan_req_json the JSON envelope, and
-// server/plan_req_traced the binary codec with 1-in-1 span tracing (a
-// third server, measured last — see below).  The request
-// repeats, so after the first solve the serving path (decode, cache
-// hit, encode) is what's measured — the solver itself has its own
-// records.  Both rows use the same lean persistent HTTP/1.1 client, so
-// they isolate the server; net/http's client machinery alone costs
-// more per request than the whole serving path.
-func measureDaemon(ctx context.Context, target time.Duration) ([]PerfRecord, error) {
-	fail := func(err error) ([]PerfRecord, error) {
-		return nil, fmt.Errorf("bench: perf daemon: %w", err)
-	}
-	g, err := synth.Generate(synth.Params{Name: "perfreq", Vertices: 60, Edges: 150, Seed: 9060})
-	if err != nil {
-		return fail(err)
-	}
-	var gtext bytes.Buffer
-	if err := dag.WriteText(&gtext, g); err != nil {
-		return fail(err)
-	}
-	jsonBody, err := json.Marshal(map[string]any{"graph": gtext.String(), "pes": 16})
-	if err != nil {
-		return fail(err)
-	}
-	binBody := wire.AppendRequest(nil, &wire.Request{PEs: 16}, g)
-
-	srv := server.New(server.Config{})
-	rn, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return fail(err)
-	}
-	defer rn.Drain(5 * time.Second)
-	addr := rn.Addr()
-
-	var records []PerfRecord
-	for _, c := range []struct {
-		name        string
-		contentType string
-		body        []byte
-	}{
-		{"server/plan_req", wire.ContentTypeBinary, binBody},
-		{"server/plan_req_json", wire.ContentTypeJSON, jsonBody},
-	} {
-		raw := rawPlanRequest(addr, c.contentType, c.body)
-		rec, err := driveDaemon(ctx, target, addr, raw)
-		if err != nil {
-			return fail(fmt.Errorf("%s: %w", c.name, err))
-		}
-		rec.Name = c.name
-		records = append(records, rec)
-	}
-
-	// server/plan_req_traced repeats the binary-codec row against a
-	// daemon tracing every request (sample 1-in-1), bounding what full
-	// span coverage costs on the serving path.  It must run after the
-	// untraced rows: creating a tracing server flips the process-wide
-	// span gate on, and the gate never flips back (see server.New), so
-	// measuring in the other order would tax the untraced rows with
-	// context lookups they do not pay in a production untraced daemon.
-	traced := server.New(server.Config{TraceSample: 1})
-	trn, err := traced.Start("127.0.0.1:0")
-	if err != nil {
-		traced.Close()
-		return fail(err)
-	}
-	defer trn.Drain(5 * time.Second)
-	rec, err := driveDaemon(ctx, target, trn.Addr(), rawPlanRequest(trn.Addr(), wire.ContentTypeBinary, binBody))
-	if err != nil {
-		return fail(fmt.Errorf("server/plan_req_traced: %w", err))
-	}
-	rec.Name = "server/plan_req_traced"
-	records = append(records, rec)
-	return records, nil
-}
-
-// rawPlanRequest pre-serializes one complete HTTP/1.1 request for the
-// plan endpoint; the load loop writes these bytes verbatim.
-func rawPlanRequest(addr, contentType string, body []byte) []byte {
-	var sb bytes.Buffer
-	fmt.Fprintf(&sb, "POST /v1/plan HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nAccept: %s\r\nContent-Length: %d\r\n\r\n",
-		addr, contentType, contentType, len(body))
-	sb.Write(body)
-	return sb.Bytes()
-}
-
-// driveDaemon hammers the daemon with one persistent lean connection
-// per core for the target window.
-func driveDaemon(ctx context.Context, target time.Duration, addr string, raw []byte) (PerfRecord, error) {
-	workers := runtime.GOMAXPROCS(0)
-	clients := make([]*leanClient, workers)
-	for i := range clients {
-		c, err := dialLean(addr, raw)
-		if err != nil {
-			for _, prev := range clients[:i] {
-				prev.close()
-			}
-			return PerfRecord{}, err
-		}
-		clients[i] = c
-		defer c.close()
-	}
-	// Warm up: the first exchange populates the plan cache and the
-	// server's pools before the measurement window opens.
-	if err := clients[0].do(); err != nil {
-		return PerfRecord{}, err
-	}
-
-	var before, after runtime.MemStats
-	var total, failures atomic.Int64
-	var firstErr atomic.Value
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	deadline := start.Add(target)
-	var wg sync.WaitGroup
-	for _, c := range clients {
-		wg.Add(1)
-		go func(c *leanClient) {
-			defer wg.Done()
-			for time.Now().Before(deadline) && ctx.Err() == nil {
-				if err := c.do(); err != nil {
-					failures.Add(1)
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				total.Add(1)
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err := ctx.Err(); err != nil {
-		return PerfRecord{}, err
-	}
-	if f := failures.Load(); f > 0 {
-		return PerfRecord{}, fmt.Errorf("%d requests failed (first: %v)", f, firstErr.Load())
-	}
-	ops := total.Load()
-	if ops == 0 {
-		return PerfRecord{}, fmt.Errorf("no requests completed in %v", target)
-	}
-	return PerfRecord{
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ops),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(ops),
-		OpsPerSec:   float64(ops) / elapsed.Seconds(),
-		Ops:         int(ops),
-	}, nil
-}
-
-// leanClient is a minimal persistent HTTP/1.1 loopback client: one
-// pre-serialized request written verbatim per exchange, the response
-// status and Content-Length scraped off the header bytes, the body
-// discarded in place.  It exists because net/http's client spends
-// ~200µs per request on connection-pool and header machinery — more
-// than the entire serving path under measurement.
-type leanClient struct {
-	conn net.Conn
-	br   *bufio.Reader
-	raw  []byte
-}
-
-func dialLean(addr string, raw []byte) (*leanClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &leanClient{conn: conn, br: bufio.NewReaderSize(conn, 32<<10), raw: raw}, nil
-}
-
-func (c *leanClient) close() { c.conn.Close() }
-
-// do runs one exchange and fails on any status but 200.
-func (c *leanClient) do() error {
-	if _, err := c.conn.Write(c.raw); err != nil {
-		return err
-	}
-	status, err := c.br.ReadSlice('\n')
-	if err != nil {
-		return fmt.Errorf("reading status line: %w", err)
-	}
-	if len(status) < 12 || string(status[9:12]) != "200" {
-		return fmt.Errorf("plan request: status line %q", bytes.TrimSpace(status))
-	}
-	length := -1
-	for {
-		line, err := c.br.ReadSlice('\n')
-		if err != nil {
-			return fmt.Errorf("reading header: %w", err)
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			break
-		}
-		if name, val, ok := bytes.Cut(line, []byte{':'}); ok &&
-			bytes.EqualFold(bytes.TrimSpace(name), []byte("Content-Length")) {
-			length, err = strconv.Atoi(string(bytes.TrimSpace(val)))
-			if err != nil {
-				return fmt.Errorf("bad Content-Length %q", bytes.TrimSpace(val))
-			}
-		}
-	}
-	if length < 0 {
-		return fmt.Errorf("response has no Content-Length")
-	}
-	if _, err := c.br.Discard(length); err != nil {
-		return fmt.Errorf("discarding body: %w", err)
-	}
-	return nil
 }
 
 // WritePerfJSON serializes the report, indented for diff-friendly
@@ -727,13 +256,25 @@ func ReadPerfFile(path string) (*PerfReport, error) {
 // PerfDelta is one workload-metric comparison against a baseline.
 type PerfDelta struct {
 	Name   string
-	Metric string // "ns/op", "allocs/op" or "req/s"
+	Metric string // "ns/op" or "allocs/op"
 	Prev   float64
 	Cur    float64
 	// Pct is the relative change in the metric, positive = worse.
 	Pct float64
 	// Regressed is set when the change crosses the gate's tolerance.
 	Regressed bool
+}
+
+// PerfComparison is a run joined to a baseline by workload name.
+type PerfComparison struct {
+	// Deltas holds two entries (ns/op, allocs/op) per workload both
+	// sides measured, regressions first.
+	Deltas []PerfDelta
+	// OnlyBaseline and New name the workloads one side lacks.  They are
+	// not gated, so they are reported: a renamed or retired row must not
+	// leave the gate unnoticed.
+	OnlyBaseline []string
+	New          []string
 }
 
 // perfTolerancePct is the regression gate: a metric more than 10%
@@ -746,44 +287,37 @@ const perfTolerancePct = 10.0
 const allocSlack = 2.0
 
 // ComparePerf joins two reports by workload name and flags
-// regressions: ns/op or allocs/op more than 10% worse, or req/s more
-// than 10% lower.  Workloads present on only one side are skipped (the
-// suite grew or shrank; the next baseline picks them up).
-func ComparePerf(prev, cur *PerfReport) []PerfDelta {
-	var out []PerfDelta
+// regressions: ns/op or allocs/op more than 10% worse.
+func ComparePerf(prev, cur *PerfReport) PerfComparison {
+	var out PerfComparison
+	for i := range prev.Records {
+		if name := prev.Records[i].Name; cur.Lookup(name) == nil {
+			out.OnlyBaseline = append(out.OnlyBaseline, name)
+		}
+	}
 	for i := range cur.Records {
 		c := &cur.Records[i]
 		p := prev.Lookup(c.Name)
 		if p == nil {
+			out.New = append(out.New, c.Name)
 			continue
 		}
-		out = append(out, PerfDelta{
+		out.Deltas = append(out.Deltas, PerfDelta{
 			Name: c.Name, Metric: "ns/op", Prev: p.NsPerOp, Cur: c.NsPerOp,
 			Pct:       pctWorse(p.NsPerOp, c.NsPerOp),
 			Regressed: c.NsPerOp > p.NsPerOp*(1+perfTolerancePct/100),
-		})
-		out = append(out, PerfDelta{
+		}, PerfDelta{
 			Name: c.Name, Metric: "allocs/op", Prev: p.AllocsPerOp, Cur: c.AllocsPerOp,
 			Pct:       pctWorse(p.AllocsPerOp, c.AllocsPerOp),
 			Regressed: c.AllocsPerOp > p.AllocsPerOp*(1+perfTolerancePct/100)+allocSlack,
 		})
-		// The rate is the inverse of ns/op for single-threaded loads;
-		// only the request workloads with parallel clients — the
-		// single daemon and the three-node fleet — carry independent
-		// information worth a row and a gate.
-		if strings.HasPrefix(c.Name, "server/") || strings.HasPrefix(c.Name, "cluster/plan_req") {
-			out = append(out, PerfDelta{
-				Name: c.Name, Metric: "req/s", Prev: p.OpsPerSec, Cur: c.OpsPerSec,
-				Pct:       pctWorse(c.OpsPerSec, p.OpsPerSec), // lower is worse
-				Regressed: c.OpsPerSec < p.OpsPerSec*(1-perfTolerancePct/100),
-			})
-		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Regressed != out[b].Regressed {
-			return out[a].Regressed
+	sort.SliceStable(out.Deltas, func(a, b int) bool {
+		da, db := out.Deltas[a], out.Deltas[b]
+		if da.Regressed != db.Regressed {
+			return da.Regressed
 		}
-		return out[a].Pct > out[b].Pct
+		return da.Pct > db.Pct
 	})
 	return out
 }
@@ -828,21 +362,29 @@ func FormatPerf(rep *PerfReport) string {
 	return sb.String()
 }
 
-// FormatPerfCompare renders the comparison, regressions first.
-func FormatPerfCompare(deltas []PerfDelta) string {
-	if len(deltas) == 0 {
-		return "no common workloads to compare\n"
-	}
+// FormatPerfCompare renders the comparison, regressions first, then
+// the workloads only one side has.
+func FormatPerfCompare(c PerfComparison) string {
 	var sb strings.Builder
-	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tmetric\tbaseline\tcurrent\tchange\t")
-	for _, d := range deltas {
-		mark := ""
-		if d.Regressed {
-			mark = "REGRESSED"
+	if len(c.Deltas) == 0 {
+		sb.WriteString("no common workloads to compare\n")
+	} else {
+		tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(tw, "workload\tmetric\tbaseline\tcurrent\tchange\t")
+		for _, d := range c.Deltas {
+			mark := ""
+			if d.Regressed {
+				mark = "REGRESSED"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%+.1f%%\t%s\n", d.Name, d.Metric, d.Prev, d.Cur, d.Pct, mark)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%+.1f%%\t%s\n", d.Name, d.Metric, d.Prev, d.Cur, d.Pct, mark)
+		tw.Flush()
 	}
-	tw.Flush()
+	if len(c.OnlyBaseline) > 0 {
+		fmt.Fprintf(&sb, "only in baseline: %s\n", strings.Join(c.OnlyBaseline, ", "))
+	}
+	if len(c.New) > 0 {
+		fmt.Fprintf(&sb, "new: %s\n", strings.Join(c.New, ", "))
+	}
 	return sb.String()
 }

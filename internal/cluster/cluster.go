@@ -22,39 +22,29 @@ type Config struct {
 	// same list for the ring to agree fleet-wide; order and
 	// duplicates are irrelevant.
 	Peers []string
-	// VNodes is the virtual-node count per member (default
-	// DefaultVNodes).
-	VNodes int
 	// FillTimeout bounds one fill exchange against a peer (default
 	// 2s); the requester's own context can only shorten it.
 	FillTimeout time.Duration
 	// ProbeInterval is the health-probe cadence per peer (default
 	// 1s).
 	ProbeInterval time.Duration
-	// FailureThreshold is how many consecutive failures (fills or
-	// probes) open a peer's breaker and flip it out of the ring
-	// (default 3).  A later successful probe closes the breaker.
-	FailureThreshold int
-	// MaxIdleConns bounds the pooled connections kept per peer
-	// (default 4).
-	MaxIdleConns int
 }
 
+const (
+	// failureThreshold is how many consecutive failures (fills or
+	// probes) open a peer's breaker and flip it out of the ring.  A
+	// later successful probe closes the breaker.
+	failureThreshold = 3
+	// maxIdleConns bounds the pooled connections kept per peer.
+	maxIdleConns = 4
+)
+
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.FillTimeout <= 0 {
 		c.FillTimeout = 2 * time.Second
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.MaxIdleConns <= 0 {
-		c.MaxIdleConns = 4
 	}
 	return c
 }
@@ -80,9 +70,9 @@ func (p *peer) getConn() *peerConn {
 	return nil
 }
 
-func (p *peer) putConn(pc *peerConn, cap int) {
+func (p *peer) putConn(pc *peerConn) {
 	p.mu.Lock()
-	if len(p.idle) < cap {
+	if len(p.idle) < maxIdleConns {
 		p.idle = append(p.idle, pc)
 		p.mu.Unlock()
 		return
@@ -125,7 +115,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: empty self id")
 	}
-	ring := NewRing(cfg.Peers, cfg.VNodes)
+	ring := NewRing(cfg.Peers, DefaultVNodes)
 	members := ring.Members()
 	self := false
 	for _, m := range members {
@@ -267,7 +257,7 @@ func (c *Cluster) exchange(ctx context.Context, p *peer, raw []byte) (int, []byt
 			return 0, nil, err
 		}
 	}
-	p.putConn(pc, c.cfg.MaxIdleConns)
+	p.putConn(pc)
 	return status, body, nil
 }
 
@@ -284,7 +274,7 @@ func (c *Cluster) recordResult(p *peer, ok bool) {
 		}
 	} else {
 		p.failures++
-		if p.failures >= c.cfg.FailureThreshold && !p.open {
+		if p.failures >= failureThreshold && !p.open {
 			p.open = true
 			flip, live = true, false
 		}
@@ -303,7 +293,7 @@ func (c *Cluster) recordResult(p *peer, ok bool) {
 		obs.Log().Info("peer breaker closed; back in the ring", "peer", p.addr)
 	} else {
 		obs.Log().Warn("peer breaker open; out of the ring", "peer", p.addr,
-			"consecutive_failures", c.cfg.FailureThreshold)
+			"consecutive_failures", failureThreshold)
 	}
 }
 

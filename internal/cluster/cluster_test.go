@@ -130,18 +130,17 @@ func TestClusterBreaker(t *testing.T) {
 	ln.Close() // connection refused from here on
 
 	c := newTestCluster(t, "self:1", []string{"self:1", peer}, Config{
-		ProbeInterval:    20 * time.Millisecond,
-		FillTimeout:      200 * time.Millisecond,
-		FailureThreshold: 3,
+		ProbeInterval: 20 * time.Millisecond,
+		FillTimeout:   200 * time.Millisecond,
 	})
 	fp := ownedBy(t, c, peer)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failureThreshold; i++ {
 		if _, ok := c.Fill(context.Background(), fp, nil); ok {
 			t.Fatal("Fill against a dead peer claimed success")
 		}
 	}
 	if live, _ := c.Health(); live != 1 {
-		t.Fatalf("live = %d after %d consecutive failures, want 1", live, 3)
+		t.Fatalf("live = %d after %d consecutive failures, want 1", live, failureThreshold)
 	}
 	if owner := c.Owner(fp); owner != "self:1" {
 		t.Fatalf("dead peer's key owned by %q, want self:1", owner)

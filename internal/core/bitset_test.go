@@ -128,7 +128,7 @@ func TestKnapsackCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	items := randomSizedItems(rand.New(rand.NewSource(2)), 20, 5, 3, 1)
-	if _, _, err := KnapsackCtx(ctx, items, 10); err == nil {
+	if _, err := KnapsackInto(ctx, make([]bool, len(items)), items, 10); err == nil {
 		t.Fatal("cancelled context did not abort the solve")
 	}
 }

@@ -109,19 +109,15 @@ type Allocation struct {
 	Competitors int
 }
 
-// Optimize runs the full §3.3 pipeline: build the competitor list,
+// OptimizeCtx runs the full §3.3 pipeline: build the competitor list,
 // solve the dynamic program under cache capacity, and reconstruct the
 // placement of every IPR.  Capacity left over after the competitors
 // are placed is back-filled with zero-ΔR IPRs in decreasing traffic
 // order (§3.3.3): they cannot shorten the prologue, but every one kept
-// on chip avoids an eDRAM round trip's latency and energy.
-func Optimize(g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing, capacity int) (Allocation, error) {
-	return OptimizeCtx(context.Background(), g, classes, tm, capacity)
-}
-
-// OptimizeCtx is Optimize under a context: the dynamic program checks
-// ctx at every item-row boundary and returns the context's error if it
-// is cancelled mid-solve, leaving no partial state behind.
+// on chip avoids an eDRAM round trip's latency and energy.  The
+// dynamic program checks ctx at every item-row boundary and returns
+// the context's error if it is cancelled mid-solve, leaving no partial
+// state behind.
 func OptimizeCtx(ctx context.Context, g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing, capacity int) (Allocation, error) {
 	var alloc Allocation
 	if err := OptimizeInto(ctx, &alloc, g, classes, tm, capacity); err != nil {
@@ -256,24 +252,16 @@ func trafficOf(e *dag.Edge) int64 {
 // profit row replace the classic full int table (see
 // knapsack_bitset.go); KnapsackFullTable keeps the textbook layout as
 // a reference oracle.
+//
+// The DP's working memory is pooled; only the chosen slice is
+// allocated per call (KnapsackInto reuses that too, and takes the
+// context a cancellable solve needs).
 func Knapsack(items []Item, capacity int) (chosen []bool, profit int) {
-	chosen, profit, _ = KnapsackCtx(context.Background(), items, capacity)
-	return chosen, profit
-}
-
-// KnapsackCtx is Knapsack under a context.  The table fill is the
-// longest uninterruptible stretch of the whole planning pipeline, so
-// the recurrence checks ctx once per item row (every S cells) and
-// abandons the solve with the context's error when cancelled.  The
-// DP's working memory is pooled; only the chosen slice is allocated
-// per call (use KnapsackInto to reuse that too).
-func KnapsackCtx(ctx context.Context, items []Item, capacity int) (chosen []bool, profit int, err error) {
 	chosen = make([]bool, len(items))
-	profit, err = KnapsackInto(ctx, chosen, items, capacity)
-	if err != nil {
-		return nil, 0, err
-	}
-	return chosen, profit, nil
+	// Neither KnapsackInto error can occur: chosen is sized to items
+	// here and a background context never cancels.
+	profit, _ = KnapsackInto(context.Background(), chosen, items, capacity)
+	return chosen, profit
 }
 
 // BruteForce computes the optimal knapsack profit by exhaustive subset

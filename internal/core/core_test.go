@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -231,7 +232,7 @@ func TestBuildItemsErrors(t *testing.T) {
 func TestOptimizeEndToEnd(t *testing.T) {
 	g, classes, tm := buildClassifiedGraph(t)
 	// Capacity 1: only edge 0 (size 1) fits.
-	alloc, err := Optimize(g, classes, tm, 1)
+	alloc, err := OptimizeCtx(context.Background(), g, classes, tm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 
 	// Capacity 3: both fit.
-	alloc3, err := Optimize(g, classes, tm, 3)
+	alloc3, err := OptimizeCtx(context.Background(), g, classes, tm, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 
 	// Capacity 0: all eDRAM.
-	alloc0, err := Optimize(g, classes, tm, 0)
+	alloc0, err := OptimizeCtx(context.Background(), g, classes, tm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 
 func TestOptimizeRejectsNegativeCapacity(t *testing.T) {
 	g, classes, tm := buildClassifiedGraph(t)
-	if _, err := Optimize(g, classes, tm, -1); err == nil || !strings.Contains(err.Error(), "capacity") {
+	if _, err := OptimizeCtx(context.Background(), g, classes, tm, -1); err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Errorf("err = %v, want capacity error", err)
 	}
 }
@@ -284,7 +285,7 @@ func TestOptimizeReducesRMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := Optimize(g, classes, tm, 99)
+	alloc, err := OptimizeCtx(context.Background(), g, classes, tm, 99)
 	if err != nil {
 		t.Fatal(err)
 	}

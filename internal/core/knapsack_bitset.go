@@ -77,7 +77,10 @@ func (sc *dpScratch) ensure(rowLen, bitWords int) {
 // (len(items) entries, reset first) and returns the optimal profit.
 // All internal state comes from a pool, so steady-state solves
 // allocate nothing — the serving daemon's cold path and the bench
-// runner both lean on this.
+// runner both lean on this.  The table fill is the longest
+// uninterruptible stretch of the whole planning pipeline, so the
+// recurrence checks ctx once per item row (every S cells) and abandons
+// the solve with the context's error when cancelled.
 //
 //paraconv:hotpath
 func KnapsackInto(ctx context.Context, chosen []bool, items []Item, capacity int) (profit int, err error) {

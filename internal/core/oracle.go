@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dag"
@@ -77,7 +78,7 @@ func ExhaustiveMinRMax(g *dag.Graph, classes []retime.EdgeClass, capacity, perio
 // the exhaustive R_max oracle for one instance, returning
 // (dpRMax, optimalRMax).
 func ProxyQuality(g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing, capacity int) (dpRMax, optRMax int, err error) {
-	alloc, err := Optimize(g, classes, tm, capacity)
+	alloc, err := OptimizeCtx(context.Background(), g, classes, tm, capacity)
 	if err != nil {
 		return 0, 0, err
 	}

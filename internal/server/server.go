@@ -94,16 +94,13 @@ type Config struct {
 	// tail-latency outlier is never lost to the modulus (default 0:
 	// slow lane off).
 	TraceSlow time.Duration
-	// TraceRingSize caps the completed traces resident at
-	// /debug/traces (default 256).
-	TraceRingSize int
-	// SLOObjectives is the objective set evaluated at /debug/slo
-	// (default slo.Standard()).
-	SLOObjectives []slo.Objective
 	// SLOInterval is the burn-rate evaluator's sampling cadence
 	// (default slo.DefaultInterval).
 	SLOInterval time.Duration
 }
+
+// traceRingSize caps the completed traces resident at /debug/traces.
+const traceRingSize = 256
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -141,12 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceSample < 0 {
 		c.TraceSample = 0
-	}
-	if c.TraceRingSize <= 0 {
-		c.TraceRingSize = 256
-	}
-	if c.SLOObjectives == nil {
-		c.SLOObjectives = slo.Standard()
 	}
 	return c
 }
@@ -186,8 +177,8 @@ func New(cfg Config) *Server {
 			MaxTimeout:     cfg.MaxTimeout,
 		}),
 		sampler: &span.Sampler{Every: cfg.TraceSample, Slow: cfg.TraceSlow},
-		ring:    span.NewRing(cfg.TraceRingSize),
-		sloEval: slo.NewEvaluator(obs.Default(), cfg.SLOObjectives, cfg.SLOInterval),
+		ring:    span.NewRing(traceRingSize),
+		sloEval: slo.NewEvaluator(obs.Default(), slo.Standard(), cfg.SLOInterval),
 	}
 	if cfg.Store != nil {
 		// Attached before the listener exists, so no request can race

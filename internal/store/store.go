@@ -14,9 +14,9 @@
 //   - reads are CRC-guarded: a frame failing its magic, version,
 //     length, key, or CRC-32 check is quarantined (renamed to *.bad)
 //     and reported as a miss, never served;
-//   - capacity is bounded: when MaxBytes or MaxEntries would be
-//     exceeded, the least-recently-used entries (by file mtime,
-//     refreshed on every hit) are evicted until the new entry fits.
+//   - capacity is bounded: when MaxBytes would be exceeded, the
+//     least-recently-used entries (by file mtime, refreshed on every
+//     hit) are evicted until the new entry fits.
 //
 // The store itself runs no goroutines; a *Store is safe for
 // concurrent use by any number of callers.
@@ -63,10 +63,8 @@ type Options struct {
 	// MaxBytes caps the total on-disk size of committed entries;
 	// 0 means unlimited.
 	MaxBytes int64
-	// MaxEntries caps the committed entry count; 0 means unlimited.
-	MaxEntries int
-	// NoSync skips the fsync calls on write (for tests and
-	// benchmarks that do not need crash durability).
+	// NoSync skips the fsync calls on write (for tests that do not
+	// need crash durability).
 	NoSync bool
 }
 
@@ -366,17 +364,7 @@ func (s *Store) makeRoom(name string, size int64) {
 		}
 		return b > s.opts.MaxBytes
 	}
-	overEntries := func() bool {
-		if s.opts.MaxEntries <= 0 {
-			return false
-		}
-		n := len(s.entries)
-		if _, ok := s.entries[name]; !ok {
-			n++
-		}
-		return n > s.opts.MaxEntries
-	}
-	if !overBytes() && !overEntries() {
+	if !overBytes() {
 		return
 	}
 	// Oldest-first sweep; ties break by name so eviction order is
@@ -395,7 +383,7 @@ func (s *Store) makeRoom(name string, size int64) {
 		return victims[i].name < victims[j].name
 	})
 	for _, v := range victims {
-		if !overBytes() && !overEntries() {
+		if !overBytes() {
 			break
 		}
 		_ = os.Remove(filepath.Join(s.dir, v.name))

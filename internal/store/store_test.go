@@ -23,6 +23,12 @@ func openTest(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// capFor bounds a store to n entries the size of (key, payload); the
+// tests that count entries keep every frame that size.
+func capFor(n int, key string, payload []byte) Options {
+	return Options{MaxBytes: int64(n * len(appendFrame(nil, key, payload)))}
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openTest(t, Options{})
 	payload := []byte("the plan bytes")
@@ -224,7 +230,7 @@ func TestStaleTempFilesSweptAtOpen(t *testing.T) {
 }
 
 func TestLRUEvictionByEntries(t *testing.T) {
-	s := openTest(t, Options{MaxEntries: 3})
+	s := openTest(t, capFor(3, "key-0", []byte("v")))
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -260,7 +266,7 @@ func TestLRUEvictionByEntries(t *testing.T) {
 }
 
 func TestHitRefreshesRecency(t *testing.T) {
-	s := openTest(t, Options{MaxEntries: 2})
+	s := openTest(t, capFor(2, "a", []byte("v")))
 	old := time.Now().Add(-time.Hour)
 	for _, key := range []string{"a", "b"} {
 		if err := s.Put(key, []byte("v")); err != nil {
@@ -330,14 +336,14 @@ func TestOpenEmptyDirErrors(t *testing.T) {
 }
 
 func TestConcurrentPutGet(t *testing.T) {
-	s := openTest(t, Options{MaxEntries: 16})
+	s := openTest(t, capFor(16, "key-00", []byte("key-00")))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				key := fmt.Sprintf("key-%d", (w+i)%24)
+				key := fmt.Sprintf("key-%02d", (w+i)%24)
 				if i%3 == 0 {
 					if err := s.Put(key, []byte(key)); err != nil {
 						t.Errorf("Put(%s): %v", key, err)

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# bench.sh — run the hot-path perf suite and maintain the committed
-# BENCH_<n>.json baseline chain.
+# bench.sh — run the in-process kernel perf suite and maintain the
+# committed BENCH_<n>.json baseline chain.
 #
-#   scripts/bench.sh                 run full windows, write BENCH_<n+1>.json,
-#                                    compare to BENCH_<n>.json, fail on >10%
-#                                    regression
+#   scripts/bench.sh                 run full windows, compare to BENCH_<n>.json,
+#                                    fail on >10% regression, else write
+#                                    BENCH_<n+1>.json
 #   scripts/bench.sh --short         short measurement windows (CI smoke)
 #   scripts/bench.sh --no-gate       compare but never fail on regressions
 #   scripts/bench.sh --compare-only  measure + compare without writing a new

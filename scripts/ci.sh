@@ -62,6 +62,14 @@ echo "== bench smoke"
 # BENCH_*.json chain) without letting CI noise fail the build.  Run
 # scripts/bench.sh with full windows to extend the baseline chain.
 scripts/bench.sh --short --compare-only --no-gate
+# The chain holds in-process kernels only; anything that boots a daemon
+# is measured by `go run ./benchmark`.  Keep the paper-experiment tool
+# from linking the serving stack again.
+if daemon_deps=$(go list -deps ./internal/bench ./cmd/benchtab | grep -E '/internal/(server|cluster|jobs|store)$'); then
+    echo "internal/bench or cmd/benchtab links the serving stack:" >&2
+    echo "$daemon_deps" >&2
+    exit 1
+fi
 
 echo "== benchtab parallel determinism smoke"
 # A parallel benchtab run must be byte-identical to a serial one.
