@@ -15,7 +15,6 @@
 //
 //	go run ./cmd/paraconv-vet ./...
 //	go run ./cmd/paraconv-vet -pass globalrand,libpanic ./...
-//	go run ./cmd/paraconv-vet -json ./...
 //	go run ./cmd/paraconv-vet -escapes ./...
 //	go run ./cmd/paraconv-vet -escapes -escapes-update ./...
 //
@@ -52,9 +51,7 @@ import (
 func main() {
 	var opts options
 	flag.StringVar(&opts.ignorePath, "ignore", "", "allowlist file (default <module root>/.paraconv-vet-ignore if present)")
-	flag.StringVar(&opts.passNames, "passes", "", "comma-separated subset of passes to run (default all)")
-	flag.StringVar(&opts.passNames, "pass", "", "alias of -passes")
-	flag.BoolVar(&opts.jsonOut, "json", false, "emit findings as a JSON report on stdout")
+	flag.StringVar(&opts.passNames, "pass", "", "comma-separated subset of passes to run (default all)")
 	flag.BoolVar(&opts.escapes, "escapes", false, "run the hotalloc escape gate instead of the AST passes")
 	flag.StringVar(&opts.escapesBaseline, "escapes-baseline", "", "escape baseline file (default <module root>/.paraconv-escapes)")
 	flag.BoolVar(&opts.escapesUpdate, "escapes-update", false, "with -escapes: rewrite the baseline to match the current tree")
@@ -78,7 +75,6 @@ func main() {
 type options struct {
 	ignorePath      string
 	passNames       string
-	jsonOut         bool
 	escapes         bool
 	escapesBaseline string
 	escapesUpdate   bool
@@ -141,14 +137,8 @@ func run(opts options) error {
 		}
 	}
 
-	if opts.jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, mod.Path, kept); err != nil {
-			return err
-		}
-	} else {
-		for _, d := range kept {
-			fmt.Println(d)
-		}
+	for _, d := range kept {
+		fmt.Println(d)
 	}
 	failed := false
 	if len(stale) > 0 {

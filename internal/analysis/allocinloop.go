@@ -7,19 +7,6 @@ import (
 	"strconv"
 )
 
-// allocLoopPackages are the hot-path trees where per-iteration
-// allocation patterns are policed: the solver, the graph codec, the
-// scheduler, the simulator and the serving layer.  BENCH_0.json holds
-// these paths to allocs/op contracts; this pass catches the patterns
-// that break them before a benchmark has to.
-var allocLoopPackages = []string{
-	"/internal/core",
-	"/internal/dag",
-	"/internal/sched",
-	"/internal/sim",
-	"/internal/server",
-}
-
 // runAllocInLoop flags three allocation-per-iteration patterns inside
 // for/range loops in the hot packages:
 //
@@ -41,9 +28,6 @@ var allocLoopPackages = []string{
 //
 // At most one diagnostic is reported per line.
 func runAllocInLoop(m *Module, p *Package) []Diagnostic {
-	if !pathSuffixMatch(m, p, allocLoopPackages) {
-		return nil
-	}
 	var diags []Diagnostic
 	seen := map[string]bool{} // file:line dedupe
 	report := func(pos token.Pos, format string, args ...any) {
@@ -67,7 +51,7 @@ func runAllocInLoop(m *Module, p *Package) []Diagnostic {
 				}
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					if (isPkgFunc(p, n, "fmt", "Sprintf") || isPkgFunc(p, n, "fmt", "Errorf")) &&
+					if (selectorIs(p, n.Fun, "fmt", "Sprintf") || selectorIs(p, n.Fun, "fmt", "Errorf")) &&
 						!onLoopExit(stack, n) && !conditionalInLoop(stack) {
 						sel := n.Fun.(*ast.SelectorExpr)
 						report(n.Pos(), "%s.%s inside a hot-path loop allocates every iteration; format outside the loop or use strconv",
@@ -236,11 +220,9 @@ func noCapSlices(p *Package, body *ast.BlockStmt) map[types.Object]bool {
 						mark(id)
 					}
 				case *ast.CallExpr:
-					if fid, ok := r.Fun.(*ast.Ident); ok && fid.Name == "make" && len(r.Args) == 2 {
-						if _, isBuiltin := p.Info.Uses[fid].(*types.Builtin); isBuiltin {
-							if lit, ok := r.Args[1].(*ast.BasicLit); ok && lit.Value == "0" {
-								mark(id)
-							}
+					if fid, ok := r.Fun.(*ast.Ident); ok && len(r.Args) == 2 && isBuiltin(p, fid, "make") {
+						if lit, ok := r.Args[1].(*ast.BasicLit); ok && lit.Value == "0" {
+							mark(id)
 						}
 					}
 				}
@@ -266,10 +248,7 @@ func diagAppendNoPrealloc(p *Package, as *ast.AssignStmt, noCap map[types.Object
 		return
 	}
 	fid, ok := call.Fun.(*ast.Ident)
-	if !ok || fid.Name != "append" {
-		return
-	}
-	if _, isBuiltin := p.Info.Uses[fid].(*types.Builtin); !isBuiltin {
+	if !ok || !isBuiltin(p, fid, "append") {
 		return
 	}
 	firstID, ok := call.Args[0].(*ast.Ident)

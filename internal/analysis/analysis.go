@@ -13,6 +13,10 @@
 // in struct fields.  Each rule is a Pass; cmd/paraconv-vet runs them all
 // and exits nonzero on findings, with a .paraconv-vet-ignore allowlist
 // for grandfathered sites.
+//
+// rules.go is the policy in one place: the pass registry with the
+// package trees each pass runs in, and the table of symbols banned
+// outside their sanctioned trees.  The other files are mechanism.
 package analysis
 
 import (
@@ -47,84 +51,11 @@ type Pass struct {
 	Name string
 	// Doc is a one-line description for usage output.
 	Doc string
-	// Run reports the pass's findings for one package.
+	// Scope lists the package trees (relative to the module path, each
+	// beginning with "/") the pass runs in; nil means every package.
+	Scope []string
+	// Run reports the pass's findings for one package in scope.
 	Run func(m *Module, p *Package) []Diagnostic
-}
-
-// AllPasses returns the registered passes in stable order.
-func AllPasses() []Pass {
-	return []Pass{
-		{
-			Name: "globalrand",
-			Doc:  "calls to the global math/rand source; randomness must flow through an injected *rand.Rand",
-			Run:  runGlobalRand,
-		},
-		{
-			Name: "maprange",
-			Doc:  "map iteration without a sorted-keys idiom in report/output-producing packages",
-			Run:  runMapRange,
-		},
-		{
-			Name: "libpanic",
-			Doc:  "panic in non-test library code under internal/; library paths must return errors",
-			Run:  runLibPanic,
-		},
-		{
-			Name: "floateq",
-			Doc:  "==/!= on floating-point expressions in the cost/energy model packages",
-			Run:  runFloatEq,
-		},
-		{
-			Name: "ctxfield",
-			Doc:  "context.Context stored in a struct field outside the sanctioned Session type; pass ctx as a parameter",
-			Run:  runCtxField,
-		},
-		{
-			Name: "obsreg",
-			Doc:  "expvar use or obs.NewRegistry call outside internal/obs; metrics must go through the shared registry's instruments",
-			Run:  runObsReg,
-		},
-		{
-			Name: "httpserve",
-			Doc:  "network listener or HTTP serving outside internal/obs and internal/server; all serving goes through the sanctioned trees",
-			Run:  runHTTPServe,
-		},
-		{
-			Name: "peercall",
-			Doc:  "ad-hoc net/http client construction outside internal/cluster; peer calls go through the cluster's pooled fill client",
-			Run:  runPeerCall,
-		},
-		{
-			Name: "fsio",
-			Doc:  "direct filesystem writes (os.Create, os.WriteFile, os.Rename) outside internal/store; durable state goes through the store's atomic writer",
-			Run:  runFSIO,
-		},
-		{
-			Name: "poolhygiene",
-			Doc:  "sync.Pool misuse: Get without a type assertion, Put without reset evidence, or pooled values escaping the get/put scope",
-			Run:  runPoolHygiene,
-		},
-		{
-			Name: "goroleak",
-			Doc:  "goroutines under internal/ with no context or stop channel, and goroutines spawned inside HTTP handlers",
-			Run:  runGoroLeak,
-		},
-		{
-			Name: "locksafe",
-			Doc:  "by-value copies of types containing sync or sync/atomic state, and mixed atomic/plain access to the same field",
-			Run:  runLockSafe,
-		},
-		{
-			Name: "spanctx",
-			Doc:  "span.Start results that are discarded or never ended; every started span must reach End",
-			Run:  runSpanCtx,
-		},
-		{
-			Name: "allocinloop",
-			Doc:  "per-iteration allocation patterns (Sprintf, string concat, uncapacitated append) in hot-path package loops",
-			Run:  runAllocInLoop,
-		},
-	}
 }
 
 // EscapeGatePass is the name of the escape-analysis gate, which runs
@@ -152,13 +83,15 @@ func PassByName(name string) (Pass, bool) {
 	return Pass{}, false
 }
 
-// RunPasses applies the passes to every package of the module and
+// RunPasses applies each pass to the packages in its scope and
 // returns the merged findings sorted by file, line and pass name.
 func RunPasses(m *Module, passes []Pass) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range m.Packages {
 		for _, pass := range passes {
-			diags = append(diags, pass.Run(m, p)...)
+			if pass.Scope == nil || pathSuffixMatch(m, p, pass.Scope) {
+				diags = append(diags, pass.Run(m, p)...)
+			}
 		}
 	}
 	SortDiagnostics(diags)

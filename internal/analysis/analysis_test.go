@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"regexp"
 	"strings"
 	"testing"
@@ -203,5 +205,84 @@ func TestIgnoreSuppressesTestdataFindings(t *testing.T) {
 	}
 	if len(unused) != 0 {
 		t.Errorf("full allowlist reported %d stale entries: %v", len(unused), unused)
+	}
+}
+
+// TestCopyLocksCoveredByGoVet pins the hand-over of the by-value
+// lock-copy rule to go vet: every fixture line marked "// copylocks"
+// (once "// want locksafe") must draw a copylocks finding.  If a Go
+// release stops flagging one, this fails instead of the rule silently
+// vanishing.
+func TestCopyLocksCoveredByGoVet(t *testing.T) {
+	requireGoTool(t)
+	cmd := exec.Command("go", "vet", "-copylocks", "./internal/locks")
+	cmd.Dir = "testdata/mod"
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet -copylocks found nothing in the locks fixture:\n%s", out)
+	}
+	src, err := os.ReadFile("testdata/mod/internal/locks/locks.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		if !strings.HasSuffix(line, "// copylocks") {
+			continue
+		}
+		marked++
+		if at := fmt.Sprintf("internal/locks/locks.go:%d:", i+1); !strings.Contains(string(out), at) {
+			t.Errorf("go vet -copylocks has no finding at %s\n%s", at, out)
+		}
+	}
+	if marked != 4 {
+		t.Errorf("fixture marks %d copylocks lines, want 4", marked)
+	}
+}
+
+// docPassRows returns the pass names in the first column of the
+// markdown table whose header row starts "| pass |".
+func docPassRows(t *testing.T, doc string) []string {
+	t.Helper()
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(data), "\n| pass |")
+	if !ok {
+		t.Fatalf("%s: no table with a \"| pass |\" header", doc)
+	}
+	var names []string
+	for _, row := range strings.Split(table, "\n")[2:] { // skip header rest and |---|
+		if !strings.HasPrefix(row, "| `") {
+			break
+		}
+		name, _, _ := strings.Cut(row[len("| `"):], "`")
+		names = append(names, name)
+	}
+	return names
+}
+
+// TestDocsListEveryPass keeps the README and DESIGN pass tables equal
+// to the registry (what -list prints): every pass and the escape gate
+// has a row in both files, and no row names a pass that does not exist.
+func TestDocsListEveryPass(t *testing.T) {
+	for _, doc := range []string{"../../README.md", "../../DESIGN.md"} {
+		rows := map[string]bool{}
+		for _, name := range docPassRows(t, doc) {
+			rows[name] = true
+			if !knownPassName(name) {
+				t.Errorf("%s: table row names unknown pass %q", doc, name)
+			}
+		}
+		want := []string{EscapeGatePass}
+		for _, p := range AllPasses() {
+			want = append(want, p.Name)
+		}
+		for _, name := range want {
+			if !rows[name] {
+				t.Errorf("%s: no table row for %q", doc, name)
+			}
+		}
 	}
 }

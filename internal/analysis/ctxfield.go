@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // sessionPkgSuffix and sessionTypeName locate the module's one
 // sanctioned context-holding struct: the Session type of the execution
@@ -38,7 +35,7 @@ func runCtxField(m *Module, p *Package) []Diagnostic {
 				return true
 			}
 			for _, field := range st.Fields.List {
-				if !isContextType(p, field.Type) {
+				if !isNamedType(p, field.Type, "context", "Context") {
 					continue
 				}
 				name := "embedded field"
@@ -53,26 +50,4 @@ func runCtxField(m *Module, p *Package) []Diagnostic {
 		})
 	}
 	return diags
-}
-
-// isContextType reports whether the field type is context.Context,
-// preferring type information and falling back to the syntactic
-// `context.Context` selector when type checking could not resolve it.
-func isContextType(p *Package, expr ast.Expr) bool {
-	if p.Info != nil {
-		if tv, ok := p.Info.Types[expr]; ok && tv.Type != nil {
-			if named, ok := tv.Type.(*types.Named); ok {
-				obj := named.Obj()
-				return obj != nil && obj.Pkg() != nil &&
-					obj.Pkg().Path() == "context" && obj.Name() == "Context"
-			}
-			return false
-		}
-	}
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "context" && sel.Sel.Name == "Context"
 }

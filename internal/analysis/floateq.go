@@ -6,25 +6,11 @@ import (
 	"go/types"
 )
 
-// floatEqPackages are the cost/energy model trees (relative to the
-// module path) where an exact floating-point comparison is almost
-// always a latent bug: energy totals, ratios and densities are sums
-// and quotients whose low bits depend on evaluation order.
-var floatEqPackages = []string{
-	"/internal/pim",
-	"/internal/bench",
-	"/internal/sim",
-	"/internal/core",
-}
-
 // runFloatEq flags == and != between floating-point expressions in the
-// packages above.  Compare against an epsilon, or restate the
+// pass's scope.  Compare against an epsilon, or restate the
 // comparison in integer arithmetic (cross-multiply densities, count in
 // fixed units).
 func runFloatEq(m *Module, p *Package) []Diagnostic {
-	if !pathSuffixMatch(m, p, floatEqPackages) {
-		return nil
-	}
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // runGoroLeak flags goroutines in internal/ packages that carry no way
@@ -23,9 +22,6 @@ import (
 // with request rate, so a request's work runs on its own connection
 // goroutine, behind the admission gate.
 func runGoroLeak(m *Module, p *Package) []Diagnostic {
-	if !strings.Contains(p.Path, "/internal/") {
-		return nil
-	}
 	decls := funcDecls(p)
 	var diags []Diagnostic
 	for _, f := range p.Files {
@@ -83,40 +79,11 @@ func isHandlerType(p *Package, ft *ast.FuncType) bool {
 		return false
 	}
 	for _, param := range ft.Params.List {
-		if isPtrToNamedType(p, param.Type, "net/http", "Request") {
+		if star, ok := param.Type.(*ast.StarExpr); ok && isNamedType(p, star.X, "net/http", "Request") {
 			return true
 		}
 	}
 	return false
-}
-
-func isNamedType(p *Package, e ast.Expr, pkgPath, name string) bool {
-	if p.Info != nil {
-		if t := p.Info.TypeOf(e); t != nil {
-			if named, ok := t.(*types.Named); ok {
-				obj := named.Obj()
-				return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-			}
-		}
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	last := pkgPath
-	if i := lastSlash(pkgPath); i >= 0 {
-		last = pkgPath[i+1:]
-	}
-	return ok && id.Name == last && sel.Sel.Name == name
-}
-
-func isPtrToNamedType(p *Package, e ast.Expr, pkgPath, name string) bool {
-	star, ok := e.(*ast.StarExpr)
-	if !ok {
-		return false
-	}
-	return isNamedType(p, star.X, pkgPath, name)
 }
 
 // goroutineStoppable reports whether the go statement's code can
@@ -177,21 +144,10 @@ func nodeHasSignal(p *Package, n ast.Node) bool {
 // exprHasSignal reports whether e's type is context.Context or a
 // channel.
 func exprHasSignal(p *Package, e ast.Expr) bool {
-	if p.Info == nil {
-		return false
-	}
-	t := p.Info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	if _, isChan := t.Underlying().(*types.Chan); isChan {
-		return true
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context" {
+	if t := p.Info.TypeOf(e); t != nil {
+		if _, isChan := t.Underlying().(*types.Chan); isChan {
 			return true
 		}
 	}
-	return false
+	return isNamedType(p, e, "context", "Context")
 }

@@ -2,21 +2,17 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
-// runLibPanic flags panic calls in non-test code under internal/.
-// Library paths must return errors: a panic in internal/dag or
-// internal/core takes down every caller — the CLI tools, the bench
-// harness, a future service — instead of letting them degrade
-// gracefully.  Functions named Must* (or must*) are exempt; they are
+// runLibPanic flags panic calls in non-test code under internal/ (the
+// pass's scope).  Library paths must return errors: a panic in
+// internal/dag or internal/core takes down every caller — the CLI
+// tools, the bench harness, a future service — instead of letting them
+// degrade gracefully.  Functions named Must* (or must*) are exempt; they are
 // the conventional wrappers tests and package-level initialization use
 // when an error is truly unrecoverable.
 func runLibPanic(m *Module, p *Package) []Diagnostic {
-	if !strings.HasPrefix(p.Path, m.Path+"/internal/") {
-		return nil
-	}
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -33,15 +29,10 @@ func runLibPanic(m *Module, p *Package) []Diagnostic {
 				if !ok {
 					return true
 				}
+				// The builtin, not a shadowing function.
 				id, ok := call.Fun.(*ast.Ident)
-				if !ok || id.Name != "panic" {
+				if !ok || !isBuiltin(p, id, "panic") {
 					return true
-				}
-				// Confirm it is the builtin, not a shadowing function.
-				if obj := p.Info.Uses[id]; obj != nil {
-					if _, isBuiltin := obj.(*types.Builtin); !isBuiltin {
-						return true
-					}
 				}
 				diags = append(diags, diag(m, "libpanic", call.Pos(),
 					"panic in library function %s; return an error or move it behind a Must* helper", name))

@@ -4,182 +4,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// runLockSafe reports the two concurrency-primitive misuses the race
-// detector only catches on exercised paths:
+// runLockSafe flags mixed sync/atomic and plain access to the same
+// struct field: the plain access races every atomic one, and the race
+// detector only catches it on exercised paths.
 //
-//   - copying a value whose type (transitively, through struct fields
-//     and arrays) contains a sync.Mutex, sync.RWMutex, sync.WaitGroup,
-//     sync.Once, sync.Cond, sync.Map, sync.Pool or a sync/atomic
-//     value type — assignments, by-value parameters and value
-//     receivers all silently fork the lock state;
-//   - mixing sync/atomic function access and plain access to the same
-//     struct field: the plain access races every atomic one.
+// By-value copies of lock-bearing types are not this pass's to flag:
+// that is go vet's copylocks analyzer, which scripts/ci.sh runs over
+// the whole tree; TestCopyLocksCoveredByGoVet pins on this pass's
+// fixture that it does.
 func runLockSafe(m *Module, p *Package) []Diagnostic {
-	var diags []Diagnostic
-	diags = append(diags, lockCopies(m, p)...)
-	diags = append(diags, mixedAtomic(m, p)...)
-	return diags
-}
-
-// syncValueTypes are the sync package types that must not be copied
-// after first use.
-var syncValueTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true,
-	"Cond": true, "Map": true, "Pool": true,
-}
-
-// atomicValueTypes are the sync/atomic wrapper types; copying one
-// detaches it from every other accessor.
-var atomicValueTypes = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-	"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
-}
-
-// containsLock reports whether t holds concurrency-primitive state by
-// value.  Pointers stop the walk: sharing through a pointer is the
-// correct shape.
-func containsLock(t types.Type) bool {
-	return containsLockDepth(t, 0, map[types.Type]bool{})
-}
-
-func containsLockDepth(t types.Type, depth int, seen map[types.Type]bool) bool {
-	if t == nil || depth > 10 || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "sync":
-				if syncValueTypes[obj.Name()] {
-					return true
-				}
-			case "sync/atomic":
-				if atomicValueTypes[obj.Name()] {
-					return true
-				}
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockDepth(u.Field(i).Type(), depth+1, seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockDepth(u.Elem(), depth+1, seen)
-	}
-	return false
-}
-
-// lockCopies flags by-value copies of lock-bearing values: plain
-// assignments from existing values, call arguments, returns, range
-// element bindings and value receivers.  Composite literals and calls
-// on the right-hand side are first uses, not copies, and stay legal.
-func lockCopies(m *Module, p *Package) []Diagnostic {
-	if p.Info == nil {
-		return nil
-	}
-	var diags []Diagnostic
-	copiesValue := func(e ast.Expr) bool {
-		switch e.(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr, *ast.ParenExpr:
-		default:
-			return false // literals, calls, &x, conversions: not a copy of live state
-		}
-		t := p.Info.TypeOf(e)
-		return t != nil && containsLock(t)
-	}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			// Value receiver of a lock-bearing type.
-			if fn.Recv != nil && len(fn.Recv.List) == 1 {
-				rt := p.Info.TypeOf(fn.Recv.List[0].Type)
-				if rt != nil {
-					if _, isPtr := rt.Underlying().(*types.Pointer); !isPtr && containsLock(rt) {
-						diags = append(diags, diag(m, "locksafe", fn.Recv.List[0].Pos(),
-							"method %s has a value receiver of a type containing a lock; use a pointer receiver", fn.Name.Name))
-					}
-				}
-			}
-			if fn.Body == nil {
-				continue
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for i, rhs := range n.Rhs {
-						if i >= len(n.Lhs) {
-							break
-						}
-						if copiesValue(rhs) {
-							diags = append(diags, diag(m, "locksafe", rhs.Pos(),
-								"assignment copies a value containing a lock; share it through a pointer"))
-						}
-					}
-				case *ast.CallExpr:
-					for _, arg := range n.Args {
-						if copiesValue(arg) {
-							diags = append(diags, diag(m, "locksafe", arg.Pos(),
-								"call passes a value containing a lock by value; pass a pointer"))
-						}
-					}
-				case *ast.ReturnStmt:
-					for _, res := range n.Results {
-						if copiesValue(res) {
-							diags = append(diags, diag(m, "locksafe", res.Pos(),
-								"return copies a value containing a lock; return a pointer"))
-						}
-					}
-				case *ast.RangeStmt:
-					if n.Value != nil && n.Tok == token.DEFINE {
-						if t := p.Info.TypeOf(n.Value); t != nil && containsLock(t) {
-							diags = append(diags, diag(m, "locksafe", n.Value.Pos(),
-								"range binding copies elements containing a lock; iterate by index"))
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return diags
-}
-
-// atomicAccessFuncs are the sync/atomic package functions whose first
-// argument is the address of the accessed word.
-func isAtomicAccess(name string) bool {
-	switch {
-	case len(name) >= 4 && name[:4] == "Load":
-		return true
-	case len(name) >= 5 && name[:5] == "Store":
-		return true
-	case len(name) >= 3 && name[:3] == "Add":
-		return true
-	case len(name) >= 4 && name[:4] == "Swap":
-		return true
-	case len(name) >= 14 && name[:14] == "CompareAndSwap":
-		return true
-	}
-	return false
-}
-
-// mixedAtomic finds struct fields accessed both through sync/atomic
-// functions and as plain loads/stores anywhere in the package, and
-// flags each plain access.
-func mixedAtomic(m *Module, p *Package) []Diagnostic {
-	if p.Info == nil {
-		return nil
-	}
 	// Phase 1: fields used atomically, and the selector nodes that are
 	// part of those atomic calls (so they are not re-flagged as plain).
 	atomicFields := map[types.Object]bool{}
@@ -194,8 +30,8 @@ func mixedAtomic(m *Module, p *Package) []Diagnostic {
 			if !ok {
 				return true
 			}
-			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || !isAtomicAccess(fn.Name()) {
+			fn, ok := resolveSelector(p, sel)
+			if !ok || fn.PkgPath != "sync/atomic" || fn.Kind != symFunc || !isAtomicAccess(fn.Name) {
 				return true
 			}
 			un, ok := call.Args[0].(*ast.UnaryExpr)
@@ -234,4 +70,16 @@ func mixedAtomic(m *Module, p *Package) []Diagnostic {
 		})
 	}
 	return diags
+}
+
+// isAtomicAccess reports whether name is one of the sync/atomic
+// package functions whose first argument is the address of the
+// accessed word.
+func isAtomicAccess(name string) bool {
+	for _, verb := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap"} {
+		if strings.HasPrefix(name, verb) {
+			return true
+		}
+	}
+	return false
 }

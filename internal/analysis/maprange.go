@@ -7,18 +7,8 @@ import (
 	"strings"
 )
 
-// mapRangePackages are the output-producing package trees (relative to
-// the module path) where hash-ordered map iteration silently corrupts
-// golden reports, DOT exports and error listings.
-var mapRangePackages = []string{
-	"/internal/sched",
-	"/internal/bench",
-	"/internal/dag",
-	"/internal/trace",
-}
-
-// runMapRange flags `for … range m` over a map value in the packages
-// above unless the loop follows a deterministic idiom.  Two shapes are
+// runMapRange flags `for … range m` over a map value in the pass's
+// scope unless the loop follows a deterministic idiom.  Two shapes are
 // accepted:
 //
 //   - pure accumulation: the body only assigns, appends or increments
@@ -33,9 +23,6 @@ var mapRangePackages = []string{
 // Everything else — printing, writing, or calling helpers directly
 // from a map range — is reported.
 func runMapRange(m *Module, p *Package) []Diagnostic {
-	if !pathSuffixMatch(m, p, mapRangePackages) {
-		return nil
-	}
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -88,11 +75,11 @@ func pureAccumulation(p *Package, body *ast.BlockStmt) bool {
 			return true
 		}
 		if id, ok := call.Fun.(*ast.Ident); ok {
-			if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin && accumulationBuiltins[id.Name] {
+			if accumulationBuiltins[id.Name] && isBuiltin(p, id, id.Name) {
 				return true
 			}
 			// Type conversions (e.g. NodeID(v)) are order-safe too.
-			if _, isType := p.Info.Uses[id].(*types.TypeName); isType {
+			if _, isType := objOf(p, id).(*types.TypeName); isType {
 				return true
 			}
 		}
@@ -119,17 +106,15 @@ func hasSortCallAfter(p *Package, body *ast.BlockStmt, pos token.Pos) bool {
 		if !ok {
 			return true
 		}
-		fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
+		fn, ok := resolveSelector(p, sel)
+		if !ok || (fn.Kind != symFunc && fn.Kind != symMethod) {
 			return true
 		}
-		switch fn.Pkg().Path() {
+		switch fn.PkgPath {
 		case "sort":
 			found = true
 		case "slices":
-			if strings.HasPrefix(fn.Name(), "Sort") {
-				found = true
-			}
+			found = strings.HasPrefix(fn.Name, "Sort")
 		}
 		return !found
 	})

@@ -39,30 +39,6 @@ func runPoolHygiene(m *Module, p *Package) []Diagnostic {
 	return diags
 }
 
-// isPoolMethodCall reports whether call is pool.Get / pool.Put on a
-// sync.Pool (by value or pointer).
-func isPoolMethodCall(p *Package, call *ast.CallExpr, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	if p.Info == nil {
-		return false
-	}
-	t := p.Info.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Pool"
-}
-
 // poolCheckFunc applies the three pool rules to one function.
 func poolCheckFunc(m *Module, p *Package, fn *ast.FuncDecl) []Diagnostic {
 	var diags []Diagnostic
@@ -84,7 +60,7 @@ func poolCheckFunc(m *Module, p *Package, fn *ast.FuncDecl) []Diagnostic {
 		if !ok {
 			return true
 		}
-		if isPoolMethodCall(p, call, "Get") {
+		if selectorIs(p, call.Fun, "sync", "Pool.Get") {
 			gi := &getInfo{call: call}
 			// The assertion must wrap the call directly:
 			// pool.Get().(*T).  Parens in between are tolerated.
@@ -100,7 +76,7 @@ func poolCheckFunc(m *Module, p *Package, fn *ast.FuncDecl) []Diagnostic {
 			gets = append(gets, gi)
 			getByCall[call] = gi
 		}
-		if isPoolMethodCall(p, call, "Put") && len(call.Args) == 1 {
+		if selectorIs(p, call.Fun, "sync", "Pool.Put") && len(call.Args) == 1 {
 			if id := baseIdent(call.Args[0]); id != nil {
 				if obj := objOf(p, id); obj != nil {
 					putObjs[obj] = call
@@ -222,12 +198,10 @@ func hasResetEvidence(p *Package, body *ast.BlockStmt, obj types.Object, put *as
 					}
 				}
 			}
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "clear" {
-				if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin && len(n.Args) == 1 {
-					if aid := baseIdent(n.Args[0]); aid != nil && objOf(p, aid) == obj {
-						found = true
-						return false
-					}
+			if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) == 1 && isBuiltin(p, id, "clear") {
+				if aid := baseIdent(n.Args[0]); aid != nil && objOf(p, aid) == obj {
+					found = true
+					return false
 				}
 			}
 			// obj handed to another function: assume it resets.

@@ -20,9 +20,6 @@ import (
 // stored through fields, returned, or passed along are left alone:
 // ownership moved, and the receiving code is the one on the hook.
 func runSpanCtx(m *Module, p *Package) []Diagnostic {
-	if !strings.Contains(p.Path, "/internal/") {
-		return nil
-	}
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		inspectStack(f, func(stack []ast.Node, n ast.Node) bool {
@@ -76,19 +73,14 @@ func spanCtxCheckVar(m *Module, p *Package, stack []ast.Node, call *ast.CallExpr
 }
 
 // isSpanStart matches a qualified call of Start from an obs/span
-// package.  With type information the callee's package path decides;
-// without it the `span.Start` spelling is trusted.
+// package.
 func isSpanStart(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Start" {
+	if !ok {
 		return false
 	}
-	if obj := objOf(p, sel.Sel); obj != nil {
-		pkg := obj.Pkg()
-		return pkg != nil && strings.HasSuffix(pkg.Path(), "/obs/span")
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "span"
+	sym, ok := resolveSelector(p, sel)
+	return ok && sym.Name == "Start" && strings.HasSuffix(sym.PkgPath, "/obs/span")
 }
 
 // parentNode returns the node immediately enclosing the visited one

@@ -20,3 +20,10 @@ func SeededShuffle(seed int64, n int) int {
 	rng := rand.New(rand.NewSource(seed))
 	return rng.Intn(n)
 }
+
+// Indirect binds the global draw to a variable first; the reference is
+// the violation, not the call syntax.
+func Indirect(n int) int {
+	f := rand.Intn // want globalrand
+	return f(n)
+}

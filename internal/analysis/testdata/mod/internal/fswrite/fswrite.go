@@ -29,3 +29,10 @@ func Load(path string) ([]byte, error) {
 func Scratch() (*os.File, error) {
 	return os.CreateTemp("", "scratch-*")
 }
+
+// Indirect binds the write verb to a variable first; the reference is
+// the violation, not the call syntax.
+func Indirect(path string) (*os.File, error) {
+	w := os.Create // want fsio
+	return w(path)
+}

@@ -1,5 +1,5 @@
-// Package locks exercises the locksafe pass: by-value copies of
-// lock-bearing types and mixed atomic/plain field access.
+// Package locks exercises the locksafe pass (mixed atomic/plain field access);
+// the "// copylocks" lines are go vet's to flag (TestCopyLocksCoveredByGoVet).
 package locks
 
 import (
@@ -21,14 +21,14 @@ func (c *Counter) Inc() {
 	c.mu.Unlock()
 }
 
-// Read copies the receiver, lock included; flagged.
-func (c Counter) Read() int { // want locksafe
+// Read copies the receiver, lock included.
+func (c Counter) Read() int { // copylocks
 	return c.n
 }
 
-// Snapshot copies a live Counter into a local; flagged.
+// Snapshot copies a live Counter into a local.
 func Snapshot(c *Counter) int {
-	local := *c // want locksafe
+	local := *c // copylocks
 	return local.n
 }
 
@@ -45,7 +45,7 @@ func byValue(c Counter) int {
 // Uses shows the two call shapes.
 func Uses(c *Counter) int {
 	total := observe(c)
-	total += byValue(*c) // want locksafe
+	total += byValue(*c) // copylocks
 	return total
 }
 
@@ -53,7 +53,7 @@ func Uses(c *Counter) int {
 // element, the index form does not.
 func Drain(cs []Counter) int {
 	total := 0
-	for _, c := range cs { // want locksafe
+	for _, c := range cs { // copylocks
 		total += c.n
 	}
 	for i := range cs {

@@ -34,3 +34,10 @@ func Method(srv *http.Server) error {
 func Fetch(url string) (*http.Response, error) {
 	return http.Get(url) // want peercall
 }
+
+// Indirect binds the listener constructor to a variable first; the
+// reference is the violation, not the call syntax.
+func Indirect() (net.Listener, error) {
+	l := net.Listen // want httpserve
+	return l("tcp", "127.0.0.1:0")
+}

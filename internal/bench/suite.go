@@ -70,9 +70,8 @@ func ByName(name string) (Benchmark, error) {
 // Benchmark value, so every experiment shares a single *dag.Graph per
 // benchmark (the generator is deterministic, so callers observed the
 // same content before; now they also share the pointer, which lets the
-// plan cache memoize fingerprints and the given-schedule planner keep
-// its pointer-identity check).  Graphs are immutable after generation;
-// perturbation studies Clone first.
+// given-schedule planner keep its pointer-identity check).  Graphs are
+// immutable after generation; perturbation studies Clone first.
 var graphMemo sync.Map // Benchmark -> *graphOnce
 
 type graphOnce struct {

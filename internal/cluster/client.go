@@ -11,11 +11,10 @@ import (
 )
 
 // The fill path talks raw HTTP/1.1 over pooled persistent TCP
-// connections, mirroring the bench harness's lean client: net/http's
-// client spends ~200µs per request on connection-pool and header
-// machinery, which is more than the owner spends serving a cached
-// fill.  Requests are pre-serialized byte slices written verbatim;
-// responses are parsed just enough to recover the status code and a
+// connections: net/http's client spends ~200µs per request on
+// connection-pool and header machinery, which is more than the owner
+// spends serving a cached fill.  Requests are pre-serialized byte
+// slices written verbatim; responses are parsed just enough to recover the status code and a
 // Content-Length-delimited body.  Anything irregular — no
 // Content-Length, a parse failure, a dead conn — closes the
 // connection and surfaces as a fill failure, which the caller turns

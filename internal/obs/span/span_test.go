@@ -72,8 +72,8 @@ func TestStartWithoutTraceOrGateIsNoop(t *testing.T) {
 
 func TestDisabledStartAllocsZero(t *testing.T) {
 	// The serving path calls Start unconditionally; when tracing is off
-	// it must not allocate.  This is the AllocsPerRun gate the bench
-	// chain's plan_req row (tracing disabled) leans on.
+	// it must not allocate.  This is the AllocsPerRun gate the serve
+	// path's untraced requests (tracing disabled) lean on.
 	SetEnabled(false)
 	ctx := NewContext(context.Background(), New())
 	if allocs := testing.AllocsPerRun(1000, func() {

@@ -87,8 +87,8 @@ type planCache struct {
 
 	// peers is the optional cluster tier consulted after the store.
 	// Atomic because a cluster attaches after the server has already
-	// bound its listener — tests and the bench harness attach once the
-	// :0 port is known, possibly with requests in flight.
+	// bound its listener — tests attach once the :0 port is known,
+	// possibly with requests in flight.
 	peers atomic.Pointer[PeerFiller]
 
 	// flights holds the in-progress solves concurrent misses attach

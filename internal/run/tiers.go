@@ -60,8 +60,8 @@ type PeerFiller interface {
 // durable store, before the solver.  Sessions derived with
 // WithContext share the attachment.  Unlike AttachStore this is
 // attach-any-time: the daemon's cluster comes up after the listener
-// binds (the bench harness and tests attach once :0 resolves), so the
-// pointer is atomic.  A nil f detaches.
+// binds (tests attach once :0 resolves), so the pointer is atomic.
+// A nil f detaches.
 func (s *Session) AttachPeers(f PeerFiller) {
 	if f == nil {
 		s.cache.peers.Store(nil)

@@ -18,7 +18,7 @@ import (
 )
 
 // The exchange types live in internal/wire so the client tooling
-// (cmd/paraconvload, the bench harness) shares one schema and both
+// (cmd/paraconvload, the benchmark/ load generator) shares one schema and both
 // codecs with the server; the aliases keep this package's call sites
 // unchanged.
 type (

@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"repro/internal/dag"
+	"repro/internal/obs/span"
 	"repro/internal/pim"
 	"repro/internal/sim"
 )
@@ -73,26 +74,13 @@ func WriteCSV(w io.Writer, tr *sim.Trace) error {
 	return cw.Error()
 }
 
-// chromeEvent is one entry of the Chrome trace-event "complete" (X)
-// phase: a duration event on a (pid, tid) track.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   int            `json:"ts"`  // microseconds; we map 1 time unit -> 1000 us
-	Dur  int            `json:"dur"` // microseconds
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChrome writes the trace in Chrome trace-event JSON.  PEs appear
 // as threads of process 1 ("PE array"); transfers as threads of
 // process 2 ("memory"), one lane per placement.  g names the vertices;
 // pass the plan's kernel graph.
 func WriteChrome(w io.Writer, tr *sim.Trace, g *dag.Graph) error {
 	const unit = 1000 // 1 schedule time unit -> 1 ms in the viewer
-	var events []chromeEvent
+	var events []span.ChromeEvent
 
 	// Pair starts and ends by (id, iteration) — instances are unique
 	// per iteration, and zero-duration cached forwards may have their
@@ -128,7 +116,7 @@ func WriteChrome(w io.Writer, tr *sim.Trace, g *dag.Graph) error {
 			if g != nil && int(ev.Node) < g.NumNodes() && g.Node(ev.Node).Name != "" {
 				name = g.Node(ev.Node).Name
 			}
-			events = append(events, chromeEvent{
+			events = append(events, span.ChromeEvent{
 				Name: name, Cat: "task", Ph: "X",
 				Ts: s.Time * unit, Dur: (ev.Time - s.Time) * unit,
 				PID: 1, TID: int(ev.PE) + 1,
@@ -152,28 +140,19 @@ func WriteChrome(w io.Writer, tr *sim.Trace, g *dag.Graph) error {
 			if dur == 0 {
 				dur = 1 // zero-width events vanish in the viewer
 			}
-			events = append(events, chromeEvent{
+			events = append(events, span.ChromeEvent{
 				Name: name, Cat: "transfer:" + ev.Place.String(), Ph: "X",
 				Ts: s.Time * unit, Dur: dur * unit,
 				PID: 2, TID: tid,
 				Args: map[string]any{"iteration": ev.Iter, "place": ev.Place.String()},
 			})
 		case sim.EvIterationDone:
-			events = append(events, chromeEvent{
+			events = append(events, span.ChromeEvent{
 				Name: fmt.Sprintf("iteration %d done", ev.Iter), Cat: "milestone", Ph: "X",
 				Ts: ev.Time * unit, Dur: 1,
 				PID: 3, TID: 1,
 			})
 		}
 	}
-	doc := map[string]any{
-		"traceEvents":     events,
-		"displayTimeUnit": "ms",
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("trace: encoding chrome trace: %w", err)
-	}
-	return bw.Flush()
+	return span.WriteChromeDoc(w, events)
 }

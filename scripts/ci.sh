@@ -15,17 +15,12 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 echo "== go vet"
+# Includes copylocks: by-value copies of lock-bearing types are go
+# vet's rule here, not paraconv-vet's (see locksafe).
 go vet ./...
 
 echo "== paraconv-vet"
 go run ./cmd/paraconv-vet ./...
-
-echo "== paraconv-vet -json"
-# The machine-readable output must be valid JSON with the expected
-# schema version even on a clean tree (findings: []).
-go run ./cmd/paraconv-vet -json ./... \
-    | python3 -c 'import json,sys; r=json.load(sys.stdin); assert r["paraconv_vet"]==1 and isinstance(r["findings"], list), r' \
-    || { echo "paraconv-vet -json output is not a valid report" >&2; exit 1; }
 
 echo "== paraconv-vet -escapes"
 # The hot-path escape gate: //paraconv:hotpath functions must not have
