@@ -56,14 +56,16 @@ type Answer struct {
 	Frame wire.PlanResponseFrame
 }
 
+// cacheEntry is one memory-tier plan.  It is immutable once published,
+// so lookups hand out the pointer and read it without the lock.
 type cacheEntry struct {
 	fp string
 	Answer
-	// lean is the entry's encoded kernel-free fill frame, built lazily
-	// on the first peer fill served from this entry and shared by
-	// reference afterwards (fill responses only read it).  Nil for
-	// schemes that are not lean-framable.
-	lean []byte
+	// rest is the plan's at-rest frame (see atRest): the bytes the store
+	// holds for it and an owner ships to a filling peer.  It is the
+	// producing tier's own payload for a store hit or a peer fill, and
+	// encoded once for a local solve.
+	rest []byte
 }
 
 // planCache is the tier chain's shared state: a mutex-guarded LRU of
@@ -116,7 +118,7 @@ func newPlanCache(bound int) *planCache {
 // double-check (a solve that completed between its miss and its flight
 // registration has already populated the cache) and a peer's
 // by-fingerprint probe.
-func (c *planCache) lookup(fp string, count bool) (Answer, bool) {
+func (c *planCache) lookup(fp string, count bool) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[fp]; ok {
@@ -125,17 +127,18 @@ func (c *planCache) lookup(fp string, count bool) (Answer, bool) {
 			c.n.Hits++
 			obs.PlanCacheHits.Inc()
 		}
-		return el.Value.(*cacheEntry).Answer, true
+		return el.Value.(*cacheEntry), true
 	}
 	if count {
 		c.n.Misses++
 		obs.PlanCacheMisses.Inc()
 	}
-	return Answer{}, false
+	return nil, false
 }
 
-// put inserts plan, solved for the architecture named arch, under fp.
-func (c *planCache) put(fp, arch string, plan *sched.Plan) {
+// put inserts plan, solved for the architecture named arch, under fp,
+// with rest its at-rest frame.
+func (c *planCache) put(fp, arch string, plan *sched.Plan, rest []byte) {
 	if c.bound == 0 {
 		return
 	}
@@ -150,7 +153,7 @@ func (c *planCache) put(fp, arch string, plan *sched.Plan) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[fp] = c.ll.PushFront(&cacheEntry{fp: fp, Answer: Answer{Plan: plan, Frame: frame}})
+	c.items[fp] = c.ll.PushFront(&cacheEntry{fp: fp, Answer: Answer{Plan: plan, Frame: frame}, rest: rest})
 	for c.ll.Len() > c.bound {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -162,38 +165,6 @@ func (c *planCache) put(fp, arch string, plan *sched.Plan) {
 	// benchtab and paraconv run exactly one, so this is exact there.
 	obs.PlanCacheEntries.Set(int64(c.ll.Len()))
 	obs.PlanCacheCapacity.Set(int64(c.bound))
-}
-
-// lean returns the entry's cached kernel-free fill frame, encoding it
-// on first use.  ok=false means no entry, or the entry's scheme cannot
-// be lean-framed (the caller serves the full frame).  The encode runs
-// outside the lock — a fill that loses the publish race just wrote
-// identical bytes (plan encodings are deterministic).
-func (c *planCache) lean(fp string) ([]byte, bool) {
-	c.mu.Lock()
-	el, ok := c.items[fp]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if ent.lean != nil {
-		lean := ent.lean
-		c.mu.Unlock()
-		return lean, true
-	}
-	plan := ent.Plan
-	c.mu.Unlock()
-	if plan.Scheme != wire.SchemeParaCONV {
-		return nil, false
-	}
-	lean := wire.AppendLeanPlan(nil, plan)
-	c.mu.Lock()
-	if el, ok := c.items[fp]; ok {
-		el.Value.(*cacheEntry).lean = lean
-	}
-	c.mu.Unlock()
-	return lean, true
 }
 
 // count bumps one of c.n's counters under the lock.

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -193,12 +194,15 @@ func TestPeerFillOwnerAndOptOut(t *testing.T) {
 }
 
 // TestEncodedPlanByFingerprintStoreTier: a restarted owner (fresh
-// memory cache, same durable store) must serve peer lookups from the
-// store's payload verbatim.
+// memory cache, same durable store) serves peer fills from the store's
+// payload verbatim — the lean frame a para-conv plan rests in.  A
+// requester that cannot rebuild a kernel gets a miss for it instead,
+// while a baseline's self-contained frame serves either request.
 func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 	g := testGraph(t, "peerstore", 24, 50, 9600)
 	cfg := pim.Neurocube(16)
 	fp := PlanFingerprint("", "", g, cfg)
+	baselineFP := PlanFingerprint(variantSPARTA, "", g, cfg)
 	st := newMemBlobStore()
 
 	boot1 := New(context.Background())
@@ -207,30 +211,46 @@ func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := boot1.Baseline(g, cfg); err != nil {
+		t.Fatal(err)
+	}
 
 	boot2 := New(context.Background())
 	boot2.AttachStore(st)
-	payload, ok := boot2.EncodedPlanByFingerprint(fp, false)
+	stored, _ := st.Get(fp)
+	payload, ok := boot2.EncodedPlanByFingerprint(fp, true)
 	if !ok {
 		t.Fatal("restarted owner missed a store-resident fingerprint")
 	}
-	p, err := wire.DecodePlan(payload, dag.Limits{})
+	if !wire.LeanPlanFrame(payload) || !bytes.Equal(payload, stored) {
+		t.Fatal("store-served fill is not the stored lean frame")
+	}
+	p, err := wire.DecodeLeanPlan(payload, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Iter.Period != want.Iter.Period {
 		t.Fatalf("store-served plan period = %d, want %d", p.Iter.Period, want.Iter.Period)
 	}
-	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", false); ok {
+	if _, ok := boot2.EncodedPlanByFingerprint(fp, false); ok {
+		t.Error("a store-only lean entry was served to a requester without the problem graph")
+	}
+	for _, lean := range []bool{false, true} {
+		full, ok := boot2.EncodedPlanByFingerprint(baselineFP, lean)
+		if _, err := wire.DecodePlan(full, dag.Limits{}); !ok || err != nil {
+			t.Errorf("store-only baseline (lean=%v): ok=%v, %v; want its full frame", lean, ok, err)
+		}
+	}
+	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", true); ok {
 		t.Fatal("unknown fingerprint claimed a hit")
 	}
 }
 
 // TestPeerFillLeanPayload: a lean (kernel-free) fill payload must
-// decode against the requester's own graph, serve the plan, and still
-// write a self-contained full frame through to the durable store —
-// a store payload must never depend on a graph the reader does not
-// have.
+// decode against the requester's own graph, serve the plan, and go
+// through to the durable store verbatim — the lean frame is the
+// para-conv plan's at-rest form, so the fill is written, not
+// re-encoded.
 func TestPeerFillLeanPayload(t *testing.T) {
 	g := testGraph(t, "peerlean", 24, 50, 9700)
 	cfg := pim.Neurocube(16)
@@ -265,24 +285,19 @@ func TestPeerFillLeanPayload(t *testing.T) {
 	if cs.PeerFills != 1 || cs.PeerFallbacks != 0 {
 		t.Errorf("counters = %d fills / %d fallbacks, want 1 / 0", cs.PeerFills, cs.PeerFallbacks)
 	}
-	// Write-through must be the full stored-plan frame, decodable with
-	// no problem graph in hand.
 	payload, ok := st.Get(fp)
 	if !ok {
 		t.Fatal("lean fill was not written through to the durable store")
 	}
-	if wire.LeanPlanFrame(payload) {
-		t.Fatal("durable store received a lean frame; store payloads must be self-contained")
-	}
-	if rt, err := wire.DecodePlan(payload, dag.Limits{}); err != nil || rt.Iter.Period != want.Iter.Period {
-		t.Fatalf("store payload = (%v, err %v), want a full frame with period %d", rt, err, want.Iter.Period)
+	if !bytes.Equal(payload, filler.payload) {
+		t.Fatal("durable store did not receive the fill's lean bytes verbatim")
 	}
 }
 
-// TestEncodedFillByFingerprint: lean fill serving prefers the lean frame on
-// both local tiers — entry-cached on the memory tier, byte-spliced
-// from the payload on the durable tier — and both hand out identical
-// bytes.
+// TestEncodedFillByFingerprint: lean fill serving hands out the entry's
+// at-rest frame on the memory tier — the same bytes every time, never
+// re-encoded — and the stored bytes on the durable tier, and the two
+// are identical.
 func TestEncodedFillByFingerprint(t *testing.T) {
 	g := testGraph(t, "peerleansrv", 24, 50, 9800)
 	cfg := pim.Neurocube(16)
@@ -303,10 +318,9 @@ func TestEncodedFillByFingerprint(t *testing.T) {
 	if !wire.LeanPlanFrame(memLean) {
 		t.Fatal("memory-tier fill payload is not a lean frame")
 	}
-	// Second call serves the entry's cached bytes.
 	again, ok := boot1.EncodedPlanByFingerprint(fp, true)
 	if !ok || &again[0] != &memLean[0] {
-		t.Error("second fill encode did not reuse the entry's cached lean frame")
+		t.Error("second fill did not serve the entry's own at-rest frame")
 	}
 
 	boot2 := New(context.Background())
@@ -315,8 +329,11 @@ func TestEncodedFillByFingerprint(t *testing.T) {
 	if !ok {
 		t.Fatal("store tier missed a store-resident fingerprint")
 	}
-	if string(storeLean) != string(memLean) {
-		t.Fatal("store-tier splice differs from the memory tier's lean encode")
+	if stored, _ := st.Get(fp); !bytes.Equal(storeLean, stored) {
+		t.Fatal("store tier did not serve the stored bytes")
+	}
+	if !bytes.Equal(storeLean, memLean) {
+		t.Fatal("store-tier fill differs from the memory tier's")
 	}
 	p, err := wire.DecodeLeanPlan(storeLean, g)
 	if err != nil {

@@ -147,11 +147,11 @@ func (s *Session) plan(variant, extra, graphFP string, cfg pim.Config,
 	fp := PlanFingerprintHashed(variant, extra, graphFP, cfg)
 	fpSpan.End()
 	lookupSpan := span.Start(s.ctx, "run.cache")
-	a, ok := s.cache.lookup(fp, true)
+	e, ok := s.cache.lookup(fp, true)
 	lookupSpan.End()
 	if ok {
 		obs.Log().Debug("plan cache hit", "variant", variant, "fp", fp)
-		return a, nil
+		return e.Answer, nil
 	}
 	graphSpan := span.Start(s.ctx, "run.graph")
 	g, err := graph()
@@ -172,8 +172,8 @@ func (s *Session) plan(variant, extra, graphFP string, cfg pim.Config,
 		// Double-check under flight leadership: a solve finishing
 		// between our miss and our registration has already stored
 		// the plan, and returning it keeps the pointer shared.
-		if a, ok := s.cache.lookup(fp, false); ok {
-			return a.Plan, nil
+		if e, ok := s.cache.lookup(fp, false); ok {
+			return e.Plan, nil
 		}
 		// Second tier: the durable store (when attached).  A hit skips
 		// the solver entirely — this is the warm-restart path.
@@ -197,7 +197,7 @@ func (s *Session) plan(variant, extra, graphFP string, cfg pim.Config,
 			return nil, err
 		}
 		obs.Log().Debug("plan solved", "variant", variant, "fp", fp, "period", p.Iter.Period)
-		s.cache.promote(fp, cfg.Name, p, true)
+		s.cache.promote(fp, cfg.Name, p, nil, true)
 		return p, nil
 	})
 	return Answer{Plan: p}, err

@@ -48,8 +48,8 @@ type PeerFiller interface {
 	// the owner can solve on the requester's behalf; it is invoked
 	// only when the owner's tiers miss (the warm path ships nothing
 	// but the fingerprint), and may be nil for lookup-only probes.
-	// The payload is a stored-plan or lean plan frame — callers
-	// holding the problem graph decode it with wire.DecodeFillPlan.
+	// The payload is a lean or stored-plan frame — callers holding the
+	// problem graph decode it with wire.DecodeFillPlan.
 	// ok=false means no peer could serve it; the caller falls back to
 	// a local solve.
 	Fill(ctx context.Context, fp string, fill func() []byte) (payload []byte, ok bool)
@@ -89,18 +89,31 @@ func admit(tier, fp string, frame []byte, g *dag.Graph) (*sched.Plan, bool) {
 	return p, true
 }
 
+// atRest encodes the frame p is kept in outside memory: lean for
+// para-conv plans, whose every reader holds the problem graph, and the
+// self-contained stored-plan frame for the baselines.
+func atRest(p *sched.Plan) []byte {
+	if p.Scheme == wire.SchemeParaCONV {
+		return wire.AppendLeanPlan(nil, p)
+	}
+	return wire.AppendPlan(nil, p)
+}
+
 // promote publishes a plan to the tiers in front of the one that
 // produced it: always the memory LRU, plus the durable store when the
-// plan came from beyond it.  The write-through is always the full
-// frame (a store payload must never depend on a graph its reader does
-// not have), and its errors are logged, never propagated: a full disk
-// must not fail the solve that just succeeded.
-func (c *planCache) promote(fp, arch string, p *sched.Plan, toStore bool) {
-	c.put(fp, arch, p)
+// plan came from beyond it.  rest is the frame the producing tier
+// handed over — verbatim, never re-encoded — or nil after a local
+// solve, which encodes it here, once.  Store errors are logged, never
+// propagated: a full disk must not fail the solve that just succeeded.
+func (c *planCache) promote(fp, arch string, p *sched.Plan, rest []byte, toStore bool) {
+	if rest == nil {
+		rest = atRest(p)
+	}
+	c.put(fp, arch, p, rest)
 	if !toStore || c.store == nil {
 		return
 	}
-	if err := c.store.Put(fp, wire.AppendPlan(nil, p)); err != nil {
+	if err := c.store.Put(fp, rest); err != nil {
 		obs.Log().Warn("store write-through failed", "fp", fp, "err", err)
 	}
 }
@@ -123,7 +136,7 @@ func (s *Session) storeTier(fp, arch string, g *dag.Graph) (*sched.Plan, bool) {
 		return nil, false
 	}
 	c.count(&c.n.StoreHits)
-	c.promote(fp, arch, p, false)
+	c.promote(fp, arch, p, frame, false)
 	return p, true
 }
 
@@ -161,37 +174,32 @@ func (s *Session) peerTier(fp, variant string, g *dag.Graph, cfg pim.Config) (*s
 		return nil, nil
 	}
 	c.count(&c.n.PeerFills)
-	c.promote(fp, cfg.Name, p, true)
+	c.promote(fp, cfg.Name, p, frame, true)
 	return p, nil
 }
 
 // EncodedPlanByFingerprint serves the owner's side of the fill
-// protocol: the encoded plan frame for fp from this session's local
-// tiers — the memory LRU first, then the durable store's payload
-// verbatim.  With lean set (the requester holds the problem graph),
-// para-conv plans come back as kernel-free lean frames — cached per
-// entry on the memory tier, byte-spliced out of the store payload on
-// the durable tier — and everything else falls back to the full frame.
-// Serving a fill is an owner's hot path under a thundering fleet, so
-// the lean bytes are shared, not copied.  ok=false means a full local
-// miss; the server decides whether to solve on the requester's behalf.
+// protocol: the plan for fp from this session's local tiers, as the
+// at-rest frame the memory entry or the store already holds — shared,
+// not copied, since serving fills is an owner's hot path under a
+// thundering fleet.  With lean unset the caller cannot rebuild a
+// kernel, so a lean frame will not do: a memory entry re-encodes the
+// full frame, and a store-only lean entry is a miss.  ok=false means
+// no local tier can answer; the server decides whether to solve on
+// the requester's behalf.
 func (s *Session) EncodedPlanByFingerprint(fp string, lean bool) ([]byte, bool) {
-	if lean {
-		if frame, ok := s.cache.lean(fp); ok {
-			return frame, true
+	if e, ok := s.cache.lookup(fp, false); ok {
+		if lean || !wire.LeanPlanFrame(e.rest) {
+			return e.rest, true
 		}
-	}
-	if a, ok := s.cache.lookup(fp, false); ok {
-		return wire.AppendPlan(nil, a.Plan), true
+		return wire.AppendPlan(nil, e.Plan), true
 	}
 	if s.cache.store == nil {
 		return nil, false
 	}
 	frame, ok := s.cache.store.Get(fp)
-	if ok && lean {
-		if spliced, err := wire.PlanFrameToLean(frame); err == nil {
-			return spliced, true
-		}
+	if !ok || (!lean && wire.LeanPlanFrame(frame)) {
+		return nil, false
 	}
-	return frame, ok
+	return frame, true
 }

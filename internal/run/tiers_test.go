@@ -3,9 +3,12 @@ package run
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"os"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/pim"
@@ -33,7 +36,8 @@ func readTierCounts(s *Session) tierCounts {
 		memHits: cs.Hits, memMisses: cs.Misses,
 		storeHits: cs.StoreHits, storeMisses: cs.StoreMisses,
 		peerFills: cs.PeerFills, fallbacks: cs.PeerFallbacks,
-		solves:         obs.PlanSolveTimer(variantParaCONV).Histogram().State().Count,
+		solves: obs.PlanSolveTimer(variantParaCONV).Histogram().State().Count +
+			obs.PlanSolveTimer(variantSPARTA).Histogram().State().Count,
 		obsStoreHits:   obs.StoreHits.Value(),
 		obsStoreWrites: obs.StoreWrites.Value(),
 		obsFallbacks:   obs.ClusterFallbackSolves.Value(),
@@ -52,116 +56,177 @@ func (a tierCounts) minus(b tierCounts) tierCounts {
 	}
 }
 
-// TestTierDifferential serves one problem through every path a plan
-// can take — local solve, memory hit, store hit, peer fill with a full
-// and with a lean frame, and a corrupted frame in either outer tier —
-// and requires that each path returns the plan a local solve produces
-// (byte-identical wire.AppendPlan frames), moves exactly the counters
-// that name its tier, and leaves a memory entry whose cached response
-// bytes are the object path's.
-func TestTierDifferential(t *testing.T) {
-	g := testGraph(t, "tierdiff", 30, 70, 9900)
-	cfg := pim.Neurocube(16)
-	fp := PlanFingerprint("", "", g, cfg)
-
-	ref, err := New(context.Background()).Plan(g, cfg)
+// checkAgainstProblem re-derives a plan's correctness from g, the
+// problem graph, trusting none of the plan's own bookkeeping: its
+// kernel is g unrolled ConcurrentIterations times, the kernel schedule
+// fits the array with every duration g's execution time, and — for a
+// Para-CONV plan — the retiming is legal on g (Definition 3.1, Theorem
+// 3.1) and the allocation's footprint, count and R_max match its claim.
+func checkAgainstProblem(t *testing.T, g *dag.Graph, cfg pim.Config, p *sched.Plan) {
+	t.Helper()
+	groups := p.ConcurrentIterations
+	if groups < 1 || cfg.NumPEs%groups != 0 || len(p.Iter.Assignment) < g.NumEdges() {
+		t.Fatalf("plan has %d groups and %d placements for %d PEs and %d edges", groups, len(p.Iter.Assignment), cfg.NumPEs, g.NumEdges())
+	}
+	kernel, err := dag.Replicate(g, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := wire.AppendPlan(nil, ref)
-	corrupt := append([]byte(nil), want...)
-	corrupt = corrupt[:len(corrupt)/2] // still a plan header, no longer a plan
+	if !bytes.Equal(dag.AppendBinary(nil, kernel), dag.AppendBinary(nil, p.Iter.Graph)) {
+		t.Fatalf("plan kernel is not the problem graph unrolled %d times", groups)
+	}
+	exec := make([]int, kernel.NumNodes())
+	slots := make([]check.Slot, len(p.Iter.Tasks))
+	for i, task := range p.Iter.Tasks {
+		exec[i] = kernel.Node(dag.NodeID(i)).Exec
+		slots[i] = check.Slot{PE: int(task.PE), Start: task.Start, Finish: task.Finish}
+	}
+	if err := check.CheckSchedule(p.Iter.PEs, p.Iter.Period, exec, slots, p.CacheLoadUnits, cfg.TotalCacheUnits()); err != nil {
+		t.Fatal(err)
+	}
+	r, rMax := []int(nil), -1
+	if p.Scheme == wire.SchemeParaCONV {
+		if err := check.CheckRetiming(g, p.LogicalRetiming.R, p.LogicalRetiming.REdge); err != nil {
+			t.Fatal(err)
+		}
+		r, rMax = p.LogicalRetiming.R, p.RMax
+	}
+	claim := check.Claim{CacheUsed: p.CacheLoadUnits / groups, CachedCount: p.CachedIPRs, RMax: rMax}
+	capacity := cfg.NumPEs / groups * cfg.CacheUnitsPerPE
+	if err := check.CheckAllocation(g, p.Iter.Assignment[:g.NumEdges()], capacity, claim, r); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	openStore := func(t *testing.T, seed []byte) *store.Store {
-		st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+// TestTierDifferential serves one problem through every path a plan
+// can take — local solve, memory hit, store hit, peer fill with a full
+// and with a lean frame, a stale, epochless or corrupted frame in
+// either outer tier, and a baseline through the store — and requires
+// that each path returns the plan a local solve produces (byte-identical
+// wire.AppendPlan frames) and one that checks out against the problem
+// graph, moves exactly the counters that name its tier, leaves the
+// store holding the plan's at-rest frame in this epoch, and leaves a
+// memory entry whose cached response bytes are the object path's.
+func TestTierDifferential(t *testing.T) {
+	g := testGraph(t, "tierdiff", 30, 70, 9900)
+	cfg := pim.Neurocube(16)
+
+	refs := make(map[string]*sched.Plan)
+	for _, v := range []string{variantParaCONV, variantSPARTA} {
+		p, err := New(context.Background()).PlanVariant(v, g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seed != nil {
-			if err := st.Put(fp, seed); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return st
+		refs[v] = p
 	}
+	ref := refs[variantParaCONV]
+	full, lean := wire.AppendPlan(nil, ref), wire.AppendLeanPlan(nil, ref)
+	corrupt := append([]byte(nil), lean[:len(lean)/2]...) // still a plan header, no longer a plan
+	foreign := append([]byte(nil), lean...)
+	binary.LittleEndian.PutUint32(foreign[4:], sched.SolverEpoch+1)
+	// The build before plan frames carried an epoch wrote this problem's
+	// plan as the stored-plan frame minus the 4-byte epoch field.
+	legacy, err := os.ReadFile("testdata/parent_build_stored_plan.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(legacy, append(full[:4:4], full[8:]...)) {
+		t.Fatal("testdata/parent_build_stored_plan.bin is not the epochless frame of this problem's plan")
+	}
+	stale := tierCounts{memMisses: 1, storeMisses: 1, solves: 1, obsStoreHits: 1, obsStoreWrites: 1}
 
 	for _, tc := range []struct {
-		name string
-		// build attaches the tiers under test to a fresh session.
-		build func(t *testing.T, s *Session)
+		name    string
+		variant string // "" is para-conv
 		// warm plans once before the measured call (the memory-hit row).
 		warm bool
-		want tierCounts
+		// store attaches a fresh durable store, holding seed (if any)
+		// under the plan's fingerprint.
+		store bool
+		seed  []byte
+		peer  *stubFiller
+		want  tierCounts
 	}{
-		{
-			name:  "local solve",
-			build: func(*testing.T, *Session) {},
-			want:  tierCounts{memMisses: 1, solves: 1},
-		},
-		{
-			name:  "memory hit",
-			build: func(*testing.T, *Session) {},
-			warm:  true,
-			want:  tierCounts{memHits: 1},
-		},
+		{name: "local solve", want: tierCounts{memMisses: 1, solves: 1}},
+		{name: "memory hit", warm: true, want: tierCounts{memHits: 1}},
 		{
 			name:  "cold solve writes through",
-			build: func(t *testing.T, s *Session) { s.AttachStore(openStore(t, nil)) },
+			store: true,
 			want:  tierCounts{memMisses: 1, storeMisses: 1, solves: 1, obsStoreWrites: 1},
 		},
 		{
 			name:  "store hit",
-			build: func(t *testing.T, s *Session) { s.AttachStore(openStore(t, want)) },
-			want:  tierCounts{memMisses: 1, storeHits: 1, obsStoreHits: 1},
+			store: true, seed: lean,
+			want: tierCounts{memMisses: 1, storeHits: 1, obsStoreHits: 1},
+		},
+		// The store served bytes (its own hit), run rejected them (its
+		// miss), the solver ran and the write-through replaced them.
+		{name: "store frame corrupted", store: true, seed: corrupt, want: stale},
+		{name: "store frame from another epoch", store: true, seed: foreign, want: stale},
+		{name: "store frame from the parent build", store: true, seed: legacy, want: stale},
+		{
+			name:    "baseline writes through a full frame",
+			variant: variantSPARTA, store: true,
+			want: tierCounts{memMisses: 1, storeMisses: 1, solves: 1, obsStoreWrites: 1},
 		},
 		{
-			name:  "store frame corrupted",
-			build: func(t *testing.T, s *Session) { s.AttachStore(openStore(t, corrupt)) },
-			// The store served bytes (its own hit), run rejected them (its
-			// miss), the solver ran and the write-through replaced them.
-			want: tierCounts{memMisses: 1, storeMisses: 1, solves: 1, obsStoreHits: 1, obsStoreWrites: 1},
+			name:    "baseline store hit",
+			variant: variantSPARTA, store: true, seed: wire.AppendPlan(nil, refs[variantSPARTA]),
+			want: tierCounts{memMisses: 1, storeHits: 1, obsStoreHits: 1},
 		},
 		{
-			name:  "peer fill, full frame",
-			build: func(t *testing.T, s *Session) { s.AttachPeers(&stubFiller{payload: want, ok: true}) },
-			want:  tierCounts{memMisses: 1, peerFills: 1},
-		},
-		{
-			name: "peer fill, lean frame",
-			build: func(t *testing.T, s *Session) {
-				s.AttachPeers(&stubFiller{payload: wire.AppendLeanPlan(nil, ref), ok: true})
-			},
+			name: "peer fill, full frame",
+			peer: &stubFiller{payload: full, ok: true},
 			want: tierCounts{memMisses: 1, peerFills: 1},
 		},
 		{
-			name: "peer fill promotes to the store",
-			build: func(t *testing.T, s *Session) {
-				s.AttachStore(openStore(t, nil))
-				s.AttachPeers(&stubFiller{payload: wire.AppendLeanPlan(nil, ref), ok: true})
-			},
+			name: "peer fill, lean frame",
+			peer: &stubFiller{payload: lean, ok: true},
+			want: tierCounts{memMisses: 1, peerFills: 1},
+		},
+		{
+			name:  "peer fill promotes to the store",
+			store: true, peer: &stubFiller{payload: lean, ok: true},
 			want: tierCounts{memMisses: 1, storeMisses: 1, peerFills: 1, obsStoreWrites: 1},
 		},
 		{
-			name:  "peer frame corrupted",
-			build: func(t *testing.T, s *Session) { s.AttachPeers(&stubFiller{payload: corrupt, ok: true}) },
-			want:  tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1},
+			name: "peer frame corrupted",
+			peer: &stubFiller{payload: corrupt, ok: true},
+			want: tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1},
 		},
 		{
-			name:  "peer unavailable",
-			build: func(t *testing.T, s *Session) { s.AttachPeers(&stubFiller{}) },
-			want:  tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1},
+			name: "peer unavailable",
+			peer: &stubFiller{},
+			want: tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			ref := refs[canonicalVariant(tc.variant)]
+			want := wire.AppendPlan(nil, ref)
+			fp := PlanFingerprint(tc.variant, "", g, cfg)
 			s := New(context.Background())
-			tc.build(t, s)
+			var st *store.Store
+			if tc.store {
+				if st, err = store.Open(t.TempDir(), store.Options{NoSync: true}); err != nil {
+					t.Fatal(err)
+				}
+				if tc.seed != nil {
+					if err := st.Put(fp, tc.seed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.AttachStore(st)
+			}
+			if tc.peer != nil {
+				s.AttachPeers(tc.peer)
+			}
 			if tc.warm {
-				if _, err := s.Plan(g, cfg); err != nil {
+				if _, err := s.PlanVariant(tc.variant, g, cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
 			before := readTierCounts(s)
-			p, err := s.Plan(g, cfg)
+			p, err := s.PlanVariant(tc.variant, g, cfg)
 			if err != nil {
 				t.Fatalf("Plan: %v", err)
 			}
@@ -171,11 +236,23 @@ func TestTierDifferential(t *testing.T) {
 			if !bytes.Equal(wire.AppendPlan(nil, p), want) {
 				t.Error("plan does not re-encode to the local solve's frame")
 			}
+			checkAgainstProblem(t, g, cfg, p)
+			// The store holds the plan at rest in this epoch — lean for
+			// para-conv, full for a baseline — whatever it held before.
+			if st != nil {
+				rest := want
+				if ref.Scheme == wire.SchemeParaCONV {
+					rest = lean
+				}
+				if got, ok := st.Get(fp); !ok || !bytes.Equal(got, rest) {
+					t.Error("store does not hold the plan's at-rest frame")
+				}
+			}
 			// Whatever tier answered, the memory tier now holds the plan:
 			// a caller knowing only the graph's hash gets it without ever
 			// producing the graph, along with response bytes that equal
 			// the object path's encoding at any horizon.
-			hit, err := s.PlanVariantHashed("", GraphFingerprint(g), cfg, func() (*dag.Graph, error) {
+			hit, err := s.PlanVariantHashed(tc.variant, GraphFingerprint(g), cfg, func() (*dag.Graph, error) {
 				t.Error("a memory hit asked for the graph")
 				return g, nil
 			})
@@ -191,20 +268,20 @@ func TestTierDifferential(t *testing.T) {
 					t.Errorf("cached response frame at %d iterations differs from the object path's encoding", n)
 				}
 			}
-			full, ok := s.EncodedPlanByFingerprint(fp, false)
-			if !ok || !bytes.Equal(full, want) {
+			served, ok := s.EncodedPlanByFingerprint(fp, false)
+			if !ok || !bytes.Equal(served, want) {
 				t.Error("EncodedPlanByFingerprint(full) does not serve the local solve's frame")
 			}
-			lean, ok := s.EncodedPlanByFingerprint(fp, true)
+			fill, ok := s.EncodedPlanByFingerprint(fp, true)
 			if !ok {
 				t.Fatal("EncodedPlanByFingerprint(lean) missed")
 			}
-			var rebuilt *sched.Plan
-			if rebuilt, err = wire.DecodeLeanPlan(lean, g); err != nil {
-				t.Fatalf("lean frame: %v", err)
+			rebuilt, err := wire.DecodeFillPlan(fill, g, dag.Limits{})
+			if err != nil {
+				t.Fatalf("fill frame: %v", err)
 			}
 			if !bytes.Equal(wire.AppendPlan(nil, rebuilt), want) {
-				t.Error("lean frame does not rebuild to the local solve's frame")
+				t.Error("fill frame does not rebuild to the local solve's frame")
 			}
 		})
 	}

@@ -30,6 +30,13 @@ import (
 	"repro/internal/retime"
 )
 
+// SolverEpoch names the planning behaviour of this build: bump it when
+// any solver or cost-model change can alter a plan for the same input.
+// Every encoded plan carries the epoch it was solved in, and a frame
+// from another epoch — a stale -data-dir, an older ring member — is a
+// miss that re-solves, never a plan this build would not produce.
+const SolverEpoch = 1
+
 // Task is one vertex's placement in an iteration schedule.
 type Task struct {
 	Node   dag.NodeID

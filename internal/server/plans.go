@@ -20,9 +20,11 @@ import (
 // requester to its own local solve).  A bodiless miss is
 // a 404.  The response body is the binary stored-plan frame — or, when
 // the request carries X-Paraconv-Rebuild (the sender holds the problem
-// graph and can derive a para-conv kernel itself), the kernel-free
-// lean frame, which skips both the owner's graph encode and the
-// requester's graph decode on the cluster's warm path.
+// graph and can derive a para-conv kernel itself), the plan's at-rest
+// frame, lean for para-conv, which skips both the owner's graph encode
+// and the requester's graph decode on the cluster's warm path.  A
+// para-conv plan held only in the store rests lean, so a bodiless
+// request without the header — no peer sends one — misses it.
 //
 // Fills are served whatever this node's own ring view says about
 // ownership: the requester routed here off its view, and answering is

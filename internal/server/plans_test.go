@@ -13,6 +13,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/pim"
 	"repro/internal/run"
+	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/wire"
 )
@@ -359,5 +360,62 @@ func TestPlansLeanServing(t *testing.T) {
 	}
 	if _, err := wire.DecodePlan(full, dag.Limits{}); err != nil {
 		t.Fatalf("plain lookup payload: %v", err)
+	}
+}
+
+// TestPlansStoreOnlyEntry: a restarted owner holds a para-conv plan
+// only in its store, as the lean frame.  A rebuild-capable lookup gets
+// those bytes; a bodiless lookup without the advertisement cannot use
+// them and gets not_found; the same lookup with a fill body is served
+// in full, since the body carries the graph the kernel rebuilds from.
+func TestPlansStoreOnlyEntry(t *testing.T) {
+	dir := t.TempDir()
+	g := plansGraph(t, 91)
+	cfg := pim.Neurocube(16)
+	fp := run.PlanFingerprint("", "", g, cfg)
+	fill := wire.AppendPeerFill(nil, "para-conv", cfg, g)
+
+	st1, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts1 := newTestServer(t, Config{Store: st1})
+	if resp, data := getPlans(t, ts1.URL, fp, fill); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seeding solve: %d %s", resp.StatusCode, data)
+	}
+
+	st2, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Config{Store: st2})
+	req, err := http.NewRequest(http.MethodGet, ts2.URL+"/v1/plans/"+fp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Paraconv-Rebuild", "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lean, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, _ := st2.Get(fp); resp.StatusCode != http.StatusOK || !bytes.Equal(lean, stored) || !wire.LeanPlanFrame(lean) {
+		t.Fatalf("rebuild-capable lookup = %d; want 200 with the stored lean frame", resp.StatusCode)
+	}
+
+	resp, data := getPlans(t, ts2.URL, fp, nil)
+	if resp.StatusCode != http.StatusNotFound || decodeError(t, data).Kind != "not_found" {
+		t.Fatalf("bodiless full-frame lookup = %d %s; want 404 not_found", resp.StatusCode, data)
+	}
+	resp, data = getPlans(t, ts2.URL, fp, fill)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("full-frame lookup with a fill body = %d %s", resp.StatusCode, data)
+	}
+	if _, err := wire.DecodePlan(data, dag.Limits{}); err != nil {
+		t.Fatalf("full-frame lookup with a fill body: %v", err)
 	}
 }

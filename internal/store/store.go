@@ -223,8 +223,9 @@ func appendFrame(dst []byte, key string, payload []byte) []byte {
 
 // parseFrame validates a frame read back from disk and returns its
 // payload.  Any deviation — short header, wrong magic or version, CRC
-// mismatch, a length field lying about the bytes that follow, key
-// mismatch, or trailing garbage — is an error; the caller quarantines.
+// mismatch, a length field lying about the bytes that follow or padded
+// past its minimal form, key mismatch, or trailing garbage — is an
+// error; the caller quarantines.
 func parseFrame(data []byte, key string) ([]byte, error) {
 	if len(data) < frameHeaderSize {
 		return nil, fmt.Errorf("store: frame is %d bytes, shorter than the %d-byte header", len(data), frameHeaderSize)
@@ -244,6 +245,9 @@ func parseFrame(data []byte, key string) ([]byte, error) {
 	if n <= 0 || klen > uint64(len(body)-n) {
 		return nil, errors.New("store: key length field lies about the bytes that follow")
 	}
+	if padded(body[:n]) {
+		return nil, errors.New("store: key length field is a non-minimal varint")
+	}
 	body = body[n:]
 	gotKey := string(body[:klen])
 	body = body[klen:]
@@ -254,7 +258,17 @@ func parseFrame(data []byte, key string) ([]byte, error) {
 	if n <= 0 || plen != uint64(len(body)-n) {
 		return nil, errors.New("store: payload length field lies about the bytes that follow")
 	}
+	if padded(body[:n]) {
+		return nil, errors.New("store: payload length field is a non-minimal varint")
+	}
 	return body[n:], nil
+}
+
+// padded reports whether a uvarint carries a redundant trailing zero
+// group (0x80 0x00 for 0).  appendFrame never writes one; refusing it
+// keeps every accepted frame the one encoding of its key and payload.
+func padded(uvarint []byte) bool {
+	return len(uvarint) > 1 && uvarint[len(uvarint)-1] == 0
 }
 
 // Get returns the payload stored under key, or false on miss.  A
@@ -311,7 +325,7 @@ func (s *Store) quarantine(name string, size int64) {
 }
 
 // Put durably stores payload under key, evicting least-recently-used
-// entries first if the capacity bound requires room.  Overwriting an
+// entries as the capacity bound requires.  Overwriting an
 // existing key is atomic.  The error is informational — callers treat
 // the store as best-effort — but the counters record it.
 func (s *Store) Put(key string, payload []byte) error {
@@ -326,10 +340,6 @@ func (s *Store) Put(key string, payload []byte) error {
 		return fmt.Errorf("store: %d-byte entry exceeds the %d-byte store capacity", size, s.opts.MaxBytes)
 	}
 
-	s.mu.Lock()
-	s.makeRoom(name, size)
-	s.mu.Unlock()
-
 	if err := s.writeAtomic(name, frame); err != nil {
 		s.mu.Lock()
 		s.stats.WriteErrors++
@@ -339,6 +349,9 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 
 	s.mu.Lock()
+	// Room is made under the lock that admits the entry: Puts that each
+	// made room before writing could otherwise all commit past the bound.
+	s.makeRoom(name, size)
 	if old, ok := s.entries[name]; ok {
 		s.bytes -= old.size
 	}

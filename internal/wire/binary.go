@@ -454,7 +454,7 @@ func (d *decoder) varint(what string) (int64, error) {
 		if b := d.data[d.off]; b < 0x80 {
 			d.off++
 			return int64(b>>1) ^ -int64(b&1), nil
-		} else if b1 := d.data[d.off+1]; b1 < 0x80 {
+		} else if b1 := d.data[d.off+1]; b1 < 0x80 && b1 != 0 {
 			u := uint64(b&0x7f) | uint64(b1)<<7
 			d.off += 2
 			return int64(u>>1) ^ -int64(u&1), nil
@@ -464,8 +464,17 @@ func (d *decoder) varint(what string) (int64, error) {
 	if n <= 0 {
 		return 0, d.truncated(what)
 	}
+	if n > 1 && d.data[d.off+n-1] == 0 {
+		return 0, d.padded(what)
+	}
 	d.off += n
 	return v, nil
+}
+
+// padded rejects a varint with a redundant zero group (0x80 0x00 for
+// 0), so an accepted frame is the one encoding of what it decodes to.
+func (d *decoder) padded(what string) error {
+	return fmt.Errorf("wire: non-minimal varint at offset %d reading %s", d.off, what)
 }
 
 func (d *decoder) integer(what string) (int, error) {
@@ -485,6 +494,9 @@ func (d *decoder) length(what string) (int, error) {
 	v, n := binary.Uvarint(d.data[d.off:])
 	if n <= 0 {
 		return 0, d.truncated(what)
+	}
+	if n > 1 && d.data[d.off+n-1] == 0 {
+		return 0, d.padded(what)
 	}
 	d.off += n
 	if v > uint64(len(d.data)-d.off) {

@@ -10,27 +10,29 @@ import (
 	"repro/internal/sched"
 )
 
-// The stored-plan frame carries a complete *sched.Plan — everything a
+// The plan frames carry a complete *sched.Plan — everything a
 // restarted daemon needs to serve a previously solved graph without
-// re-running the solver.  It is the payload format of the durable plan
-// store (internal/store): internal/run encodes plans through
-// AppendPlan before writing them through, and decodes store hits with
-// DecodePlan.  Unlike the response frames, the plan frame embeds the
+// re-running the solver.  They are the durable store's payloads and the
+// cluster fill protocol's.  Both open with the solver epoch that made
+// the plan (sched.SolverEpoch, 4 bytes little-endian) after the
+// envelope and decode only in that epoch, so a plan from a solver that
+// may plan differently is a miss, never served.  Epochless frames from
+// older builds hold their scheme's length and first letters there,
+// which never read as a small epoch.  The stored-plan frame embeds the
 // kernel graph as a length-prefixed dag frame mid-stream (more fields
-// follow it), and it round-trips the full retiming results, not just
-// the response summary.
+// follow it); both round-trip the full retiming results.
 
-// kindStoredPlan is the frame kind byte of a durable stored plan.
+// kindStoredPlan is the frame kind byte of a self-contained plan: the
+// at-rest form of the baselines, whose kernel is not derivable.
 const kindStoredPlan = 'L'
 
 // kindLeanPlan is the frame kind byte of a kernel-free plan: the same
-// fields as a stored plan minus the embedded graph.  It exists for the
-// cluster fill protocol, where the requester already holds the problem
-// graph the plan was solved from — for the para-conv scheme the kernel
-// is Replicate(graph, ConcurrentIterations) by construction (see
-// internal/sched), so shipping it is pure redundancy.  Lean frames are
-// a transport-only format: the durable store always keeps the
-// self-contained stored-plan frame.
+// fields as a stored plan minus the embedded graph, and the at-rest
+// form of every para-conv plan.  Every reader of a plan outside memory
+// holds the problem graph it was solved from — a store hit runs after
+// the request's graph is decoded, a fill requester ships it — and a
+// para-conv kernel is Replicate(graph, ConcurrentIterations) by
+// construction (see internal/sched), so keeping it is redundancy.
 const kindLeanPlan = 'l'
 
 // SchemeParaCONV is the plan scheme whose kernel graph is derivable
@@ -38,6 +40,33 @@ const kindLeanPlan = 'l'
 // para-conv plan the solvers build), making it eligible for lean
 // framing.
 const SchemeParaCONV = "para-conv"
+
+// planEpochSize is the width of the solver-epoch field.
+const planEpochSize = 4
+
+// appendPlanHeader opens a plan frame of the given kind: the envelope,
+// then the solver epoch.
+func appendPlanHeader(dst []byte, kind byte) []byte {
+	dst = appendHeader(dst, kind)
+	return binary.LittleEndian.AppendUint32(dst, sched.SolverEpoch)
+}
+
+// newPlanDecoder opens a plan frame of the given kind, rejecting one
+// solved in another epoch.
+func newPlanDecoder(data []byte, kind byte) (*decoder, error) {
+	d, err := newDecoder(data, kind)
+	if err != nil {
+		return nil, err
+	}
+	if len(d.data)-d.off < planEpochSize {
+		return nil, d.truncated("solver epoch")
+	}
+	if epoch := binary.LittleEndian.Uint32(d.data[d.off:]); epoch != sched.SolverEpoch {
+		return nil, fmt.Errorf("wire: plan frame from solver epoch %d; this build plans in epoch %d", epoch, sched.SolverEpoch)
+	}
+	d.off += planEpochSize
+	return d, nil
+}
 
 func appendPlacements(dst []byte, a retime.Assignment) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(a)))
@@ -80,7 +109,7 @@ func appendPlanBody(dst []byte, p *sched.Plan) []byte {
 //
 //paraconv:hotpath
 func AppendPlan(dst []byte, p *sched.Plan) []byte {
-	dst = appendHeader(dst, kindStoredPlan)
+	dst = appendPlanHeader(dst, kindStoredPlan)
 	dst = appendString(dst, p.Scheme)
 	// The kernel graph is length-prefixed because plan fields follow
 	// it; the dag decoder is handed exactly its slice.
@@ -97,7 +126,7 @@ func AppendPlan(dst []byte, p *sched.Plan) []byte {
 //
 //paraconv:hotpath
 func AppendLeanPlan(dst []byte, p *sched.Plan) []byte {
-	dst = appendHeader(dst, kindLeanPlan)
+	dst = appendPlanHeader(dst, kindLeanPlan)
 	dst = appendString(dst, p.Scheme)
 	return appendPlanBody(dst, p)
 }
@@ -107,38 +136,6 @@ func AppendLeanPlan(dst []byte, p *sched.Plan) []byte {
 // committing to a parse.
 func LeanPlanFrame(data []byte) bool {
 	return len(data) >= 4 && data[0] == 'P' && data[1] == 'C' && data[2] == kindLeanPlan
-}
-
-// PlanFrameToLean converts a stored-plan frame to its lean form by
-// splicing the embedded kernel graph out — a byte copy, not a
-// re-encode, so an owner can serve a lean fill straight from a durable
-// store payload without decoding it.  Only para-conv frames convert;
-// anything else (including malformed input) returns an error and the
-// caller serves the original frame.
-func PlanFrameToLean(frame []byte) ([]byte, error) {
-	d, err := newDecoder(frame, kindStoredPlan)
-	if err != nil {
-		return nil, err
-	}
-	scheme, err := d.str("scheme")
-	if err != nil {
-		return nil, err
-	}
-	if scheme != SchemeParaCONV {
-		return nil, fmt.Errorf("wire: scheme %q plans are not lean-framable", scheme)
-	}
-	if len(d.data)-d.off < 4 {
-		return nil, d.truncated("graph length")
-	}
-	glen := int(binary.LittleEndian.Uint32(d.data[d.off:]))
-	d.off += 4
-	if glen > len(d.data)-d.off {
-		return nil, fmt.Errorf("wire: graph length %d exceeds the %d input bytes remaining", glen, len(d.data)-d.off)
-	}
-	out := make([]byte, 0, len(frame)-glen-4)
-	out = appendHeader(out, kindLeanPlan)
-	out = appendString(out, scheme)
-	return append(out, d.data[d.off+glen:]...), nil
 }
 
 func (d *decoder) placements(what string) (retime.Assignment, error) {
@@ -179,10 +176,10 @@ func (d *decoder) retimeResult(what string, r *retime.Result) error {
 // DecodePlan parses a stored-plan frame into a fresh plan.  The
 // embedded kernel graph is decoded under lim (zero = unlimited) and
 // validated by the dag decoder; the schedule's structural soundness is
-// the caller's check — internal/run validates a decoded plan before
-// trusting a store hit.
+// the caller's check — internal/run validates every decoded plan
+// before trusting it.
 func DecodePlan(data []byte, lim dag.Limits) (*sched.Plan, error) {
-	d, err := newDecoder(data, kindStoredPlan)
+	d, err := newPlanDecoder(data, kindStoredPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -275,11 +272,11 @@ func (d *decoder) planBody(p *sched.Plan) error {
 // the problem graph (aliased, exactly as sched.ParaCONVGivenSchedule
 // plans alias their caller's graph), otherwise Replicate derives it.
 // The decoded schedule still carries no proof it matches g — callers
-// validate it, exactly like a store hit.
+// validate it, as they do every decoded plan.
 //
 //paraconv:hotpath
 func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
-	d, err := newDecoder(data, kindLeanPlan)
+	d, err := newPlanDecoder(data, kindLeanPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -296,17 +293,24 @@ func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
 	if err := d.planBody(p); err != nil {
 		return nil, err
 	}
-	if p.ConcurrentIterations == 1 {
+	// One task per kernel vertex: checking that here keeps a lying CI
+	// from sizing the Replicate, as the frame's length bounds the tasks.
+	n, ci := g.NumNodes(), p.ConcurrentIterations
+	if ci < 1 || ci > len(p.Iter.Tasks) || len(p.Iter.Tasks) != ci*n {
+		return nil, fmt.Errorf("wire: lean plan has %d tasks for %d concurrent iterations of a %d-vertex graph", len(p.Iter.Tasks), ci, n)
+	}
+	if ci == 1 {
 		p.Iter.Graph = g
-	} else if p.Iter.Graph, err = dag.Replicate(g, p.ConcurrentIterations); err != nil {
+	} else if p.Iter.Graph, err = dag.Replicate(g, ci); err != nil {
 		return nil, fmt.Errorf("wire: rebuilding lean plan kernel: %w", err)
 	}
 	return p, nil
 }
 
-// DecodeFillPlan decodes a fill payload of either framing: lean
-// against the problem graph, or the self-contained stored-plan frame
-// under lim.
+// DecodeFillPlan decodes a plan frame of either kind — lean against g,
+// the problem graph in hand, or the self-contained stored-plan frame
+// under lim — the one decoder for every plan read from the store or a
+// peer.
 func DecodeFillPlan(data []byte, g *dag.Graph, lim dag.Limits) (*sched.Plan, error) {
 	if LeanPlanFrame(data) {
 		return DecodeLeanPlan(data, g)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -229,43 +230,11 @@ func TestLeanPlanAliasesSingleIterationKernel(t *testing.T) {
 	plansEqual(t, plan, got)
 }
 
-func TestPlanFrameToLean(t *testing.T) {
-	plan, g := leanPlan(t)
-	spliced, err := PlanFrameToLean(AppendPlan(nil, plan))
-	if err != nil {
-		t.Fatalf("PlanFrameToLean: %v", err)
-	}
-	// The splice must be byte-identical to a direct lean encode, so an
-	// owner serving from a store payload and one serving from its
-	// memory tier hand out the same bytes.
-	if !bytes.Equal(spliced, AppendLeanPlan(nil, plan)) {
-		t.Error("spliced lean frame differs from a direct lean encode")
-	}
-	got, err := DecodeFillPlan(spliced, g, dag.Limits{})
-	if err != nil {
-		t.Fatalf("DecodeFillPlan(lean): %v", err)
-	}
-	plansEqual(t, plan, got)
-
-	// DecodeFillPlan must also pass full frames through.
-	got, err = DecodeFillPlan(AppendPlan(nil, plan), nil, dag.Limits{})
-	if err != nil {
-		t.Fatalf("DecodeFillPlan(full): %v", err)
-	}
-	plansEqual(t, plan, got)
-}
-
 func TestLeanPlanRejections(t *testing.T) {
 	plan, g := leanPlan(t)
 
 	other := *plan
 	other.Scheme = "sparta"
-	if _, err := PlanFrameToLean(AppendPlan(nil, plan)[:8]); err == nil {
-		t.Error("PlanFrameToLean accepted a truncated frame")
-	}
-	if _, err := PlanFrameToLean(AppendPlan(nil, &other)); err == nil {
-		t.Error("PlanFrameToLean accepted a non-para-conv scheme")
-	}
 	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, &other), g); err == nil {
 		t.Error("DecodeLeanPlan accepted a non-para-conv scheme")
 	}
@@ -274,5 +243,28 @@ func TestLeanPlanRejections(t *testing.T) {
 	}
 	if _, err := DecodeLeanPlan(AppendPlan(nil, plan), g); err == nil {
 		t.Error("DecodeLeanPlan accepted a stored-plan frame")
+	}
+}
+
+// TestPlanFrameEpoch: both plan kinds carry the solver epoch after the
+// envelope, and a frame from any other epoch — or from a build before
+// frames carried one — fails to decode instead of yielding a plan.
+func TestPlanFrameEpoch(t *testing.T) {
+	plan, g := leanPlan(t)
+	for _, frame := range [][]byte{AppendPlan(nil, plan), AppendLeanPlan(nil, plan)} {
+		if got := binary.LittleEndian.Uint32(frame[4:]); got != sched.SolverEpoch {
+			t.Fatalf("%c frame carries epoch %d, want %d", frame[2], got, sched.SolverEpoch)
+		}
+		next := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(next[4:], sched.SolverEpoch+1)
+		legacy := append(append([]byte(nil), frame[:4]...), frame[4+planEpochSize:]...)
+		for _, bad := range []struct {
+			name  string
+			frame []byte
+		}{{"next epoch", next}, {"no epoch", legacy}} {
+			if _, err := DecodeFillPlan(bad.frame, g, dag.Limits{}); err == nil || !strings.Contains(err.Error(), "solver epoch") {
+				t.Errorf("%c frame, %s: err = %v, want a solver-epoch rejection", frame[2], bad.name, err)
+			}
+		}
 	}
 }
