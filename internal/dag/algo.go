@@ -10,16 +10,30 @@ import (
 // the graph contains a directed cycle.
 var ErrCyclic = errors.New("dag: graph contains a cycle")
 
-// topoScratch is the pooled working state of a topological sort: the
-// in-degree counters, the ready heap, and (for callers that discard
-// the order, like IsAcyclic) an order buffer of their own.
+// topoScratch is the pooled working state of a Kahn pass: the
+// in-degree counters, TopoSortInto's ready heap, and IsAcyclic's
+// unordered ready stack.
 type topoScratch struct {
 	indeg []int
 	heap  idHeap
-	order []NodeID
+	stack []NodeID
 }
 
 var topoPool = sync.Pool{New: func() any { return new(topoScratch) }}
+
+// inDegrees fills the scratch's counters with every vertex's in-degree
+// and returns them.
+func (sc *topoScratch) inDegrees(g *Graph) []int {
+	n := len(g.nodes)
+	if cap(sc.indeg) < n {
+		sc.indeg = make([]int, n)
+	}
+	indeg := sc.indeg[:n]
+	for v := range indeg {
+		indeg[v] = len(g.in[v])
+	}
+	return indeg
+}
 
 // TopoSort returns one topological order of the vertices (Kahn's
 // algorithm, smallest-ID-first among ready vertices so the order is
@@ -41,13 +55,7 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 func (g *Graph) TopoSortInto(order []NodeID) ([]NodeID, error) {
 	n := g.NumNodes()
 	sc := topoPool.Get().(*topoScratch)
-	if cap(sc.indeg) < n {
-		sc.indeg = make([]int, n)
-	}
-	indeg := sc.indeg[:n]
-	for v := 0; v < n; v++ {
-		indeg[v] = len(g.in[v])
-	}
+	indeg := sc.inDegrees(g)
 	// Min-heap behaviour via a simple sorted ready list is O(V^2) in
 	// the worst case; the graphs here are ≤ a few thousand vertices,
 	// and determinism matters more than asymptotics.  Use an index
@@ -85,13 +93,39 @@ func (g *Graph) TopoSortInto(order []NodeID) ([]NodeID, error) {
 	return order, nil
 }
 
-// IsAcyclic reports whether the graph has no directed cycle.
+// IsAcyclic reports whether the graph has no directed cycle.  It runs
+// Kahn's algorithm over a stack instead of TopoSortInto's heap: the
+// answer needs only how many vertices the pass retires, not the order,
+// so it is O(V+E) with no ordering cost.
 func (g *Graph) IsAcyclic() bool {
+	n := g.NumNodes()
 	sc := topoPool.Get().(*topoScratch)
-	order, err := g.TopoSortInto(sc.order)
-	sc.order = order[:0]
+	indeg := sc.inDegrees(g)
+	if cap(sc.stack) < n {
+		sc.stack = make([]NodeID, 0, n)
+	}
+	stack := sc.stack[:0]
+	for v := range indeg {
+		if indeg[v] == 0 {
+			stack = append(stack, NodeID(v))
+		}
+	}
+	retired := 0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		retired++
+		for _, eid := range g.out[v] {
+			w := g.edges[eid].To
+			indeg[w]--
+			if indeg[w] == 0 {
+				stack = append(stack, w)
+			}
+		}
+	}
+	sc.stack = stack[:0]
 	topoPool.Put(sc)
-	return err == nil
+	return retired == n
 }
 
 // Levels returns the ASAP level decomposition: level 0 holds the
@@ -257,10 +291,6 @@ func (g *Graph) HasPath(a, b NodeID) bool {
 // than container/heap to keep the hot topological-sort path free of
 // interface boxing.
 type idHeap struct{ a []NodeID }
-
-func newIDHeap(capacity int) *idHeap {
-	return &idHeap{a: make([]NodeID, 0, capacity)}
-}
 
 func (h *idHeap) len() int { return len(h.a) }
 

@@ -123,10 +123,10 @@ func ReadBinaryLimits(r io.Reader, lim Limits) (*Graph, error) {
 	return g, err
 }
 
-// binNameScratch pools the decoder's name staging: all node names are
-// accumulated in one byte buffer (with per-node lengths) and then
-// backed by a single string, so a 1000-vertex graph costs one name
-// allocation instead of one per vertex.
+// binNameScratch pools the decoder's name staging: the graph name and
+// all node names are accumulated in one byte buffer (with per-node
+// lengths) and then backed by a single string, so a 1000-vertex graph
+// costs one name allocation instead of one per vertex.
 type binNameScratch struct {
 	buf  []byte
 	lens []int
@@ -178,13 +178,20 @@ func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
 		return nil, fmt.Errorf("dag: binary graph: declared %d nodes, %d edges exceed the %d input bytes remaining", nodes, edges, rem)
 	}
 
-	g := New(string(name))
-	g.Grow(nodes, 0)
+	// Nodes and edges are written in place into exact-size storage; the
+	// adjacency is built once, by link, after the last edge.  The graph
+	// name and every node name share one string backing.
+	adj := make([][]EdgeID, 2*nodes)
+	g := &Graph{
+		nodes: make([]Node, nodes),
+		out:   adj[:nodes:nodes],
+		in:    adj[nodes:],
+	}
 	ns := binNamePool.Get().(*binNameScratch)
-	ns.buf = ns.buf[:0]
+	ns.buf = append(ns.buf[:0], name...)
 	ns.lens = ns.lens[:0]
 	defer binNamePool.Put(ns)
-	for i := 0; i < nodes; i++ {
+	for i := range g.nodes {
 		if d.off >= len(data) {
 			return nil, d.truncated("node")
 		}
@@ -203,11 +210,12 @@ func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
 		}
 		ns.buf = append(ns.buf, nm...)
 		ns.lens = append(ns.lens, len(nm))
-		g.AddNode(Node{Kind: kind, Exec: int(exec)})
+		g.nodes[i] = Node{ID: NodeID(i), Kind: kind, Exec: int(exec)}
 	}
 	if len(ns.buf) > 0 {
 		backing := string(ns.buf)
-		off := 0
+		g.name = backing[:len(name)]
+		off := len(name)
 		for i, l := range ns.lens {
 			if l > 0 {
 				g.nodes[i].Name = backing[off : off+l]
@@ -216,16 +224,8 @@ func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
 		}
 	}
 
-	batchp := edgeBatchPool.Get().(*[]Edge)
-	es := (*batchp)[:0]
-	if cap(es) < edges {
-		es = make([]Edge, 0, edges)
-	}
-	defer func() {
-		*batchp = es[:0]
-		edgeBatchPool.Put(batchp)
-	}()
-	for i := 0; i < edges; i++ {
+	g.edges = make([]Edge, edges)
+	for i := range g.edges {
 		from, err := d.count("edge endpoint")
 		if err != nil {
 			return nil, err
@@ -249,12 +249,12 @@ func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		es = append(es, Edge{From: NodeID(from), To: NodeID(to), Size: int(size), CacheTime: int(ct), EDRAMTime: int(et)})
+		g.edges[i] = Edge{From: NodeID(from), To: NodeID(to), Size: int(size), CacheTime: int(ct), EDRAMTime: int(et)}
 	}
 	if d.off != len(data) {
 		return nil, fmt.Errorf("dag: binary graph: %d trailing bytes after the frame", len(data)-d.off)
 	}
-	g.AddEdges(es)
+	g.link()
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -271,7 +271,14 @@ func (d *binDecoder) truncated(what string) error {
 	return fmt.Errorf("dag: binary graph: truncated at offset %d reading %s", d.off, what)
 }
 
+// buvarint and bvarint read a one-byte varint (every count, endpoint
+// and weight below 128, or 64 signed: most of a frame) inline; longer
+// ones take encoding/binary's loop and the padding check.
 func (d *binDecoder) buvarint(what string) (uint64, error) {
+	if d.off < len(d.data) && d.data[d.off] < 0x80 {
+		d.off++
+		return uint64(d.data[d.off-1]), nil
+	}
 	v, n := binary.Uvarint(d.data[d.off:])
 	if n <= 0 {
 		return 0, d.truncated(what)
@@ -298,6 +305,11 @@ func (d *binDecoder) padded(what string) error {
 const maxAbsWeight = 1e18 - 1
 
 func (d *binDecoder) bvarint(what string) (int64, error) {
+	if d.off < len(d.data) && d.data[d.off] < 0x80 {
+		b := d.data[d.off]
+		d.off++
+		return int64(b>>1) ^ -int64(b&1), nil
+	}
 	v, n := binary.Varint(d.data[d.off:])
 	if n <= 0 {
 		return 0, d.truncated(what)

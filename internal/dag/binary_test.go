@@ -286,7 +286,7 @@ func TestAppendBinaryZeroAlloc(t *testing.T) {
 
 // TestDecodeBinaryAllocBudget bounds the decoder's per-call
 // allocations: graph + node/edge/adjacency storage + one shared name
-// backing, independent of node count beyond that.
+// backing, independent of the graph's size.
 func TestDecodeBinaryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -304,10 +304,10 @@ func TestDecodeBinaryAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The decoded graph itself (nodes, edges, adjacency backing, name
-	// string, Graph struct) is retained output, not scratch; ~12 covers
-	// it with headroom while still catching a per-node regression.
-	if allocs > 16 {
-		t.Errorf("DecodeBinary allocates %.1f times per 200-node graph, want <= 16", allocs)
+	// Exactly the retained output, no scratch: the Graph struct, nodes,
+	// edges, the out/in list headers, their shared backing, and the one
+	// string behind the graph name and every node name.
+	if allocs > 6 {
+		t.Errorf("DecodeBinary allocates %.1f times per 200-node graph, want <= 6", allocs)
 	}
 }

@@ -171,10 +171,6 @@ func ReadText(r io.Reader) (*Graph, error) {
 	return ReadTextLimits(r, Limits{})
 }
 
-// edgeBatchPool recycles the edge staging slice ReadTextLimits
-// accumulates before the one-shot AddEdges bulk load.
-var edgeBatchPool = sync.Pool{New: func() any { return new([]Edge) }}
-
 // ReadTextLimits is ReadText with caps on the declared graph size;
 // crossing a cap aborts the parse with a *LimitError.
 //
@@ -187,13 +183,9 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 	g := New("")
 	lineNo := 0
 	var fields [8][]byte
-	// Edges are staged and bulk-loaded at EOF so AddEdges can size the
-	// adjacency lists exactly instead of growing them edge by edge.
-	batchp := edgeBatchPool.Get().(*[]Edge)
-	defer func() {
-		*batchp = (*batchp)[:0]
-		edgeBatchPool.Put(batchp)
-	}()
+	// Edges are appended to g.edges as they parse and linked once at
+	// EOF, so the adjacency lists are sized exactly instead of growing
+	// edge by edge.
 	for sc.Scan() {
 		lineNo++
 		line := bytes.TrimSpace(sc.Bytes())
@@ -229,10 +221,7 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 			if lim.MaxEdges > 0 && edges > lim.MaxEdges {
 				return nil, &LimitError{Kind: "edges", Max: lim.MaxEdges, Line: lineNo}
 			}
-			g.Grow(min(nodes, maxPreallocNodes), 0)
-			if want := min(edges, 4*maxPreallocNodes); cap(*batchp) < want {
-				*batchp = make([]Edge, 0, want)
-			}
+			g.Grow(min(nodes, maxPreallocNodes), min(edges, 4*maxPreallocNodes))
 		case "node":
 			if nf < 4 || nf > 5 {
 				return nil, fmt.Errorf("dag: line %d: want 'node <id> <kind> <exec> [name]', got %q", lineNo, line)
@@ -276,10 +265,10 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 			if from < 0 || from >= g.NumNodes() || to < 0 || to >= g.NumNodes() {
 				return nil, fmt.Errorf("dag: line %d: edge %d->%d references undeclared node", lineNo, from, to)
 			}
-			if lim.MaxEdges > 0 && g.NumEdges()+len(*batchp) >= lim.MaxEdges {
+			if lim.MaxEdges > 0 && g.NumEdges() >= lim.MaxEdges {
 				return nil, &LimitError{Kind: "edges", Max: lim.MaxEdges, Line: lineNo}
 			}
-			*batchp = append(*batchp, Edge{From: NodeID(from), To: NodeID(to), Size: size, CacheTime: ct, EDRAMTime: et})
+			g.edges = append(g.edges, Edge{From: NodeID(from), To: NodeID(to), Size: size, CacheTime: ct, EDRAMTime: et})
 		default:
 			return nil, fmt.Errorf("dag: line %d: unknown directive %q", lineNo, fields[0])
 		}
@@ -287,7 +276,7 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dag: reading graph: %w", err)
 	}
-	g.AddEdges(*batchp)
+	g.link()
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

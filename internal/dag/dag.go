@@ -19,6 +19,7 @@ package dag
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // OpKind classifies the operation a vertex performs.  The paper
@@ -191,9 +192,8 @@ func (g *Graph) AddEdge(e Edge) EdgeID {
 }
 
 // AddEdges appends a batch of edges at once.  When the graph has no
-// edges yet (the codec's bulk-load case), the adjacency lists are
-// carved out of two exact-fit backing arrays sized from the batch's
-// degree counts, so the whole load costs a constant number of
+// edges yet (the bulk-load case), the batch is copied in and linked
+// once (see link), so the whole load costs a constant number of
 // allocations instead of one growth chain per vertex.  With edges
 // already present it degrades to a plain AddEdge loop.  Like AddEdge
 // it panics on an out-of-range endpoint and assigns IDs in order.
@@ -216,25 +216,67 @@ func (g *Graph) AddEdges(es []Edge) {
 		}
 	}
 	g.Grow(0, len(es))
-	deg := make([]int, 2*len(g.nodes))
-	outDeg, inDeg := deg[:len(g.nodes)], deg[len(g.nodes):]
-	for i := range es {
-		outDeg[es[i].From]++
-		inDeg[es[i].To]++
+	g.edges = append(g.edges, es...)
+	g.link()
+}
+
+// vertexPool recycles per-vertex int32 scratch: link's degree counters
+// and hasDuplicateEdges' last-seen stamps.
+var vertexPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// vertexScratch returns pooled scratch of n zeroed int32s; the caller
+// hands it back with releaseVertexScratch.
+func vertexScratch(n int) *[]int32 {
+	p := vertexPool.Get().(*[]int32)
+	if cap(*p) < n {
+		*p = make([]int32, n)
 	}
-	backing := make([]EdgeID, 2*len(es))
-	outB, inB := backing[:len(es)], backing[len(es):]
+	*p = (*p)[:n]
+	clear(*p)
+	return p
+}
+
+func releaseVertexScratch(p *[]int32) {
+	*p = (*p)[:0]
+	vertexPool.Put(p)
+}
+
+// link builds the adjacency lists of every edge in g.edges in one
+// pass, assigning edge IDs in slice order.  It is the bulk loaders'
+// (AddEdges, the codecs, Replicate) one way in: they write g.edges
+// directly, with every endpoint already range-checked, while no vertex
+// has an adjacency list yet.  The lists are carved out of two exact-fit
+// backing arrays sized from the degree counts; full-slice expressions
+// cap each list at its own region, so a later AddEdge reallocates that
+// vertex's list instead of clobbering a neighbour's.
+//
+//paraconv:hotpath
+func (g *Graph) link() {
+	n, m := len(g.nodes), len(g.edges)
+	if m == 0 {
+		return
+	}
+	degp := vertexScratch(2 * n)
+	outDeg, inDeg := (*degp)[:n], (*degp)[n:]
+	for i := range g.edges {
+		e := &g.edges[i]
+		e.ID = EdgeID(i)
+		outDeg[e.From]++
+		inDeg[e.To]++
+	}
+	backing := make([]EdgeID, 2*m)
+	outB, inB := backing[:m], backing[m:]
 	outOff, inOff := 0, 0
-	for v := range g.out {
-		g.out[v] = outB[outOff : outOff : outOff+outDeg[v]]
-		outOff += outDeg[v]
-		g.in[v] = inB[inOff : inOff : inOff+inDeg[v]]
-		inOff += inDeg[v]
+	for v := 0; v < n; v++ {
+		od, ind := int(outDeg[v]), int(inDeg[v])
+		g.out[v] = outB[outOff : outOff : outOff+od]
+		outOff += od
+		g.in[v] = inB[inOff : inOff : inOff+ind]
+		inOff += ind
 	}
-	for i := range es {
-		e := es[i]
-		e.ID = EdgeID(len(g.edges))
-		g.edges = append(g.edges, e)
+	releaseVertexScratch(degp)
+	for i := range g.edges {
+		e := &g.edges[i]
 		g.out[e.From] = append(g.out[e.From], e.ID)
 		g.in[e.To] = append(g.in[e.To], e.ID)
 	}

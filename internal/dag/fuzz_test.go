@@ -54,8 +54,8 @@ func FuzzDAGCodecRoundTrip(f *testing.F) {
 // Rejected frames must fail with an error (never a panic); accepted
 // frames must re-encode to exactly the input bytes (the decoder accepts
 // only the canonical encoding — the property that lets a server key
-// plans by a hash of the undecoded frame) and must carry exactly the
-// text codec's information: the
+// plans by a hash of the undecoded frame), must pass the attributing
+// validateSlow, and must carry exactly the text codec's information: the
 // graph pushed through WriteText/ReadText agrees structurally with the
 // binary parse, modulo the text format's name sanitization.
 func FuzzBinaryCodecRoundTrip(f *testing.F) {
@@ -75,6 +75,11 @@ func FuzzBinaryCodecRoundTrip(f *testing.F) {
 		}
 		if b1 := AppendBinary(nil, g1); !bytes.Equal(b1, data) {
 			t.Fatalf("accepted frame is not the canonical encoding of its graph:\ninput     % x\nre-encode % x", data, b1)
+		}
+		// The decoder's linear Validate must agree with the attributing
+		// map-based path on everything it lets through.
+		if err := g1.validateSlow(); err != nil {
+			t.Fatalf("accepted frame fails validateSlow: %v", err)
 		}
 		// Cross-codec equivalence: the text round trip must preserve
 		// everything except names, which it sanitizes.

@@ -13,9 +13,9 @@ import (
 //
 // Replicate sits on the planning hot path (every Para-CONV solve with
 // more than one group unrolls through it), so it builds the result in
-// bulk: storage is reserved up front, edges are staged and loaded via
-// AddEdges' exact-fit adjacency backing, and each copy's renamed
-// vertex names are carved out of one shared string.
+// bulk: storage is reserved up front, edges are written in place and
+// linked once (see link), and each copy's renamed vertex names are
+// carved out of one shared string.
 //
 //paraconv:hotpath
 func Replicate(g *Graph, copies int) (*Graph, error) {
@@ -55,22 +55,15 @@ func Replicate(g *Graph, copies int) (*Graph, error) {
 			out.AddNode(node)
 		}
 	}
-	batchp := edgeBatchPool.Get().(*[]Edge)
-	es := (*batchp)[:0]
-	if cap(es) < copies*m {
-		es = make([]Edge, 0, copies*m)
-	}
 	for k := 0; k < copies; k++ {
 		for i := range g.Edges() {
 			e := g.Edges()[i]
 			e.From += NodeID(k * n)
 			e.To += NodeID(k * n)
-			es = append(es, e)
+			out.edges = append(out.edges, e)
 		}
 	}
-	out.AddEdges(es)
-	*batchp = es[:0]
-	edgeBatchPool.Put(batchp)
+	out.link()
 	return out, nil
 }
 

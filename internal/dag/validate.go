@@ -3,8 +3,6 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 )
 
 // ValidationError describes one defect found by Validate.
@@ -19,39 +17,33 @@ type ValidationError struct {
 // Error implements error.
 func (e *ValidationError) Error() string { return "dag: invalid graph: " + e.Kind + ": " + e.Detail }
 
-// dupScratch pools the packed (From,To) key slice the duplicate-edge
-// scan sorts, so validating a clean graph costs no steady-state
-// allocations (Validate runs on every parsed request body).
-type dupScratch struct{ keys []uint64 }
-
-var dupPool = sync.Pool{New: func() any { return new(dupScratch) }}
-
 // hasDuplicateEdges reports whether any (From,To) pair appears on more
-// than one edge, via a sort-and-scan over packed keys instead of a
-// map.  NodeIDs fit 32 bits by construction: they are dense slice
-// indexes, and 2^32 Node structs would not fit in memory.
+// than one edge, in one O(V+E) pass with no sort and no map: walking
+// vertex v's out-list stamps each successor with v+1 in pooled
+// per-vertex scratch, so a successor already carrying v's stamp is
+// reached by a second edge.  NodeIDs fit 32 bits by construction: they
+// are dense slice indexes, and 2^31 Node structs would not fit in
+// memory.
 func (g *Graph) hasDuplicateEdges() bool {
 	if len(g.edges) < 2 {
 		return false
 	}
-	sc := dupPool.Get().(*dupScratch)
-	keys := sc.keys[:0]
-	if cap(keys) < len(g.edges) {
-		keys = make([]uint64, 0, len(g.edges))
-	}
-	for i := range g.edges {
-		keys = append(keys, uint64(uint32(g.edges[i].From))<<32|uint64(uint32(g.edges[i].To)))
-	}
-	slices.Sort(keys)
+	sp := vertexScratch(len(g.nodes))
+	stamp := *sp
 	dup := false
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			dup = true
-			break
+scan:
+	for v := range g.out {
+		mark := int32(v + 1)
+		for _, eid := range g.out[v] {
+			w := g.edges[eid].To
+			if stamp[w] == mark {
+				dup = true
+				break scan
+			}
+			stamp[w] = mark
 		}
 	}
-	sc.keys = keys[:0]
-	dupPool.Put(sc)
+	releaseVertexScratch(sp)
 	return dup
 }
 
@@ -66,8 +58,9 @@ func (g *Graph) hasDuplicateEdges() bool {
 //     on-chip cache, paper §2.2).
 //
 // All defects are reported, joined with errors.Join; nil means valid.
-// The clean-graph path allocates nothing: the duplicate-edge check
-// runs over pooled sorted keys, and the map-based scan only re-runs
+// The clean-graph path is linear and allocates nothing: the
+// duplicate-edge check stamps pooled per-vertex scratch, acyclicity is
+// an unordered Kahn pass (IsAcyclic), and the map-based scan only runs
 // (to attribute each duplicate to its edge ID) once a duplicate is
 // known to exist.
 func (g *Graph) Validate() error {

@@ -46,6 +46,9 @@ func (p PackPolicy) String() string {
 
 // ObjectiveWithPolicy is Objective with an explicit packing policy.
 func ObjectiveWithPolicy(g *dag.Graph, numPEs int, policy PackPolicy) (IterationSchedule, error) {
+	if policy == PackTopo {
+		return Objective(g, numPEs) // runs the same checks itself
+	}
 	if numPEs < 1 {
 		return IterationSchedule{}, fmt.Errorf("sched: %d PEs; want >= 1", numPEs)
 	}
@@ -56,8 +59,6 @@ func ObjectiveWithPolicy(g *dag.Graph, numPEs int, policy PackPolicy) (Iteration
 		return IterationSchedule{}, err
 	}
 	switch policy {
-	case PackTopo:
-		return Objective(g, numPEs)
 	case PackLPT:
 		order := make([]dag.NodeID, g.NumNodes())
 		for i := range order {

@@ -42,6 +42,7 @@ go test -run='^$' -fuzz='^FuzzDAGCodecRoundTrip$' -fuzztime=10s ./internal/dag/
 go test -run='^$' -fuzz='^FuzzBinaryCodecRoundTrip$' -fuzztime=10s ./internal/dag/
 go test -run='^$' -fuzz='^FuzzRequestFrameSplit$' -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz='^FuzzPlanFrames$' -fuzztime=10s ./internal/wire/
+go test -run='^$' -fuzz='^FuzzSplitPeerFill$' -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz='^FuzzStoreFrame$' -fuzztime=10s ./internal/store/
 go test -run='^$' -fuzz='^FuzzSynthGenerate$' -fuzztime=10s ./internal/synth/
 go test -run='^$' -fuzz='^FuzzKnapsackEquivalence$' -fuzztime=10s ./internal/core/
