@@ -26,8 +26,11 @@
 // plans are written through to fingerprint-named files under DIR, and
 // a restarted daemon pointed at the same DIR serves previously solved
 // graphs without re-running the solver (see DESIGN.md "Async jobs &
-// durable store").  -store-max-bytes bounds the directory; least
-// recently used entries are evicted past it.
+// durable store").  The write is committed behind the response, at
+// most -workers plus -job-workers at once (one per goroutine that can
+// write), and a drain lands every accepted write before the process
+// exits.  -store-max-bytes bounds the directory;
+// least recently used entries are evicted past it.
 //
 // -peers runs the daemon as one member of a sharded planning cluster:
 // a comma-separated static member list (host:port each, the same list
@@ -53,8 +56,9 @@
 // An -addr without a host (":8080") binds loopback; serving beyond
 // the machine requires an explicit interface ("0.0.0.0:8080").
 // SIGTERM or SIGINT starts a graceful drain: /readyz flips to 503,
-// intake stops, queued work finishes (bounded by -drain-timeout), and
-// the process exits 0 on a clean drain, 1 if the timeout cut work off.
+// intake stops, queued work finishes and the plan store's accepted
+// writes land (bounded by -drain-timeout), and the process exits 0 on
+// a clean drain, 1 if the timeout cut work off.
 package main
 
 import (
@@ -140,7 +144,7 @@ func main() {
 		SLOInterval:    *sloInterval,
 	}
 	if *dataDir != "" {
-		st, err := store.Open(*dataDir, store.Options{MaxBytes: *storeMaxBytes})
+		st, err := store.Open(*dataDir, store.Options{MaxBytes: *storeMaxBytes, CommitSlots: cfg.StoreWriters()})
 		if err != nil {
 			log.Fatalf("opening plan store: %v", err)
 		}

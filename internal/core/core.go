@@ -204,14 +204,19 @@ type filler struct {
 
 // fillZeroDelta back-fills remaining cache capacity with zero-profit
 // IPRs, largest traffic first (ties by smaller footprint, then edge
-// ID, for determinism).  It appends candidates into buf[:0] and
-// returns the (possibly grown) buffer for reuse.
+// ID, for determinism).  Only IPRs no larger than the capacity left
+// after the DP are candidates: what is left only shrinks as the fill
+// proceeds, so a larger one could never be placed, and leaving it out
+// of the sort changes no placement.  It appends candidates into buf[:0]
+// and returns the (possibly grown) buffer for reuse.
 func fillZeroDelta(g *dag.Graph, classes []retime.EdgeClass, alloc *Allocation, capacity int, buf []filler) []filler {
 	fillers := buf
+	left := capacity - alloc.CacheUsed
 	for i := range classes {
 		if classes[i].DeltaR() <= 0 {
-			e := g.Edge(classes[i].Edge)
-			fillers = append(fillers, filler{traffic: trafficOf(e), size: e.Size, id: classes[i].Edge})
+			if e := g.Edge(classes[i].Edge); e.Size <= left {
+				fillers = append(fillers, filler{traffic: trafficOf(e), size: e.Size, id: classes[i].Edge})
+			}
 		}
 	}
 	slices.SortFunc(fillers, func(a, b filler) int {
@@ -226,7 +231,6 @@ func fillZeroDelta(g *dag.Graph, classes []retime.EdgeClass, alloc *Allocation, 
 		}
 		return int(a.id - b.id)
 	})
-	left := capacity - alloc.CacheUsed
 	for _, f := range fillers {
 		if f.size <= left {
 			alloc.Assignment[f.id] = pim.InCache

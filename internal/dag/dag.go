@@ -305,8 +305,10 @@ func (g *Graph) Edge(id EdgeID) *Edge {
 }
 
 // Nodes returns the vertex slice in ID order.  Callers must not append
-// to it; element mutation is allowed and is the idiomatic way to fill
-// in schedule times.
+// to it; element mutation is allowed while the graph is being built.
+// Once a graph has been planned it is read-only: a plan may alias it
+// as its kernel (one concurrent iteration, a given schedule, a lean
+// frame decoded against it), so a later write would change the plan.
 func (g *Graph) Nodes() []Node { return g.nodes }
 
 // Edges returns the edge slice in ID order, with the same aliasing

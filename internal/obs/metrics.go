@@ -60,7 +60,7 @@ var (
 var (
 	StoreHits        = Default().Counter("paraconv_store_hits_total", "store reads that returned a durable entry")
 	StoreMisses      = Default().Counter("paraconv_store_misses_total", "store reads that found no durable entry")
-	StoreWrites      = Default().Counter("paraconv_store_writes_total", "entries durably written through to the data dir")
+	StoreWrites      = Default().Counter("paraconv_store_writes_total", "entries accepted for write-through to the data dir (committed behind the response; failed commits also count in write_errors)")
 	StoreWriteErrors = Default().Counter("paraconv_store_write_errors_total", "write-through attempts that failed (store stays best-effort)")
 	StoreCorrupt     = Default().Counter("paraconv_store_corrupt_total", "entries quarantined because the frame failed its magic/CRC/length checks")
 	StoreEvictions   = Default().Counter("paraconv_store_evictions_total", "entries evicted by the capacity-bounded LRU sweep")

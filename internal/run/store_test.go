@@ -11,6 +11,22 @@ import (
 	"repro/internal/synth"
 )
 
+// openStore opens a store on dir and lands its accepted writes before
+// the test's temp dirs are removed.
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := st.Flush(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
+	return st
+}
+
 func storeTestGraph(t *testing.T, seed int64) *dag.Graph {
 	t.Helper()
 	g, err := synth.Generate(synth.Params{Name: "runstore", Vertices: 30, Edges: 60, Seed: seed})
@@ -29,10 +45,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	cfg := pim.Neurocube(8)
 	graphs := []*dag.Graph{storeTestGraph(t, 1), storeTestGraph(t, 2), storeTestGraph(t, 3)}
 
-	st1, err := store.Open(dir, store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1 := openStore(t, dir)
 	boot1 := New(context.Background())
 	boot1.AttachStore(st1)
 	wantPeriods := make([]int, len(graphs))
@@ -51,14 +64,14 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatalf("boot1 wrote %d entries, want %d", st1.Stats().Writes, len(graphs))
 	}
 
-	// Second boot: fresh in-memory cache, same dir.  Every plan must
-	// come from the durable tier — StoreHits counts exactly the
-	// lookups, and the solver (which would bump StoreMisses on its way
-	// in) never runs.
-	st2, err := store.Open(dir, store.Options{NoSync: true})
-	if err != nil {
+	// Second boot: fresh in-memory cache, same dir, once the first
+	// boot's writes have landed.  Every plan must come from the durable
+	// tier — StoreHits counts exactly the lookups, and the solver (which
+	// would bump StoreMisses on its way in) never runs.
+	if err := st1.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	st2 := openStore(t, dir)
 	boot2 := New(context.Background())
 	boot2.AttachStore(st2)
 	for i, g := range graphs {
@@ -92,10 +105,7 @@ func TestStoreWarmRestart(t *testing.T) {
 // solve.
 func TestStoreUndecodableEntryFallsThrough(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, dir)
 	g := storeTestGraph(t, 4)
 	cfg := pim.Neurocube(8)
 	key := PlanFingerprint("", "", g, cfg)
@@ -146,10 +156,7 @@ func TestStoreWriteThroughFailureIsNotFatal(t *testing.T) {
 
 func TestWithContextSharesStore(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, dir)
 	sess := New(context.Background())
 	sess.AttachStore(st)
 	derived := sess.WithContext(context.Background())

@@ -14,10 +14,11 @@ import (
 // BlobStore is the durable tier behind the in-memory plan cache — in
 // production a *store.Store over the daemon's -data-dir.  Get reports
 // a miss (never an error: corruption is the store's problem to
-// quarantine); Put is best-effort write-through.  The key is the plan
-// fingerprint: the same content hash addresses plans in the cluster's
-// /v1/plans/{fp} protocol, so a restarted owner serves peer lookups
-// from its store files verbatim.
+// quarantine); Put is best-effort write-through, and may return before
+// the write is durable as long as a Get after it hits.  The key is the
+// plan fingerprint: the same content hash addresses plans in the
+// cluster's /v1/plans/{fp} protocol, so a restarted owner serves peer
+// lookups from its store files verbatim.
 type BlobStore interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, payload []byte) error
@@ -105,6 +106,8 @@ func atRest(p *sched.Plan) []byte {
 // handed over — verbatim, never re-encoded — or nil after a local
 // solve, which encodes it here, once.  Store errors are logged, never
 // propagated: a full disk must not fail the solve that just succeeded.
+// The production store only accepts the write here and commits it
+// behind the response (see internal/store).
 func (c *planCache) promote(fp, arch string, p *sched.Plan, rest []byte, toStore bool) {
 	if rest == nil {
 		rest = atRest(p)

@@ -207,9 +207,7 @@ func TestTierDifferential(t *testing.T) {
 			s := New(context.Background())
 			var st *store.Store
 			if tc.store {
-				if st, err = store.Open(t.TempDir(), store.Options{NoSync: true}); err != nil {
-					t.Fatal(err)
-				}
+				st = openStore(t, t.TempDir())
 				if tc.seed != nil {
 					if err := st.Put(fp, tc.seed); err != nil {
 						t.Fatal(err)

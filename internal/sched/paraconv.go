@@ -364,9 +364,9 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 //
 // Every intermediate — topological order, objective timing, edge
 // classes, DP allocation, retiming propagation — lives in the pooled
-// scratch; only the replicated graph, final task list, expanded
-// assignment and fresh retiming copies (the state the returned *Plan
-// retains) are allocated.
+// scratch; only the replicated graph (none for one group), final task
+// list, expanded assignment and fresh retiming copies (the state the
+// returned *Plan retains) are allocated.
 //
 //paraconv:hotpath
 func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.Config, groups int) (*Plan, error) {
@@ -439,10 +439,14 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 
 	// Replicate the group schedule across the array.  Everything from
 	// here down is retained by the returned plan, so it is built fresh
-	// rather than from the scratch.
-	gu, err := dag.Replicate(g, groups)
-	if err != nil {
-		return nil, fmt.Errorf("sched: para-conv replicate: %w", err)
+	// rather than from the scratch.  One group's kernel is the problem
+	// graph itself, aliased as wire.DecodeLeanPlan and
+	// ParaCONVGivenSchedule alias it, so a planned graph is read-only.
+	gu := g
+	if groups > 1 {
+		if gu, err = dag.Replicate(g, groups); err != nil {
+			return nil, fmt.Errorf("sched: para-conv replicate: %w", err)
+		}
 	}
 	fullTasks := make([]Task, 0, gu.NumNodes())
 	for k := 0; k < groups; k++ {

@@ -266,6 +266,10 @@ func TestJobWarmRestartThroughServer(t *testing.T) {
 		t.Fatalf("boot1 store counters = %+v", cs)
 	}
 
+	// A restart finds what the first boot's drain flushed.
+	if err := st1.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	st2, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)

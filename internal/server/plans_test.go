@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -384,6 +387,10 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 		t.Fatalf("seeding solve: %d %s", resp.StatusCode, data)
 	}
 
+	// A restart finds what the first boot's drain flushed.
+	if err := st1.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	st2, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -417,5 +424,52 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 	}
 	if _, err := wire.DecodePlan(data, dag.Limits{}); err != nil {
 		t.Fatalf("full-frame lookup with a fill body: %v", err)
+	}
+}
+
+// TestDrainLandsAcceptedStoreWrites: the store commits behind the
+// response, so a drain is what makes an answered solve durable — after
+// a clean Drain every write the store accepted is a file in its dir,
+// with no Flush from the caller.  The store fsyncs, so commits are
+// still in flight when the drain starts.
+func TestDrainLandsAcceptedStoreWrites(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: st})
+	running, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const graphs = 8
+	for seed := int64(0); seed < graphs; seed++ {
+		var text bytes.Buffer
+		if err := dag.WriteText(&text, plansGraph(t, 500+seed)); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(map[string]any{"graph": text.String(), "pes": 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post("http://"+running.Addr()+"/v1/plan", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan %d: status %d", seed, resp.StatusCode)
+		}
+	}
+	if err := running.Drain(10 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	files, err := filepath.Glob(filepath.Join(st.Dir(), "*.plan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := st.Stats(); stats.Writes != graphs || stats.WriteErrors != 0 || len(files) != graphs {
+		t.Fatalf("after Drain: %d plan files, store stats %+v; want %d writes, all on disk", len(files), stats, graphs)
 	}
 }

@@ -22,8 +22,9 @@
 //     caps, both mapped to structured JSON client errors;
 //   - graceful drain: Running.Drain stops intake and waits, up to a
 //     timeout, for every connection's in-flight request to finish —
-//     http.Server.Shutdown is the whole drain, there is no second
-//     queue to empty — then releases the port.
+//     http.Server.Shutdown does that, there is no second request
+//     queue to empty — and for the durable store's write-behind
+//     commits to land, then releases the port.
 //
 // Endpoints: POST /v1/plan, POST /v1/simulate, POST /v1/selectarch,
 // GET /healthz, GET /readyz, plus the obs debug endpoints (/metrics,
@@ -140,6 +141,15 @@ func (c Config) withDefaults() Config {
 		c.TraceSample = 0
 	}
 	return c
+}
+
+// StoreWriters is how many goroutines can write to the durable store
+// at once under c: every run slot (a peer's fill is solved inside the
+// gate too) and every async job worker.  The daemon gives its store
+// this many commit slots.
+func (c Config) StoreWriters() int {
+	c = c.withDefaults()
+	return c.Workers + c.JobWorkers
 }
 
 // Server is the planning service: one shared Session (cache +
@@ -290,6 +300,12 @@ func (s *Server) Handler() http.Handler {
 // (satisfied by *store.Store).
 type storeProber interface{ Probe() error }
 
+// storeFlusher is the drain hook of a write-behind store (satisfied by
+// *store.Store): Flush returns once every accepted write has landed.
+type storeFlusher interface {
+	Flush(ctx context.Context) error
+}
+
 // AttachCluster installs cl as this node's fleet view: the shared
 // session gains the cluster miss tier, /readyz surfaces ring health,
 // and responses carry the node id.  Called after Start (the member id
@@ -369,9 +385,11 @@ func (r *Running) Addr() string { return r.ln.Addr().String() }
 // Drain performs the graceful shutdown sequence: flip /readyz to 503,
 // stop accepting connections, and wait up to timeout for every request
 // already inside the gate — solving or waiting for a run slot — to
-// finish on its own connection.  A nil return means every accepted
-// request completed; a non-nil return means the timeout expired and
-// remaining connections were cut.
+// finish on its own connection, then for the durable store's accepted
+// writes to commit.  A nil return means every accepted request
+// completed and every write it handed the store is on disk; a non-nil
+// return means the timeout expired and remaining connections were cut
+// or writes left uncommitted.
 func (r *Running) Drain(timeout time.Duration) error {
 	r.s.draining.Store(true)
 	r.stop.Do(func() { close(r.sloStop) })
@@ -387,5 +405,12 @@ func (r *Running) Drain(timeout time.Duration) error {
 	// poll a different (or restarted) process, and a restarted daemon
 	// re-serves finished solves from the durable store anyway.
 	r.s.jobs.Close()
+	// Every solve has now returned, so no write is accepted after this:
+	// land the ones still committing inside the same deadline.
+	if f, ok := r.s.cfg.Store.(storeFlusher); ok {
+		if ferr := f.Flush(ctx); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
 	return err
 }

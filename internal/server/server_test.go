@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +37,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
+		// Land the store's accepted writes before its temp dir goes.
+		if f, ok := cfg.Store.(storeFlusher); ok {
+			if err := f.Flush(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}
 	})
 	return s, ts
 }
@@ -450,5 +457,26 @@ func TestStartAndDrain(t *testing.T) {
 	}
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Error("listener still accepting after Drain")
+	}
+}
+
+// TestStoreWritersCountsEveryWriter: the store's commit slots cover
+// every goroutine that can call Put — run slots and async job workers,
+// each at its default when unset.
+func TestStoreWritersCountsEveryWriter(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{}, 2 * procs},
+		{Config{Workers: 3}, 6},
+		{Config{JobWorkers: 1}, procs + 1},
+		{Config{Workers: 8, JobWorkers: 2}, 10},
+	} {
+		if got := tc.cfg.StoreWriters(); got != tc.want {
+			t.Errorf("Config{Workers: %d, JobWorkers: %d}.StoreWriters() = %d, want %d",
+				tc.cfg.Workers, tc.cfg.JobWorkers, got, tc.want)
+		}
 	}
 }

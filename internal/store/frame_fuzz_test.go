@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +52,7 @@ func frameSeeds() []frameSeed {
 		{"wrong magic", append([]byte("PCX"), good[3:]...), key, false},
 		{"future version", append([]byte{'P', 'C', 'S', frameVersion + 1}, good[4:]...), key, false},
 		{"misfiled under another key", good, "another", false},
+		{"misfiled under a long unprintable key", good, strings.Repeat("\xf2", 1629), false},
 		{"key length lies", sealed(body(uv(1<<20), key, uv(len(payload)), payload)), key, false},
 		{"payload length lies", sealed(body(uv(len(key)), key, uv(1<<20), payload)), key, false},
 		{"trailing garbage", sealed(append(body(uv(len(key)), key, uv(len(payload)), payload), 0)), key, false},

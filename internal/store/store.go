@@ -11,6 +11,12 @@
 //     is fsynced, then renamed over the final name (the dir is fsynced
 //     after the rename), so a crash leaves either the old entry or the
 //     new one, never a torn file;
+//   - writes are behind the caller, but bounded: Put hands the frame to
+//     a commit goroutine and returns once the write accepted K writes
+//     earlier has landed (K fixed at Open), Get serves an accepted write
+//     before its commit lands, and Flush waits for every accepted write
+//     — so a crash loses at most K entries, which the cache above simply
+//     recomputes;
 //   - reads are CRC-guarded: a frame failing its magic, version,
 //     length, key, or CRC-32 check is quarantined (renamed to *.bad)
 //     and reported as a miss, never served;
@@ -18,11 +24,12 @@
 //     least-recently-used entries (by file mtime, refreshed on every
 //     hit) are evicted until the new entry fits.
 //
-// The store itself runs no goroutines; a *Store is safe for
-// concurrent use by any number of callers.
+// The only goroutines the store runs are its in-flight commits; a
+// *Store is safe for concurrent use by any number of callers.
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -31,6 +38,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -66,9 +74,16 @@ type Options struct {
 	// NoSync skips the fsync calls on write (for tests that do not
 	// need crash durability).
 	NoSync bool
+	// CommitSlots is K, how far commits may trail Put: Put waits until
+	// the write accepted K writes earlier has landed, so at most K
+	// writes are committing at once and none is still pending once K
+	// later ones are accepted.  0 means runtime.GOMAXPROCS(0).
+	CommitSlots int
 }
 
-// Stats is a point-in-time snapshot of one store's counters.
+// Stats is a point-in-time snapshot of one store's counters.  Writes
+// counts the writes Put accepted; a commit that then fails counts in
+// WriteErrors as well.
 type Stats struct {
 	Entries     int
 	Bytes       int64
@@ -86,15 +101,26 @@ type entry struct {
 	mtime time.Time
 }
 
+// pendingWrite is a write Put accepted whose commit has not landed.
+type pendingWrite struct {
+	payload []byte
+	done    chan struct{} // closed once the commit has landed or failed
+}
+
 // Store is a durable content-addressed blob store over one data dir.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu      sync.Mutex
-	entries map[string]*entry // file name -> entry
-	bytes   int64
-	stats   Stats
+	entries map[string]*entry // file name -> committed entry
+	pending map[string]*pendingWrite
+	// ring holds the done channels of the last K accepted writes: write
+	// seq takes ring[seq%K] and waits for the write there, seq-K.
+	ring  []chan struct{}
+	seq   uint64
+	bytes int64
+	stats Stats
 }
 
 // Open scans dir (creating it if needed) and returns a store over it.
@@ -112,7 +138,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: scan data dir: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, entries: make(map[string]*entry)}
+	if opts.CommitSlots <= 0 {
+		opts.CommitSlots = runtime.GOMAXPROCS(0)
+	}
+	s := &Store{
+		dir:     dir,
+		opts:    opts,
+		ring:    make([]chan struct{}, opts.CommitSlots),
+		entries: make(map[string]*entry),
+		pending: make(map[string]*pendingWrite),
+	}
 	for _, de := range names {
 		name := de.Name()
 		if de.IsDir() {
@@ -249,10 +284,12 @@ func parseFrame(data []byte, key string) ([]byte, error) {
 		return nil, errors.New("store: key length field is a non-minimal varint")
 	}
 	body = body[n:]
-	gotKey := string(body[:klen])
+	gotKey := body[:klen]
 	body = body[klen:]
-	if gotKey != key {
-		return nil, fmt.Errorf("store: entry holds key %q, want %q (hash collision or misfiled entry)", gotKey, key)
+	if string(gotKey) != key {
+		// Neither key is quoted: the stored one is whatever the disk
+		// holds, and escaping either costs up to four bytes per byte.
+		return nil, fmt.Errorf("store: entry holds a different %d-byte key than the %d-byte key asked for (hash collision or misfiled entry)", len(gotKey), len(key))
 	}
 	plen, n := binary.Uvarint(body)
 	if n <= 0 || plen != uint64(len(body)-n) {
@@ -271,11 +308,21 @@ func padded(uvarint []byte) bool {
 	return len(uvarint) > 1 && uvarint[len(uvarint)-1] == 0
 }
 
-// Get returns the payload stored under key, or false on miss.  A
-// corrupt entry is quarantined and reported as a miss.  A hit
-// refreshes the entry's mtime so the LRU sweep sees recency.
+// Get returns the payload stored under key, or false on miss.  A write
+// Put accepted is served before its commit lands.  A corrupt entry is
+// quarantined and reported as a miss.  A hit on a committed entry
+// refreshes its mtime so the LRU sweep sees recency.  The caller owns
+// the returned bytes.
 func (s *Store) Get(key string) ([]byte, bool) {
 	name := fileName(key)
+	s.mu.Lock()
+	if w, ok := s.pending[name]; ok {
+		s.stats.Hits++
+		s.mu.Unlock()
+		obs.StoreHits.Inc()
+		return append([]byte(nil), w.payload...), true
+	}
+	s.mu.Unlock()
 	path := filepath.Join(s.dir, name)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -324,43 +371,99 @@ func (s *Store) quarantine(name string, size int64) {
 	obs.StoreCorrupt.Inc()
 }
 
-// Put durably stores payload under key, evicting least-recently-used
-// entries as the capacity bound requires.  Overwriting an
-// existing key is atomic.  The error is informational — callers treat
-// the store as best-effort — but the counters record it.
+// Put accepts payload for a durable write under key and returns once
+// the write accepted K writes earlier has landed: the frame is built
+// and size-checked here, then a commit goroutine lands it atomically,
+// evicting least-recently-used entries as the capacity bound requires.
+// Waiting for that one write, not for any free slot, keeps a stalled
+// commit from falling ever further behind while later ones pass it.
+// Get serves the payload from the moment Put returns; Flush waits for
+// the commit.  Two writes of one key commit in the order their Puts
+// returned.  The error reports only a rejected write (an entry larger
+// than the whole store); a commit that fails later is counted and
+// logged — callers treat the store as best-effort either way.
 func (s *Store) Put(key string, payload []byte) error {
 	name := fileName(key)
 	frame := appendFrame(make([]byte, 0, frameHeaderSize+2*binary.MaxVarintLen64+len(key)+len(payload)), key, payload)
-	size := int64(len(frame))
-	if s.opts.MaxBytes > 0 && size > s.opts.MaxBytes {
+	if s.opts.MaxBytes > 0 && int64(len(frame)) > s.opts.MaxBytes {
 		s.mu.Lock()
 		s.stats.WriteErrors++
 		s.mu.Unlock()
 		obs.StoreWriteErrors.Inc()
-		return fmt.Errorf("store: %d-byte entry exceeds the %d-byte store capacity", size, s.opts.MaxBytes)
+		return fmt.Errorf("store: %d-byte entry exceeds the %d-byte store capacity", len(frame), s.opts.MaxBytes)
 	}
 
-	if err := s.writeAtomic(name, frame); err != nil {
-		s.mu.Lock()
-		s.stats.WriteErrors++
-		s.mu.Unlock()
-		obs.StoreWriteErrors.Inc()
-		return err
-	}
-
+	w := &pendingWrite{payload: frame[len(frame)-len(payload):], done: make(chan struct{})}
 	s.mu.Lock()
-	// Room is made under the lock that admits the entry: Puts that each
-	// made room before writing could otherwise all commit past the bound.
-	s.makeRoom(name, size)
-	if old, ok := s.entries[name]; ok {
-		s.bytes -= old.size
+	slot := &s.ring[s.seq%uint64(len(s.ring))]
+	s.seq++
+	behind := *slot
+	*slot = w.done
+	s.mu.Unlock()
+	if behind != nil {
+		<-behind
 	}
-	s.entries[name] = &entry{name: name, size: size, mtime: time.Now()}
-	s.bytes += size
+	s.mu.Lock()
+	for prev, ok := s.pending[name]; ok; prev, ok = s.pending[name] {
+		// An earlier write of this key is still committing; landing
+		// after it keeps the newer payload on disk.
+		s.mu.Unlock()
+		<-prev.done
+		s.mu.Lock()
+	}
+	s.pending[name] = w
 	s.stats.Writes++
-	s.publish()
 	s.mu.Unlock()
 	obs.StoreWrites.Inc()
+	go s.commit(name, frame, w)
+	return nil
+}
+
+// commit lands one accepted write and accounts for it.
+func (s *Store) commit(name string, frame []byte, w *pendingWrite) {
+	err := s.writeAtomic(name, frame)
+	size := int64(len(frame))
+	s.mu.Lock()
+	delete(s.pending, name)
+	if err != nil {
+		s.stats.WriteErrors++
+	} else {
+		// Room is made under the lock that admits the entry: commits
+		// that each made room before writing could otherwise all land
+		// past the bound.
+		s.makeRoom(name, size)
+		if old, ok := s.entries[name]; ok {
+			s.bytes -= old.size
+		}
+		s.entries[name] = &entry{name: name, size: size, mtime: time.Now()}
+		s.bytes += size
+		s.publish()
+	}
+	s.mu.Unlock()
+	close(w.done)
+	if err != nil {
+		obs.StoreWriteErrors.Inc()
+		obs.Log().Warn("store write-behind commit failed", "file", name, "err", err)
+	}
+}
+
+// Flush waits until every write Put accepted before the call has
+// committed or failed, or until ctx ends.  The daemon's drain calls it
+// so an accepted write is on disk before the process exits.
+func (s *Store) Flush(ctx context.Context) error {
+	s.mu.Lock()
+	waits := make([]chan struct{}, 0, len(s.pending))
+	for _, w := range s.pending {
+		waits = append(waits, w.done)
+	}
+	s.mu.Unlock()
+	for _, done := range waits {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return fmt.Errorf("store: flush: %w", ctx.Err())
+		}
+	}
 	return nil
 }
 

@@ -2,17 +2,21 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// openTest opens a store on a fresh temp dir and lands every accepted
+// write before the dir is removed.
 func openTest(t *testing.T, opts Options) *Store {
 	t.Helper()
 	opts.NoSync = true
@@ -20,7 +24,27 @@ func openTest(t *testing.T, opts Options) *Store {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	t.Cleanup(func() { flush(t, s) })
 	return s
+}
+
+// flush waits for s's accepted writes: tests that read the data dir, or
+// reopen it, look only after the commits have landed.
+func flush(t *testing.T, s *Store) {
+	t.Helper()
+	if err := s.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+}
+
+// putFlushed is Put followed by flush, for tests that need one write's
+// commit to land before the next (eviction order follows commit order).
+func putFlushed(t *testing.T, s *Store, key string, payload []byte) {
+	t.Helper()
+	if err := s.Put(key, payload); err != nil {
+		t.Fatalf("Put(%s): %v", key, err)
+	}
+	flush(t, s)
 }
 
 // capFor bounds a store to n entries the size of (key, payload); the
@@ -45,6 +69,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, ok := s.Get("graph:other|cfg:1"); ok {
 		t.Fatal("Get hit a never-written key")
 	}
+	flush(t, s)
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 write / 1 entry", st)
@@ -63,6 +88,10 @@ func TestOverwriteIsAtomicAndAccounted(t *testing.T) {
 	if !ok || string(got) != "short" {
 		t.Fatalf("Get = %q/%v, want the overwritten value", got, ok)
 	}
+	flush(t, s)
+	if got, ok := s.Get("k"); !ok || string(got) != "short" {
+		t.Fatalf("after the commits Get = %q/%v, want the overwritten value", got, ok)
+	}
 	if st := s.Stats(); st.Entries != 1 {
 		t.Fatalf("%d entries after overwrite, want 1", st.Entries)
 	}
@@ -79,6 +108,7 @@ func TestReopenSeesDurableEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flush(t, s)
 	// A second Open over the same dir models the daemon restart: the
 	// scan must tally every committed entry and serve them all.
 	s2, err := Open(dir, Options{NoSync: true})
@@ -114,9 +144,7 @@ func entryPath(t *testing.T, s *Store) string {
 
 func TestTornWriteIsQuarantined(t *testing.T) {
 	s := openTest(t, Options{})
-	if err := s.Put("k", bytes.Repeat([]byte("x"), 256)); err != nil {
-		t.Fatal(err)
-	}
+	putFlushed(t, s, "k", bytes.Repeat([]byte("x"), 256))
 	path := entryPath(t, s)
 	info, err := os.Stat(path)
 	if err != nil {
@@ -148,9 +176,7 @@ func TestTornWriteIsQuarantined(t *testing.T) {
 
 func TestBitFlipIsQuarantined(t *testing.T) {
 	s := openTest(t, Options{})
-	if err := s.Put("k", bytes.Repeat([]byte("y"), 128)); err != nil {
-		t.Fatal(err)
-	}
+	putFlushed(t, s, "k", bytes.Repeat([]byte("y"), 128))
 	path := entryPath(t, s)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -194,9 +220,7 @@ func TestLyingLengthFrame(t *testing.T) {
 
 func TestKeyMismatchIsQuarantined(t *testing.T) {
 	s := openTest(t, Options{})
-	if err := s.Put("real-key", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
+	putFlushed(t, s, "real-key", []byte("payload"))
 	// Copy the committed frame to the file name of a different key —
 	// a misfiled entry (or a hash collision) must not be served.
 	data, err := os.ReadFile(entryPath(t, s))
@@ -234,9 +258,7 @@ func TestLRUEvictionByEntries(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if err := s.Put(key, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+		putFlushed(t, s, key, []byte("v"))
 		// Spread mtimes coarsely so LRU order is unambiguous even on
 		// filesystems with coarse timestamps.
 		mt := base.Add(time.Duration(i) * time.Minute)
@@ -249,9 +271,7 @@ func TestLRUEvictionByEntries(t *testing.T) {
 		s.mu.Unlock()
 	}
 	// key-0 is oldest; the fourth Put must evict exactly it.
-	if err := s.Put("key-3", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	putFlushed(t, s, "key-3", []byte("v"))
 	if _, ok := s.Get("key-0"); ok {
 		t.Fatal("LRU entry survived an over-capacity Put")
 	}
@@ -269,9 +289,7 @@ func TestHitRefreshesRecency(t *testing.T) {
 	s := openTest(t, capFor(2, "a", []byte("v")))
 	old := time.Now().Add(-time.Hour)
 	for _, key := range []string{"a", "b"} {
-		if err := s.Put(key, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+		putFlushed(t, s, key, []byte("v"))
 		path := filepath.Join(s.Dir(), fileName(key))
 		if err := os.Chtimes(path, old, old); err != nil {
 			t.Fatal(err)
@@ -285,9 +303,7 @@ func TestHitRefreshesRecency(t *testing.T) {
 	if _, ok := s.Get("a"); !ok {
 		t.Fatal("warm-up Get missed")
 	}
-	if err := s.Put("c", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	putFlushed(t, s, "c", []byte("v"))
 	if _, ok := s.Get("b"); ok {
 		t.Fatal("unread entry b survived over recently-read a")
 	}
@@ -301,9 +317,7 @@ func TestEvictionByBytes(t *testing.T) {
 	// Each frame is ~190 bytes (header + key + 150-byte payload), so
 	// the cap holds three; the fourth Put evicts the oldest.
 	for i := 0; i < 4; i++ {
-		if err := s.Put(fmt.Sprintf("key-%d", i), bytes.Repeat([]byte("z"), 150)); err != nil {
-			t.Fatal(err)
-		}
+		putFlushed(t, s, fmt.Sprintf("key-%d", i), bytes.Repeat([]byte("z"), 150))
 		time.Sleep(5 * time.Millisecond) // separate mtimes
 	}
 	st := s.Stats()
@@ -357,7 +371,134 @@ func TestConcurrentPutGet(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	flush(t, s)
 	if s.Len() > 16 {
 		t.Fatalf("entry cap breached: %d", s.Len())
+	}
+}
+
+// TestGetAfterPutHits: an accepted write is served from the moment Put
+// returns, whether or not its commit has landed, and the bytes Get
+// hands out are the caller's own.
+func TestGetAfterPutHits(t *testing.T) {
+	s := openTest(t, Options{})
+	for i := 0; i < 64; i++ {
+		key, payload := fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("payload-%d", i))
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(key)
+		if !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("Get(%s) right after Put = %q/%v, want %q", key, got, ok, payload)
+		}
+		got[0] ^= 0xff
+		if again, _ := s.Get(key); !bytes.Equal(again, payload) {
+			t.Fatalf("writing into one Get's bytes changed the next: %q", again)
+		}
+	}
+	if st := s.Stats(); st.Hits != 128 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 128 hits / 0 misses", st)
+	}
+}
+
+// TestFlushLandsEveryAcceptedWrite: concurrent writers, then Flush —
+// every accepted write is a committed file, no more and no fewer.
+func TestFlushLandsEveryAcceptedWrite(t *testing.T) {
+	s := openTest(t, Options{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				key := fmt.Sprintf("w%d-key-%d", w, i)
+				if err := s.Put(key, []byte(key)); err != nil {
+					t.Errorf("Put(%s): %v", key, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	flush(t, s)
+	files, err := filepath.Glob(filepath.Join(s.Dir(), "*"+entrySuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Writes != 100 || uint64(len(files)) != st.Writes || st.Entries != len(files) || st.WriteErrors != 0 {
+		t.Fatalf("%d %s files after Flush; stats = %+v, want 100 writes, 100 entries, no errors", len(files), entrySuffix, st)
+	}
+}
+
+// TestFailedCommitCountsAndMisses: a write accepted into a dir that can
+// no longer take writes fails in its commit — counted in WriteErrors,
+// and a miss afterwards, never a half-written entry.
+func TestFailedCommitCountsAndMisses(t *testing.T) {
+	s := openTest(t, Options{})
+	if err := os.Chmod(s.Dir(), 0o555); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chmod(s.Dir(), 0o755) })
+	if s.Probe() == nil {
+		// Permission bits do not bind this process (it runs as root):
+		// take the dir away instead.
+		if err := os.Chmod(s.Dir(), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(s.Dir()); err != nil {
+			t.Fatal(err)
+		}
+		if s.Probe() == nil {
+			t.Fatal("could not make the data dir refuse writes")
+		}
+	}
+	if err := s.Put("k", []byte("payload")); err != nil {
+		t.Fatalf("Put refused a write it should accept and fail later: %v", err)
+	}
+	flush(t, s)
+	if _, ok := s.Get("k"); ok {
+		t.Fatal("Get served a write whose commit failed")
+	}
+	if st := s.Stats(); st.Writes != 1 || st.WriteErrors != 1 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want 1 write / 1 write error / 0 entries", st)
+	}
+}
+
+// TestCommitSlotsDefault: the store keeps as many commits in flight as
+// it is given slots, GOMAXPROCS when the caller does not say.
+func TestCommitSlotsDefault(t *testing.T) {
+	for _, tc := range []struct{ slots, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{3, 3},
+	} {
+		s := openTest(t, Options{CommitSlots: tc.slots})
+		if got := len(s.ring); got != tc.want {
+			t.Errorf("CommitSlots %d: %d commit slots, want %d", tc.slots, got, tc.want)
+		}
+	}
+}
+
+// TestCommitsTrailPutByAtMostK: once Put of write n returns, write n-K
+// has landed — a slow commit holds later Puts back instead of being
+// overtaken by an unbounded number of them.
+func TestCommitsTrailPutByAtMostK(t *testing.T) {
+	const k = 2
+	s := openTest(t, Options{CommitSlots: k})
+	for i := 0; i < 200; i++ {
+		if err := s.Put(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if i < k {
+			continue
+		}
+		name := fileName(fmt.Sprintf("key-%d", i-k))
+		s.mu.Lock()
+		_, pending := s.pending[name]
+		_, landed := s.entries[name]
+		s.mu.Unlock()
+		if pending || !landed {
+			t.Fatalf("after Put %d, write %d is pending=%v landed=%v; want landed", i, i-k, pending, landed)
+		}
 	}
 }

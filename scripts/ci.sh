@@ -371,14 +371,23 @@ if [[ "$solves_a" -lt 1 ]]; then
     echo "first boot recorded no solves (got $solves_a); burst never reached the solver" >&2
     exit 1
 fi
-if ! ls "$wr_dir"/*.plan > /dev/null 2>&1; then
-    echo "first boot wrote no plan files to $wr_dir" >&2
-    ls -la "$wr_dir" >&2 || true
+# The store commits behind the response; the drain must land every
+# write it accepted.  The burst is over, so these counters are final.
+store_writes=$(awk '/^paraconv_store_writes_total/ { print $2; exit }' "$tmpdir/wr1_metrics.txt")
+store_errors=$(awk '/^paraconv_store_write_errors_total/ { print $2; exit }' "$tmpdir/wr1_metrics.txt")
+if [[ -z "$store_writes" || "$store_writes" -lt 1 ]]; then
+    echo "first boot accepted no store writes (got '$store_writes')" >&2
     exit 1
 fi
 kill -TERM "$wr_pid"
 wait "$wr_pid" || { echo "warm-restart daemon (boot 1) did not drain cleanly" >&2; exit 1; }
 wr_pid=""
+plan_files=$(find "$wr_dir" -maxdepth 1 -name '*.plan' | wc -l)
+if (( plan_files != store_writes - ${store_errors:-0} )); then
+    echo "after the drain $wr_dir holds $plan_files plan files; boot 1 accepted $store_writes writes with ${store_errors:-0} errors" >&2
+    ls -la "$wr_dir" >&2 || true
+    exit 1
+fi
 
 start_wr_daemon "$tmpdir/wr2.err"
 "$tmpdir/paraconvload" -addr "$wr_addr" -workers 4 -duration 2s -async \
