@@ -9,28 +9,26 @@
 //	          [-max-nodes N] [-max-edges N] [-cache-bound N]
 //	          [-data-dir DIR] [-store-max-bytes N]
 //	          [-peers H1:P1,H2:P2,...] [-node-id HOST:PORT]
-//	          [-job-workers N] [-job-queue N] [-job-ttl D]
 //	          [-trace-sample N] [-trace-slow D] [-slo-interval D]
 //	          [-loglevel LEVEL] [-metrics]
 //
 // Endpoints: POST /v1/plan, POST /v1/simulate, POST /v1/selectarch
 // (JSON by default, or the binary wire format negotiated per request
 // via Content-Type/Accept with application/x-paraconv-bin; errors are
-// always JSON — see DESIGN.md "Wire format"), the async job API
-// POST /v1/jobs[/{op}], GET /v1/jobs/{id}[?wait=D] and
-// DELETE /v1/jobs/{id} (JSON only), GET /healthz, GET /readyz, and the
-// obs debug endpoints /metrics, /metrics.json and /debug/pprof/ on the
-// same listener.
+// always JSON — see DESIGN.md "Wire format"), GET /v1/plans/{fp}
+// (the cluster fill protocol), GET /healthz, GET /readyz, and the obs
+// debug endpoints /metrics, /metrics.json, /debug/pprof/,
+// /debug/traces and /debug/slo on the same listener.
 //
 // -data-dir enables the durable content-addressed plan store: solved
 // plans are written through to fingerprint-named files under DIR, and
 // a restarted daemon pointed at the same DIR serves previously solved
-// graphs without re-running the solver (see DESIGN.md "Async jobs &
-// durable store").  The write is committed behind the response, at
-// most -workers plus -job-workers at once (one per goroutine that can
-// write), and a drain lands every accepted write before the process
-// exits.  -store-max-bytes bounds the directory;
-// least recently used entries are evicted past it.
+// graphs without re-running the solver (see DESIGN.md "Durable
+// store").  The write is committed behind the response, at most one
+// per run slot at once (-workers, 0 = GOMAXPROCS: every goroutine that
+// can write), and a drain lands every accepted write before the
+// process exits.  -store-max-bytes bounds the directory; least
+// recently used entries are evicted past it.
 //
 // -peers runs the daemon as one member of a sharded planning cluster:
 // a comma-separated static member list (host:port each, the same list
@@ -111,9 +109,6 @@ func main() {
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "plan-store payload byte bound, LRU-evicted past it (0 = unbounded)")
 	peers := flag.String("peers", "", "comma-separated cluster member list, host:port each, identical on every node (empty = single node)")
 	nodeID := flag.String("node-id", "", "this node's entry in -peers (default: the bound -addr)")
-	jobWorkers := flag.Int("job-workers", 0, "async job workers (0 = -workers)")
-	jobQueue := flag.Int("job-queue", 256, "async job queue depth; submissions beyond it are shed with 429")
-	jobTTL := flag.Duration("job-ttl", 5*time.Minute, "how long finished async jobs stay pollable")
 	traceSample := flag.Int("trace-sample", 0, "trace one request in N (1 = all, 0 = tracing off)")
 	traceSlow := flag.Duration("trace-slow", 0, "also keep a trace of any request at least this slow (0 = off)")
 	sloInterval := flag.Duration("slo-interval", 0, "burn-rate evaluator sampling cadence (0 = default 5s)")
@@ -136,9 +131,6 @@ func main() {
 		MaxGraphNodes:  *maxNodes,
 		MaxGraphEdges:  *maxEdges,
 		CacheBound:     *cacheBound,
-		JobWorkers:     *jobWorkers,
-		JobQueueDepth:  *jobQueue,
-		JobTTL:         *jobTTL,
 		TraceSample:    *traceSample,
 		TraceSlow:      *traceSlow,
 		SLOInterval:    *sloInterval,
@@ -179,7 +171,7 @@ func main() {
 		live, total := cl.Health()
 		log.Printf("cluster member %s (%d/%d live of %v)", cl.Self(), live, total, *peers)
 	}
-	log.Printf("listening on %s (workers %d, queue %d)", running.Addr(), *workers, *queue)
+	log.Printf("listening on %s (workers %d, queue %d)", running.Addr(), cfg.StoreWriters(), *queue)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -9,7 +9,7 @@
 //	paraconvload [-addr HOST:PORT] [-cluster H1:P1,H2:P2,...]
 //	             [-workers N] [-duration D] [-n N]
 //	             [-endpoint plan|simulate|selectarch] [-variant V]
-//	             [-codec json|binary|mixed] [-async]
+//	             [-codec json|binary|mixed]
 //	             [-pes N] [-iters N] [-timeout-ms N] [-seed N] [-slo]
 //
 // With -cluster, the generator drives a sharded planning fleet the way
@@ -22,14 +22,6 @@
 // /metrics: distinct problems should equal solves, with fills covering
 // any requests that reached a non-owner.  (-addr is ignored for
 // routing but still names the node -slo interrogates.)
-//
-// With -async, workers drive the async job API instead of the sync
-// endpoints: each exchange is a POST /v1/jobs/{endpoint} followed by
-// long-polls of GET /v1/jobs/{id}?wait=5s until the job is terminal.
-// The report then shows submit→terminal latency percentiles, the queue
-// depth observed at each accept, and a per-job accounting identity
-// (submitted = done + failed + cancelled + lost); a healthy run loses
-// zero jobs.
 //
 // With -slo, the run ends by fetching the daemon's /debug/slo report
 // and printing each objective's burn-rate status; the process exits 1
@@ -66,7 +58,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dag"
-	"repro/internal/jobs"
 	"repro/internal/obs/slo"
 	"repro/internal/pim"
 	"repro/internal/run"
@@ -111,17 +102,6 @@ type codecTally struct {
 	bytesIn  int64 // response bodies received
 }
 
-// jobTally is one worker's async-mode accounting: every accepted job
-// lands in exactly one state bucket or in lost (submitted but never
-// observed terminal — a poll failure or a job the server forgot).
-type jobTally struct {
-	submitted int
-	states    map[string]int
-	lost      int
-	depthSum  int64 // queue depth reported with each 202
-	depthMax  int
-}
-
 // nodeTally is one cluster member's slice of a worker's exchanges.
 type nodeTally struct {
 	latencies []time.Duration
@@ -134,7 +114,6 @@ type workerResult struct {
 	status    map[int]int           // responses by status code
 	transport int                   // requests that died before a status
 	codec     [numCodecs]codecTally // per-codec bytes for completed exchanges
-	jobs      jobTally              // async-mode job accounting
 	nodes     map[string]*nodeTally // per-member accounting in -cluster mode
 }
 
@@ -152,7 +131,6 @@ func main() {
 	pes := flag.Int("pes", 16, "processing engines per request")
 	iters := flag.Int("iters", 100, "iterations per request")
 	timeoutMS := flag.Int("timeout-ms", 0, "per-request solve deadline to send (0 = server default)")
-	asyncMode := flag.Bool("async", false, "drive the async job API: submit to /v1/jobs/{endpoint} and long-poll to terminal")
 	seed := flag.Int64("seed", 1, "base seed for the graph mix and per-worker choice")
 	sloGate := flag.Bool("slo", false, "after the run, fetch /debug/slo and exit 1 if any objective is breached")
 	flag.Parse()
@@ -191,9 +169,6 @@ func main() {
 		fmt.Printf("cluster: routing over %s\n", strings.Join(members, ", "))
 	}
 	path := "/v1/" + *endpoint
-	if *asyncMode {
-		path = "/v1/jobs/" + *endpoint
-	}
 	urls := map[string]string{*addr: "http://" + *addr + path}
 	for _, m := range members {
 		urls[m] = "http://" + m + path
@@ -264,14 +239,9 @@ func main() {
 					}
 					continue
 				}
-				var read int64
-				if *asyncMode && resp.StatusCode == http.StatusAccepted {
-					read = driveJob(client, node, resp, res, t0)
-				} else {
-					read, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					res.latencies = append(res.latencies, time.Since(t0))
-				}
+				read, _ := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				res.latencies = append(res.latencies, time.Since(t0))
 				if ring != nil {
 					nt := res.nodeFor(node)
 					nt.latencies = append(nt.latencies, time.Since(t0))
@@ -287,7 +257,7 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	report(os.Stdout, results, elapsed, *asyncMode)
+	report(os.Stdout, results, elapsed)
 	if ring != nil {
 		clusterAccounting(os.Stdout, client, members)
 	}
@@ -375,57 +345,6 @@ func scrapeMetrics(client *http.Client, addr string) (map[string]int64, error) {
 		sums[name] += int64(v)
 	}
 	return sums, nil
-}
-
-// driveJob finishes one async exchange: decode the 202 body the caller
-// just received, then long-poll GET /v1/jobs/{id}?wait=5s until the
-// job is terminal.  The submit→terminal latency only lands in the
-// percentile pool for jobs observed terminal; anything else — an
-// unparseable accept, a failed poll, a job the server forgot — is a
-// lost job, so the printed identity exposes any leak.  Returns total
-// response bytes read (submit + polls) and closes resp.Body.
-func driveJob(client *http.Client, addr string, resp *http.Response, res *workerResult, t0 time.Time) int64 {
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	read := int64(len(body))
-	res.jobs.submitted++
-	var acc wire.JobAccepted
-	if err != nil || json.Unmarshal(body, &acc) != nil || acc.JobID == "" {
-		res.jobs.lost++
-		return read
-	}
-	res.jobs.depthSum += int64(acc.QueueDepth)
-	if acc.QueueDepth > res.jobs.depthMax {
-		res.jobs.depthMax = acc.QueueDepth
-	}
-	pollURL := fmt.Sprintf("http://%s/v1/jobs/%s?wait=5s", addr, acc.JobID)
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		pollResp, err := client.Get(pollURL)
-		if err != nil {
-			break
-		}
-		data, err := io.ReadAll(pollResp.Body)
-		pollResp.Body.Close()
-		read += int64(len(data))
-		if err != nil || pollResp.StatusCode != http.StatusOK {
-			break
-		}
-		var js wire.JobStatus
-		if json.Unmarshal(data, &js) != nil {
-			break
-		}
-		if jobs.State(js.State).Terminal() {
-			if res.jobs.states == nil {
-				res.jobs.states = make(map[string]int)
-			}
-			res.jobs.states[js.State]++
-			res.latencies = append(res.latencies, time.Since(t0))
-			return read
-		}
-	}
-	res.jobs.lost++
-	return read
 }
 
 // checkSLO fetches the daemon's /debug/slo report, prints each
@@ -529,12 +448,11 @@ func buildBodies(seed int64, pes, iters int, variant string, timeoutMS int, code
 // The accounting identity — every started request appears in exactly
 // one bucket — is printed so dropped-but-unreported requests are
 // impossible to miss.
-func report(w io.Writer, results []*workerResult, elapsed time.Duration, async bool) {
+func report(w io.Writer, results []*workerResult, elapsed time.Duration) {
 	var latencies []time.Duration
 	status := make(map[int]int)
 	transport := 0
 	var codec [numCodecs]codecTally
-	jt := jobTally{states: make(map[string]int)}
 	nodes := make(map[string]*nodeTally)
 	for _, r := range results {
 		latencies = append(latencies, r.latencies...)
@@ -555,15 +473,6 @@ func report(w io.Writer, results []*workerResult, elapsed time.Duration, async b
 			codec[c].requests += r.codec[c].requests
 			codec[c].bytesOut += r.codec[c].bytesOut
 			codec[c].bytesIn += r.codec[c].bytesIn
-		}
-		jt.submitted += r.jobs.submitted
-		for s, n := range r.jobs.states {
-			jt.states[s] += n
-		}
-		jt.lost += r.jobs.lost
-		jt.depthSum += r.jobs.depthSum
-		if r.jobs.depthMax > jt.depthMax {
-			jt.depthMax = r.jobs.depthMax
 		}
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
@@ -590,28 +499,6 @@ func report(w io.Writer, results []*workerResult, elapsed time.Duration, async b
 	}
 	fmt.Fprintf(w, "  accounted: %d by status + %d transport = %d started\n",
 		byStatus, transport, started)
-	if async {
-		terminal := 0
-		states := make([]string, 0, len(jt.states))
-		for s, n := range jt.states {
-			states = append(states, s)
-			terminal += n
-		}
-		sort.Strings(states)
-		fmt.Fprintf(w, "  jobs: %d submitted = ", jt.submitted)
-		for _, s := range states {
-			fmt.Fprintf(w, "%d %s + ", jt.states[s], s)
-		}
-		fmt.Fprintf(w, "%d lost\n", jt.lost)
-		if terminal+jt.lost != jt.submitted {
-			fmt.Fprintf(w, "  JOB ACCOUNTING BROKEN: %d terminal + %d lost != %d submitted\n",
-				terminal, jt.lost, jt.submitted)
-		}
-		if jt.submitted > 0 {
-			fmt.Fprintf(w, "  queue depth at accept: avg %.1f, max %d\n",
-				float64(jt.depthSum)/float64(jt.submitted), jt.depthMax)
-		}
-	}
 	if len(nodes) > 0 {
 		names := make([]string, 0, len(nodes))
 		for node := range nodes {
@@ -649,11 +536,7 @@ func report(w io.Writer, results []*workerResult, elapsed time.Duration, async b
 			i := int(p * float64(completed-1))
 			return latencies[i]
 		}
-		label := "latency"
-		if async {
-			label = "submit→terminal latency"
-		}
-		fmt.Fprintf(w, "  %s p50 %s  p90 %s  p99 %s  max %s\n", label,
+		fmt.Fprintf(w, "  latency p50 %s  p90 %s  p99 %s  max %s\n",
 			pct(0.50).Round(10*time.Microsecond), pct(0.90).Round(10*time.Microsecond),
 			pct(0.99).Round(10*time.Microsecond), latencies[completed-1].Round(10*time.Microsecond))
 	}

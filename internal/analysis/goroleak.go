@@ -63,8 +63,8 @@ func inHandler(p *Package, stack []ast.Node) bool {
 			return true
 		}
 		// Only the innermost enclosing function decides: a closure
-		// inside a handler that is itself not handler-shaped (an async
-		// job body) is judged by the stoppable rule.
+		// inside a handler that is itself not handler-shaped (a
+		// background worker's body) is judged by the stoppable rule.
 		return false
 	}
 	return false

@@ -68,19 +68,6 @@ var (
 	StoreBytes       = Default().Gauge("paraconv_store_bytes", "bytes of durable entries currently resident in the data dir")
 )
 
-// Async job engine (internal/jobs): the queue the /v1/jobs endpoints
-// drain through a bounded worker pool.
-var (
-	JobsSubmitted  = Default().Counter("paraconv_jobs_submitted_total", "jobs accepted into the async queue")
-	JobsRejected   = Default().Counter("paraconv_jobs_rejected_total", "job submissions rejected because the queue was full or the engine closed")
-	JobsCancelled  = Default().Counter("paraconv_jobs_cancelled_total", "jobs cancelled by the client before completion")
-	JobsExpired    = Default().Counter("paraconv_jobs_expired_total", "terminal jobs swept after their retention TTL")
-	JobsQueueDepth = Default().Gauge("paraconv_jobs_queue_depth", "jobs waiting in the async queue for a worker")
-	JobsRunning    = Default().Gauge("paraconv_jobs_running", "jobs currently executing on an async worker")
-	JobsRetained   = Default().Gauge("paraconv_jobs_retained", "jobs currently retained (queued, running, or awaiting TTL sweep)")
-	JobsQueueWait  = Default().Timer("paraconv_jobs_queue_wait_seconds", "time a job waited in the queue before a worker picked it up")
-)
-
 // Sharded planning cluster (internal/cluster, wired through
 // internal/run's peer tier and internal/server's /v1/plans endpoint).
 var (
@@ -115,20 +102,6 @@ func ServerRequestTimer(endpoint string) *Timer {
 	return Default().Timer("paraconv_server_request_seconds",
 		"wall-clock latency of one planning-service request",
 		Label{Key: "endpoint", Value: endpoint})
-}
-
-// JobsFinished returns the terminal-state counter for one async job
-// outcome ("done", "failed", "cancelled") — a small fixed label set.
-func JobsFinished(state string) *Counter {
-	return Default().Counter("paraconv_jobs_finished_total",
-		"async jobs reaching a terminal state, by outcome", Label{Key: "state", Value: state})
-}
-
-// JobTimer returns the submit-to-terminal latency timer for one async
-// job operation ("plan", "simulate", "selectarch").
-func JobTimer(op string) *Timer {
-	return Default().Timer("paraconv_jobs_total_seconds",
-		"wall-clock latency from job submission to its terminal state", Label{Key: "op", Value: op})
 }
 
 // PlanSolveTimer returns the plan-latency phase timer for one planner

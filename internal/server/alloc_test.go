@@ -45,7 +45,6 @@ func TestAllocsDecodePath(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc gate runs without -race")
 	}
 	s := New(Config{})
-	defer s.Close()
 
 	g, err := synth.Generate(synth.Params{Name: "alloc", Vertices: 200, Edges: 520, Seed: 77})
 	if err != nil {
@@ -98,7 +97,6 @@ func TestAllocsDecodePathBinary(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc gate runs without -race")
 	}
 	s := New(Config{})
-	defer s.Close()
 
 	g, err := synth.Generate(synth.Params{Name: "alloc-bin", Vertices: 200, Edges: 520, Seed: 77})
 	if err != nil {
@@ -146,7 +144,6 @@ func TestAllocsWarmBinaryHit(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc gate runs without -race")
 	}
 	s := New(Config{})
-	defer s.Close()
 	h := s.Handler()
 
 	hitAllocs := func(vertices, edges int) float64 {

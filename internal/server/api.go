@@ -139,45 +139,27 @@ func responseBinary(r *http.Request, reqBinary bool) bool {
 	return strings.Contains(accept, wire.ContentTypeBinary)
 }
 
-// solveErrorKind classifies a solve failure into the error taxonomy
-// shared by the sync endpoints' writeSolveError and the async job
-// status body: context errors are the deadline or the client giving
-// out, a bad variant is a request error, everything else is the
-// planner rejecting the input.
-func solveErrorKind(err error) string {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	case errors.Is(err, run.ErrUnknownVariant):
-		return "bad_request"
-	default:
-		return "unplannable"
-	}
-}
-
 // writeSolveError maps a solve failure to a response: context errors
 // become 504/499 (the deadline or the client gave out, not the
 // server), a graph that failed its deferred decode is the decode error
-// it would have been up front, everything else is the planner
-// rejecting the input — the graph validated, so the problem is still
-// the client's data.
+// it would have been up front, a bad variant is a request error, and
+// everything else is the planner rejecting the input — the graph
+// validated, so the problem is still the client's data.
 func writeSolveError(w http.ResponseWriter, err error) {
 	var graphErr *wire.GraphError
-	if errors.As(err, &graphErr) {
+	switch {
+	case errors.As(err, &graphErr):
 		// A binary request's graph is decoded only once the plan cache
 		// has missed, so its decode failure arrives down the solve path.
 		writeDecodeError(w, "request", err)
-		return
-	}
-	switch kind := solveErrorKind(err); kind {
-	case "timeout":
-		writeError(w, http.StatusGatewayTimeout, kind, "request deadline expired: %v", err)
-	case "canceled":
-		writeError(w, statusClientClosed, kind, "request canceled: %v", err)
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, "timeout", "request deadline expired: %v", err)
+	case errors.Is(err, context.Canceled):
+		writeError(w, statusClientClosed, "canceled", "request canceled: %v", err)
+	case errors.Is(err, run.ErrUnknownVariant):
+		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 	default:
-		writeError(w, http.StatusBadRequest, kind, "%v", err)
+		writeError(w, http.StatusBadRequest, "unplannable", "%v", err)
 	}
 }
 

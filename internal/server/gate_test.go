@@ -37,10 +37,7 @@ func newSolveServer(t *testing.T, cfg Config, fn solveFunc) (*Server, *httptest.
 	// log; keep it out of the test output.
 	ts.Config.ErrorLog = log.New(io.Discard, "", 0)
 	ts.Start()
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 
@@ -253,11 +250,11 @@ func TestDrainWaitsForInlineSolve(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutSyncAsyncAgree: the sync and async paths derive a
-// request's deadline from timeout_ms through one helper, so they agree
-// on every input — including values whose millisecond→Duration
-// multiplication would overflow.
-func TestRequestTimeoutSyncAsyncAgree(t *testing.T) {
+// TestRequestTimeout: a request's deadline is derived from timeout_ms
+// — the server default when absent, capped at MaxTimeout — on every
+// input, including values whose millisecond→Duration multiplication
+// would overflow, and the solve runs under exactly that deadline.
+func TestRequestTimeout(t *testing.T) {
 	const def, max = 7 * time.Second, 11 * time.Second
 	// remaining captures how far away the solve's deadline is.
 	remaining := make(chan time.Duration, 1)
@@ -269,17 +266,7 @@ func TestRequestTimeoutSyncAsyncAgree(t *testing.T) {
 		remaining <- time.Until(dl)
 		return &planResponse{Scheme: "test"}, nil
 	}
-	s := New(Config{DefaultTimeout: def, MaxTimeout: max})
-	defer s.Close()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sync", route("plan", func(sr *statusRecorder, r *http.Request) {
-		s.solve(sr, r, "plan", fn)
-	}))
-	mux.HandleFunc("POST /async", route("jobs", func(sr *statusRecorder, r *http.Request) {
-		s.submitJob(sr, r, "plan", fn)
-	}))
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	s, ts := newSolveServer(t, Config{DefaultTimeout: def, MaxTimeout: max}, fn)
 
 	for _, tc := range []struct {
 		ms   int
@@ -296,17 +283,14 @@ func TestRequestTimeoutSyncAsyncAgree(t *testing.T) {
 		if got := s.requestTimeout(tc.ms); got != tc.want {
 			t.Errorf("requestTimeout(%d) = %v, want %v", tc.ms, got, tc.want)
 		}
-		body := planBody(`, "timeout_ms": ` + strconv.Itoa(tc.ms))
-		for path, wantStatus := range map[string]int{"/sync": http.StatusOK, "/async": http.StatusAccepted} {
-			status, err := postStatus(ts.URL+path, body)
-			if err != nil || status != wantStatus {
-				t.Fatalf("timeout_ms %d %s = (%d, %v), want %d", tc.ms, path, status, err, wantStatus)
-			}
-			// The deadline was set moments ago, so what remains is the
-			// derived timeout less scheduling slack.
-			if got := <-remaining; got > tc.want || got < tc.want-2*time.Second {
-				t.Errorf("timeout_ms %d %s: solve saw %v to its deadline, want just under %v", tc.ms, path, got, tc.want)
-			}
+		status, err := postStatus(ts.URL, planBody(`, "timeout_ms": `+strconv.Itoa(tc.ms)))
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("timeout_ms %d = (%d, %v), want 200", tc.ms, status, err)
+		}
+		// The deadline was set moments ago, so what remains is the
+		// derived timeout less scheduling slack.
+		if got := <-remaining; got > tc.want || got < tc.want-2*time.Second {
+			t.Errorf("timeout_ms %d: solve saw %v to its deadline, want just under %v", tc.ms, got, tc.want)
 		}
 	}
 }

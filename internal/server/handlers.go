@@ -52,45 +52,31 @@ func route(endpoint string, h func(sr *statusRecorder, r *http.Request)) http.Ha
 	}
 }
 
-// requestTrace is one request's trace; nil (tracing off) does nothing.
-type requestTrace struct {
-	s       *Server
-	tr      *span.Trace
-	sampled bool
-}
-
-// newTrace gives sr's request a trace, named in the response header and
-// in every error body.  When tracing is on EVERY request carries one
-// (a span costs two atomic ops and a locked append); the sampler
-// decides at the end which the ring keeps, so a request that only
-// turned out slow is never lost to the 1-in-N counter.
-func (s *Server) newTrace(sr *statusRecorder) *requestTrace {
+// beginTrace gives sr's request a trace, named in the response header
+// and in every error body, attaches it to ctx and opens its root span
+// server.<endpoint>; end closes the root and offers the finished trace
+// to the sampler.  When tracing is on EVERY request carries one (a span
+// costs two atomic ops and a locked append); the sampler decides at the
+// end which the ring keeps, so a request that only turned out slow is
+// never lost to the 1-in-N counter.  With tracing off it does nothing.
+func (s *Server) beginTrace(ctx context.Context, sr *statusRecorder, endpoint string) (_ context.Context, end func()) {
 	if !s.sampler.Tracing() {
-		return nil
-	}
-	t := &requestTrace{s: s, tr: span.New(), sampled: s.sampler.Sampled()}
-	sr.traceID = t.tr.ID().String()
-	sr.Header().Set("X-Paraconv-Trace", sr.traceID)
-	return t
-}
-
-// begin attaches the trace to ctx and opens its root span layer.op; end
-// closes the root and offers the finished trace to the sampler.
-func (t *requestTrace) begin(ctx context.Context, layer, op string) (_ context.Context, end func()) {
-	if t == nil {
 		return ctx, func() {}
 	}
-	ctx = span.NewContext(ctx, t.tr)
-	rootSpan := span.Start(ctx, layer+"."+op)
+	tr, sampled := span.New(), s.sampler.Sampled()
+	sr.traceID = tr.ID().String()
+	sr.Header().Set("X-Paraconv-Trace", sr.traceID)
+	ctx = span.NewContext(ctx, tr)
+	rootSpan := span.Start(ctx, "server."+endpoint)
 	return ctx, func() {
 		rootSpan.End()
-		if d := t.tr.Finish(); t.s.sampler.Admit(t.sampled, d) {
-			if t.sampled {
+		if d := tr.Finish(); s.sampler.Admit(sampled, d) {
+			if sampled {
 				obs.TraceSampled.Inc()
 			} else {
 				obs.TraceSlow.Inc()
 			}
-			t.s.ring.Add(t.tr)
+			s.ring.Add(tr)
 		}
 	}
 }
@@ -120,20 +106,21 @@ func (s *Server) admitted(ctx context.Context, sr *statusRecorder, endpoint stri
 		fn()
 		return true
 	case errors.Is(err, errShed):
-		shed(sr, endpoint, "admission", s.cfg.QueueDepth)
+		s.shed(sr, endpoint)
 	default:
 		writeSolveError(sr, err)
 	}
 	return false
 }
 
-// shed counts and answers a request turned away at a full queue.
-func shed(sr *statusRecorder, endpoint, queue string, depth int) {
+// shed counts and answers a request turned away at a full admission
+// queue.
+func (s *Server) shed(sr *statusRecorder, endpoint string) {
 	obs.ServerShed.Inc()
-	obs.Log().Warn("request shed", "endpoint", endpoint, "queue", queue,
-		"queue_depth", depth, "trace_id", sr.traceID)
+	obs.Log().Warn("request shed", "endpoint", endpoint, "queue", "admission",
+		"queue_depth", s.cfg.QueueDepth, "trace_id", sr.traceID)
 	sr.Header().Set("Retry-After", "1")
-	writeError(sr, http.StatusTooManyRequests, "shed", "%s queue full (%d deep); retry later", queue, depth)
+	writeError(sr, http.StatusTooManyRequests, "shed", "admission queue full (%d deep); retry later", s.cfg.QueueDepth)
 }
 
 // solve is the shared request path of the three POST endpoints:
@@ -142,7 +129,7 @@ func shed(sr *statusRecorder, endpoint, queue string, depth int) {
 // to the response: a deadline that expires mid-solve answers 504 at
 // the solver's next context check.
 func (s *Server) solve(sr *statusRecorder, r *http.Request, endpoint string, fn solveFunc) {
-	ctx, endTrace := s.newTrace(sr).begin(r.Context(), "server", endpoint)
+	ctx, endTrace := s.beginTrace(r.Context(), sr, endpoint)
 	defer endTrace()
 
 	// Held until the response is written: a binary request's graph
@@ -281,15 +268,6 @@ func (in *decoded) graph() (*dag.Graph, error) {
 		in.g = g
 	}
 	return in.g, nil
-}
-
-// detach settles everything that reads the frame — the fingerprint and
-// the graph — and drops it, so in may outlive the body buffer.
-func (in *decoded) detach() error {
-	in.graphFP()
-	_, err := in.graph()
-	in.frame = nil
-	return err
 }
 
 // decodeRequest negotiates the request codec from Content-Type (415

@@ -229,80 +229,6 @@ func TestJSONAndBinarySubmissionsShareOneKey(t *testing.T) {
 	}
 }
 
-// TestAsyncBinaryJobOutlivesItsBody: an async job submitted in binary
-// must not read the pooled body buffer after its handler returned.  The
-// job is held in the queue while the same connection carries a request
-// for a different graph (recycling the buffer); both answers must be
-// their own problem's plan.  Run under -race, a job still aliasing the
-// buffer is also a reported data race.
-func TestAsyncBinaryJobOutlivesItsBody(t *testing.T) {
-	s, ts := newTestServer(t, Config{JobWorkers: 1})
-	release := make(chan struct{})
-	blockWorker(t, s, release)
-
-	gA, gB := plansGraph(t, 314), plansGraph(t, 315)
-	cfg := pim.Neurocube(16)
-	// One connection, strictly reused: the second request is read into
-	// the buffer the first one just returned to the pool.
-	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
-	defer client.CloseIdleConnections()
-	do := func(path string, body []byte) (*http.Response, []byte) {
-		t.Helper()
-		req, err := http.NewRequest("POST", ts.URL+path, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", wire.ContentTypeBinary)
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return resp, buf.Bytes()
-	}
-
-	resp, data := do("/v1/jobs/plan", wire.AppendRequest(nil, &request{PEs: 16}, gA))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("job submission: status %d, body %s", resp.StatusCode, data)
-	}
-	var acc wire.JobAccepted
-	if err := json.Unmarshal(data, &acc); err != nil {
-		t.Fatal(err)
-	}
-	resp, syncB := do("/v1/plan", wire.AppendRequest(nil, &request{PEs: 16}, gB))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sync request: status %d, body %s", resp.StatusCode, syncB)
-	}
-	if !bytes.Equal(syncB, objectPathFrame(t, gB, cfg, 100)) {
-		t.Error("sync answer is not graph B's plan")
-	}
-
-	close(release)
-	final := pollTerminal(t, ts, acc.JobID)
-	if final.State != "done" {
-		t.Fatalf("job ended %+v, want done", final)
-	}
-	// JobStatus.Result is the sync JSON payload; compare it as one.
-	got, err := json.Marshal(final.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotPlan, wantPlan planResponse
-	if err := json.Unmarshal(got, &gotPlan); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.DecodePlanResponse(objectPathFrame(t, gA, cfg, 100), &wantPlan); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wire.AppendPlanResponse(nil, &gotPlan), wire.AppendPlanResponse(nil, &wantPlan)) {
-		t.Errorf("job answer is not graph A's plan:\n got %+v\nwant %+v", gotPlan, wantPlan)
-	}
-}
-
 // TestPlansFillMismatchIsDecidedFromBytes: the owner checks a fill
 // frame against the URL's fingerprint by hashing the frame's bytes.  A
 // requester that derived its fingerprint from a non-canonical encoding

@@ -27,8 +27,9 @@
 //     commits to land, then releases the port.
 //
 // Endpoints: POST /v1/plan, POST /v1/simulate, POST /v1/selectarch,
-// GET /healthz, GET /readyz, plus the obs debug endpoints (/metrics,
-// /metrics.json, /debug/pprof/) mounted on the same listener.
+// GET /v1/plans/{fp}, GET /healthz, GET /readyz, plus the obs debug
+// endpoints (/metrics, /metrics.json, /debug/pprof/, /debug/traces,
+// /debug/slo) mounted on the same listener.
 package server
 
 import (
@@ -43,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/obs/span"
@@ -78,14 +78,6 @@ type Config struct {
 	// plan-cache miss, written through on solve.  The daemon passes a
 	// *store.Store opened on its -data-dir.
 	Store run.BlobStore
-	// JobWorkers is the async job pool size (default: Workers);
-	// JobQueueDepth bounds jobs waiting for an async worker
-	// (default 256) — submissions beyond it are shed with 429.
-	JobWorkers    int
-	JobQueueDepth int
-	// JobTTL is how long a finished async job's result stays
-	// retrievable at /v1/jobs/{id} (default 5m).
-	JobTTL time.Duration
 	// TraceSample turns on request tracing at a 1-in-N sampling rate
 	// (1 traces everything, 0 — the default — disables tracing
 	// entirely and keeps the serving path's zero-alloc no-op spans).
@@ -128,15 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBound == 0 {
 		c.CacheBound = run.DefaultCacheBound
 	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = c.Workers
-	}
-	if c.JobQueueDepth <= 0 {
-		c.JobQueueDepth = 256
-	}
-	if c.JobTTL <= 0 {
-		c.JobTTL = 5 * time.Minute
-	}
 	if c.TraceSample < 0 {
 		c.TraceSample = 0
 	}
@@ -144,12 +127,11 @@ func (c Config) withDefaults() Config {
 }
 
 // StoreWriters is how many goroutines can write to the durable store
-// at once under c: every run slot (a peer's fill is solved inside the
-// gate too) and every async job worker.  The daemon gives its store
-// this many commit slots.
+// at once under c: one per run slot, since every solve — a peer's fill
+// included — runs inside the admission gate.  It is also the resolved
+// Workers count.  The daemon gives its store this many commit slots.
 func (c Config) StoreWriters() int {
-	c = c.withDefaults()
-	return c.Workers + c.JobWorkers
+	return c.withDefaults().Workers
 }
 
 // Server is the planning service: one shared Session (cache +
@@ -158,7 +140,6 @@ type Server struct {
 	cfg      Config
 	session  *run.Session
 	gate     *gate
-	jobs     *jobs.Engine
 	mux      *http.ServeMux
 	draining atomic.Bool
 	sampler  *span.Sampler
@@ -171,21 +152,13 @@ type Server struct {
 	cluster atomic.Pointer[cluster.Cluster]
 }
 
-// New builds a Server from cfg.  Close (or Running.Drain) must be
-// called to stop the async job engine.
+// New builds a Server from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
 		session: run.NewWithCacheBound(context.Background(), cfg.CacheBound),
 		gate:    newGate(cfg.Workers, cfg.QueueDepth),
-		jobs: jobs.New(jobs.Options{
-			Workers:        cfg.JobWorkers,
-			QueueDepth:     cfg.JobQueueDepth,
-			TTL:            cfg.JobTTL,
-			DefaultTimeout: cfg.DefaultTimeout,
-			MaxTimeout:     cfg.MaxTimeout,
-		}),
 		sampler: &span.Sampler{Every: cfg.TraceSample, Slow: cfg.TraceSlow},
 		ring:    span.NewRing(traceRingSize),
 		sloEval: slo.NewEvaluator(obs.Default(), slo.Standard(), cfg.SLOInterval),
@@ -202,32 +175,15 @@ func New(cfg Config) *Server {
 		span.SetEnabled(true)
 	}
 	mux := http.NewServeMux()
-	// One table for the sync endpoints and the async job operations.
-	ops := map[string]solveFunc{
+	for op, fn := range map[string]solveFunc{
 		"plan":       s.solvePlan,
 		"simulate":   s.solveSimulate,
 		"selectarch": s.solveSelectArch,
-	}
-	for op, fn := range ops {
+	} {
 		mux.HandleFunc("POST /v1/"+op, route(op, func(sr *statusRecorder, r *http.Request) {
 			s.solve(sr, r, op, fn)
 		}))
 	}
-	mux.HandleFunc("POST /v1/jobs", route("jobs", func(sr *statusRecorder, r *http.Request) {
-		s.submitJob(sr, r, "plan", s.solvePlan)
-	}))
-	mux.HandleFunc("POST /v1/jobs/{op}", route("jobs", func(sr *statusRecorder, r *http.Request) {
-		op := r.PathValue("op")
-		fn, ok := ops[op]
-		if !ok {
-			writeError(sr, http.StatusNotFound, "not_found",
-				"unknown job operation %q (want plan, simulate or selectarch)", op)
-			return
-		}
-		s.submitJob(sr, r, op, fn)
-	}))
-	mux.HandleFunc("GET /v1/jobs/{id}", route("jobs_poll", s.jobStatus))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", route("jobs_poll", s.jobCancel))
 	// Content-addressed plan lookup + the cluster fill protocol's
 	// server side.  Registered unconditionally: without a cluster it
 	// is still a useful cache probe, and an owner must answer fills
@@ -326,13 +282,6 @@ func (s *Server) AttachCluster(cl *cluster.Cluster) {
 // CacheStats exposes the shared plan cache's counters.
 func (s *Server) CacheStats() run.CacheStats { return s.session.CacheStats() }
 
-// Close stops the async job engine.  Sync requests own no server-side
-// resource beyond their connection, so there is nothing else to stop.
-// It is not needed when Running.Drain is used.
-func (s *Server) Close() {
-	s.jobs.Close()
-}
-
 // Running is a listening planning server.
 type Running struct {
 	s       *Server
@@ -401,10 +350,6 @@ func (r *Running) Drain(timeout time.Duration) error {
 		// see the request contexts die.
 		r.srv.Close()
 	}
-	// Async jobs still queued or running are cancelled — their clients
-	// poll a different (or restarted) process, and a restarted daemon
-	// re-serves finished solves from the durable store anyway.
-	r.s.jobs.Close()
 	// Every solve has now returned, so no write is accepted after this:
 	// land the ones still committing inside the same deadline.
 	if f, ok := r.s.cfg.Store.(storeFlusher); ok {

@@ -14,6 +14,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // testGraphText is a small diamond in the dag text format.
@@ -36,7 +39,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		s.Close()
 		// Land the store's accepted writes before its temp dir goes.
 		if f, ok := cfg.Store.(storeFlusher); ok {
 			if err := f.Flush(context.Background()); err != nil {
@@ -461,22 +463,109 @@ func TestStartAndDrain(t *testing.T) {
 }
 
 // TestStoreWritersCountsEveryWriter: the store's commit slots cover
-// every goroutine that can call Put — run slots and async job workers,
-// each at its default when unset.
+// every goroutine that can call Put — one per run slot, GOMAXPROCS of
+// them when Workers is unset.
 func TestStoreWritersCountsEveryWriter(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
 		cfg  Config
 		want int
 	}{
-		{Config{}, 2 * procs},
-		{Config{Workers: 3}, 6},
-		{Config{JobWorkers: 1}, procs + 1},
-		{Config{Workers: 8, JobWorkers: 2}, 10},
+		{Config{}, runtime.GOMAXPROCS(0)},
+		{Config{Workers: 3}, 3},
+		{Config{Workers: 8}, 8},
 	} {
 		if got := tc.cfg.StoreWriters(); got != tc.want {
-			t.Errorf("Config{Workers: %d, JobWorkers: %d}.StoreWriters() = %d, want %d",
-				tc.cfg.Workers, tc.cfg.JobWorkers, got, tc.want)
+			t.Errorf("Config{Workers: %d}.StoreWriters() = %d, want %d", tc.cfg.Workers, got, tc.want)
 		}
+	}
+}
+
+// TestRouteTable: every live route is mounted on Handler (it answers
+// something other than 404 or 405, whatever the request's content),
+// and the retired job routes are gone.
+func TestRouteTable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		method, path string
+		live         bool
+	}{
+		{"POST", "/v1/plan", true},
+		{"POST", "/v1/simulate", true},
+		{"POST", "/v1/selectarch", true},
+		{"GET", "/v1/plans/x", true},
+		{"GET", "/healthz", true},
+		{"GET", "/readyz", true},
+		{"GET", "/metrics", true},
+		{"GET", "/debug/traces", true},
+		{"GET", "/debug/slo", true},
+		{"POST", "/v1/jobs", false},
+		{"POST", "/v1/jobs/plan", false},
+		{"GET", "/v1/jobs/x", false},
+		{"DELETE", "/v1/jobs/x", false},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		unrouted := resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed
+		switch {
+		case tc.live && unrouted:
+			t.Errorf("%s %s = %d, want a mounted route", tc.method, tc.path, resp.StatusCode)
+		case !tc.live && resp.StatusCode != http.StatusNotFound:
+			t.Errorf("%s %s = %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+}
+
+// TestWarmRestartThroughServer: server A answers a /v1/plan and writes
+// the plan through to a data dir; server B — a fresh process-equivalent
+// over the same dir — answers the same request from the durable store
+// with no solve.
+func TestWarmRestartThroughServer(t *testing.T) {
+	dir := t.TempDir()
+	body := map[string]any{"graph": testGraphText, "pes": 4, "iterations": 50}
+	solves := func() uint64 { return obs.PlanSolveTimer("para-conv").Histogram().State().Count }
+
+	st1, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, ts1 := newTestServer(t, Config{Store: st1})
+	resp, want := post(t, ts1, "/v1/plan", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("boot1 status %d, body %s", resp.StatusCode, want)
+	}
+	if cs := s1.CacheStats(); cs.StoreMisses != 1 || cs.StoreHits != 0 {
+		t.Fatalf("boot1 store counters = %+v", cs)
+	}
+
+	// A restart finds what the first boot's drain flushed.
+	if err := st1.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newTestServer(t, Config{Store: st2})
+	before := solves()
+	resp, got := post(t, ts2, "/v1/plan", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("boot2 status %d, body %s", resp.StatusCode, got)
+	}
+	if cs := s2.CacheStats(); cs.StoreHits != 1 || cs.StoreMisses != 0 {
+		t.Fatalf("boot2 store counters = %+v, want 1 hit / 0 misses", cs)
+	}
+	if n := solves() - before; n != 0 {
+		t.Fatalf("boot2 ran %d solves, want 0", n)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("boot2 answered\n%s\nwant boot1's\n%s", got, want)
 	}
 }

@@ -150,31 +150,3 @@ type ErrorResponse struct {
 	// operator can pull the exact request from /debug/traces.
 	TraceID string `json:"trace_id,omitempty"`
 }
-
-// JobAccepted is the 202 body of POST /v1/jobs[/{op}]: the job was
-// queued and can be polled at /v1/jobs/{id}.  QueueDepth is the async
-// queue's depth right after this submission — load clients use it to
-// observe queue pressure without a second request.
-type JobAccepted struct {
-	JobID      string `json:"job_id"`
-	State      string `json:"state"`
-	QueueDepth int    `json:"queue_depth"`
-}
-
-// JobStatus is the GET /v1/jobs/{id} body.  Result is present exactly
-// when State is done (and is the same payload the synchronous endpoint
-// would have returned); Error and Kind are present exactly when State
-// is failed or cancelled, carrying the synchronous path's error
-// taxonomy.  Jobs have no binary form: the async protocol is JSON.
-type JobStatus struct {
-	JobID string `json:"job_id"`
-	Op    string `json:"op"`
-	State string `json:"state"`
-	// ElapsedMS is submit-to-now for live jobs, submit-to-terminal for
-	// finished ones — the client's end-to-end latency including queue
-	// wait.
-	ElapsedMS float64 `json:"elapsed_ms"`
-	Result    any     `json:"result,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	Kind      string  `json:"kind,omitempty"`
-}

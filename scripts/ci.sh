@@ -63,7 +63,7 @@ scripts/bench.sh --short --compare-only --no-gate
 # The chain holds in-process kernels only; anything that boots a daemon
 # is measured by `go run ./benchmark`.  Keep the paper-experiment tool
 # from linking the serving stack again.
-if daemon_deps=$(go list -deps ./internal/bench ./cmd/benchtab | grep -E '/internal/(server|cluster|jobs|store)$'); then
+if daemon_deps=$(go list -deps ./internal/bench ./cmd/benchtab | grep -E '/internal/(server|cluster|store)$'); then
     echo "internal/bench or cmd/benchtab links the serving stack:" >&2
     echo "$daemon_deps" >&2
     exit 1
@@ -323,7 +323,7 @@ slo_pid=""
 
 echo "== warm-restart smoke"
 # The durable plan store must survive a restart: boot a daemon on a
-# data dir, populate it with an async burst, drain, boot a fresh
+# data dir, populate it with a /v1/plan burst, drain, boot a fresh
 # daemon on the SAME dir, replay the identical burst (same seed, same
 # graph mix) and require zero solver work the second time around.
 wr_dir="$tmpdir/wr-data"
@@ -351,6 +351,17 @@ start_wr_daemon() {
         exit 1
     fi
 }
+# check_burst <load-output> <label>: every request of a paraconvload
+# run was answered 200, none died in transport.
+check_burst() {
+    if ! grep -q '^  status 200: ' "$1" \
+        || grep '^  status ' "$1" | grep -v '^  status 200: ' > /dev/null \
+        || ! grep -qE '^  accounted: [0-9]+ by status \+ 0 transport = ' "$1"; then
+        echo "$2 burst had non-200 or lost requests:" >&2
+        cat "$1" >&2
+        exit 1
+    fi
+}
 # sum_solves <metrics-file>: total uncached solves across variants
 # (family absent = 0).
 sum_solves() {
@@ -358,13 +369,9 @@ sum_solves() {
 }
 
 start_wr_daemon "$tmpdir/wr1.err"
-"$tmpdir/paraconvload" -addr "$wr_addr" -workers 4 -duration 2s -async \
+"$tmpdir/paraconvload" -addr "$wr_addr" -workers 4 -duration 2s \
     > "$tmpdir/wr_load1.out"
-grep -qE "\+ 0 lost$" "$tmpdir/wr_load1.out" || {
-    echo "async burst lost jobs:" >&2
-    cat "$tmpdir/wr_load1.out" >&2
-    exit 1
-}
+check_burst "$tmpdir/wr_load1.out" "first-boot"
 curl -fsS "http://$wr_addr/metrics" > "$tmpdir/wr1_metrics.txt"
 solves_a=$(sum_solves "$tmpdir/wr1_metrics.txt")
 if [[ "$solves_a" -lt 1 ]]; then
@@ -390,13 +397,9 @@ if (( plan_files != store_writes - ${store_errors:-0} )); then
 fi
 
 start_wr_daemon "$tmpdir/wr2.err"
-"$tmpdir/paraconvload" -addr "$wr_addr" -workers 4 -duration 2s -async \
+"$tmpdir/paraconvload" -addr "$wr_addr" -workers 4 -duration 2s \
     > "$tmpdir/wr_load2.out"
-grep -qE "\+ 0 lost$" "$tmpdir/wr_load2.out" || {
-    echo "post-restart async burst lost jobs:" >&2
-    cat "$tmpdir/wr_load2.out" >&2
-    exit 1
-}
+check_burst "$tmpdir/wr_load2.out" "post-restart"
 curl -fsS "http://$wr_addr/metrics" > "$tmpdir/wr2_metrics.txt"
 solves_b=$(sum_solves "$tmpdir/wr2_metrics.txt")
 if [[ "$solves_b" -ne 0 ]]; then
