@@ -13,6 +13,7 @@ package paraconv
 // replication against the single-kernel configuration.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -47,11 +48,11 @@ func BenchmarkTable1(b *testing.B) {
 				cfg := pim.Neurocube(pes)
 				var paraT, spartaT int
 				for i := 0; i < b.N; i++ {
-					pc, err := sched.ParaCONV(g, cfg)
+					pc, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
-					sp, err := sched.SPARTA(g, cfg)
+					sp, err := sched.SPARTACtx(context.Background(), g, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -81,7 +82,7 @@ func BenchmarkTable2(b *testing.B) {
 				cfg := pim.Neurocube(pes)
 				var rmax int
 				for i := 0; i < b.N; i++ {
-					plan, err := sched.ParaCONVGivenSchedule(g, base, cfg)
+					plan, err := sched.ParaCONVGivenScheduleCtx(context.Background(), g, base, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -98,7 +99,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	for _, bm := range bench.Suite {
 		g := benchGraph(b, bm)
-		sp64, err := sched.SPARTA(g, pim.Neurocube(64))
+		sp64, err := sched.SPARTACtx(context.Background(), g, pim.Neurocube(64))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func BenchmarkFig5(b *testing.B) {
 				cfg := pim.Neurocube(pes)
 				var norm float64
 				for i := 0; i < b.N; i++ {
-					pc, err := sched.ParaCONV(g, cfg)
+					pc, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -134,7 +135,7 @@ func BenchmarkFig6(b *testing.B) {
 				cfg := pim.Neurocube(pes)
 				var cached int
 				for i := 0; i < b.N; i++ {
-					plan, err := sched.ParaCONVGivenSchedule(g, base, cfg)
+					plan, err := sched.ParaCONVGivenScheduleCtx(context.Background(), g, base, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -161,8 +162,9 @@ func BenchmarkAblationDPvsGreedy(b *testing.B) {
 	}
 	const capacity = 4
 	var dpProfit, greedyProfit int
+	chosen := make([]bool, len(items))
 	for i := 0; i < b.N; i++ {
-		_, dpProfit = core.Knapsack(items, capacity)
+		dpProfit, _ = core.KnapsackInto(context.Background(), chosen, items, capacity)
 		_, greedyProfit = core.Greedy(items, capacity)
 	}
 	if dpProfit > 0 {
@@ -182,11 +184,11 @@ func BenchmarkAblationGroups(b *testing.B) {
 	cfg := pim.Neurocube(64)
 	var adaptive, single int
 	for i := 0; i < b.N; i++ {
-		ap, err := sched.ParaCONV(g, cfg)
+		ap, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sp, err := sched.ParaCONVSingle(g, cfg)
+		sp, err := sched.ParaCONVSingleCtx(context.Background(), g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,11 +211,11 @@ func BenchmarkAblationZeroDeltaFill(b *testing.B) {
 	cfg := pim.Neurocube(64)
 	var withFill, withoutFill int64
 	for i := 0; i < b.N; i++ {
-		plan, err := sched.ParaCONVSingle(g, cfg)
+		plan, err := sched.ParaCONVSingleCtx(context.Background(), g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		stats, err := sim.Run(plan, cfg, bench.Iterations)
+		stats, err := sim.RunCtx(context.Background(), plan, cfg, bench.Iterations)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +238,7 @@ func BenchmarkAblationZeroDeltaFill(b *testing.B) {
 		}
 		bare.Iter.Assignment = noFill
 		bare.CacheLoadUnits = load
-		bareStats, err := sim.Run(bare, cfg, bench.Iterations)
+		bareStats, err := sim.RunCtx(context.Background(), bare, cfg, bench.Iterations)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +262,7 @@ func BenchmarkPlanning(b *testing.B) {
 		cfg := pim.Neurocube(64)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.ParaCONV(g, cfg); err != nil {
+				if _, err := sched.ParaCONVCtx(context.Background(), g, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,13 +278,13 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 	g := benchGraph(b, bm)
 	cfg := pim.Neurocube(64)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(plan, cfg, bench.Iterations); err != nil {
+		if _, err := sim.RunCtx(context.Background(), plan, cfg, bench.Iterations); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +309,7 @@ func BenchmarkAblationPacking(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				plan, err := sched.ParaCONVGivenSchedule(g, iter, cfg)
+				plan, err := sched.ParaCONVGivenScheduleCtx(context.Background(), g, iter, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -356,11 +358,11 @@ func BenchmarkAblationClustering(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		raw, err := sched.ParaCONV(g, cfg)
+		raw, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		clustered, err := sched.ParaCONV(res.Graph, cfg)
+		clustered, err := sched.ParaCONVCtx(context.Background(), res.Graph, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -383,7 +385,7 @@ func BenchmarkAblationStaticVsDynamic(b *testing.B) {
 	cfg := pim.Neurocube(16)
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		plan, err := sched.ParaCONV(g, cfg)
+		plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/pim"
 	"repro/internal/run"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -56,6 +58,10 @@ func main() {
 	analyze := flag.Bool("analyze", false, "print the per-PE utilization timeline and idle-time breakdown from an event-level run")
 	obsFlags := obs.RegisterFlags()
 	flag.Parse()
+	export, ok := traceExports[*traceFmt]
+	if *traceOut != "" && !ok {
+		log.Fatalf("unknown trace format %q (want chrome, jsonl or csv)", *traceFmt)
+	}
 
 	// One session scopes the whole invocation: Ctrl-C (or -timeout)
 	// cancels the solvers and simulators mid-loop, and the baseline
@@ -147,7 +153,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeTrace(session, *traceOut, *traceFmt, plan, cfg, *iters); err != nil {
+		if err := writeTrace(session, *traceOut, export, plan, cfg, *iters); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %s trace to %s\n", *traceFmt, *traceOut)
@@ -178,9 +184,17 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Sync()
 }
 
+// traceExports are the -traceformat writers; main rejects any other
+// name before it plans, simulates or creates anything.
+var traceExports = map[string]func(io.Writer, *sim.Trace, *dag.Graph) error{
+	"chrome": trace.WriteChrome,
+	"jsonl":  func(w io.Writer, tr *sim.Trace, _ *dag.Graph) error { return trace.WriteJSONL(w, tr) },
+	"csv":    func(w io.Writer, tr *sim.Trace, _ *dag.Graph) error { return trace.WriteCSV(w, tr) },
+}
+
 // writeTrace re-runs the plan through the event-driven simulator and
-// writes the event log in the requested format.
-func writeTrace(session *run.Session, path, format string, plan *sched.Plan, cfg pim.Config, iters int) error {
+// writes the event log with export.
+func writeTrace(session *run.Session, path string, export func(io.Writer, *sim.Trace, *dag.Graph) error, plan *sched.Plan, cfg pim.Config, iters int) error {
 	// Cap the traced horizon: the steady state repeats exactly, so a
 	// short run is representative and keeps files small.
 	horizon := iters
@@ -196,17 +210,7 @@ func writeTrace(session *run.Session, path, format string, plan *sched.Plan, cfg
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case "chrome":
-		err = trace.WriteChrome(f, tr, plan.Iter.Graph)
-	case "jsonl":
-		err = trace.WriteJSONL(f, tr)
-	case "csv":
-		err = trace.WriteCSV(f, tr)
-	default:
-		err = fmt.Errorf("unknown trace format %q (want chrome, jsonl or csv)", format)
-	}
-	if err != nil {
+	if err := export(f, tr, plan.Iter.Graph); err != nil {
 		return err
 	}
 	return f.Sync()

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestPipelinePropertySweep(t *testing.T) {
 			}
 
 			cfg := pim.Neurocube(pes)
-			plan, err := sched.ParaCONV(g, cfg)
+			plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatalf("para-conv: %v", err)
 			}
@@ -85,7 +86,11 @@ func TestPipelinePropertySweep(t *testing.T) {
 				t.Fatalf("build items: %v", err)
 			}
 			capacity := cfg.TotalCacheUnits()
-			chosen, profit := core.Knapsack(items, capacity)
+			chosen := make([]bool, len(items))
+			profit, err := core.KnapsackInto(context.Background(), chosen, items, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if p := core.KnapsackProfit(items, capacity); p != profit {
 				t.Errorf("bitset DP profit %d != rolling DP %d", profit, p)
 			}
@@ -112,7 +117,7 @@ func TestPipelinePropertySweep(t *testing.T) {
 				t.Errorf("plan allocation: %v", err)
 			}
 
-			stats, err := sim.Run(plan, cfg, 25)
+			stats, err := sim.RunCtx(context.Background(), plan, cfg, 25)
 			if err != nil {
 				t.Fatalf("sim: %v", err)
 			}
@@ -141,7 +146,7 @@ func TestSweepCoversSPARTA(t *testing.T) {
 			t.Fatalf("seed %d: synth: %v", s, err)
 		}
 		cfg := pim.Neurocube(8)
-		plan, err := sched.SPARTA(g, cfg)
+		plan, err := sched.SPARTACtx(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: sparta: %v", s, err)
 		}
@@ -159,7 +164,7 @@ func TestSweepCoversSPARTA(t *testing.T) {
 		if err := check.CheckSchedule(plan.Iter.PEs, plan.Iter.Period, exec, slots, 0, cfg.TotalCacheUnits()); err != nil {
 			t.Errorf("seed %d: schedule: %v", s, err)
 		}
-		if _, err := sim.Run(plan, cfg, 10); err != nil {
+		if _, err := sim.RunCtx(context.Background(), plan, cfg, 10); err != nil {
 			t.Errorf("seed %d: sim: %v", s, err)
 		}
 	}

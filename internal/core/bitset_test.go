@@ -41,7 +41,7 @@ func TestKnapsackMatchesFullTableBitForBit(t *testing.T) {
 		}
 		items := randomSizedItems(rng, rng.Intn(25), 6, 3, stride)
 		capacity := rng.Intn(40 * stride)
-		gotChosen, gotProfit := Knapsack(items, capacity)
+		gotChosen, gotProfit := knapsack(items, capacity)
 		wantChosen, wantProfit := KnapsackFullTable(items, capacity)
 		if gotProfit != wantProfit {
 			t.Fatalf("trial %d: bitset profit %d != full-table %d (items=%+v cap=%d)",
@@ -86,7 +86,7 @@ func TestKnapsackZeroSizeItems(t *testing.T) {
 		{Edge: 1, Size: 2, DeltaR: 3},
 		{Edge: 2, Size: 0, DeltaR: 0},
 	}
-	chosen, profit := Knapsack(items, 2)
+	chosen, profit := knapsack(items, 2)
 	if profit != 7 || !chosen[0] || !chosen[1] || chosen[2] {
 		t.Fatalf("profit=%d chosen=%v, want 7 with items 0+1", profit, chosen)
 	}
@@ -107,7 +107,7 @@ func TestKnapsackEverythingFitsFastPath(t *testing.T) {
 		{Edge: 1, Size: 3, DeltaR: 0}, // zero profit: never chosen
 		{Edge: 2, Size: 1, DeltaR: 5},
 	}
-	chosen, profit := Knapsack(items, 100)
+	chosen, profit := knapsack(items, 100)
 	wantChosen, wantProfit := KnapsackFullTable(items, 100)
 	if profit != wantProfit {
 		t.Fatalf("profit %d != full table %d", profit, wantProfit)

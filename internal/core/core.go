@@ -109,23 +109,6 @@ type Allocation struct {
 	Competitors int
 }
 
-// OptimizeCtx runs the full §3.3 pipeline: build the competitor list,
-// solve the dynamic program under cache capacity, and reconstruct the
-// placement of every IPR.  Capacity left over after the competitors
-// are placed is back-filled with zero-ΔR IPRs in decreasing traffic
-// order (§3.3.3): they cannot shorten the prologue, but every one kept
-// on chip avoids an eDRAM round trip's latency and energy.  The
-// dynamic program checks ctx at every item-row boundary and returns
-// the context's error if it is cancelled mid-solve, leaving no partial
-// state behind.
-func OptimizeCtx(ctx context.Context, g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing, capacity int) (Allocation, error) {
-	var alloc Allocation
-	if err := OptimizeInto(ctx, &alloc, g, classes, tm, capacity); err != nil {
-		return Allocation{}, err
-	}
-	return alloc, nil
-}
-
 // optScratch pools the allocation pipeline's intermediates — the DP
 // item list, the decision vector and the zero-ΔR filler keys — so a
 // steady-state OptimizeInto call allocates nothing beyond what dst
@@ -138,10 +121,18 @@ type optScratch struct {
 
 var optPool = sync.Pool{New: func() any { return new(optScratch) }}
 
-// OptimizeInto is OptimizeCtx writing into dst, reusing the capacity
-// of its Assignment slice — the caller-buffer form mirroring
-// KnapsackInto for pooled solve paths.  All other Allocation fields
-// are overwritten.
+// OptimizeInto runs the full §3.3 pipeline into dst: build the
+// competitor list, solve the dynamic program under cache capacity, and
+// reconstruct the placement of every IPR.  Capacity left over after
+// the competitors are placed is back-filled with zero-ΔR IPRs in
+// decreasing traffic order (§3.3.3): they cannot shorten the prologue,
+// but every one kept on chip avoids an eDRAM round trip's latency and
+// energy.  The dynamic program checks ctx at every item-row boundary
+// and returns the context's error if it is cancelled mid-solve.
+//
+// dst's Assignment slice is reused when it has the capacity — the
+// caller-buffer form mirroring KnapsackInto for pooled solve paths;
+// all other Allocation fields are overwritten.
 //
 //paraconv:hotpath
 func OptimizeInto(ctx context.Context, dst *Allocation, g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing, capacity int) error {
@@ -249,28 +240,9 @@ func trafficOf(e *dag.Edge) int64 {
 	return int64(e.Size)
 }
 
-// Knapsack evaluates the §3.3.2 recurrence bottom-up and reconstructs
-// one optimal subset.  chosen[i] reports whether items[i] is cached;
-// profit is B[capacity, len(items)].  The solver runs in O(n·S) time
-// but O(n·S/64 + S) space: a bitset decision matrix plus a rolling
-// profit row replace the classic full int table (see
-// knapsack_bitset.go); KnapsackFullTable keeps the textbook layout as
-// a reference oracle.
-//
-// The DP's working memory is pooled; only the chosen slice is
-// allocated per call (KnapsackInto reuses that too, and takes the
-// context a cancellable solve needs).
-func Knapsack(items []Item, capacity int) (chosen []bool, profit int) {
-	chosen = make([]bool, len(items))
-	// Neither KnapsackInto error can occur: chosen is sized to items
-	// here and a background context never cancels.
-	profit, _ = KnapsackInto(context.Background(), chosen, items, capacity)
-	return chosen, profit
-}
-
 // BruteForce computes the optimal knapsack profit by exhaustive subset
 // enumeration.  Exponential — usable only for small item counts (it
-// returns an error beyond 24 items); it exists to certify Knapsack's
+// returns an error beyond 24 items); it exists to certify KnapsackInto's
 // optimality in tests and ablations.
 func BruteForce(items []Item, capacity int) (int, error) {
 	n := len(items)

@@ -12,13 +12,35 @@ import (
 	"repro/internal/retime"
 )
 
+// knapsack is KnapsackInto with a fresh chosen slice and a context
+// that never cancels, so neither of its errors can occur.
+func knapsack(items []Item, capacity int) (chosen []bool, profit int) {
+	chosen = make([]bool, len(items))
+	profit, _ = KnapsackInto(context.Background(), chosen, items, capacity)
+	return chosen, profit
+}
+
+// optimize is OptimizeInto into a fresh Allocation.
+func optimize(g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing, capacity int) (Allocation, error) {
+	var alloc Allocation
+	err := OptimizeInto(context.Background(), &alloc, g, classes, tm, capacity)
+	return alloc, err
+}
+
+// apply is retime.ApplyInto into a fresh Result.
+func apply(g *dag.Graph, classes []retime.EdgeClass, a retime.Assignment, period int) (retime.Result, error) {
+	var res retime.Result
+	err := retime.ApplyInto(&res, g, classes, a, period, nil)
+	return res, err
+}
+
 func TestKnapsackBasics(t *testing.T) {
 	items := []Item{
 		{Edge: 0, Size: 2, DeltaR: 2},
 		{Edge: 1, Size: 1, DeltaR: 1},
 		{Edge: 2, Size: 3, DeltaR: 2},
 	}
-	chosen, profit := Knapsack(items, 3)
+	chosen, profit := knapsack(items, 3)
 	if profit != 3 {
 		t.Fatalf("profit = %d, want 3 (items 0+1)", profit)
 	}
@@ -28,14 +50,14 @@ func TestKnapsackBasics(t *testing.T) {
 }
 
 func TestKnapsackZeroCapacityOrEmpty(t *testing.T) {
-	if _, p := Knapsack(nil, 10); p != 0 {
+	if _, p := knapsack(nil, 10); p != 0 {
 		t.Error("empty items should yield zero profit")
 	}
 	items := []Item{{Size: 1, DeltaR: 5}}
-	if _, p := Knapsack(items, 0); p != 0 {
+	if _, p := knapsack(items, 0); p != 0 {
 		t.Error("zero capacity should yield zero profit")
 	}
-	chosen, p := Knapsack(items, 1)
+	chosen, p := knapsack(items, 1)
 	if p != 5 || !chosen[0] {
 		t.Errorf("single item fit: profit=%d chosen=%v", p, chosen)
 	}
@@ -43,7 +65,7 @@ func TestKnapsackZeroCapacityOrEmpty(t *testing.T) {
 
 func TestKnapsackItemBiggerThanCapacity(t *testing.T) {
 	items := []Item{{Size: 5, DeltaR: 9}, {Size: 2, DeltaR: 1}}
-	chosen, p := Knapsack(items, 4)
+	chosen, p := knapsack(items, 4)
 	if p != 1 || chosen[0] || !chosen[1] {
 		t.Errorf("profit=%d chosen=%v, want only the small item", p, chosen)
 	}
@@ -62,7 +84,7 @@ func TestKnapsackMatchesBruteForce(t *testing.T) {
 			}
 		}
 		cap := rng.Intn(15)
-		_, got := Knapsack(items, cap)
+		_, got := knapsack(items, cap)
 		want, err := BruteForce(items, cap)
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +106,7 @@ func TestKnapsackChosenConsistent(t *testing.T) {
 			items[i] = Item{Size: 1 + rng.Intn(4), DeltaR: rng.Intn(3)}
 		}
 		cap := int(capRaw % 32)
-		chosen, profit := Knapsack(items, cap)
+		chosen, profit := knapsack(items, cap)
 		size, sum := 0, 0
 		for i, c := range chosen {
 			if c {
@@ -109,7 +131,7 @@ func TestKnapsackMonotoneInCapacity(t *testing.T) {
 		}
 		prev := 0
 		for cap := 0; cap < 20; cap++ {
-			_, p := Knapsack(items, cap)
+			_, p := knapsack(items, cap)
 			if p < prev {
 				return false
 			}
@@ -132,7 +154,7 @@ func TestGreedySuboptimalExample(t *testing.T) {
 		{Edge: 2, Size: 2, DeltaR: 4}, // density 2.0
 	}
 	_, gp := Greedy(items, 4)
-	_, kp := Knapsack(items, 4)
+	_, kp := knapsack(items, 4)
 	if gp != 8 || kp != 8 {
 		// Both find 8 here; use a sharper instance.
 		t.Logf("first instance: greedy=%d dp=%d", gp, kp)
@@ -143,7 +165,7 @@ func TestGreedySuboptimalExample(t *testing.T) {
 		{Edge: 2, Size: 2, DeltaR: 3},
 	}
 	_, gp2 := Greedy(items2, 4)
-	_, kp2 := Knapsack(items2, 4)
+	_, kp2 := knapsack(items2, 4)
 	if kp2 != 6 {
 		t.Fatalf("DP profit = %d, want 6", kp2)
 	}
@@ -162,7 +184,7 @@ func TestGreedyNeverBeatsKnapsack(t *testing.T) {
 		}
 		cap := int(capRaw % 24)
 		_, gp := Greedy(items, cap)
-		_, kp := Knapsack(items, cap)
+		_, kp := knapsack(items, cap)
 		return gp <= kp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -232,7 +254,7 @@ func TestBuildItemsErrors(t *testing.T) {
 func TestOptimizeEndToEnd(t *testing.T) {
 	g, classes, tm := buildClassifiedGraph(t)
 	// Capacity 1: only edge 0 (size 1) fits.
-	alloc, err := OptimizeCtx(context.Background(), g, classes, tm, 1)
+	alloc, err := optimize(g, classes, tm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +269,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 
 	// Capacity 3: both fit.
-	alloc3, err := OptimizeCtx(context.Background(), g, classes, tm, 3)
+	alloc3, err := optimize(g, classes, tm, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +278,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 
 	// Capacity 0: all eDRAM.
-	alloc0, err := OptimizeCtx(context.Background(), g, classes, tm, 0)
+	alloc0, err := optimize(g, classes, tm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +289,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 
 func TestOptimizeRejectsNegativeCapacity(t *testing.T) {
 	g, classes, tm := buildClassifiedGraph(t)
-	if _, err := OptimizeCtx(context.Background(), g, classes, tm, -1); err == nil || !strings.Contains(err.Error(), "capacity") {
+	if _, err := optimize(g, classes, tm, -1); err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Errorf("err = %v, want capacity error", err)
 	}
 }
@@ -277,19 +299,19 @@ func TestOptimizeRejectsNegativeCapacity(t *testing.T) {
 // with enough capacity must match all-cache.
 func TestOptimizeReducesRMax(t *testing.T) {
 	g, classes, tm := buildClassifiedGraph(t)
-	resE, err := retime.Apply(g, classes, retime.AllEDRAM(g.NumEdges()), tm.Period)
+	resE, err := apply(g, classes, retime.AllEDRAM(g.NumEdges()), tm.Period)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := retime.Apply(g, classes, retime.AllCache(g.NumEdges()), tm.Period)
+	resC, err := apply(g, classes, retime.AllCache(g.NumEdges()), tm.Period)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := OptimizeCtx(context.Background(), g, classes, tm, 99)
+	alloc, err := optimize(g, classes, tm, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resOpt, err := retime.Apply(g, classes, alloc.Assignment, tm.Period)
+	resOpt, err := apply(g, classes, alloc.Assignment, tm.Period)
 	if err != nil {
 		t.Fatal(err)
 	}

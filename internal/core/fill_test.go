@@ -26,7 +26,11 @@ func fullSortOptimize(t *testing.T, g *dag.Graph, classes []retime.EdgeClass, tm
 	if err != nil {
 		t.Fatal(err)
 	}
-	chosen, profit := core.Knapsack(items, capacity)
+	chosen := make([]bool, len(items))
+	profit, err := core.KnapsackInto(context.Background(), chosen, items, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
 	alloc = core.Allocation{
 		Assignment:  make(retime.Assignment, g.NumEdges()),
 		Profit:      profit,

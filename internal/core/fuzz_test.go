@@ -40,7 +40,7 @@ func FuzzKnapsackEquivalence(f *testing.F) {
 			}
 		}
 
-		chosen, profit := Knapsack(items, capacity)
+		chosen, profit := knapsack(items, capacity)
 		if rolling := KnapsackProfit(items, capacity); rolling != profit {
 			t.Fatalf("bitset profit %d != rolling-row profit %d (items=%+v cap=%d)",
 				profit, rolling, items, capacity)

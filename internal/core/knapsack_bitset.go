@@ -73,8 +73,14 @@ func (sc *dpScratch) ensure(rowLen, bitWords int) {
 	sc.bits = sc.bits[:bitWords]
 }
 
-// KnapsackInto is Knapsack with caller-owned output: it fills chosen
-// (len(items) entries, reset first) and returns the optimal profit.
+// KnapsackInto evaluates the §3.3.2 recurrence bottom-up and
+// reconstructs one optimal subset into caller-owned output: it fills
+// chosen (len(items) entries, reset first; chosen[i] reports whether
+// items[i] is cached) and returns the optimal profit B[capacity, n].
+// The solver runs in O(n·S) time but O(n·S/64 + S) space: a bitset
+// decision matrix plus a rolling profit row replace the classic full
+// int table; KnapsackFullTable keeps the textbook layout as a
+// reference oracle.
 // All internal state comes from a pool, so steady-state solves
 // allocate nothing — the serving daemon's cold path and the bench
 // runner both lean on this.  The table fill is the longest

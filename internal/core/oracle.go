@@ -58,8 +58,8 @@ func ExhaustiveMinRMax(g *dag.Graph, classes []retime.EdgeClass, capacity, perio
 		if load > capacity {
 			continue
 		}
-		res, err := retime.Apply(g, classes, a, period)
-		if err != nil {
+		var res retime.Result
+		if err := retime.ApplyInto(&res, g, classes, a, period, nil); err != nil {
 			return OracleResult{}, err
 		}
 		best.Evaluated++
@@ -76,14 +76,14 @@ func ExhaustiveMinRMax(g *dag.Graph, classes []retime.EdgeClass, capacity, perio
 
 // ProxyQuality compares the DP's ΣΔR-maximizing allocation against
 // the exhaustive R_max oracle for one instance, returning
-// (dpRMax, optimalRMax).
-func ProxyQuality(g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing, capacity int) (dpRMax, optRMax int, err error) {
-	alloc, err := OptimizeCtx(context.Background(), g, classes, tm, capacity)
-	if err != nil {
+// (dpRMax, optimalRMax).  ctx reaches the DP's row checks.
+func ProxyQuality(ctx context.Context, g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing, capacity int) (dpRMax, optRMax int, err error) {
+	var alloc Allocation
+	if err := OptimizeInto(ctx, &alloc, g, classes, tm, capacity); err != nil {
 		return 0, 0, err
 	}
-	res, err := retime.Apply(g, classes, alloc.Assignment, tm.Period)
-	if err != nil {
+	var res retime.Result
+	if err := retime.ApplyInto(&res, g, classes, alloc.Assignment, tm.Period, nil); err != nil {
 		return 0, 0, err
 	}
 	oracle, err := ExhaustiveMinRMax(g, classes, capacity, tm.Period)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestOracleNeverWorseThanDP(t *testing.T) {
 			continue
 		}
 		for _, capacity := range []int{2, 4, 8} {
-			dpR, optR, err := core.ProxyQuality(g, classes, tm, capacity)
+			dpR, optR, err := core.ProxyQuality(context.Background(), g, classes, tm, capacity)
 			if err != nil {
 				t.Fatalf("seed %d cap %d: %v", seed, capacity, err)
 			}
@@ -78,7 +79,7 @@ func TestProxyQualityStatistics(t *testing.T) {
 		if competitors == 0 || competitors > 14 {
 			continue
 		}
-		dpR, optR, err := core.ProxyQuality(g, classes, tm, 4)
+		dpR, optR, err := core.ProxyQuality(context.Background(), g, classes, tm, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,8 +127,8 @@ func TestOracleZeroCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With zero capacity the only feasible allocation is all-eDRAM.
-	allE, err := retime.Apply(g, classes, retime.AllEDRAM(g.NumEdges()), tm.Period)
-	if err != nil {
+	var allE retime.Result
+	if err := retime.ApplyInto(&allE, g, classes, retime.AllEDRAM(g.NumEdges()), tm.Period, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res.MinRMax != allE.RMax {

@@ -13,7 +13,7 @@ var profitRowPool = sync.Pool{New: func() any { return new([]int) }}
 // KnapsackProfit evaluates the §3.3.2 recurrence with a rolling row —
 // O(S) space instead of the O(n·S) table — returning only the optimal
 // profit.  Use it when the chosen subset is not needed (bounds,
-// validation, large sweeps); Knapsack adds the bitset decision matrix
+// validation, large sweeps); KnapsackInto adds the bitset decision matrix
 // for the §3.3.3 reconstruction.  The row is pooled, so steady-state
 // calls are allocation-free.
 func KnapsackProfit(items []Item, capacity int) int {
@@ -54,7 +54,7 @@ func KnapsackProfit(items []Item, capacity int) int {
 // reference implementation the bitset solver is certified against
 // (identical chosen output, not just identical profit) and the
 // "before" side of the BENCH_*.json solver comparison; production
-// callers use Knapsack.
+// callers use KnapsackInto.
 func KnapsackFullTable(items []Item, capacity int) (chosen []bool, profit int) {
 	n := len(items)
 	chosen = make([]bool, n)
@@ -159,7 +159,7 @@ func BranchAndBound(items []Item, capacity int) int {
 
 // Greedy is the density-ordered heuristic baseline used in ablation
 // studies: it caches items by decreasing ΔR/size until capacity runs
-// out.  Not optimal — the benches quantify the gap to Knapsack.  Ties
+// out.  Not optimal — the benches quantify the gap to KnapsackInto.  Ties
 // in density break by ascending edge ID (then input position), so the
 // allocation it produces is reproducible run to run regardless of how
 // the caller assembled the item list.

@@ -25,7 +25,7 @@ func TestKnapsackProfitMatchesTableDP(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		items := randomItems(rng, rng.Intn(30))
 		cap := rng.Intn(40)
-		_, table := Knapsack(items, cap)
+		_, table := knapsack(items, cap)
 		rolling := KnapsackProfit(items, cap)
 		if table != rolling {
 			t.Fatalf("trial %d: table DP %d != rolling DP %d", trial, table, rolling)
@@ -54,7 +54,7 @@ func TestThreeSolversAgreeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		items := randomItems(rng, rng.Intn(40))
 		cap := int(capRaw % 64)
-		_, dp := Knapsack(items, cap)
+		_, dp := knapsack(items, cap)
 		return dp == KnapsackProfit(items, cap) && dp == BranchAndBound(items, cap)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -86,7 +86,7 @@ func TestBranchAndBoundHandlesLargeInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	items := randomItems(rng, 200)
 	const cap = 150
-	_, dp := Knapsack(items, cap)
+	_, dp := knapsack(items, cap)
 	if bb := BranchAndBound(items, cap); bb != dp {
 		t.Fatalf("B&B %d != DP %d on large instance", bb, dp)
 	}

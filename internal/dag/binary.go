@@ -1,10 +1,8 @@
 package dag
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -43,8 +41,7 @@ const BinaryVersion = 1
 var binMagic = [3]byte{'P', 'C', 'G'}
 
 // AppendBinary appends the binary encoding of g to dst and returns
-// the extended slice.  It is the allocation-free core of WriteBinary
-// (zero allocations once dst has capacity).
+// the extended slice (zero allocations once dst has capacity).
 //
 //paraconv:hotpath
 func AppendBinary(dst []byte, g *Graph) []byte {
@@ -72,55 +69,6 @@ func AppendBinary(dst []byte, g *Graph) []byte {
 func appendBinString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// binBufPool recycles the staging buffers WriteBinary encodes into and
-// ReadBinaryLimits drains readers into.
-var binBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBinBuf caps what a recycled binary staging buffer may
-// retain, mirroring the text scanner pool's discipline.
-const maxPooledBinBuf = 1 << 20
-
-func putBinBuf(b *bytes.Buffer) {
-	if b.Cap() > maxPooledBinBuf {
-		return
-	}
-	b.Reset()
-	binBufPool.Put(b)
-}
-
-// WriteBinary serializes g in the package binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	buf := binBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.Write(AppendBinary(buf.AvailableBuffer(), g))
-	_, err := w.Write(buf.Bytes())
-	putBinBuf(buf)
-	if err != nil {
-		return fmt.Errorf("dag: writing binary graph: %w", err)
-	}
-	return nil
-}
-
-// ReadBinary parses the package binary format with no size caps.  The
-// returned graph is validated; any structural defect is an error.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	return ReadBinaryLimits(r, Limits{})
-}
-
-// ReadBinaryLimits is ReadBinary with caps on the declared graph
-// size; crossing a cap aborts the parse with a *LimitError.
-func ReadBinaryLimits(r io.Reader, lim Limits) (*Graph, error) {
-	buf := binBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if _, err := buf.ReadFrom(r); err != nil {
-		putBinBuf(buf)
-		return nil, fmt.Errorf("dag: reading binary graph: %w", err)
-	}
-	g, err := DecodeBinary(buf.Bytes(), lim)
-	putBinBuf(buf)
-	return g, err
 }
 
 // binNameScratch pools the decoder's name staging: the graph name and

@@ -55,22 +55,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	graphsStructurallyEqual(t, g, got)
 }
 
-func TestBinaryWriteReadRoundTrip(t *testing.T) {
-	g := binTestGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), AppendBinary(nil, g)) {
-		t.Error("WriteBinary output differs from AppendBinary")
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	graphsStructurallyEqual(t, g, got)
-}
-
 // TestBinaryDeterministic pins the byte-for-byte determinism contract:
 // the same graph encodes identically on every call, and re-encoding a
 // decoded graph reproduces the original frame.

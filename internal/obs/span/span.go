@@ -249,15 +249,6 @@ func FromContext(ctx context.Context) *Trace {
 	return tr
 }
 
-// IDFromContext returns the hex id of the trace carried by ctx, or ""
-// — the form log lines and error bodies embed.
-func IDFromContext(ctx context.Context) string {
-	if tr := FromContext(ctx); tr != nil {
-		return tr.id.String()
-	}
-	return ""
-}
-
 // Start opens a span named name on the trace carried by ctx.  When
 // tracing is globally off or ctx carries no trace, it returns the
 // zero Span without reading the clock or touching the context value —

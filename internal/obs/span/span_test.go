@@ -127,17 +127,6 @@ func TestIDString(t *testing.T) {
 	}
 }
 
-func TestIDFromContext(t *testing.T) {
-	if got := IDFromContext(context.Background()); got != "" {
-		t.Fatalf("IDFromContext(no trace) = %q, want empty", got)
-	}
-	tr := New()
-	ctx := NewContext(context.Background(), tr)
-	if got := IDFromContext(ctx); got != tr.ID().String() {
-		t.Fatalf("IDFromContext = %q, want %q", got, tr.ID().String())
-	}
-}
-
 func TestSamplerEveryAndSlowLane(t *testing.T) {
 	s := &Sampler{Every: 4, Slow: 10 * time.Millisecond}
 	sampled := 0

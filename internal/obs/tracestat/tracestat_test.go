@@ -1,6 +1,7 @@
 package tracestat
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -67,11 +68,11 @@ func checkReport(t *testing.T, rep *Report, stats sim.Stats) {
 func TestAnalyzeParaCONV(t *testing.T) {
 	g := synthGraph(t, 40, 90, 5)
 	cfg := pim.Neurocube(8)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, tr, err := sim.TraceRun(plan, cfg, 24)
+	stats, tr, err := sim.TraceRunCtx(context.Background(), plan, cfg, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestAnalyzeParaCONV(t *testing.T) {
 func TestAnalyzeSPARTA(t *testing.T) {
 	g := synthGraph(t, 30, 60, 9)
 	cfg := pim.Neurocube(8)
-	plan, err := sched.SPARTA(g, cfg)
+	plan, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, tr, err := sim.TraceRun(plan, cfg, 10)
+	stats, tr, err := sim.TraceRunCtx(context.Background(), plan, cfg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestAnalyzeErrors(t *testing.T) {
 func TestWriteText(t *testing.T) {
 	g := synthGraph(t, 20, 40, 3)
 	cfg := pim.Neurocube(4)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, tr, err := sim.TraceRun(plan, cfg, 8)
+	stats, tr, err := sim.TraceRunCtx(context.Background(), plan, cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,7 +119,7 @@ func TestClusterProperty(t *testing.T) {
 		if res.Graph.NumEdges() != g.NumEdges()-res.Merged {
 			return false
 		}
-		_, err = sched.ParaCONV(res.Graph, pim.Neurocube(8))
+		_, err = sched.ParaCONVCtx(context.Background(), res.Graph, pim.Neurocube(8))
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

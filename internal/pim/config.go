@@ -18,6 +18,9 @@ import (
 	"fmt"
 )
 
+// PEID identifies one processing engine, 0..NumPEs-1.
+type PEID int
+
 // Placement says where an intermediate processing result lives.
 type Placement uint8
 

@@ -3,7 +3,6 @@ package pim
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestNeurocubePresetsValid(t *testing.T) {
@@ -103,90 +102,5 @@ func TestMoveEnergyAsymmetry(t *testing.T) {
 	}
 	if ratio := e / c; ratio < 2 || ratio > 10 {
 		t.Errorf("energy ratio %.2f outside [2,10]", ratio)
-	}
-}
-
-func TestTopologyGrid(t *testing.T) {
-	top, err := NewTopology(Neurocube(16))
-	if err != nil {
-		t.Fatalf("NewTopology: %v", err)
-	}
-	cols, rows := top.Dims()
-	if cols*rows != 16 || cols < rows {
-		t.Errorf("Dims = (%d,%d)", cols, rows)
-	}
-	if cols != 4 || rows != 4 {
-		t.Errorf("16 PEs should form a 4x4 grid, got %dx%d", cols, rows)
-	}
-	x, y := top.Coord(5)
-	if x != 1 || y != 1 {
-		t.Errorf("Coord(5) = (%d,%d), want (1,1)", x, y)
-	}
-	if d := top.Distance(0, 15); d != 6 {
-		t.Errorf("Distance(0,15) = %d, want 6", d)
-	}
-	if d := top.Distance(3, 3); d != 0 {
-		t.Errorf("Distance(v,v) = %d, want 0", d)
-	}
-}
-
-func TestTopologyRejectsInvalidConfig(t *testing.T) {
-	cfg := Neurocube(16)
-	cfg.NumPEs = 0
-	if _, err := NewTopology(cfg); err == nil {
-		t.Fatal("NewTopology accepted an invalid config")
-	}
-}
-
-func TestInterPEAndVaultLatency(t *testing.T) {
-	top, err := NewTopology(Neurocube(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := top.InterPELatency(3, 3); l != 0 {
-		t.Errorf("same-PE latency = %d, want 0", l)
-	}
-	if l := top.InterPELatency(3, 4); l != top.Config().HopCycles {
-		t.Errorf("cross-PE latency = %d, want %d", l, top.Config().HopCycles)
-	}
-	pe := PEID(5)
-	home := top.HomeVault(pe)
-	if l := top.VaultLatency(pe, home); l != top.Config().EDRAMAccessCycles {
-		t.Errorf("home vault latency = %d", l)
-	}
-	other := VaultID((int(home) + 1) % top.Config().NumVaults)
-	if l := top.VaultLatency(pe, other); l != top.Config().EDRAMAccessCycles+top.Config().HopCycles {
-		t.Errorf("remote vault latency = %d", l)
-	}
-}
-
-// Property: the grid always covers exactly NumPEs cells and distance is
-// a metric (symmetric, zero iff equal, triangle inequality).
-func TestTopologyDistanceMetricProperty(t *testing.T) {
-	f := func(nRaw, aRaw, bRaw, cRaw uint8) bool {
-		n := int(nRaw%63) + 2
-		cfg := Neurocube(n)
-		top, err := NewTopology(cfg)
-		if err != nil {
-			return false
-		}
-		cols, rows := top.Dims()
-		if cols*rows != n {
-			return false
-		}
-		a := PEID(int(aRaw) % n)
-		b := PEID(int(bRaw) % n)
-		c := PEID(int(cRaw) % n)
-		dab, dba := top.Distance(a, b), top.Distance(b, a)
-		if dab != dba {
-			return false
-		}
-		if (dab == 0) != (a == b) {
-			return false
-		}
-		return top.Distance(a, c) <= dab+top.Distance(b, c)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

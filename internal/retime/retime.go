@@ -279,18 +279,6 @@ func AllCache(n int) Assignment {
 	return a
 }
 
-// CacheLoad returns the total cache footprint (sum of Size over edges
-// placed in cache) of the assignment.
-func CacheLoad(g *dag.Graph, a Assignment) int {
-	load := 0
-	for i := range g.Edges() {
-		if a[i] == pim.InCache {
-			load += g.Edge(dag.EdgeID(i)).Size
-		}
-	}
-	return load
-}
-
 // Result is the outcome of a retiming analysis under one assignment.
 type Result struct {
 	// R is the per-vertex retiming value (Definition 3.1), minimal
@@ -307,24 +295,15 @@ type Result struct {
 // Prologue returns the prologue time R_max x p (§3.2).
 func (r Result) Prologue() int { return r.RMax * r.Period }
 
-// Apply computes the minimal legal vertex retiming for the given
+// ApplyInto computes the minimal legal vertex retiming for the given
 // placement assignment under iteration period p: every edge requires
 // R(producer) - R(consumer) >= rrv(placement), and we minimize every
 // R (hence R_max) by a longest-path pass in reverse topological
-// order, with sinks pinned at 0.
-func Apply(g *dag.Graph, classes []EdgeClass, a Assignment, period int) (Result, error) {
-	var res Result
-	if err := ApplyInto(&res, g, classes, a, period, nil); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// ApplyInto is Apply writing into res, reusing the capacity of its R
-// and REdge slices — the caller-buffer form for pooled solve paths.
-// A non-nil order must be a topological order of g (as returned by
-// TopoSort), letting a caller that already holds one skip the
-// re-sort; nil recomputes it.
+// order, with sinks pinned at 0.  The result is written into res,
+// reusing the capacity of its R and REdge slices.  A non-nil order
+// must be a topological order of g (as returned by TopoSort), letting
+// a caller that already holds one skip the re-sort; nil recomputes
+// it.
 //
 //paraconv:hotpath
 func ApplyInto(res *Result, g *dag.Graph, classes []EdgeClass, a Assignment, period int, order []dag.NodeID) error {
@@ -386,33 +365,24 @@ func AnalyzeAssignment(g *dag.Graph, tm Timing, a Assignment) (Result, []EdgeCla
 	if err != nil {
 		return Result{}, nil, err
 	}
-	res, err := Apply(g, classes, a, tm.Period)
-	if err != nil {
+	var res Result
+	if err := ApplyInto(&res, g, classes, a, tm.Period, nil); err != nil {
 		return Result{}, nil, err
 	}
 	return res, classes, nil
 }
 
-// CheckLegal verifies Definition 3.1's legality for the result:
-// R(i) - R(j) must be at least the required relative retiming of every
-// edge, and all retimings non-negative.  It returns a descriptive
-// error for the first violation.
+// CheckLegal verifies Definition 3.1's legality for the result with
+// check.CheckRetiming, always on: all retimings non-negative, every
+// rrv within Theorem 3.1's [0,2], and R(i) - R(j) at least the rrv of
+// every edge.  It returns a descriptive error for the first violation.
 func CheckLegal(g *dag.Graph, res Result) error {
 	if len(res.R) != g.NumNodes() || len(res.REdge) != g.NumEdges() {
 		return fmt.Errorf("retime: result covers %d vertices, %d edges; want %d, %d",
 			len(res.R), len(res.REdge), g.NumNodes(), g.NumEdges())
 	}
-	for v, r := range res.R {
-		if r < 0 {
-			return fmt.Errorf("retime: vertex %d has negative retiming %d", v, r)
-		}
-	}
-	for i := range g.Edges() {
-		e := g.Edge(dag.EdgeID(i))
-		if res.R[e.From]-res.R[e.To] < res.REdge[i] {
-			return fmt.Errorf("retime: edge %d (%d->%d): R(i)-R(j) = %d < required rrv %d",
-				e.ID, e.From, e.To, res.R[e.From]-res.R[e.To], res.REdge[i])
-		}
+	if err := check.CheckRetiming(g, res.R, res.REdge); err != nil {
+		return fmt.Errorf("retime: %w", err)
 	}
 	return nil
 }

@@ -216,15 +216,16 @@ func TestApplyDiamond(t *testing.T) {
 
 func TestApplySizeMismatch(t *testing.T) {
 	g := chain(0, 1)
-	if _, err := Apply(g, nil, nil, 1); err == nil {
-		t.Error("Apply with empty classes accepted")
+	var res Result
+	if err := ApplyInto(&res, g, nil, nil, 1, nil); err == nil {
+		t.Error("ApplyInto with empty classes accepted")
 	}
 	classes := []EdgeClass{{}, {}}
-	if _, err := Apply(g, classes, Assignment{pim.InCache}, 1); err == nil {
-		t.Error("Apply with short assignment accepted")
+	if err := ApplyInto(&res, g, classes, Assignment{pim.InCache}, 1, nil); err == nil {
+		t.Error("ApplyInto with short assignment accepted")
 	}
-	if _, err := Apply(g, classes, AllCache(2), 0); err == nil {
-		t.Error("Apply with zero period accepted")
+	if err := ApplyInto(&res, g, classes, AllCache(2), 0, nil); err == nil {
+		t.Error("ApplyInto with zero period accepted")
 	}
 }
 
@@ -248,21 +249,6 @@ func TestCheckLegalDetectsViolation(t *testing.T) {
 	}
 }
 
-func TestCacheLoadAndAssignments(t *testing.T) {
-	g := chain(0, 1)
-	g.Edge(0).Size = 3
-	g.Edge(1).Size = 5
-	if got := CacheLoad(g, AllCache(2)); got != 8 {
-		t.Errorf("CacheLoad all-cache = %d, want 8", got)
-	}
-	if got := CacheLoad(g, AllEDRAM(2)); got != 0 {
-		t.Errorf("CacheLoad all-eDRAM = %d, want 0", got)
-	}
-	if got := CacheLoad(g, Assignment{pim.InCache, pim.InEDRAM}); got != 3 {
-		t.Errorf("CacheLoad mixed = %d, want 3", got)
-	}
-}
-
 func TestCaseString(t *testing.T) {
 	if Case3.String() != "case3" {
 		t.Errorf("Case3.String() = %q", Case3.String())
@@ -272,7 +258,7 @@ func TestCaseString(t *testing.T) {
 	}
 }
 
-// Property: for random timings, Apply always yields a legal retiming
+// Property: for random timings, ApplyInto always yields a legal retiming
 // whose RMax equals the true maximum, and promoting everything to
 // cache never increases RMax.
 func TestApplyLegalAndMonotoneProperty(t *testing.T) {
@@ -285,8 +271,8 @@ func TestApplyLegalAndMonotoneProperty(t *testing.T) {
 		if CheckLegal(g, resE) != nil {
 			return false
 		}
-		resC, err := Apply(g, classes, AllCache(g.NumEdges()), tm.Period)
-		if err != nil || CheckLegal(g, resC) != nil {
+		var resC Result
+		if err := ApplyInto(&resC, g, classes, AllCache(g.NumEdges()), tm.Period, nil); err != nil || CheckLegal(g, resC) != nil {
 			return false
 		}
 		if resC.RMax > resE.RMax {

@@ -86,13 +86,9 @@ func PlanFingerprintHashed(variant, extra, graphFP string, cfg pim.Config) strin
 	return string(fp[:])
 }
 
-// ConfigFingerprint returns a content key for a PIM configuration.
-// Config is a flat struct of scalars and a name, so the Go-syntax
-// representation is a complete, deterministic encoding.
-func ConfigFingerprint(cfg pim.Config) string {
-	return string(appendConfigFingerprint(nil, cfg))
-}
-
+// appendConfigFingerprint appends a content key for a PIM
+// configuration.  Config is a flat struct of scalars and a name, so
+// the Go-syntax representation is a complete, deterministic encoding.
 func appendConfigFingerprint(dst []byte, cfg pim.Config) []byte {
 	return fmt.Appendf(dst, "cfg:%#v", cfg)
 }

@@ -15,7 +15,7 @@ import (
 // the test's temp dirs are removed.
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{NoSync: true})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

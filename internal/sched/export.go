@@ -3,7 +3,6 @@ package sched
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -91,22 +90,4 @@ func WritePlanJSON(w io.Writer, p *Plan) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// ReadPlanJSON parses a plan summary written by WritePlanJSON.  Only
-// the summary fields round-trip (the schedule itself travels via
-// WriteScheduleCSV); it returns the parsed document as a generic
-// structure for tooling.
-func ReadPlanJSON(r io.Reader) (map[string]any, error) {
-	var doc map[string]any
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("sched: parsing plan JSON: %w", err)
-	}
-	for _, key := range []string{"scheme", "period", "r_max"} {
-		if _, ok := doc[key]; !ok {
-			return nil, fmt.Errorf("sched: plan JSON missing %q", key)
-		}
-	}
-	return doc, nil
 }

@@ -9,20 +9,15 @@ import (
 	"repro/internal/retime"
 )
 
-// Naive builds the weakest sensible plan: tasks are assigned to PEs
+// NaiveCtx builds the weakest sensible plan: tasks are assigned to PEs
 // round-robin in vertex order (no load awareness, no priorities), all
 // intermediate results live in eDRAM (no cache management at all),
 // dependencies are honoured inside one iteration, and iterations run
 // back-to-back.  It brackets the design space from below — SPARTA's
 // improvement over Naive shows what task characterization buys, and
 // Para-CONV's improvement over SPARTA shows what joint reallocation
-// buys on top.
-func Naive(g *dag.Graph, cfg pim.Config) (*Plan, error) {
-	return NaiveCtx(context.Background(), g, cfg)
-}
-
-// NaiveCtx is Naive under a context, checked once up front (the
-// round-robin placement itself is linear and near-instant).
+// buys on top.  ctx is checked once up front (the round-robin
+// placement itself is linear and near-instant).
 func NaiveCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sched: naive: %w", err)

@@ -118,8 +118,8 @@ func TestPoliciesPlanLegallyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := retime.Apply(g, classes, retime.AllEDRAM(g.NumEdges()), tm.Period)
-		if err != nil {
+		var res retime.Result
+		if err := retime.ApplyInto(&res, g, classes, retime.AllEDRAM(g.NumEdges()), tm.Period, nil); err != nil {
 			return false
 		}
 		return retime.CheckLegal(g, res) == nil

@@ -233,17 +233,12 @@ func chooseGroups(ctx context.Context, sc *planScratch, g *dag.Graph, numPEs int
 	return bestU, nil
 }
 
-// ParaCONV runs the full Para-CONV pipeline on the graph for the given
+// ParaCONVCtx runs the full Para-CONV pipeline on the graph for the given
 // PIM configuration: group selection, objective schedule, Figure-4
 // classification, optimal DP cache allocation under the group's cache
 // capacity, and the minimal legal retiming for the chosen allocation.
 // The returned plan's ConcurrentIterations field holds the group count
-// (iterations completed per kernel period).
-func ParaCONV(g *dag.Graph, cfg pim.Config) (*Plan, error) {
-	return ParaCONVCtx(context.Background(), g, cfg)
-}
-
-// ParaCONVCtx is ParaCONV under a context: the group search, the DP
+// (iterations completed per kernel period).  The group search, the DP
 // allocation and the retiming stages check ctx at iteration boundaries
 // and return its error cleanly when cancelled mid-solve.
 func ParaCONVCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) {
@@ -267,15 +262,10 @@ func ParaCONVCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, erro
 	return paraCONVKernel(ctx, sc, g, cfg, groups)
 }
 
-// ParaCONVSingle runs Para-CONV with a single group spanning the whole
-// array — one application iteration per kernel, the configuration the
-// paper's motivational example uses.  Ablation benches compare it
-// against the adaptive ParaCONV.
-func ParaCONVSingle(g *dag.Graph, cfg pim.Config) (*Plan, error) {
-	return ParaCONVSingleCtx(context.Background(), g, cfg)
-}
-
-// ParaCONVSingleCtx is ParaCONVSingle under a context.
+// ParaCONVSingleCtx runs Para-CONV with a single group spanning the
+// whole array — one application iteration per kernel, the
+// configuration the paper's motivational example uses.  Ablation
+// benches compare it against the adaptive ParaCONVCtx.
 func ParaCONVSingleCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: para-conv: %w", err)
@@ -291,7 +281,7 @@ func ParaCONVSingleCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan
 	return paraCONVKernel(ctx, sc, g, cfg, 1)
 }
 
-// ParaCONVGivenSchedule runs Para-CONV's allocation pipeline against
+// ParaCONVGivenScheduleCtx runs Para-CONV's allocation stage against
 // an objective schedule supplied by the caller.  §3.3.3 prescribes
 // exactly this: "Para-CONV first obtains an initial objective task
 // schedule, which is known a-priori" — the schedule is a property of
@@ -302,11 +292,6 @@ func ParaCONVSingleCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan
 // array size at a fixed schedule therefore isolates the capacity
 // effect: more PEs mean more aggregate cache, more IPRs promoted, and
 // a smaller maximum retiming value — the paper's Table 2 trend.
-func ParaCONVGivenSchedule(g *dag.Graph, iter IterationSchedule, cfg pim.Config) (*Plan, error) {
-	return ParaCONVGivenScheduleCtx(context.Background(), g, iter, cfg)
-}
-
-// ParaCONVGivenScheduleCtx is ParaCONVGivenSchedule under a context.
 func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationSchedule, cfg pim.Config) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: para-conv: %w", err)
@@ -317,31 +302,13 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 	if err := iter.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: para-conv: invalid objective schedule: %w", err)
 	}
-	tm := iter.Timing()
-	classes, err := retime.Classify(g, tm)
-	if err != nil {
-		return nil, fmt.Errorf("sched: para-conv classify: %w", err)
+	sc := planPool.Get().(*planScratch)
+	defer planPool.Put(sc)
+	if err := allocate(ctx, sc, g, iter.Timing(), cfg.TotalCacheUnits(), nil); err != nil {
+		return nil, err
 	}
-	alloc, err := core.OptimizeCtx(ctx, g, classes, tm, cfg.TotalCacheUnits())
-	if err != nil {
-		return nil, fmt.Errorf("sched: para-conv allocate: %w", err)
-	}
-	retimeSpan := span.Start(ctx, "sched.retime")
-	res, err := retime.Apply(g, classes, alloc.Assignment, tm.Period)
-	retimeSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("sched: para-conv retime: %w", err)
-	}
-	if err := retime.CheckLegal(g, res); err != nil {
-		return nil, fmt.Errorf("sched: para-conv produced illegal retiming: %w", err)
-	}
-	if check.Enabled() {
-		if err := check.CheckAllocation(g, alloc.Assignment, cfg.TotalCacheUnits(),
-			check.Claim{CacheUsed: alloc.CacheUsed, CachedCount: alloc.CachedCount, RMax: res.RMax}, res.R); err != nil {
-			return nil, fmt.Errorf("sched: para-conv: %w", err)
-		}
-	}
-	iter.Assignment = alloc.Assignment
+	iter.Assignment = slices.Clone(sc.alloc.Assignment)
+	res := sc.retained()
 	return recordPlan(&Plan{
 		Scheme:               "para-conv",
 		Iter:                 iter,
@@ -349,9 +316,52 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 		RMax:                 res.RMax,
 		Retiming:             res,
 		LogicalRetiming:      res,
-		CachedIPRs:           alloc.CachedCount,
-		CacheLoadUnits:       alloc.CacheUsed,
+		CachedIPRs:           sc.alloc.CachedCount,
+		CacheLoadUnits:       sc.alloc.CacheUsed,
 	}), nil
+}
+
+// allocate is the allocation stage both Para-CONV entry points share:
+// Figure-4 classification of the objective timing, the §3.3.2 DP under
+// the cache capacity, the minimal retiming for the chosen placement
+// and its legality and allocation checks.  Every result lands in the
+// pooled scratch (sc.classes, sc.alloc, sc.res); a non-nil order is
+// g's topological order, saving the retiming pass a re-sort.
+func allocate(ctx context.Context, sc *planScratch, g *dag.Graph, tm retime.Timing, capacity int, order []dag.NodeID) error {
+	classes, err := retime.ClassifyInto(sc.classes, g, tm)
+	if err != nil {
+		return fmt.Errorf("sched: para-conv classify: %w", err)
+	}
+	sc.classes = classes
+	if err := core.OptimizeInto(ctx, &sc.alloc, g, classes, tm, capacity); err != nil {
+		return fmt.Errorf("sched: para-conv allocate: %w", err)
+	}
+	retimeSpan := span.Start(ctx, "sched.retime")
+	err = retime.ApplyInto(&sc.res, g, classes, sc.alloc.Assignment, tm.Period, order)
+	retimeSpan.End()
+	if err != nil {
+		return fmt.Errorf("sched: para-conv retime: %w", err)
+	}
+	if err := retime.CheckLegal(g, sc.res); err != nil {
+		return fmt.Errorf("sched: para-conv produced illegal retiming: %w", err)
+	}
+	if check.Enabled() {
+		if err := check.CheckAllocation(g, sc.alloc.Assignment, capacity,
+			check.Claim{CacheUsed: sc.alloc.CacheUsed, CachedCount: sc.alloc.CachedCount, RMax: sc.res.RMax}, sc.res.R); err != nil {
+			return fmt.Errorf("sched: para-conv: %w", err)
+		}
+	}
+	return nil
+}
+
+// retained copies the scratch retiming out for a plan to keep.
+func (sc *planScratch) retained() retime.Result {
+	return retime.Result{
+		R:      append([]int(nil), sc.res.R...),
+		REdge:  append([]int(nil), sc.res.REdge...),
+		RMax:   sc.res.RMax,
+		Period: sc.res.Period,
+	}
 }
 
 // paraCONVKernel builds the Para-CONV plan for a fixed group count
@@ -412,36 +422,15 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 	}
 	tm := retime.Timing{Start: sc.start[:n], Finish: sc.finish[:n], Period: period}
 
-	classes, err := retime.ClassifyInto(sc.classes, g, tm)
-	if err != nil {
-		return nil, fmt.Errorf("sched: para-conv classify: %w", err)
-	}
-	sc.classes = classes
-	capacity := groupPEs * cfg.CacheUnitsPerPE
-	if err := core.OptimizeInto(ctx, &sc.alloc, g, classes, tm, capacity); err != nil {
-		return nil, fmt.Errorf("sched: para-conv allocate: %w", err)
-	}
-	retimeSpan := span.Start(ctx, "sched.retime")
-	err = retime.ApplyInto(&sc.res, g, classes, sc.alloc.Assignment, tm.Period, order)
-	retimeSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("sched: para-conv retime: %w", err)
-	}
-	if err := retime.CheckLegal(g, sc.res); err != nil {
-		return nil, fmt.Errorf("sched: para-conv produced illegal retiming: %w", err)
-	}
-	if check.Enabled() {
-		if err := check.CheckAllocation(g, sc.alloc.Assignment, capacity,
-			check.Claim{CacheUsed: sc.alloc.CacheUsed, CachedCount: sc.alloc.CachedCount, RMax: sc.res.RMax}, sc.res.R); err != nil {
-			return nil, fmt.Errorf("sched: para-conv: %w", err)
-		}
+	if err := allocate(ctx, sc, g, tm, groupPEs*cfg.CacheUnitsPerPE, order); err != nil {
+		return nil, err
 	}
 
 	// Replicate the group schedule across the array.  Everything from
 	// here down is retained by the returned plan, so it is built fresh
 	// rather than from the scratch.  One group's kernel is the problem
 	// graph itself, aliased as wire.DecodeLeanPlan and
-	// ParaCONVGivenSchedule alias it, so a planned graph is read-only.
+	// ParaCONVGivenScheduleCtx alias it, so a planned graph is read-only.
 	gu := g
 	if groups > 1 {
 		if gu, err = dag.Replicate(g, groups); err != nil {
@@ -467,19 +456,13 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 	if err := checkSchedule(&full, groups*sc.alloc.CacheUsed, cfg.TotalCacheUnits()); err != nil {
 		return nil, fmt.Errorf("sched: para-conv replicated kernel: %w", err)
 	}
-	logical := retime.Result{
-		R:      append([]int(nil), sc.res.R...),
-		REdge:  append([]int(nil), sc.res.REdge...),
-		RMax:   sc.res.RMax,
-		Period: sc.res.Period,
-	}
 	return recordPlan(&Plan{
 		Scheme:               "para-conv",
 		Iter:                 full,
 		ConcurrentIterations: groups,
 		RMax:                 sc.res.RMax,
 		Retiming:             expandRetiming(sc.res, groups),
-		LogicalRetiming:      logical,
+		LogicalRetiming:      sc.retained(),
 		CachedIPRs:           sc.alloc.CachedCount,
 		CacheLoadUnits:       groups * sc.alloc.CacheUsed,
 	}), nil

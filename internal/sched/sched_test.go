@@ -89,7 +89,7 @@ func TestObjectiveErrors(t *testing.T) {
 func TestParaCONVOnPaperExample(t *testing.T) {
 	g := fig2b()
 	cfg := pim.Neurocube(4)
-	plan, err := ParaCONV(g, cfg)
+	plan, err := ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestParaCONVOnPaperExample(t *testing.T) {
 
 func TestParaCONVSingleMatchesPaperExample(t *testing.T) {
 	g := fig2b()
-	plan, err := ParaCONVSingle(g, pim.Neurocube(4))
+	plan, err := ParaCONVSingleCtx(context.Background(), g, pim.Neurocube(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestParaCONVSingleMatchesPaperExample(t *testing.T) {
 
 func TestSPARTARespectsDependencies(t *testing.T) {
 	g := synthGraph(t, 60, 150, 9)
-	plan, err := SPARTA(g, pim.Neurocube(16))
+	plan, err := SPARTACtx(context.Background(), g, pim.Neurocube(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestParaCONVBeatsSPARTA(t *testing.T) {
 		g := synthGraph(t, tc.v, tc.e, int64(tc.v))
 		for _, pes := range []int{16, 32, 64} {
 			cfg := pim.Neurocube(pes)
-			pc, err := ParaCONV(g, cfg)
+			pc, err := ParaCONVCtx(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatalf("ParaCONV(%d,%d PEs): %v", tc.v, pes, err)
 			}
-			sp, err := SPARTA(g, cfg)
+			sp, err := SPARTACtx(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatalf("SPARTA(%d,%d PEs): %v", tc.v, pes, err)
 			}
@@ -193,7 +193,7 @@ func TestRMaxDecreasesWithMorePEs(t *testing.T) {
 	}
 	rmax := make([]int, 0, 3)
 	for _, pes := range []int{16, 32, 64} {
-		plan, err := ParaCONVGivenSchedule(g, base, pim.Neurocube(pes))
+		plan, err := ParaCONVGivenScheduleCtx(context.Background(), g, base, pim.Neurocube(pes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestGanttOutput(t *testing.T) {
 
 func TestSummaries(t *testing.T) {
 	g := fig2b()
-	plan, err := ParaCONV(g, pim.Neurocube(4))
+	plan, err := ParaCONVCtx(context.Background(), g, pim.Neurocube(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestParaCONVProperty(t *testing.T) {
 			return true
 		}
 		pes := int(peRaw%32) + 1
-		plan, err := ParaCONV(g, pim.Neurocube(pes))
+		plan, err := ParaCONVCtx(context.Background(), g, pim.Neurocube(pes))
 		if err != nil {
 			return false
 		}
@@ -370,7 +370,7 @@ func TestSPARTAProperty(t *testing.T) {
 			return true
 		}
 		pes := int(peRaw%16) + 1
-		plan, err := SPARTA(g, pim.Neurocube(pes))
+		plan, err := SPARTACtx(context.Background(), g, pim.Neurocube(pes))
 		if err != nil {
 			return false
 		}
@@ -386,7 +386,7 @@ func TestSPARTAProperty(t *testing.T) {
 func TestNaiveBaseline(t *testing.T) {
 	g := synthGraph(t, 60, 150, 3)
 	cfg := pim.Neurocube(16)
-	nv, err := Naive(g, cfg)
+	nv, err := NaiveCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +396,11 @@ func TestNaiveBaseline(t *testing.T) {
 	if err := nv.Iter.CheckDependencies(); err != nil {
 		t.Fatalf("CheckDependencies: %v", err)
 	}
-	sp, err := SPARTA(g, cfg)
+	sp, err := SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := ParaCONV(g, cfg)
+	pc, err := ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,13 +414,13 @@ func TestNaiveBaseline(t *testing.T) {
 }
 
 func TestNaiveErrors(t *testing.T) {
-	if _, err := Naive(dag.New("empty"), pim.Neurocube(4)); err == nil {
+	if _, err := NaiveCtx(context.Background(), dag.New("empty"), pim.Neurocube(4)); err == nil {
 		t.Error("empty graph accepted")
 	}
 	bad := pim.Neurocube(4)
 	bad.NumPEs = 0
 	g := synthGraph(t, 10, 20, 1)
-	if _, err := Naive(g, bad); err == nil {
+	if _, err := NaiveCtx(context.Background(), g, bad); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

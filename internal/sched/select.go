@@ -17,20 +17,16 @@ type Candidate struct {
 	TotalTime int
 }
 
-// SelectConfig plans the application on every candidate architecture
+// SelectConfigCtx plans the application on every candidate architecture
 // and returns the one with the best total execution time over the
 // given iteration count, along with the full ranking (best first) —
 // the "general model adaptively applied to different system
 // architectures" of the paper's future work.  Architectures the
 // planner rejects (e.g. transfer times incompatible with the model)
-// are skipped; an error is returned only if none survive.
-func SelectConfig(g *dag.Graph, candidates []pim.Config, iterations int) (Candidate, []Candidate, error) {
-	return SelectConfigCtx(context.Background(), g, candidates, iterations)
-}
-
-// SelectConfigCtx is SelectConfig under a context: the sweep checks
-// ctx before each candidate and aborts with the context's error, so a
-// long architecture search cancels between (and inside) solves.
+// are skipped; an error is returned only if none survive.  The sweep
+// checks ctx before each candidate and aborts with the context's
+// error, so a long architecture search cancels between (and inside)
+// solves.
 func SelectConfigCtx(ctx context.Context, g *dag.Graph, candidates []pim.Config, iterations int) (Candidate, []Candidate, error) {
 	if len(candidates) == 0 {
 		return Candidate{}, nil, fmt.Errorf("sched: SelectConfig with no candidates")

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestPresetsAreDistinct(t *testing.T) {
 
 func TestSelectConfigRanksAllCandidates(t *testing.T) {
 	g := synthGraph(t, 60, 150, 3)
-	chosen, ranked, err := SelectConfig(g, pim.Presets(16), 100)
+	chosen, ranked, err := SelectConfigCtx(context.Background(), g, pim.Presets(16), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +59,15 @@ func TestSelectConfigRanksAllCandidates(t *testing.T) {
 
 func TestSelectConfigErrors(t *testing.T) {
 	g := synthGraph(t, 10, 20, 1)
-	if _, _, err := SelectConfig(g, nil, 10); err == nil {
+	if _, _, err := SelectConfigCtx(context.Background(), g, nil, 10); err == nil {
 		t.Error("no candidates accepted")
 	}
-	if _, _, err := SelectConfig(g, pim.Presets(16), 0); err == nil {
+	if _, _, err := SelectConfigCtx(context.Background(), g, pim.Presets(16), 0); err == nil {
 		t.Error("zero iterations accepted")
 	}
 	bad := pim.Neurocube(16)
 	bad.NumPEs = 0
-	if _, _, err := SelectConfig(g, []pim.Config{bad}, 10); err == nil || !strings.Contains(err.Error(), "no candidate") {
+	if _, _, err := SelectConfigCtx(context.Background(), g, []pim.Config{bad}, 10); err == nil || !strings.Contains(err.Error(), "no candidate") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -75,7 +76,7 @@ func TestSelectConfigSkipsBrokenCandidate(t *testing.T) {
 	g := synthGraph(t, 30, 70, 5)
 	bad := pim.Neurocube(16)
 	bad.CacheUnitsPerPE = 0 // invalid
-	chosen, ranked, err := SelectConfig(g, []pim.Config{bad, pim.Neurocube(16)}, 50)
+	chosen, ranked, err := SelectConfigCtx(context.Background(), g, []pim.Config{bad, pim.Neurocube(16)}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/retime"
 )
 
-// SPARTA implements the baseline scheme of the paper's evaluation:
+// SPARTACtx implements the baseline scheme of the paper's evaluation:
 // SPARTA [6], a runtime task-allocation approach for many-core
 // platforms.  SPARTA "collects sensor data to characterize tasks and
 // uses this information to prioritize tasks when performing
@@ -22,13 +22,9 @@ import (
 // allocator it neither retimes nor software-pipelines: successive
 // iterations execute back-to-back, so the iteration interval is the
 // whole makespan, including every data-movement stall — the cost
-// Para-CONV's joint optimization eliminates.
-func SPARTA(g *dag.Graph, cfg pim.Config) (*Plan, error) {
-	return SPARTACtx(context.Background(), g, cfg)
-}
-
-// SPARTACtx is SPARTA under a context: the list scheduler checks ctx
-// at task-placement boundaries and returns its error when cancelled.
+// Para-CONV's joint optimization eliminates.  The list scheduler
+// checks ctx at task-placement boundaries and returns its error when
+// cancelled.
 func SPARTACtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: sparta: %w", err)

@@ -378,7 +378,7 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 	fp := run.PlanFingerprint("", "", g, cfg)
 	fill := wire.AppendPeerFill(nil, "para-conv", cfg, g)
 
-	st1, err := store.Open(dir, store.Options{NoSync: true})
+	st1, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 	if err := st1.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(dir, store.Options{NoSync: true})
+	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -532,7 +532,7 @@ func TestWarmRestartThroughServer(t *testing.T) {
 	body := map[string]any{"graph": testGraphText, "pes": 4, "iterations": 50}
 	solves := func() uint64 { return obs.PlanSolveTimer("para-conv").Histogram().State().Count }
 
-	st1, err := store.Open(dir, store.Options{NoSync: true})
+	st1, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestWarmRestartThroughServer(t *testing.T) {
 	if err := st1.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(dir, store.Options{NoSync: true})
+	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/pim"
@@ -8,8 +9,8 @@ import (
 	"repro/internal/synth"
 )
 
-// The sim benchmarks cover both execution paths: the closed-form Run
-// (the serving path's workhorse) and the event-level TraceRun whose
+// The sim benchmarks cover both execution paths: the closed-form RunCtx
+// (the serving path's workhorse) and the event-level TraceRunCtx whose
 // buffers are preallocated from plan-derived bounds.
 
 func benchPlan(b *testing.B) (*sched.Plan, pim.Config) {
@@ -19,7 +20,7 @@ func benchPlan(b *testing.B) (*sched.Plan, pim.Config) {
 		b.Fatal(err)
 	}
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func BenchmarkSimRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(plan, cfg, 200); err != nil {
+		if _, err := RunCtx(context.Background(), plan, cfg, 200); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +43,7 @@ func BenchmarkTraceRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := TraceRun(plan, cfg, 20); err != nil {
+		if _, _, err := TraceRunCtx(context.Background(), plan, cfg, 20); err != nil {
 			b.Fatal(err)
 		}
 	}

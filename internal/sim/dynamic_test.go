@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -128,7 +129,7 @@ func TestDynamicDeterministic(t *testing.T) {
 func TestStaticKernelNearDynamicBound(t *testing.T) {
 	g := synthGraph(t, 102, 267, 1102)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

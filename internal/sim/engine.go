@@ -102,24 +102,17 @@ func (tr *Trace) BusySpread() int {
 	return max - min
 }
 
-// TraceRun simulates the plan event by event for `iterations`
+// TraceRunCtx simulates the plan event by event for `iterations`
 // application iterations, emitting the full event log.  It performs
-// the same legality checks as Run (and returns the same Stats), but
+// the same legality checks as RunCtx (and returns the same Stats), but
 // derives everything from the generated events rather than closed
 // forms — the two paths cross-check each other in tests.
 //
 // The event volume is proportional to iterations x (|V|+|E|), so use
-// modest iteration counts (the steady state repeats exactly).
-//
-//paraconv:hotpath
-func TraceRun(plan *sched.Plan, cfg pim.Config, iterations int) (Stats, *Trace, error) {
-	return TraceRunCtx(context.Background(), plan, cfg, iterations)
-}
-
-// TraceRunCtx is TraceRun under a context.  The event generators check
-// ctx at round (pipelined) and iteration (sequential) boundaries and
-// return the context's error when cancelled, discarding the partial
-// trace.
+// modest iteration counts (the steady state repeats exactly).  The
+// event generators check ctx at round (pipelined) and iteration
+// (sequential) boundaries and return the context's error when
+// cancelled, discarding the partial trace.
 //
 //paraconv:hotpath
 func TraceRunCtx(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, *Trace, error) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -14,15 +15,15 @@ import (
 func TestTraceRunMatchesRunParaCONV(t *testing.T) {
 	g := synthGraph(t, 50, 120, 21)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, tr, err := TraceRun(plan, cfg, 60)
+	stats, tr, err := TraceRunCtx(context.Background(), plan, cfg, 60)
 	if err != nil {
 		t.Fatalf("TraceRun: %v", err)
 	}
-	fast, err := Run(plan, cfg, 60)
+	fast, err := RunCtx(context.Background(), plan, cfg, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,15 +44,15 @@ func TestTraceRunMatchesRunParaCONV(t *testing.T) {
 func TestTraceRunMatchesRunSPARTA(t *testing.T) {
 	g := synthGraph(t, 40, 100, 8)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.SPARTA(g, cfg)
+	plan, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, tr, err := TraceRun(plan, cfg, 20)
+	stats, tr, err := TraceRunCtx(context.Background(), plan, cfg, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(plan, cfg, 20)
+	fast, err := RunCtx(context.Background(), plan, cfg, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +82,12 @@ func TestTraceRunMatchesRunSPARTA(t *testing.T) {
 func TestTraceTaskInstanceCounts(t *testing.T) {
 	g := synthGraph(t, 30, 70, 5)
 	cfg := pim.Neurocube(8)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	iters := 24
-	_, tr, err := TraceRun(plan, cfg, iters)
+	_, tr, err := TraceRunCtx(context.Background(), plan, cfg, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestTraceTaskInstanceCounts(t *testing.T) {
 func TestTraceTransfersRespectInstanceOrder(t *testing.T) {
 	g := synthGraph(t, 40, 95, 13)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := TraceRun(plan, cfg, 30)
+	_, tr, err := TraceRunCtx(context.Background(), plan, cfg, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +194,11 @@ func TestPlaceTransfer(t *testing.T) {
 func TestTraceResourceProfiles(t *testing.T) {
 	g := synthGraph(t, 60, 150, 17)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := TraceRun(plan, cfg, 40)
+	_, tr, err := TraceRunCtx(context.Background(), plan, cfg, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,19 +226,19 @@ func TestEventKindString(t *testing.T) {
 func TestTraceRunRejectsBadInput(t *testing.T) {
 	g := synthGraph(t, 20, 45, 1)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := TraceRun(nil, cfg, 5); err == nil {
+	if _, _, err := TraceRunCtx(context.Background(), nil, cfg, 5); err == nil {
 		t.Error("nil plan accepted")
 	}
-	if _, _, err := TraceRun(plan, cfg, 0); err == nil {
+	if _, _, err := TraceRunCtx(context.Background(), plan, cfg, 0); err == nil {
 		t.Error("zero iterations accepted")
 	}
 	unknown := *plan
 	unknown.Scheme = "wat"
-	if _, _, err := TraceRun(&unknown, cfg, 5); err == nil {
+	if _, _, err := TraceRunCtx(context.Background(), &unknown, cfg, 5); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
@@ -255,18 +256,18 @@ func TestTraceAgreesWithRunProperty(t *testing.T) {
 		cfg := pim.Neurocube([]int{4, 8, 16}[int(peRaw)%3])
 		var plan *sched.Plan
 		if schemeRaw%2 == 0 {
-			plan, err = sched.ParaCONV(g, cfg)
+			plan, err = sched.ParaCONVCtx(context.Background(), g, cfg)
 		} else {
-			plan, err = sched.SPARTA(g, cfg)
+			plan, err = sched.SPARTACtx(context.Background(), g, cfg)
 		}
 		if err != nil {
 			return false
 		}
-		slow, _, err := TraceRun(plan, cfg, 11)
+		slow, _, err := TraceRunCtx(context.Background(), plan, cfg, 11)
 		if err != nil {
 			return false
 		}
-		fast, err := Run(plan, cfg, 11)
+		fast, err := RunCtx(context.Background(), plan, cfg, 11)
 		if err != nil {
 			return false
 		}
@@ -280,11 +281,11 @@ func TestTraceAgreesWithRunProperty(t *testing.T) {
 func TestTracePEBusyProfile(t *testing.T) {
 	g := synthGraph(t, 40, 100, 19)
 	cfg := pim.Neurocube(8)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, tr, err := TraceRun(plan, cfg, 16)
+	stats, tr, err := TraceRunCtx(context.Background(), plan, cfg, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

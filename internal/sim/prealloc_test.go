@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/pim"
@@ -16,18 +17,18 @@ func TestTraceEventBufferExactPrealloc(t *testing.T) {
 	g := synthGraph(t, 40, 90, 11)
 	cfg := pim.Neurocube(8)
 
-	pc, err := sched.ParaCONV(g, cfg)
+	pc, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sched.SPARTA(g, cfg)
+	sp, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, plan := range map[string]*sched.Plan{"para-conv": pc, "sparta": sp} {
 		t.Run(name, func(t *testing.T) {
 			for _, iters := range []int{1, 7, 24} {
-				_, tr, err := TraceRun(plan, cfg, iters)
+				_, tr, err := TraceRunCtx(context.Background(), plan, cfg, iters)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,11 +19,11 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/check"
 	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/pim"
+	"repro/internal/retime"
 	"repro/internal/sched"
 )
 
@@ -79,17 +79,13 @@ func (s Stats) OffChipFetchRatio() float64 {
 	return float64(s.EDRAMReads) / float64(total)
 }
 
-// Run simulates `iterations` iterations of the plan's application on
-// the given PIM configuration and returns the measured statistics.
+// RunCtx simulates `iterations` iterations of the plan's application
+// on the given PIM configuration and returns the measured statistics.
 // It returns an error if the plan is structurally invalid, violates
-// a dependency at run time, or oversubscribes the cache.
-func Run(plan *sched.Plan, cfg pim.Config, iterations int) (Stats, error) {
-	return RunCtx(context.Background(), plan, cfg, iterations)
-}
-
-// RunCtx is Run under a context.  The closed-form simulator's only
-// long stretch is the per-edge legality sweep, which checks ctx at
-// edge boundaries and returns its error when cancelled.
+// a dependency at run time, or oversubscribes the cache.  The
+// closed-form simulator's only long stretch is the per-edge legality
+// sweep, which checks ctx at edge boundaries and returns its error
+// when cancelled.
 func RunCtx(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, error) {
 	sp := span.Start(ctx, "sim.run")
 	defer sp.End()
@@ -110,10 +106,8 @@ func RunCtx(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations in
 	}
 	switch plan.Scheme {
 	case "para-conv":
-		if check.Enabled() {
-			if err := check.CheckRetiming(plan.Iter.Graph, plan.Retiming.R, plan.Retiming.REdge); err != nil {
-				return Stats{}, fmt.Errorf("sim: %w", err)
-			}
+		if err := retime.CheckLegal(plan.Iter.Graph, plan.Retiming); err != nil {
+			return Stats{}, fmt.Errorf("sim: %w", err)
 		}
 		return runPipelined(ctx, plan, cfg, iterations)
 	case "sparta", "naive":

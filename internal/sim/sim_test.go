@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -23,11 +24,11 @@ func synthGraph(t *testing.T, v, e int, seed int64) *dag.Graph {
 func TestRunParaCONV(t *testing.T) {
 	g := synthGraph(t, 60, 150, 3)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Run(plan, cfg, 100)
+	stats, err := RunCtx(context.Background(), plan, cfg, 100)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -54,11 +55,11 @@ func TestRunParaCONV(t *testing.T) {
 func TestRunSPARTA(t *testing.T) {
 	g := synthGraph(t, 60, 150, 3)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.SPARTA(g, cfg)
+	plan, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Run(plan, cfg, 50)
+	stats, err := RunCtx(context.Background(), plan, cfg, 50)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -79,19 +80,19 @@ func TestParaCONVMovesLessDataOffChip(t *testing.T) {
 	// schemes devote the full PE-array cache to one iteration.
 	g := synthGraph(t, 102, 267, 7)
 	cfg := pim.Neurocube(32)
-	pc, err := sched.ParaCONVSingle(g, cfg)
+	pc, err := sched.ParaCONVSingleCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sched.SPARTA(g, cfg)
+	sp, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcStats, err := Run(pc, cfg, 100)
+	pcStats, err := RunCtx(context.Background(), pc, cfg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spStats, err := Run(sp, cfg, 100)
+	spStats, err := RunCtx(context.Background(), sp, cfg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,24 +105,24 @@ func TestParaCONVMovesLessDataOffChip(t *testing.T) {
 func TestRunRejectsBadInput(t *testing.T) {
 	g := synthGraph(t, 20, 45, 1)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nil, cfg, 10); err == nil {
+	if _, err := RunCtx(context.Background(), nil, cfg, 10); err == nil {
 		t.Error("nil plan accepted")
 	}
-	if _, err := Run(plan, cfg, 0); err == nil {
+	if _, err := RunCtx(context.Background(), plan, cfg, 0); err == nil {
 		t.Error("zero iterations accepted")
 	}
 	bad := cfg
 	bad.NumPEs = 0
-	if _, err := Run(plan, bad, 10); err == nil {
+	if _, err := RunCtx(context.Background(), plan, bad, 10); err == nil {
 		t.Error("invalid config accepted")
 	}
 	unknown := *plan
 	unknown.Scheme = "wat"
-	if _, err := Run(&unknown, cfg, 10); err == nil {
+	if _, err := RunCtx(context.Background(), &unknown, cfg, 10); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
@@ -129,12 +130,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 func TestRunDetectsOversubscribedCache(t *testing.T) {
 	g := synthGraph(t, 20, 45, 1)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan.CacheLoadUnits = cfg.TotalCacheUnits() + 1
-	if _, err := Run(plan, cfg, 10); err == nil || !strings.Contains(err.Error(), "capacity") {
+	if _, err := RunCtx(context.Background(), plan, cfg, 10); err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Errorf("err = %v, want capacity violation", err)
 	}
 }
@@ -142,7 +143,7 @@ func TestRunDetectsOversubscribedCache(t *testing.T) {
 func TestRunDetectsDependencyViolation(t *testing.T) {
 	g := synthGraph(t, 20, 45, 1)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.SPARTA(g, cfg)
+	plan, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestRunDetectsDependencyViolation(t *testing.T) {
 	d := plan.Iter.Tasks[victim].Finish - plan.Iter.Tasks[victim].Start
 	plan.Iter.Tasks[victim].Start = 0
 	plan.Iter.Tasks[victim].Finish = d
-	if _, err := Run(plan, cfg, 10); err == nil {
+	if _, err := RunCtx(context.Background(), plan, cfg, 10); err == nil {
 		t.Error("dependency violation not detected")
 	}
 }
@@ -165,7 +166,7 @@ func TestRunDetectsDependencyViolation(t *testing.T) {
 func TestRunDetectsIllegalRetimingGap(t *testing.T) {
 	g := synthGraph(t, 20, 45, 1)
 	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONVSingle(g, cfg)
+	plan, err := sched.ParaCONVSingleCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestRunDetectsIllegalRetimingGap(t *testing.T) {
 	for i := range plan.Retiming.R {
 		plan.Retiming.R[i] = 0
 	}
-	if _, err := Run(plan, cfg, 10); err == nil {
+	if _, err := RunCtx(context.Background(), plan, cfg, 10); err == nil {
 		t.Error("illegal retiming not detected")
 	}
 }
@@ -184,19 +185,19 @@ func TestEnergyAsymmetry(t *testing.T) {
 	// energy by the configured factor.
 	g := synthGraph(t, 30, 70, 2)
 	cfg := pim.Neurocube(64) // plenty of cache
-	plan, err := sched.ParaCONVSingle(g, cfg)
+	plan, err := sched.ParaCONVSingleCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Run(plan, cfg, 100)
+	stats, err := RunCtx(context.Background(), plan, cfg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sched.SPARTA(g, cfg)
+	sp, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spStats, err := Run(sp, cfg, 100)
+	spStats, err := RunCtx(context.Background(), sp, cfg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +221,11 @@ func TestSimAgreesWithPlanProperty(t *testing.T) {
 		}
 		pes := []int{4, 8, 16, 32}[int(peRaw)%4]
 		cfg := pim.Neurocube(pes)
-		plan, err := sched.ParaCONV(g, cfg)
+		plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 		if err != nil {
 			return false
 		}
-		stats, err := Run(plan, cfg, 37)
+		stats, err := RunCtx(context.Background(), plan, cfg, 37)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/pim"
@@ -16,12 +17,12 @@ func TestPerPEBusySumsToBusyPE(t *testing.T) {
 	cfg := pim.Neurocube(8)
 
 	plans := map[string]*sched.Plan{}
-	pc, err := sched.ParaCONV(g, cfg)
+	pc, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plans["para-conv"] = pc
-	sp, err := sched.SPARTA(g, cfg)
+	sp, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestPerPEBusySumsToBusyPE(t *testing.T) {
 
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			stats, tr, err := TraceRun(plan, cfg, 24)
+			stats, tr, err := TraceRunCtx(context.Background(), plan, cfg, 24)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,9 +71,6 @@ type Options struct {
 	// MaxBytes caps the total on-disk size of committed entries;
 	// 0 means unlimited.
 	MaxBytes int64
-	// NoSync skips the fsync calls on write (for tests that do not
-	// need crash durability).
-	NoSync bool
 	// CommitSlots is K, how far commits may trail Put: Put waits until
 	// the write accepted K writes earlier has landed, so at most K
 	// writes are committing at once and none is still pending once K
@@ -512,7 +509,7 @@ func (s *Store) makeRoom(name string, size int64) {
 }
 
 // writeAtomic lands frame at name via temp-file + rename, fsyncing the
-// file and the dir unless NoSync.
+// file and the dir.
 func (s *Store) writeAtomic(name string, frame []byte) error {
 	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
@@ -524,12 +521,10 @@ func (s *Store) writeAtomic(name string, frame []byte) error {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("store: write entry: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			_ = os.Remove(tmp)
-			return fmt.Errorf("store: sync entry: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		_ = os.Remove(tmp)
+		return fmt.Errorf("store: sync entry: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		_ = os.Remove(tmp)
@@ -539,11 +534,9 @@ func (s *Store) writeAtomic(name string, frame []byte) error {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("store: commit entry: %w", err)
 	}
-	if !s.opts.NoSync {
-		if d, err := os.Open(s.dir); err == nil {
-			_ = d.Sync()
-			d.Close()
-		}
+	if d, err := os.Open(s.dir); err == nil {
+		_ = d.Sync()
+		d.Close()
 	}
 	return nil
 }

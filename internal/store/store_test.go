@@ -19,7 +19,6 @@ import (
 // write before the dir is removed.
 func openTest(t *testing.T, opts Options) *Store {
 	t.Helper()
-	opts.NoSync = true
 	s, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -99,7 +98,7 @@ func TestOverwriteIsAtomicAndAccounted(t *testing.T) {
 
 func TestReopenSeesDurableEntries(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestReopenSeesDurableEntries(t *testing.T) {
 	flush(t, s)
 	// A second Open over the same dir models the daemon restart: the
 	// scan must tally every committed entry and serve them all.
-	s2, err := Open(dir, Options{NoSync: true})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestStaleTempFilesSweptAtOpen(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("half a frame"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{NoSync: true})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

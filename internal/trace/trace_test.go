@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -20,11 +21,11 @@ func tracedPlan(t *testing.T) (*sched.Plan, *sim.Trace) {
 		t.Fatal(err)
 	}
 	cfg := pim.Neurocube(8)
-	plan, err := sched.ParaCONV(g, cfg)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := sim.TraceRun(plan, cfg, 10)
+	_, tr, err := sim.TraceRunCtx(context.Background(), plan, cfg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +135,11 @@ func TestWriteChromeSPARTATrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pim.Neurocube(8)
-	plan, err := sched.SPARTA(g, cfg)
+	plan, err := sched.SPARTACtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := sim.TraceRun(plan, cfg, 5)
+	_, tr, err := sim.TraceRunCtx(context.Background(), plan, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

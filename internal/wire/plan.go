@@ -269,7 +269,7 @@ func (d *decoder) planBody(p *sched.Plan) error {
 // DecodeLeanPlan parses a kernel-free plan frame against g, the
 // problem graph the requester already holds, rebuilding the kernel the
 // solver would have built: for one concurrent iteration the kernel IS
-// the problem graph (aliased, exactly as sched.ParaCONVGivenSchedule
+// the problem graph (aliased, exactly as sched.ParaCONVGivenScheduleCtx
 // plans alias their caller's graph), otherwise Replicate derives it.
 // The decoded schedule still carries no proof it matches g — callers
 // validate it, as they do every decoded plan.

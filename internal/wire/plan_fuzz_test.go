@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"runtime"
 	"testing"
@@ -42,14 +43,14 @@ type planSeed struct {
 func planSeeds(tb testing.TB) []planSeed {
 	tb.Helper()
 	g := planFuzzGraph(tb)
-	solve := func(planner func(*dag.Graph, pim.Config) (*sched.Plan, error), pes int) *sched.Plan {
-		p, err := planner(g, pim.Neurocube(pes))
+	solve := func(planner func(context.Context, *dag.Graph, pim.Config) (*sched.Plan, error), pes int) *sched.Plan {
+		p, err := planner(context.Background(), g, pim.Neurocube(pes))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return p
 	}
-	multi, single, baseline := solve(sched.ParaCONV, 16), solve(sched.ParaCONVSingle, 16), solve(sched.SPARTA, 4)
+	multi, single, baseline := solve(sched.ParaCONVCtx, 16), solve(sched.ParaCONVSingleCtx, 16), solve(sched.SPARTACtx, 4)
 	if multi.ConcurrentIterations < 2 || single.ConcurrentIterations != 1 {
 		tb.Fatalf("fixture plans have CI %d and %d; want > 1 and 1", multi.ConcurrentIterations, single.ConcurrentIterations)
 	}

@@ -46,10 +46,22 @@ func goldenGraphs(t *testing.T) []*dag.Graph {
 	return graphs
 }
 
+// givenObjective is ParaCONVGivenScheduleCtx against the graph's own
+// objective schedule on all pes PEs — the allocation stage without the
+// group search.
+func givenObjective(ctx context.Context, g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
+	iter, err := sched.Objective(g, cfg.NumPEs)
+	if err != nil {
+		return nil, err
+	}
+	return sched.ParaCONVGivenScheduleCtx(ctx, g, iter, cfg)
+}
+
 // TestPlanBytesGolden plans every golden graph on every PE count with
-// both Para-CONV planners and hashes each (planner, PE count) row's
-// stored and lean plan frames in graph order.  A row records the
-// concurrent-iteration counts its plans used.
+// both Para-CONV planners and the given-schedule allocation stage, and
+// hashes each (planner, PE count) row's stored and lean plan frames in
+// graph order.  A row records the concurrent-iteration counts its
+// plans used.
 func TestPlanBytesGolden(t *testing.T) {
 	graphs := goldenGraphs(t)
 	planners := []struct {
@@ -58,6 +70,7 @@ func TestPlanBytesGolden(t *testing.T) {
 	}{
 		{"para-conv", sched.ParaCONVCtx},
 		{"para-conv-single", sched.ParaCONVSingleCtx},
+		{"para-conv-given", givenObjective},
 	}
 	var out strings.Builder
 	seenCI := map[int]bool{}

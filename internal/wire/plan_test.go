@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -21,7 +22,7 @@ func testPlan(t *testing.T) *sched.Plan {
 	if err != nil {
 		t.Fatalf("synth.Generate: %v", err)
 	}
-	p, err := sched.ParaCONV(g, pim.Neurocube(8))
+	p, err := sched.ParaCONVCtx(context.Background(), g, pim.Neurocube(8))
 	if err != nil {
 		t.Fatalf("ParaCONV: %v", err)
 	}
@@ -178,7 +179,7 @@ func leanPlan(t *testing.T) (*sched.Plan, *dag.Graph) {
 	if err != nil {
 		t.Fatalf("synth.Generate: %v", err)
 	}
-	p, err := sched.ParaCONV(g, pim.Neurocube(16))
+	p, err := sched.ParaCONVCtx(context.Background(), g, pim.Neurocube(16))
 	if err != nil {
 		t.Fatalf("ParaCONV: %v", err)
 	}
@@ -213,7 +214,7 @@ func TestLeanPlanAliasesSingleIterationKernel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("synth.Generate: %v", err)
 	}
-	plan, err := sched.ParaCONV(g, pim.Neurocube(4))
+	plan, err := sched.ParaCONVCtx(context.Background(), g, pim.Neurocube(4))
 	if err != nil {
 		t.Fatalf("ParaCONV: %v", err)
 	}

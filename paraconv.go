@@ -148,7 +148,7 @@ type ArchCandidate = sched.Candidate
 // SelectArch plans the application on every candidate architecture and
 // returns the fastest, plus the full ranking (best first).
 func SelectArch(g *Graph, candidates []Config, iterations int) (ArchCandidate, []ArchCandidate, error) {
-	return sched.SelectConfig(g, candidates, iterations)
+	return sched.SelectConfigCtx(context.Background(), g, candidates, iterations)
 }
 
 // Synthetic generates a random layered CNN-like task graph with
@@ -173,12 +173,14 @@ func NetworkGraph(n *Network, cfg Config) (*Graph, error) {
 // programming cache allocation under the PE-array capacity, and the
 // minimal legal retiming.  The kernel replicates across PE groups when
 // the graph is too small to fill the array.
-func Plan(g *Graph, cfg Config) (*ExecutionPlan, error) { return sched.ParaCONV(g, cfg) }
+func Plan(g *Graph, cfg Config) (*ExecutionPlan, error) {
+	return sched.ParaCONVCtx(context.Background(), g, cfg)
+}
 
 // PlanSingleKernel is Plan with the whole array devoted to one
 // iteration per kernel — the paper's canonical configuration.
 func PlanSingleKernel(g *Graph, cfg Config) (*ExecutionPlan, error) {
-	return sched.ParaCONVSingle(g, cfg)
+	return sched.ParaCONVSingleCtx(context.Background(), g, cfg)
 }
 
 // ObjectiveSchedule compacts one iteration of the graph onto numPEs
@@ -194,19 +196,21 @@ func ObjectiveSchedule(g *Graph, numPEs int) (IterationSchedule, error) {
 // array at a fixed schedule isolates the capacity effect on R_max —
 // the configuration behind the paper's Table 2 and Figure 6.
 func PlanWithSchedule(g *Graph, iter IterationSchedule, cfg Config) (*ExecutionPlan, error) {
-	return sched.ParaCONVGivenSchedule(g, iter, cfg)
+	return sched.ParaCONVGivenScheduleCtx(context.Background(), g, iter, cfg)
 }
 
 // Baseline builds the SPARTA [6] comparison plan: sensor-characterized
 // priority list scheduling with greedy cache allocation, no retiming,
 // no software pipelining.
-func Baseline(g *Graph, cfg Config) (*ExecutionPlan, error) { return sched.SPARTA(g, cfg) }
+func Baseline(g *Graph, cfg Config) (*ExecutionPlan, error) {
+	return sched.SPARTACtx(context.Background(), g, cfg)
+}
 
 // Simulate executes `iterations` iterations of the plan on the PIM
 // discrete-event simulator, verifying the schedule and measuring data
 // movement, energy and utilization.
 func Simulate(plan *ExecutionPlan, cfg Config, iterations int) (SimStats, error) {
-	return sim.Run(plan, cfg, iterations)
+	return sim.RunCtx(context.Background(), plan, cfg, iterations)
 }
 
 // SimTrace is the event log of a traced simulation run.
@@ -219,7 +223,7 @@ type SimEvent = sim.Event
 // instance, IPR transfer and iteration completion, plus resource-usage
 // peaks.  Event volume grows with iterations x (|V|+|E|).
 func SimulateTrace(plan *ExecutionPlan, cfg Config, iterations int) (SimStats, *SimTrace, error) {
-	return sim.TraceRun(plan, cfg, iterations)
+	return sim.TraceRunCtx(context.Background(), plan, cfg, iterations)
 }
 
 // AppNetwork builds the layer model of one of the paper's named
@@ -268,7 +272,9 @@ func SimulateDynamic(g *Graph, cfg Config, assignment []Placement, iterations, w
 
 // BaselineNaive builds the round-robin, cache-oblivious reference
 // plan — the design-space floor below SPARTA.
-func BaselineNaive(g *Graph, cfg Config) (*ExecutionPlan, error) { return sched.Naive(g, cfg) }
+func BaselineNaive(g *Graph, cfg Config) (*ExecutionPlan, error) {
+	return sched.NaiveCtx(context.Background(), g, cfg)
+}
 
 // QueueStats reports an arrival-driven execution (see SimulateQueue).
 type QueueStats = sim.QueueStats
