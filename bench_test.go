@@ -325,11 +325,12 @@ func BenchmarkAblationPacking(b *testing.B) {
 // BenchmarkScalability sweeps synthetic sizes past the paper's largest
 // benchmark, reporting the Para/SPARTA ratio per size.
 func BenchmarkScalability(b *testing.B) {
+	r := bench.NewRunner(nil, 1)
 	for _, v := range []int{256, 1024, 2048} {
 		b.Run(fmt.Sprintf("v%d", v), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				rows, err := bench.Scalability(32, []int{v})
+				rows, err := r.Scalability(32, []int{v})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,11 +13,13 @@
 //	          [-loglevel LEVEL] [-metrics]
 //
 // Endpoints: POST /v1/plan, POST /v1/simulate, POST /v1/selectarch
-// (JSON by default, or the binary wire format negotiated per request
-// via Content-Type/Accept with application/x-paraconv-bin; errors are
-// always JSON — see DESIGN.md "Wire format"), GET /v1/plans/{fp}
-// (the cluster fill protocol), GET /healthz, GET /readyz, and the obs
-// debug endpoints /metrics, /metrics.json, /debug/pprof/,
+// (JSON by default; each also accepts a binary wire-format request,
+// Content-Type application/x-paraconv-bin, and /v1/plan answers in
+// binary when Accept asks for it or the request was binary — the
+// other two answer JSON, and errors are always JSON; see DESIGN.md
+// "Wire format"), GET /v1/plans/{fp} (the cluster fill protocol,
+// answered with the plan's at-rest frame), GET /healthz, GET /readyz,
+// and the obs debug endpoints /metrics, /metrics.json, /debug/pprof/,
 // /debug/traces and /debug/slo on the same listener.
 //
 // -data-dir enables the durable content-addressed plan store: solved

@@ -32,9 +32,10 @@
 // classes (small/medium/large layered DAGs, three seeds each), chosen
 // per request by each worker's seeded generator.  -codec selects the
 // wire codec: json sends JSON envelopes with text graphs, binary sends
-// application/x-paraconv-bin frames (and asks for binary responses),
-// and mixed alternates per request.  Every request is accounted for
-// exactly once — by HTTP status (including 415s from a server that
+// application/x-paraconv-bin frames (and asks for binary responses,
+// which only -endpoint plan returns: simulate and selectarch answer
+// JSON), and mixed alternates per request.  Every request is accounted
+// for exactly once — by HTTP status (including 415s from a server that
 // does not speak the requested codec) or as a transport error — and
 // the report shows throughput, per-codec byte rates (MB/s in + out),
 // p50/p90/p99/max latency and the shed (429) rate.

@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// shared is the serial runner the package's experiment tests share:
+// one session, so the Table 1 solves are reused by the comparison,
+// figure and latency tests.
+var shared = NewRunner(nil, 1)
+
 func TestSuiteMatchesPaperCounts(t *testing.T) {
 	want := map[string][2]int{
 		"cat": {9, 21}, "car": {13, 28}, "flower": {21, 51},
@@ -67,7 +72,7 @@ func TestGraphsAreDeterministic(t *testing.T) {
 }
 
 func TestTable1Shapes(t *testing.T) {
-	rows, err := Table1()
+	rows, err := shared.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +104,7 @@ func TestTable1Shapes(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	rows, err := Table2()
+	rows, err := shared.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +141,7 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	rows, err := Fig5()
+	rows, err := shared.Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +164,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig6Shapes(t *testing.T) {
-	rows, err := Fig6()
+	rows, err := shared.Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +200,7 @@ func TestFig6Shapes(t *testing.T) {
 }
 
 func TestMovement(t *testing.T) {
-	rows, err := Movement(32)
+	rows, err := shared.Movement(32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +221,7 @@ func TestMovement(t *testing.T) {
 }
 
 func TestCSVWriters(t *testing.T) {
-	t1, err := Table1()
+	t1, err := shared.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +233,7 @@ func TestCSVWriters(t *testing.T) {
 		t.Errorf("table1 csv has %d lines", lines)
 	}
 
-	t2, err := Table2()
+	t2, err := shared.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +245,7 @@ func TestCSVWriters(t *testing.T) {
 		t.Errorf("table2 csv header = %q", strings.SplitN(buf.String(), "\n", 2)[0])
 	}
 
-	f5, err := Fig5()
+	f5, err := shared.Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +253,7 @@ func TestCSVWriters(t *testing.T) {
 	if err := CSVFig5(&buf, f5); err != nil {
 		t.Fatal(err)
 	}
-	f6, err := Fig6()
+	f6, err := shared.Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +267,7 @@ func TestCSVWriters(t *testing.T) {
 }
 
 func TestScalability(t *testing.T) {
-	rows, err := Scalability(32, []int{128, 512, 1024})
+	rows, err := shared.Scalability(32, []int{128, 512, 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +293,7 @@ func TestScalability(t *testing.T) {
 }
 
 func TestScalabilityDefaultSizes(t *testing.T) {
-	rows, err := Scalability(16, nil)
+	rows, err := shared.Scalability(16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +303,7 @@ func TestScalabilityDefaultSizes(t *testing.T) {
 }
 
 func TestCaseMix(t *testing.T) {
-	rows, err := CaseMix(16)
+	rows, err := shared.CaseMix(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +335,7 @@ func TestCaseMix(t *testing.T) {
 // so any change to these values signals an intentional model change
 // (update the goldens deliberately) or an accidental regression.
 func TestGoldenDeterminism(t *testing.T) {
-	t2, err := Table2()
+	t2, err := shared.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +355,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			}
 		}
 	}
-	t1, err := Table1()
+	t1, err := shared.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +370,7 @@ func TestGoldenDeterminism(t *testing.T) {
 
 func TestWriteReport(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteReport(&buf); err != nil {
+	if err := shared.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -383,7 +388,7 @@ func TestWriteReport(t *testing.T) {
 	}
 	// Determinism: a second run produces the identical report.
 	var buf2 bytes.Buffer
-	if err := WriteReport(&buf2); err != nil {
+	if err := shared.WriteReport(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != buf2.String() {
@@ -392,7 +397,7 @@ func TestWriteReport(t *testing.T) {
 }
 
 func TestLatencyStudy(t *testing.T) {
-	rows, err := Latency(32)
+	rows, err := shared.Latency(32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +427,7 @@ func TestLatencyStudy(t *testing.T) {
 }
 
 func TestCharts(t *testing.T) {
-	f5, err := Fig5()
+	f5, err := shared.Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +438,7 @@ func TestCharts(t *testing.T) {
 	if lines := strings.Count(out, "\n"); lines != len(Suite)*len(PECounts) {
 		t.Errorf("fig5 chart has %d lines, want %d", lines, len(Suite)*len(PECounts))
 	}
-	f6, err := Fig6()
+	f6, err := shared.Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}

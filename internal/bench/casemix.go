@@ -23,9 +23,6 @@ func (r CaseMixRow) Profitable() int {
 	return r.Counts[retime.Case2] + r.Counts[retime.Case3] + r.Counts[retime.Case5]
 }
 
-// CaseMix runs the classification on the default runner.
-func CaseMix(pes int) ([]CaseMixRow, error) { return DefaultRunner().CaseMix(pes) }
-
 // CaseMix classifies every benchmark's IPRs against the a-priori
 // objective schedule (Figure 4's six cases, §3.2).  One benchmark is
 // one pool job.

@@ -33,9 +33,6 @@ func (r EnergyRow) Saving() float64 {
 	return 1 - r.ParaPJ/r.SpartaPJ
 }
 
-// Energy measures data-movement energy on the default runner.
-func Energy(pes int) ([]EnergyRow, error) { return DefaultRunner().Energy(pes) }
-
 // Energy measures data-movement energy for every benchmark on every
 // built-in architecture preset at the given PE count.  Each
 // (architecture, benchmark, planner) cell is one pool job; the two

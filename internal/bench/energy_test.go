@@ -9,7 +9,7 @@ import (
 )
 
 func TestEnergyStudy(t *testing.T) {
-	rows, err := Energy(16)
+	rows, err := shared.Energy(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRealGraphs(t *testing.T) {
 }
 
 func TestTable1RealShapes(t *testing.T) {
-	rows, err := Table1Real()
+	rows, err := shared.Table1Real()
 	if err != nil {
 		t.Fatal(err)
 	}

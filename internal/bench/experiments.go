@@ -23,13 +23,6 @@ func (r Table1Row) Ratio(i int) float64 {
 	return float64(r.ParaCONV[i]) / float64(r.Sparta[i])
 }
 
-// Reduction returns the relative execution-time reduction at PE
-// index i.
-func (r Table1Row) Reduction(i int) float64 { return 1 - r.Ratio(i) }
-
-// Table1 regenerates Table 1 on the default runner.
-func Table1() ([]Table1Row, error) { return DefaultRunner().Table1() }
-
 // Table1 regenerates Table 1: total execution time of SPARTA and
 // Para-CONV on 16, 32 and 64 PEs for every benchmark.  Each
 // (benchmark, PE count, planner) cell is one pool job.
@@ -86,9 +79,6 @@ func (r Table2Row) Average() float64 {
 	return float64(sum) / float64(len(r.RMax))
 }
 
-// Table2 regenerates Table 2 on the default runner.
-func Table2() ([]Table2Row, error) { return DefaultRunner().Table2() }
-
 // Table2 regenerates Table 2: the maximum retiming value of Para-CONV
 // on 16, 32 and 64 PEs.  Following §3.3.3, the objective schedule is a
 // property of the application, fixed a-priori (we compact it once, on
@@ -135,9 +125,6 @@ type Fig5Row struct {
 	Normalized []float64
 }
 
-// Fig5 regenerates Figure 5 on the default runner.
-func Fig5() ([]Fig5Row, error) { return DefaultRunner().Fig5() }
-
 // Fig5 regenerates Figure 5: Para-CONV's per-iteration execution time
 // on 16, 32 and 64 PEs, normalized to SPARTA on 64 PEs.  One benchmark
 // is one pool job; the solves themselves are shared with Table 1
@@ -178,9 +165,6 @@ type Fig6Row struct {
 	Benchmark Benchmark
 	Cached    []int
 }
-
-// Fig6 regenerates Figure 6 on the default runner.
-func Fig6() ([]Fig6Row, error) { return DefaultRunner().Fig6() }
 
 // Fig6 regenerates Figure 6: the number of IPRs Para-CONV allocates to
 // on-chip cache on 16, 32 and 64 PEs.  Like Table 2 it evaluates the
@@ -230,9 +214,6 @@ type MovementRow struct {
 	SpartaEnergyPJ float64 // total data-movement energy
 	ParaEnergyPJ   float64
 }
-
-// Movement measures data movement on the default runner.
-func Movement(pes int) ([]MovementRow, error) { return DefaultRunner().Movement(pes) }
 
 // Movement measures per-benchmark data movement at the given PE count.
 // Each (benchmark, planner) cell is one pool job; the two cells of a

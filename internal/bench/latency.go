@@ -42,9 +42,6 @@ func (r LatencyRow) BreakEvenIterations() int {
 	return -1
 }
 
-// Latency computes the study on the default runner.
-func Latency(pes int) ([]LatencyRow, error) { return DefaultRunner().Latency(pes) }
-
 // Latency computes the study at the given PE count.  One benchmark is
 // one pool job; the solves are shared with Table 1 through the plan
 // cache.

@@ -37,19 +37,19 @@ func TestPaperDataInternallyConsistent(t *testing.T) {
 }
 
 func TestCheckTrendsAllHold(t *testing.T) {
-	t1, err := Table1()
+	t1, err := shared.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := Table2()
+	t2, err := shared.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f5, err := Fig5()
+	f5, err := shared.Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f6, err := Fig6()
+	f6, err := shared.Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCheckTrendsDetectsViolations(t *testing.T) {
 }
 
 func TestCompareTables(t *testing.T) {
-	t1, err := Table1()
+	t1, err := shared.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCompareTables(t *testing.T) {
 			t.Errorf("CompareTable1 missing %q", want)
 		}
 	}
-	t2, err := Table2()
+	t2, err := shared.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}

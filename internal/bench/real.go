@@ -58,9 +58,6 @@ func (r RealTable1Row) Ratio(i int) float64 {
 	return float64(r.ParaCONV[i]) / float64(r.Sparta[i])
 }
 
-// Table1Real runs the real-graph Table 1 on the default runner.
-func Table1Real() ([]RealTable1Row, error) { return DefaultRunner().Table1Real() }
-
 // Table1Real runs the Table 1 experiment over the CNN-derived
 // application graphs instead of the exact-size synthetic suite.  One
 // application is one pool job (its first job also pays the memoized

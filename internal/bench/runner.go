@@ -36,22 +36,6 @@ func NewRunner(s *run.Session, parallel int) *Runner {
 	return &Runner{Session: s, Parallel: parallel}
 }
 
-var (
-	defaultOnce   sync.Once
-	defaultRunner *Runner
-)
-
-// DefaultRunner returns the shared serial runner behind the package's
-// free experiment functions.  Sharing one runner (hence one session)
-// across calls is what lets Table1 solves be reused by the comparison,
-// figure and latency experiments.
-func DefaultRunner() *Runner {
-	defaultOnce.Do(func() {
-		defaultRunner = NewRunner(run.New(context.Background()), 1)
-	})
-	return defaultRunner
-}
-
 // runJobs executes jobs 0..n-1 on the runner's worker pool.  Jobs must
 // write their results into index-addressed slots (never append) so
 // completion order cannot influence output.  With one worker the jobs

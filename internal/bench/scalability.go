@@ -24,11 +24,6 @@ type ScalabilityRow struct {
 	CachedIPRs int
 }
 
-// Scalability sweeps synthetic graph sizes on the default runner.
-func Scalability(pes int, sizes []int) ([]ScalabilityRow, error) {
-	return DefaultRunner().Scalability(pes, sizes)
-}
-
 // Scalability sweeps synthetic graph sizes at the given PE count,
 // showing that the advantage and the planner's outputs behave
 // smoothly beyond the paper's largest benchmark.  One graph size is

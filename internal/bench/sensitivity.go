@@ -29,11 +29,6 @@ type SensitivityRow struct {
 	Trials int
 }
 
-// Sensitivity runs the perturbation study on the default runner.
-func Sensitivity(pes int, noise float64, trials int) ([]SensitivityRow, error) {
-	return DefaultRunner().Sensitivity(pes, noise, trials)
-}
-
 // Sensitivity perturbs every execution time by up to ±noise
 // (fraction, e.g. 0.25) across `trials` seeded replans of each
 // benchmark and reports the spread of the headline outputs.  One

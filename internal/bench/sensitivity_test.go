@@ -7,7 +7,7 @@ import (
 )
 
 func TestSensitivity(t *testing.T) {
-	rows, err := Sensitivity(32, 0.25, 3)
+	rows, err := shared.Sensitivity(32, 0.25, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +34,13 @@ func TestSensitivity(t *testing.T) {
 }
 
 func TestSensitivityErrors(t *testing.T) {
-	if _, err := Sensitivity(16, 0, 3); err == nil {
+	if _, err := shared.Sensitivity(16, 0, 3); err == nil {
 		t.Error("zero noise accepted")
 	}
-	if _, err := Sensitivity(16, 1.5, 3); err == nil {
+	if _, err := shared.Sensitivity(16, 1.5, 3); err == nil {
 		t.Error("noise > 1 accepted")
 	}
-	if _, err := Sensitivity(16, 0.2, 0); err == nil {
+	if _, err := shared.Sensitivity(16, 0.2, 0); err == nil {
 		t.Error("zero trials accepted")
 	}
 }

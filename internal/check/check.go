@@ -7,8 +7,9 @@
 // rrv <= 2, schedule soundness (no PE runs two tasks at once, cached
 // IPRs fit the array), allocation bookkeeping (the DP's claimed
 // profit, footprint and prologue match its placement), and DAG
-// structural sanity.  Production code calls them behind Enabled() so
-// the checks cost nothing when off; tests get them unconditionally.
+// structural sanity.  Production code calls them behind Enabled(),
+// which holds only inside a test binary, so the checks cost nothing in
+// a served request; tests get them unconditionally.
 //
 // The validators deliberately take plain slices rather than the
 // producing packages' result types: check imports only dag and pim, so
@@ -19,25 +20,15 @@ package check
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dag"
 	"repro/internal/pim"
 )
 
-// enabled is the process-wide switch for checks in production
-// binaries.  Tests bypass it: Enabled is always true under `go test`.
-var enabled atomic.Bool
-
-// SetEnabled turns the run-time checks on or off for production code
-// paths (for example from a -check CLI flag).  Under `go test` the
-// checks are always on regardless.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether the invariant checks should run: either
-// explicitly enabled, or executing inside a test binary.
-func Enabled() bool { return enabled.Load() || testing.Testing() }
+// Enabled reports whether the invariant checks should run: exactly
+// when executing inside a test binary.
+func Enabled() bool { return testing.Testing() }
 
 // CheckDAG verifies structural sanity of a task graph: every edge
 // connects vertices that exist, no self-loops, and the graph is

@@ -114,13 +114,13 @@ func readFull(br *bufio.Reader, dst []byte) (int, error) {
 
 // fillRequest pre-serializes the GET /v1/plans/{fp} exchange.  The
 // fill body (a wire peer-fill frame) may be empty for a lookup-only
-// probe of the owner's tiers.  X-Paraconv-Rebuild tells the owner the
-// sender holds the problem graph, so it may answer with a kernel-free
-// lean frame instead of re-shipping a graph the requester already has.
+// probe of the owner's tiers.  The owner answers with the plan's
+// at-rest frame, which the requester decodes against the problem graph
+// it holds (wire.DecodeFillPlan).
 func fillRequest(addr, fp, contentType string, fill []byte) []byte {
 	var b bytes.Buffer
 	b.Grow(len(fill) + 256)
-	fmt.Fprintf(&b, "GET /v1/plans/%s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nAccept: %s\r\nX-Paraconv-Rebuild: 1\r\nContent-Length: %d\r\n\r\n",
+	fmt.Fprintf(&b, "GET /v1/plans/%s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nAccept: %s\r\nContent-Length: %d\r\n\r\n",
 		fp, addr, contentType, contentType, len(fill))
 	b.Write(fill)
 	return b.Bytes()

@@ -179,10 +179,10 @@ func (c *Cluster) Health() (live, total int) {
 
 // Fill implements run.PeerFiller: fetch the encoded plan for fp from
 // its owner.  The warm exchange ships nothing but the fingerprint —
-// the owner answers out of its tiers, usually with a kernel-free lean
-// frame — and only an owner-side miss (404) triggers a second
-// exchange carrying fill's full planning problem (the wire peer-fill
-// frame) so the owner can solve on the requester's behalf.  Deferring
+// the owner answers out of its tiers with the plan's at-rest frame,
+// lean for para-conv — and only an owner-side miss (404) triggers a
+// second exchange carrying fill's full planning problem (the wire
+// peer-fill frame) so the owner can solve on the requester's behalf.  Deferring
 // the problem upload keeps the steady-state fill off the graph
 // encoder entirely.  (nil, false) means "no peer could serve this" —
 // the caller solves locally; the per-peer breaker has already

@@ -38,14 +38,13 @@ func newTestCluster(t *testing.T, self string, peers []string, cfg Config) *Clus
 func TestClusterFillRoundTrip(t *testing.T) {
 	// The owner misses on the first (bodiless) probe and serves the
 	// second exchange, which carries the problem — the full two-step
-	// fill protocol, including the rebuild advertisement.
+	// fill protocol.
 	body := []byte("encoded-plan-frame")
 	var reqs []string
-	var gotPath, gotRebuild string
+	var gotPath string
 	filled := false
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotPath = r.URL.Path
-		gotRebuild = r.Header.Get("X-Paraconv-Rebuild")
 		buf := make([]byte, r.ContentLength)
 		r.Body.Read(buf)
 		reqs = append(reqs, string(buf))
@@ -74,9 +73,6 @@ func TestClusterFillRoundTrip(t *testing.T) {
 	}
 	if gotPath != "/v1/plans/"+fp {
 		t.Fatalf("peer saw path %q, want /v1/plans/%s", gotPath, fp)
-	}
-	if gotRebuild == "" {
-		t.Error("fill request did not advertise X-Paraconv-Rebuild")
 	}
 	if len(reqs) != 2 || reqs[0] != "" || reqs[1] != "fill-frame" {
 		t.Fatalf("peer saw bodies %q, want a bodiless probe then the fill frame", reqs)

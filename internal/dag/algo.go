@@ -159,43 +159,11 @@ func (g *Graph) Levels() ([][]NodeID, error) {
 	return levels, nil
 }
 
-// LevelOf returns, for each vertex, its ASAP level (same definition as
-// Levels).  It returns ErrCyclic (wrapped) if the graph is not
-// acyclic.
-func (g *Graph) LevelOf() ([]int, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	lvl := make([]int, g.NumNodes())
-	for _, v := range order {
-		for _, eid := range g.in[v] {
-			p := g.edges[eid].From
-			if lvl[p]+1 > lvl[v] {
-				lvl[v] = lvl[p] + 1
-			}
-		}
-	}
-	return lvl, nil
-}
-
 // CriticalPath returns the execution-weighted length of the longest
 // path (sum of Exec over its vertices, edge weights excluded) and one
 // such path.  For an empty graph it returns (0, nil, nil).  It returns
 // ErrCyclic (wrapped) if the graph is not acyclic.
 func (g *Graph) CriticalPath() (int, []NodeID, error) {
-	return g.longestPath(func(e *Edge) int { return 0 })
-}
-
-// CriticalPathWithTransfers is CriticalPath but adds an edge weight for
-// every traversed edge, supplied by weight (typically the eDRAM or
-// cache transfer time of the IPR).  It returns ErrCyclic (wrapped) if
-// the graph is not acyclic.
-func (g *Graph) CriticalPathWithTransfers(weight func(*Edge) int) (int, []NodeID, error) {
-	return g.longestPath(weight)
-}
-
-func (g *Graph) longestPath(edgeWeight func(*Edge) int) (int, []NodeID, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return 0, nil, err
@@ -214,9 +182,8 @@ func (g *Graph) longestPath(edgeWeight func(*Edge) int) (int, []NodeID, error) {
 		d := 0
 		for _, eid := range g.in[v] {
 			e := &g.edges[eid]
-			cand := dist[e.From] + edgeWeight(e)
-			if cand > d {
-				d = cand
+			if dist[e.From] > d {
+				d = dist[e.From]
 				pred[v] = e.From
 			}
 		}
@@ -234,57 +201,6 @@ func (g *Graph) longestPath(edgeWeight func(*Edge) int) (int, []NodeID, error) {
 		path[i], path[j] = path[j], path[i]
 	}
 	return best, path, nil
-}
-
-// ASAPStarts returns the as-soon-as-possible start time of each vertex
-// assuming unlimited PEs, where a vertex may start once every
-// predecessor has finished and its IPR has been transferred; transfer
-// times come from weight.  It returns ErrCyclic (wrapped) if the graph
-// is not acyclic.
-func (g *Graph) ASAPStarts(weight func(*Edge) int) ([]int, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	start := make([]int, g.NumNodes())
-	for _, v := range order {
-		s := 0
-		for _, eid := range g.in[v] {
-			e := &g.edges[eid]
-			ready := start[e.From] + g.nodes[e.From].Exec + weight(e)
-			if ready > s {
-				s = ready
-			}
-		}
-		start[v] = s
-	}
-	return start, nil
-}
-
-// ReachableFrom returns the set of vertices reachable from v,
-// including v itself, as a boolean slice indexed by NodeID.
-func (g *Graph) ReachableFrom(v NodeID) []bool {
-	seen := make([]bool, g.NumNodes())
-	stack := []NodeID{v}
-	seen[v] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.out[u] {
-			w := g.edges[eid].To
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
-// HasPath reports whether a directed path exists from a to b (true for
-// a == b).
-func (g *Graph) HasPath(a, b NodeID) bool {
-	return g.ReachableFrom(a)[b]
 }
 
 // idHeap is a minimal binary min-heap of NodeIDs; hand-rolled rather

@@ -18,7 +18,6 @@ package dag
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -64,9 +63,11 @@ func (k OpKind) String() string {
 // offsets everywhere in the code base.
 type NodeID int
 
-// Node is one convolution/pooling operation V_i(s_i, c_i, d_i).
-// Times are in abstract schedule "time units", the same unit the paper
-// uses in its motivational example (Figure 3).
+// Node is one convolution/pooling operation V_i(s_i, c_i, d_i).  Only
+// c_i belongs to the vertex; its start time s_i and deadline d_i come
+// from a schedule (sched.Task).  Times are in abstract schedule "time
+// units", the same unit the paper uses in its motivational example
+// (Figure 3).
 type Node struct {
 	ID   NodeID
 	Name string
@@ -74,12 +75,6 @@ type Node struct {
 
 	// Exec is c_i, the execution time of the operation on one PE.
 	Exec int
-	// Start is s_i, the start time in the objective schedule for the
-	// first iteration (filled in by schedulers; zero before that).
-	Start int
-	// Deadline is d_i, the deadline in the objective schedule for the
-	// first iteration (filled in by schedulers; zero before that).
-	Deadline int
 
 	// MACs optionally records the multiply-accumulate count of the
 	// underlying CNN operation (set when the graph was derived from a
@@ -326,35 +321,6 @@ func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
 
 // InDegree returns the number of edges entering v.
 func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
-
-// Successors returns the distinct successor vertex IDs of v in
-// ascending order.
-func (g *Graph) Successors(v NodeID) []NodeID {
-	return g.neighborSet(g.out[v], func(e *Edge) NodeID { return e.To })
-}
-
-// Predecessors returns the distinct predecessor vertex IDs of v in
-// ascending order.
-func (g *Graph) Predecessors(v NodeID) []NodeID {
-	return g.neighborSet(g.in[v], func(e *Edge) NodeID { return e.From })
-}
-
-func (g *Graph) neighborSet(ids []EdgeID, pick func(*Edge) NodeID) []NodeID {
-	if len(ids) == 0 {
-		return nil
-	}
-	seen := make(map[NodeID]bool, len(ids))
-	var ns []NodeID
-	for _, id := range ids {
-		n := pick(&g.edges[id])
-		if !seen[n] {
-			seen[n] = true
-			ns = append(ns, n)
-		}
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	return ns
-}
 
 // Sources returns all vertices with no incoming edges, ascending.
 func (g *Graph) Sources() []NodeID {

@@ -97,13 +97,15 @@ func TestDegreesAndNeighbors(t *testing.T) {
 	if got := g.InDegree(3); got != 2 {
 		t.Errorf("InDegree(3) = %d, want 2", got)
 	}
-	succ := g.Successors(1)
-	if len(succ) != 2 || succ[0] != 3 || succ[1] != 4 {
-		t.Errorf("Successors(1) = %v, want [3 4]", succ)
+	var succ, pred []NodeID
+	for _, eid := range g.Out(1) {
+		succ = append(succ, g.Edge(eid).To)
 	}
-	pred := g.Predecessors(4)
-	if len(pred) != 2 || pred[0] != 1 || pred[1] != 2 {
-		t.Errorf("Predecessors(4) = %v, want [1 2]", pred)
+	for _, eid := range g.In(4) {
+		pred = append(pred, g.Edge(eid).From)
+	}
+	if !slices.Equal(succ, []NodeID{3, 4}) || !slices.Equal(pred, []NodeID{1, 2}) {
+		t.Errorf("Out(1) reaches %v, In(4) comes from %v; want [3 4] and [1 2]", succ, pred)
 	}
 }
 
@@ -173,13 +175,6 @@ func TestLevels(t *testing.T) {
 	if len(levels[2]) != 2 {
 		t.Errorf("level 2 = %v, want two vertices", levels[2])
 	}
-	lvl, err := g.LevelOf()
-	if err != nil {
-		t.Fatalf("LevelOf: %v", err)
-	}
-	if lvl[0] != 0 || lvl[1] != 1 || lvl[3] != 2 {
-		t.Errorf("LevelOf = %v", lvl)
-	}
 }
 
 func TestCriticalPath(t *testing.T) {
@@ -196,18 +191,6 @@ func TestCriticalPath(t *testing.T) {
 	}
 }
 
-func TestCriticalPathWithTransfers(t *testing.T) {
-	g := paperGraph(t)
-	length, _, err := g.CriticalPathWithTransfers(func(e *Edge) int { return e.EDRAMTime })
-	if err != nil {
-		t.Fatalf("CriticalPathWithTransfers: %v", err)
-	}
-	// 1 + 1 + 1 execution plus two eDRAM hops of 1 each.
-	if length != 5 {
-		t.Errorf("critical path with eDRAM transfers = %d, want 5", length)
-	}
-}
-
 func TestCriticalPathEmptyGraph(t *testing.T) {
 	g := New("empty")
 	length, path, err := g.CriticalPath()
@@ -216,40 +199,6 @@ func TestCriticalPathEmptyGraph(t *testing.T) {
 	}
 	if length != 0 || path != nil {
 		t.Errorf("empty graph critical path = (%d, %v), want (0, nil)", length, path)
-	}
-}
-
-func TestASAPStarts(t *testing.T) {
-	g := paperGraph(t)
-	starts, err := g.ASAPStarts(func(e *Edge) int { return e.EDRAMTime })
-	if err != nil {
-		t.Fatalf("ASAPStarts: %v", err)
-	}
-	want := []int{0, 2, 2, 4, 4}
-	for i, w := range want {
-		if starts[i] != w {
-			t.Errorf("ASAP start of %d = %d, want %d", i, starts[i], w)
-		}
-	}
-}
-
-func TestReachabilityAndHasPath(t *testing.T) {
-	g := paperGraph(t)
-	if !g.HasPath(0, 4) {
-		t.Error("HasPath(0,4) = false, want true")
-	}
-	if g.HasPath(3, 0) {
-		t.Error("HasPath(3,0) = true, want false")
-	}
-	if !g.HasPath(2, 2) {
-		t.Error("HasPath(v,v) = false, want true")
-	}
-	reach := g.ReachableFrom(1)
-	wantReach := []bool{false, true, false, true, true}
-	for i, w := range wantReach {
-		if reach[i] != w {
-			t.Errorf("ReachableFrom(1)[%d] = %v, want %v", i, reach[i], w)
-		}
 	}
 }
 

@@ -69,74 +69,6 @@ func (g *Graph) PathCount() (int64, error) {
 	return total, nil
 }
 
-// TransitiveReduction returns a copy of the graph with every edge
-// (u,v) removed when another u→v path of length ≥ 2 exists.  Edge
-// attributes of surviving edges are preserved.  The reduction is the
-// minimal graph with the same reachability — useful for visualizing
-// dense generated graphs and for measuring how much of |E| is
-// redundant dependency information.  It returns ErrCyclic (wrapped) if
-// the graph is not acyclic (the reduction is unique only for DAGs).
-func (g *Graph) TransitiveReduction() (*Graph, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	pos := make([]int, g.NumNodes())
-	for i, v := range order {
-		pos[v] = i
-	}
-	out := New(g.Name())
-	for i := range g.Nodes() {
-		out.AddNode(g.Nodes()[i])
-	}
-	// An edge (u,v) is redundant iff v is reachable from u using at
-	// least one intermediate vertex.  Check by DFS from each
-	// successor of u other than v itself, bounded by topological
-	// position for pruning.
-	for u := 0; u < g.NumNodes(); u++ {
-		direct := g.Out(NodeID(u))
-		targets := make(map[NodeID]EdgeID, len(direct))
-		for _, eid := range direct {
-			targets[g.Edge(eid).To] = eid
-		}
-		redundant := make(map[NodeID]bool)
-		// DFS from each direct successor; any other direct target
-		// reached transitively is redundant.
-		stack := make([]NodeID, 0, len(direct))
-		visited := make(map[NodeID]bool)
-		for _, eid := range direct {
-			mid := g.Edge(eid).To
-			for _, eid2 := range g.Out(mid) {
-				stack = append(stack, g.Edge(eid2).To)
-			}
-		}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if visited[v] {
-				continue
-			}
-			visited[v] = true
-			if _, isTarget := targets[v]; isTarget {
-				redundant[v] = true
-			}
-			for _, eid := range g.Out(v) {
-				w := g.Edge(eid).To
-				if !visited[w] && pos[w] > pos[NodeID(u)] {
-					stack = append(stack, w)
-				}
-			}
-		}
-		for _, eid := range direct {
-			e := g.Edge(eid)
-			if !redundant[e.To] {
-				out.AddEdge(*e)
-			}
-		}
-	}
-	return out, nil
-}
-
 // Summary returns a one-paragraph human description including the
 // parallelism metrics.  For a cyclic (hence invalid) graph it returns
 // the defect description instead.

@@ -3,7 +3,6 @@ package dag
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // must calls a no-argument accessor and fails the test on error.
@@ -71,63 +70,6 @@ func TestPathCountSaturates(t *testing.T) {
 	got := must(t, g.PathCount)
 	if got <= 0 {
 		t.Fatalf("saturated count = %d; must stay positive", got)
-	}
-}
-
-func TestTransitiveReduction(t *testing.T) {
-	// Triangle: 0->1, 1->2, 0->2; the direct 0->2 is redundant.
-	g := New("tri")
-	for i := 0; i < 3; i++ {
-		g.AddNode(Node{Kind: OpConv, Exec: 1})
-	}
-	g.AddEdge(Edge{From: 0, To: 1, Size: 1})
-	g.AddEdge(Edge{From: 1, To: 2, Size: 1})
-	g.AddEdge(Edge{From: 0, To: 2, Size: 1})
-	r := must(t, g.TransitiveReduction)
-	if r.NumEdges() != 2 {
-		t.Fatalf("reduced |E| = %d, want 2", r.NumEdges())
-	}
-	for i := range r.Edges() {
-		e := r.Edge(EdgeID(i))
-		if e.From == 0 && e.To == 2 {
-			t.Error("redundant edge 0->2 survived")
-		}
-	}
-}
-
-func TestTransitiveReductionPreservesEssentialEdges(t *testing.T) {
-	g := paperGraph(t) // no redundant edges
-	r := must(t, g.TransitiveReduction)
-	if r.NumEdges() != g.NumEdges() {
-		t.Errorf("reduction removed essential edges: %d -> %d", g.NumEdges(), r.NumEdges())
-	}
-}
-
-// Property: the reduction preserves reachability exactly and never
-// adds edges.
-func TestTransitiveReductionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomDAG(seed, 14, 30)
-		r, err := g.TransitiveReduction()
-		if err != nil {
-			return false
-		}
-		if r.NumEdges() > g.NumEdges() {
-			return false
-		}
-		for a := 0; a < g.NumNodes(); a++ {
-			ra := g.ReachableFrom(NodeID(a))
-			rb := r.ReachableFrom(NodeID(a))
-			for v := range ra {
-				if ra[v] != rb[v] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

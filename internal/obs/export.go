@@ -126,30 +126,6 @@ func (h HistogramSnapshot) CountAbove(bound float64) uint64 {
 	return h.Count - h.CountAtOrBelow(bound)
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
-// counts, interpolating linearly inside the winning bucket.  Samples
-// beyond the last finite bound report that bound (the layout's ceiling
-// is the best available answer).  Returns 0 for an empty histogram.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Buckets) == 0 {
-		return 0
-	}
-	rank := q * float64(h.Count)
-	prevBound, prevCum := 0.0, uint64(0)
-	for _, b := range h.Buckets {
-		if float64(b.Count) >= rank {
-			span := float64(b.Count - prevCum)
-			if span == 0 {
-				return b.UpperBound
-			}
-			frac := (rank - float64(prevCum)) / span
-			return prevBound + frac*(b.UpperBound-prevBound)
-		}
-		prevBound, prevCum = b.UpperBound, b.Count
-	}
-	return h.Buckets[len(h.Buckets)-1].UpperBound
-}
-
 // Snapshot is a point-in-time copy of a registry, shaped for
 // encoding/json round-trips (no channels, no non-finite floats).
 type Snapshot struct {

@@ -313,29 +313,6 @@ func (r *Registry) Timer(name, help string, labels ...Label) *Timer {
 	return &Timer{h: r.Histogram(name, help, DurationBuckets, labels...)}
 }
 
-// Unregister removes the instrument with the given identity from the
-// registry, reporting whether it was present.  Existing handles to the
-// instrument keep recording but no longer export — the hook tests use
-// to retire scratch instruments from a shared registry.
-func (r *Registry) Unregister(name string, labels ...Label) bool {
-	_, labelKey := canonLabels(labels)
-	key := name + "\x00" + labelKey
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	in, ok := r.byKey[key]
-	if !ok {
-		return false
-	}
-	delete(r.byKey, key)
-	for i, other := range r.list {
-		if other == in {
-			r.list = append(r.list[:i], r.list[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Reset zeroes every registered instrument's recorded values, keeping
 // the registrations (names, helps, bucket layouts) intact.  Tests use
 // it to isolate assertions against the shared Default registry; the

@@ -8,49 +8,6 @@ import (
 	"testing"
 )
 
-func TestUnregisterRemovesFromExports(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_scratch_total", "scratch")
-	r.Counter("test_keep_total", "kept")
-	c.Add(3)
-
-	if !r.Unregister("test_scratch_total") {
-		t.Fatal("Unregister of a present instrument returned false")
-	}
-	if r.Unregister("test_scratch_total") {
-		t.Fatal("second Unregister returned true")
-	}
-	if r.Unregister("test_never_registered") {
-		t.Fatal("Unregister of an absent instrument returned true")
-	}
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "test_scratch_total") {
-		t.Error("unregistered instrument still exported")
-	}
-	if !strings.Contains(buf.String(), "test_keep_total") {
-		t.Error("surviving instrument missing from export")
-	}
-	// The detached handle keeps recording without panicking.
-	c.Add(1)
-	if c.Value() != 4 {
-		t.Errorf("detached counter = %d, want 4", c.Value())
-	}
-
-	// Labeled identity: the label set is part of the key.
-	lab := Label{Key: "endpoint", Value: "plan"}
-	r.Counter("test_labeled_total", "labeled", lab)
-	if r.Unregister("test_labeled_total") {
-		t.Error("Unregister without labels removed a labeled instrument")
-	}
-	if !r.Unregister("test_labeled_total", lab) {
-		t.Error("Unregister with matching labels failed")
-	}
-}
-
 func TestResetZeroesValuesKeepsRegistrations(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_c_total", "c")
@@ -115,31 +72,6 @@ func TestHistogramSnapshotCountHelpers(t *testing.T) {
 	// A non-bound falls back to the next lower bound (conservative).
 	if got := hs.CountAbove(0.006); got != 2 {
 		t.Errorf("CountAbove(0.006) = %d, want 2", got)
-	}
-}
-
-func TestHistogramSnapshotQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_q_seconds", "q", []float64{1, 2, 4})
-	var empty HistogramSnapshot
-	if got := empty.Quantile(0.99); got != 0 {
-		t.Errorf("empty Quantile = %v, want 0", got)
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all samples in the (1,2] bucket
-	}
-	hs := r.Snapshot().Histograms[0]
-	if got := hs.Quantile(0.5); got <= 1 || got > 2 {
-		t.Errorf("Quantile(0.5) = %v, want inside (1,2]", got)
-	}
-	// Median rank 50 of 100 interpolates halfway through the bucket.
-	if got := hs.Quantile(0.5); math.Abs(got-1.5) > 0.01 {
-		t.Errorf("Quantile(0.5) = %v, want ~1.5", got)
-	}
-	h.Observe(1000) // beyond the last bound
-	hs = r.Snapshot().Histograms[0]
-	if got := hs.Quantile(1); got != 4 {
-		t.Errorf("Quantile(1) with overflow = %v, want last bound 4", got)
 	}
 }
 

@@ -243,12 +243,6 @@ func NewContext(ctx context.Context, tr *Trace) context.Context {
 	return context.WithValue(ctx, ctxKey{}, tr)
 }
 
-// FromContext returns the trace carried by ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(ctxKey{}).(*Trace)
-	return tr
-}
-
 // Start opens a span named name on the trace carried by ctx.  When
 // tracing is globally off or ctx carries no trace, it returns the
 // zero Span without reading the clock or touching the context value —

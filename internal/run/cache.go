@@ -61,10 +61,10 @@ type Answer struct {
 type cacheEntry struct {
 	fp string
 	Answer
-	// rest is the plan's at-rest frame (see atRest): the bytes the store
-	// holds for it and an owner ships to a filling peer.  It is the
-	// producing tier's own payload for a store hit or a peer fill, and
-	// encoded once for a local solve.
+	// rest is the plan's at-rest frame (see wire.AppendAtRest): the
+	// bytes the store holds for it and an owner ships to a filling
+	// peer.  It is the producing tier's own payload for a store hit or
+	// a peer fill, and encoded once for a local solve.
 	rest []byte
 }
 

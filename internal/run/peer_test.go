@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/pim"
+	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
@@ -121,12 +122,12 @@ func TestPeerFillServesAndPromotes(t *testing.T) {
 		t.Error("fill was not written through to the durable store")
 	}
 	// …and into the memory tier's fingerprint index.
-	payload, ok := s.EncodedPlanByFingerprint(fp, false)
+	payload, ok := s.EncodedPlanByFingerprint(fp)
 	if !ok {
 		t.Fatal("EncodedPlanByFingerprint missed after a fill")
 	}
-	if rt, err := wire.DecodePlan(payload, dag.Limits{}); err != nil || rt.Iter.Period != want.Iter.Period {
-		t.Fatalf("re-encoded filled plan = (%v, err %v), want period %d", rt, err, want.Iter.Period)
+	if !bytes.Equal(payload, filler.payload) {
+		t.Fatal("memory tier does not serve the fill's bytes verbatim")
 	}
 
 	// A second Plan is a plain memory hit: no second fill.
@@ -195,9 +196,8 @@ func TestPeerFillOwnerAndOptOut(t *testing.T) {
 
 // TestEncodedPlanByFingerprintStoreTier: a restarted owner (fresh
 // memory cache, same durable store) serves peer fills from the store's
-// payload verbatim — the lean frame a para-conv plan rests in.  A
-// requester that cannot rebuild a kernel gets a miss for it instead,
-// while a baseline's self-contained frame serves either request.
+// payload verbatim — the lean frame a para-conv plan rests in, and a
+// baseline's self-contained frame.
 func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 	g := testGraph(t, "peerstore", 24, 50, 9600)
 	cfg := pim.Neurocube(16)
@@ -211,37 +211,33 @@ func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := boot1.Baseline(g, cfg); err != nil {
+	baseline, err := boot1.Baseline(g, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	boot2 := New(context.Background())
 	boot2.AttachStore(st)
-	stored, _ := st.Get(fp)
-	payload, ok := boot2.EncodedPlanByFingerprint(fp, true)
-	if !ok {
-		t.Fatal("restarted owner missed a store-resident fingerprint")
-	}
-	if !wire.LeanPlanFrame(payload) || !bytes.Equal(payload, stored) {
-		t.Fatal("store-served fill is not the stored lean frame")
-	}
-	p, err := wire.DecodeLeanPlan(payload, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Iter.Period != want.Iter.Period {
-		t.Fatalf("store-served plan period = %d, want %d", p.Iter.Period, want.Iter.Period)
-	}
-	if _, ok := boot2.EncodedPlanByFingerprint(fp, false); ok {
-		t.Error("a store-only lean entry was served to a requester without the problem graph")
-	}
-	for _, lean := range []bool{false, true} {
-		full, ok := boot2.EncodedPlanByFingerprint(baselineFP, lean)
-		if _, err := wire.DecodePlan(full, dag.Limits{}); !ok || err != nil {
-			t.Errorf("store-only baseline (lean=%v): ok=%v, %v; want its full frame", lean, ok, err)
+	for _, tc := range []struct {
+		fp   string
+		want *sched.Plan
+	}{{fp, want}, {baselineFP, baseline}} {
+		payload, ok := boot2.EncodedPlanByFingerprint(tc.fp)
+		if !ok {
+			t.Fatalf("%s: restarted owner missed a store-resident fingerprint", tc.want.Scheme)
+		}
+		if stored, _ := st.Get(tc.fp); !bytes.Equal(payload, stored) || !bytes.Equal(payload, wire.AppendAtRest(nil, tc.want)) {
+			t.Fatalf("%s: store-served fill is not the stored at-rest frame", tc.want.Scheme)
+		}
+		p, err := wire.DecodeFillPlan(payload, g, dag.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Scheme != tc.want.Scheme || p.Iter.Period != tc.want.Iter.Period {
+			t.Fatalf("store-served plan = %s period %d, want %s period %d", p.Scheme, p.Iter.Period, tc.want.Scheme, tc.want.Iter.Period)
 		}
 	}
-	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", true); ok {
+	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"); ok {
 		t.Fatal("unknown fingerprint claimed a hit")
 	}
 }
@@ -294,7 +290,7 @@ func TestPeerFillLeanPayload(t *testing.T) {
 	}
 }
 
-// TestEncodedFillByFingerprint: lean fill serving hands out the entry's
+// TestEncodedFillByFingerprint: fill serving hands out the entry's
 // at-rest frame on the memory tier — the same bytes every time, never
 // re-encoded — and the stored bytes on the durable tier, and the two
 // are identical.
@@ -311,21 +307,21 @@ func TestEncodedFillByFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	memLean, ok := boot1.EncodedPlanByFingerprint(fp, true)
+	memLean, ok := boot1.EncodedPlanByFingerprint(fp)
 	if !ok {
 		t.Fatal("memory tier missed its own fingerprint")
 	}
-	if !wire.LeanPlanFrame(memLean) {
-		t.Fatal("memory-tier fill payload is not a lean frame")
+	if !bytes.Equal(memLean, wire.AppendLeanPlan(nil, want)) {
+		t.Fatal("memory-tier fill payload is not the plan's lean frame")
 	}
-	again, ok := boot1.EncodedPlanByFingerprint(fp, true)
+	again, ok := boot1.EncodedPlanByFingerprint(fp)
 	if !ok || &again[0] != &memLean[0] {
 		t.Error("second fill did not serve the entry's own at-rest frame")
 	}
 
 	boot2 := New(context.Background())
 	boot2.AttachStore(st)
-	storeLean, ok := boot2.EncodedPlanByFingerprint(fp, true)
+	storeLean, ok := boot2.EncodedPlanByFingerprint(fp)
 	if !ok {
 		t.Fatal("store tier missed a store-resident fingerprint")
 	}
@@ -342,7 +338,7 @@ func TestEncodedFillByFingerprint(t *testing.T) {
 	if p.Iter.Period != want.Iter.Period {
 		t.Fatalf("lean store fill period = %d, want %d", p.Iter.Period, want.Iter.Period)
 	}
-	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", true); ok {
+	if _, ok := boot2.EncodedPlanByFingerprint("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"); ok {
 		t.Fatal("unknown fingerprint claimed a fill hit")
 	}
 }

@@ -78,7 +78,7 @@ func TestPlanCacheVariantsAndConfigsAreDistinct(t *testing.T) {
 	if _, err := s.Plan(g, pim.Neurocube(16)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PlanSingle(g, pim.Neurocube(16)); err != nil {
+	if _, err := s.PlanVariant("para-conv-single", g, pim.Neurocube(16)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Baseline(g, pim.Neurocube(16)); err != nil {

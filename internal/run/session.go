@@ -235,12 +235,6 @@ func (s *Session) Plan(g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
 	return s.PlanVariant(variantParaCONV, g, cfg)
 }
 
-// PlanSingle runs Para-CONV pinned to a single group (no parallel
-// group packing) — the paper's single-kernel configuration.
-func (s *Session) PlanSingle(g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
-	return s.PlanVariant(variantSingle, g, cfg)
-}
-
 // PlanWithSchedule runs the Para-CONV reallocation on a fixed
 // iteration schedule (retiming + cache allocation only).  The cache
 // key incorporates a fingerprint of the given schedule.

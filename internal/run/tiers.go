@@ -90,16 +90,6 @@ func admit(tier, fp string, frame []byte, g *dag.Graph) (*sched.Plan, bool) {
 	return p, true
 }
 
-// atRest encodes the frame p is kept in outside memory: lean for
-// para-conv plans, whose every reader holds the problem graph, and the
-// self-contained stored-plan frame for the baselines.
-func atRest(p *sched.Plan) []byte {
-	if p.Scheme == wire.SchemeParaCONV {
-		return wire.AppendLeanPlan(nil, p)
-	}
-	return wire.AppendPlan(nil, p)
-}
-
 // promote publishes a plan to the tiers in front of the one that
 // produced it: always the memory LRU, plus the durable store when the
 // plan came from beyond it.  rest is the frame the producing tier
@@ -110,7 +100,7 @@ func atRest(p *sched.Plan) []byte {
 // behind the response (see internal/store).
 func (c *planCache) promote(fp, arch string, p *sched.Plan, rest []byte, toStore bool) {
 	if rest == nil {
-		rest = atRest(p)
+		rest = wire.AppendAtRest(nil, p)
 	}
 	c.put(fp, arch, p, rest)
 	if !toStore || c.store == nil {
@@ -183,26 +173,17 @@ func (s *Session) peerTier(fp, variant string, g *dag.Graph, cfg pim.Config) (*s
 
 // EncodedPlanByFingerprint serves the owner's side of the fill
 // protocol: the plan for fp from this session's local tiers, as the
-// at-rest frame the memory entry or the store already holds — shared,
-// not copied, since serving fills is an owner's hot path under a
-// thundering fleet.  With lean unset the caller cannot rebuild a
-// kernel, so a lean frame will not do: a memory entry re-encodes the
-// full frame, and a store-only lean entry is a miss.  ok=false means
-// no local tier can answer; the server decides whether to solve on
-// the requester's behalf.
-func (s *Session) EncodedPlanByFingerprint(fp string, lean bool) ([]byte, bool) {
+// at-rest frame (wire.AppendAtRest) the memory entry or the store
+// already holds — shared, not copied, since serving fills is an
+// owner's hot path under a thundering fleet.  ok=false means no local
+// tier can answer; the server decides whether to solve on the
+// requester's behalf.
+func (s *Session) EncodedPlanByFingerprint(fp string) ([]byte, bool) {
 	if e, ok := s.cache.lookup(fp, false); ok {
-		if lean || !wire.LeanPlanFrame(e.rest) {
-			return e.rest, true
-		}
-		return wire.AppendPlan(nil, e.Plan), true
+		return e.rest, true
 	}
 	if s.cache.store == nil {
 		return nil, false
 	}
-	frame, ok := s.cache.store.Get(fp)
-	if !ok || (!lean && wire.LeanPlanFrame(frame)) {
-		return nil, false
-	}
-	return frame, true
+	return s.cache.store.Get(fp)
 }

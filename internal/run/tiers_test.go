@@ -238,11 +238,7 @@ func TestTierDifferential(t *testing.T) {
 			// The store holds the plan at rest in this epoch — lean for
 			// para-conv, full for a baseline — whatever it held before.
 			if st != nil {
-				rest := want
-				if ref.Scheme == wire.SchemeParaCONV {
-					rest = lean
-				}
-				if got, ok := st.Get(fp); !ok || !bytes.Equal(got, rest) {
+				if got, ok := st.Get(fp); !ok || !bytes.Equal(got, wire.AppendAtRest(nil, ref)) {
 					t.Error("store does not hold the plan's at-rest frame")
 				}
 			}
@@ -266,13 +262,9 @@ func TestTierDifferential(t *testing.T) {
 					t.Errorf("cached response frame at %d iterations differs from the object path's encoding", n)
 				}
 			}
-			served, ok := s.EncodedPlanByFingerprint(fp, false)
-			if !ok || !bytes.Equal(served, want) {
-				t.Error("EncodedPlanByFingerprint(full) does not serve the local solve's frame")
-			}
-			fill, ok := s.EncodedPlanByFingerprint(fp, true)
+			fill, ok := s.EncodedPlanByFingerprint(fp)
 			if !ok {
-				t.Fatal("EncodedPlanByFingerprint(lean) missed")
+				t.Fatal("EncodedPlanByFingerprint missed")
 			}
 			rebuilt, err := wire.DecodeFillPlan(fill, g, dag.Limits{})
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/dag"
 	"repro/internal/pim"
 )
 
@@ -90,7 +89,3 @@ func (p *Plan) CacheSummary() string {
 	fmt.Fprintf(&b, "IPR placement: %d in on-chip cache, %d in eDRAM (of %d)", cached, spilled, g.NumEdges())
 	return b.String()
 }
-
-// TaskOf returns the scheduled task of a vertex (helper for tests and
-// examples).
-func (s *IterationSchedule) TaskOf(v dag.NodeID) Task { return s.Tasks[v] }

@@ -45,30 +45,22 @@ var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // buffer and written in one call, so an encoding failure can still
 // become a 500 (nothing has been sent yet) and the connection sees a
 // single write with a Content-Length instead of the chunked drip of an
-// encoder bound to the wire.  Errors never come here in binary: they
-// are always JSON (see writeError), whatever codec the payloads use.
+// encoder bound to the wire.  Only /v1/plan answers have a binary
+// frame: every other body — the simulate and selectarch results, and
+// errors (see writeError) — is JSON whatever the client accepts.
 //
 //paraconv:hotpath
 func writeResponse(w http.ResponseWriter, status int, v any, binary bool) {
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	contentType := "application/json; charset=utf-8"
+	contentType := wire.ContentTypeBinary
 	var err error
-	if binary {
-		contentType = wire.ContentTypeBinary
-		switch p := v.(type) {
-		case *planResponse:
-			buf.Write(wire.AppendPlanResponse(buf.AvailableBuffer(), p))
-		case *planFrame:
-			buf.Write(p.frame.Append(buf.AvailableBuffer(), p.iterations, p.totalTime, p.throughput))
-		case *simulateResponse:
-			buf.Write(wire.AppendSimulateResponse(buf.AvailableBuffer(), p))
-		case *selectArchResponse:
-			buf.Write(wire.AppendSelectArchResponse(buf.AvailableBuffer(), p))
-		default:
-			err = fmt.Errorf("no binary frame for %T", v)
-		}
+	if p, ok := v.(*planFrame); ok {
+		buf.Write(p.frame.Append(buf.AvailableBuffer(), p.iterations, p.totalTime, p.throughput))
+	} else if p, ok := v.(*planResponse); ok && binary {
+		buf.Write(wire.AppendPlanResponse(buf.AvailableBuffer(), p))
 	} else {
+		contentType = "application/json; charset=utf-8"
 		err = json.NewEncoder(buf).Encode(v)
 	}
 	if err != nil {

@@ -220,38 +220,51 @@ func TestBinaryOversizedBodyRejected(t *testing.T) {
 	}
 }
 
-// TestBinarySimulateAndSelectArch round-trips the two other endpoints
-// over the binary codec.
+// TestBinarySimulateAndSelectArch: the two other POST endpoints
+// accept a binary request but have no binary response frame, so they
+// answer JSON whatever Accept says — the same values a JSON request
+// gets.
 func TestBinarySimulateAndSelectArch(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	g, _ := testGraphBinary(t)
-
-	simBody := wire.AppendRequest(nil, &request{PEs: 4, Iterations: 50}, g)
-	resp, data := postRaw(t, ts, "/v1/simulate", wire.ContentTypeBinary, "", simBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate status %d, body %s", resp.StatusCode, data)
-	}
-	var sim simulateResponse
-	if err := wire.DecodeSimulateResponse(data, &sim); err != nil {
-		t.Fatalf("decoding simulate frame: %v", err)
-	}
-	// The simulator rounds the horizon up to a whole unroll group, so
-	// Iterations may exceed the requested 50.
-	if sim.Iterations < 50 || sim.Cycles <= 0 {
-		t.Errorf("implausible simulate: %+v", sim)
-	}
-
-	selBody := wire.AppendRequest(nil, &request{PEs: 4, Archs: []string{"neurocube", "edge"}}, g)
-	resp, data = postRaw(t, ts, "/v1/selectarch", wire.ContentTypeBinary, "", selBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("selectarch status %d, body %s", resp.StatusCode, data)
-	}
-	var sel selectArchResponse
-	if err := wire.DecodeSelectArchResponse(data, &sel); err != nil {
-		t.Fatalf("decoding selectarch frame: %v", err)
-	}
-	if len(sel.Ranking) != 2 || sel.Best.Arch == "" {
-		t.Errorf("implausible selectarch: %+v", sel)
+	for _, tc := range []struct {
+		path string
+		req  request
+		into func() any
+	}{
+		{"/v1/simulate", request{PEs: 4, Iterations: 50}, func() any { return new(simulateResponse) }},
+		{"/v1/selectarch", request{PEs: 4, Archs: []string{"neurocube", "edge"}}, func() any { return new(selectArchResponse) }},
+	} {
+		jsonBody, err := json.Marshal(map[string]any{
+			"graph": testGraphText, "pes": tc.req.PEs, "iterations": tc.req.Iterations, "archs": tc.req.Archs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postRaw(t, ts, tc.path, wire.ContentTypeJSON, "", jsonBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s JSON status %d, body %s", tc.path, resp.StatusCode, data)
+		}
+		want := tc.into()
+		if err := json.Unmarshal(data, want); err != nil {
+			t.Fatal(err)
+		}
+		for _, accept := range []string{wire.ContentTypeBinary, ""} {
+			resp, data := postRaw(t, ts, tc.path, wire.ContentTypeBinary, accept, wire.AppendRequest(nil, &tc.req, g))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s Accept %q: status %d, body %s", tc.path, accept, resp.StatusCode, data)
+			}
+			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, wire.ContentTypeJSON) {
+				t.Errorf("%s Accept %q: Content-Type %q, want JSON", tc.path, accept, ct)
+			}
+			got := tc.into()
+			if err := json.Unmarshal(data, got); err != nil {
+				t.Fatalf("%s Accept %q: body is not JSON: %v", tc.path, accept, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s Accept %q: binary request answered\n%+v\nJSON request answered\n%+v", tc.path, accept, got, want)
+			}
+		}
 	}
 }
 

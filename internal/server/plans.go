@@ -17,14 +17,11 @@ import (
 // body — a wire peer-fill frame carrying the complete planning problem
 // — lets this node solve on the requester's behalf, through the same
 // admission gate as every other solve (a 429 shed degrades the
-// requester to its own local solve).  A bodiless miss is
-// a 404.  The response body is the binary stored-plan frame — or, when
-// the request carries X-Paraconv-Rebuild (the sender holds the problem
-// graph and can derive a para-conv kernel itself), the plan's at-rest
-// frame, lean for para-conv, which skips both the owner's graph encode
-// and the requester's graph decode on the cluster's warm path.  A
-// para-conv plan held only in the store rests lean, so a bodiless
-// request without the header — no peer sends one — misses it.
+// requester to its own local solve).  A bodiless miss is a 404.  The
+// response body is always the plan's at-rest frame (wire.AppendAtRest):
+// lean for para-conv, which skips both the owner's graph encode and the
+// requester's graph decode on the cluster's warm path, self-contained
+// for the baselines.
 //
 // Fills are served whatever this node's own ring view says about
 // ownership: the requester routed here off its view, and answering is
@@ -42,8 +39,7 @@ func (s *Server) planByFingerprint(sr *statusRecorder, r *http.Request) {
 		return
 	}
 
-	lean := r.Header.Get("X-Paraconv-Rebuild") != ""
-	if payload, ok := s.session.EncodedPlanByFingerprint(fp, lean); ok {
+	if payload, ok := s.session.EncodedPlanByFingerprint(fp); ok {
 		writeBody(sr, http.StatusOK, wire.ContentTypeBinary, payload)
 		return
 	}
@@ -85,11 +81,7 @@ func (s *Server) planByFingerprint(sr *statusRecorder, r *http.Request) {
 		if err != nil {
 			return
 		}
-		if lean && a.Plan.Scheme == wire.SchemeParaCONV {
-			payload = wire.AppendLeanPlan(nil, a.Plan)
-		} else {
-			payload = wire.AppendPlan(nil, a.Plan)
-		}
+		payload = wire.AppendAtRest(nil, a.Plan)
 	}) {
 		return
 	}

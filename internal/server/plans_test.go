@@ -88,7 +88,7 @@ func TestPlansMissWithoutBodyIs404(t *testing.T) {
 }
 
 // TestPlansLookupAfterSolve: a plan solved through /v1/plan is
-// retrievable by its content fingerprint as a binary frame.
+// retrievable by its content fingerprint as its at-rest frame.
 func TestPlansLookupAfterSolve(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := post(t, ts, "/v1/plan", map[string]any{
@@ -110,7 +110,7 @@ func TestPlansLookupAfterSolve(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeBinary {
 		t.Errorf("Content-Type %q, want %s", ct, wire.ContentTypeBinary)
 	}
-	p, err := wire.DecodePlan(data, dag.Limits{})
+	p, err := wire.DecodeFillPlan(data, g, dag.Limits{})
 	if err != nil {
 		t.Fatalf("payload failed to decode as a plan frame: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestPlansFillSolvesOnBehalf(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fill status %d, body %s", resp.StatusCode, data)
 	}
-	p, err := wire.DecodePlan(data, dag.Limits{})
+	p, err := wire.DecodeFillPlan(data, g, dag.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,98 +293,57 @@ func TestTwoNodeClusterFill(t *testing.T) {
 	}
 }
 
-// TestPlansLeanServing: a fill request advertising X-Paraconv-Rebuild
-// gets the kernel-free lean frame; a plain lookup still gets the
-// self-contained stored-plan frame.
+// TestPlansLeanServing: a para-conv plan solved for a fill is
+// answered with its kernel-free lean frame, and a later bodiless
+// lookup gets the memory entry's same at-rest bytes.
 func TestPlansLeanServing(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	g := plansGraph(t, 81)
 	cfg := pim.Neurocube(16)
 	fp := run.PlanFingerprint("", "", g, cfg)
 
-	// Solve on behalf via a fill with the rebuild advertisement: the
-	// response is already lean.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/plans/"+fp,
-		bytes.NewReader(wire.AppendPeerFill(nil, "para-conv", cfg, g)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBinary)
-	req.Header.Set("X-Paraconv-Rebuild", "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, data := getPlans(t, ts.URL, fp, wire.AppendPeerFill(nil, "para-conv", cfg, g))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fill status %d, body %s", resp.StatusCode, data)
 	}
-	if !wire.LeanPlanFrame(data) {
-		t.Fatal("rebuild-capable fill was not answered with a lean frame")
-	}
 	p, err := wire.DecodeLeanPlan(data, g)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("fill answer is not a lean frame: %v", err)
 	}
 	if err := p.Iter.Validate(); err != nil {
 		t.Fatalf("lean fill-solved plan invalid: %v", err)
 	}
-
-	// Warm lean lookup serves the entry's cached lean frame.
-	req, err = http.NewRequest(http.MethodGet, ts.URL+"/v1/plans/"+fp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("X-Paraconv-Rebuild", "1")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !wire.LeanPlanFrame(warm) {
-		t.Fatalf("warm lean lookup = status %d, lean %v; want 200 lean", resp.StatusCode, wire.LeanPlanFrame(warm))
+	if want := wire.AppendAtRest(nil, p); !bytes.Equal(data, want) {
+		t.Fatal("fill answer is not the plan's at-rest frame")
 	}
 
-	// A plain lookup (no advertisement) must stay self-contained.
-	resp, full := getPlans(t, ts.URL, fp, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plain lookup status %d", resp.StatusCode)
-	}
-	if wire.LeanPlanFrame(full) {
-		t.Fatal("plain lookup was answered with a lean frame")
-	}
-	if _, err := wire.DecodePlan(full, dag.Limits{}); err != nil {
-		t.Fatalf("plain lookup payload: %v", err)
+	resp, warm := getPlans(t, ts.URL, fp, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(warm, data) {
+		t.Fatalf("warm lookup = status %d; want 200 with the fill's lean bytes", resp.StatusCode)
 	}
 }
 
-// TestPlansStoreOnlyEntry: a restarted owner holds a para-conv plan
-// only in its store, as the lean frame.  A rebuild-capable lookup gets
-// those bytes; a bodiless lookup without the advertisement cannot use
-// them and gets not_found; the same lookup with a fill body is served
-// in full, since the body carries the graph the kernel rebuilds from.
+// TestPlansStoreOnlyEntry: a restarted owner holds its plans only in
+// its store.  A bodiless lookup gets the stored at-rest bytes
+// verbatim — the lean frame of a para-conv plan, the self-contained
+// frame of a baseline.
 func TestPlansStoreOnlyEntry(t *testing.T) {
 	dir := t.TempDir()
 	g := plansGraph(t, 91)
 	cfg := pim.Neurocube(16)
-	fp := run.PlanFingerprint("", "", g, cfg)
-	fill := wire.AppendPeerFill(nil, "para-conv", cfg, g)
 
 	st1, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ts1 := newTestServer(t, Config{Store: st1})
-	if resp, data := getPlans(t, ts1.URL, fp, fill); resp.StatusCode != http.StatusOK {
-		t.Fatalf("seeding solve: %d %s", resp.StatusCode, data)
+	kinds := map[string]byte{"para-conv": 'l', "sparta": 'L'}
+	fps := map[string]string{}
+	for variant := range kinds {
+		fps[variant] = run.PlanFingerprint(variant, "", g, cfg)
+		if resp, data := getPlans(t, ts1.URL, fps[variant], wire.AppendPeerFill(nil, variant, cfg, g)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seeding %s solve: %d %s", variant, resp.StatusCode, data)
+		}
 	}
 
 	// A restart finds what the first boot's drain flushed.
@@ -396,34 +355,22 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts2 := newTestServer(t, Config{Store: st2})
-	req, err := http.NewRequest(http.MethodGet, ts2.URL+"/v1/plans/"+fp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("X-Paraconv-Rebuild", "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lean, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored, _ := st2.Get(fp); resp.StatusCode != http.StatusOK || !bytes.Equal(lean, stored) || !wire.LeanPlanFrame(lean) {
-		t.Fatalf("rebuild-capable lookup = %d; want 200 with the stored lean frame", resp.StatusCode)
-	}
-
-	resp, data := getPlans(t, ts2.URL, fp, nil)
-	if resp.StatusCode != http.StatusNotFound || decodeError(t, data).Kind != "not_found" {
-		t.Fatalf("bodiless full-frame lookup = %d %s; want 404 not_found", resp.StatusCode, data)
-	}
-	resp, data = getPlans(t, ts2.URL, fp, fill)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("full-frame lookup with a fill body = %d %s", resp.StatusCode, data)
-	}
-	if _, err := wire.DecodePlan(data, dag.Limits{}); err != nil {
-		t.Fatalf("full-frame lookup with a fill body: %v", err)
+	for variant, kind := range kinds {
+		resp, data := getPlans(t, ts2.URL, fps[variant], nil)
+		stored, _ := st2.Get(fps[variant])
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(data, stored) {
+			t.Fatalf("%s lookup = %d %s; want 200 with the stored bytes", variant, resp.StatusCode, data)
+		}
+		if data[2] != kind {
+			t.Errorf("%s lookup answered a %q frame, want %q", variant, data[2], kind)
+		}
+		p, err := wire.DecodeFillPlan(data, g, dag.Limits{})
+		if err != nil {
+			t.Fatalf("%s lookup payload: %v", variant, err)
+		}
+		if p.Scheme != variant {
+			t.Errorf("%s lookup decoded scheme %q", variant, p.Scheme)
+		}
 	}
 }
 

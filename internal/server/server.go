@@ -235,10 +235,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// SLOReport evaluates the server's objectives now (what /debug/slo
-// serves, for embedding callers and tests).
-func (s *Server) SLOReport() slo.Report { return s.sloEval.Report() }
-
 // Handler returns the service's HTTP handler (for tests and embedding).
 // Every response names the serving node in X-Paraconv-Node once a
 // cluster is attached, so a client of the sharded fleet can see which

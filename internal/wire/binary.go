@@ -24,10 +24,8 @@ const Version = 1
 
 // Frame kind bytes, one per payload type.
 const (
-	kindRequest    = 'Q'
-	kindPlan       = 'P'
-	kindSimulate   = 'S'
-	kindSelectArch = 'A'
+	kindRequest = 'Q'
+	kindPlan    = 'P'
 )
 
 // ErrNoGraph reports a binary request whose trailing graph frame is
@@ -277,137 +275,6 @@ func DecodePlanResponse(data []byte, r *PlanResponse) error {
 	}
 	if r.CachedEdges, err = d.ints("cached_edges", r.CachedEdges); err != nil {
 		return err
-	}
-	return d.finish()
-}
-
-// AppendSimulateResponse appends the binary encoding of r to dst.
-//
-//paraconv:hotpath
-func AppendSimulateResponse(dst []byte, r *SimulateResponse) []byte {
-	dst = appendHeader(dst, kindSimulate)
-	dst = appendString(dst, r.Scheme)
-	dst = appendString(dst, r.Arch)
-	dst = appendInt(dst, r.Iterations)
-	dst = appendInt(dst, r.Cycles)
-	dst = appendInt(dst, r.TasksExecuted)
-	dst = appendInt(dst, r.CacheReads)
-	dst = appendInt(dst, r.EDRAMReads)
-	dst = binary.AppendVarint(dst, r.CacheBytes)
-	dst = binary.AppendVarint(dst, r.EDRAMBytes)
-	dst = appendFloat(dst, r.EnergyPJ)
-	dst = appendFloat(dst, r.Utilization)
-	dst = appendFloat(dst, r.OffChipFetchRatio)
-	return appendInt(dst, r.PeakCacheLoad)
-}
-
-// DecodeSimulateResponse parses a binary simulate frame into r.
-func DecodeSimulateResponse(data []byte, r *SimulateResponse) error {
-	d, err := newDecoder(data, kindSimulate)
-	if err != nil {
-		return err
-	}
-	*r = SimulateResponse{}
-	if r.Scheme, err = d.str("scheme"); err != nil {
-		return err
-	}
-	if r.Arch, err = d.str("arch"); err != nil {
-		return err
-	}
-	for _, f := range []struct {
-		what string
-		dst  *int
-	}{
-		{"iterations", &r.Iterations}, {"cycles", &r.Cycles},
-		{"tasks_executed", &r.TasksExecuted}, {"cache_reads", &r.CacheReads},
-		{"edram_reads", &r.EDRAMReads},
-	} {
-		if *f.dst, err = d.integer(f.what); err != nil {
-			return err
-		}
-	}
-	if r.CacheBytes, err = d.varint("cache_bytes"); err != nil {
-		return err
-	}
-	if r.EDRAMBytes, err = d.varint("edram_bytes"); err != nil {
-		return err
-	}
-	if r.EnergyPJ, err = d.float("energy_pj"); err != nil {
-		return err
-	}
-	if r.Utilization, err = d.float("utilization"); err != nil {
-		return err
-	}
-	if r.OffChipFetchRatio, err = d.float("offchip_fetch_ratio"); err != nil {
-		return err
-	}
-	if r.PeakCacheLoad, err = d.integer("peak_cache_load"); err != nil {
-		return err
-	}
-	return d.finish()
-}
-
-func appendArchResult(dst []byte, r *ArchResult) []byte {
-	dst = appendString(dst, r.Arch)
-	dst = appendInt(dst, r.PEs)
-	dst = appendInt(dst, r.Period)
-	dst = appendInt(dst, r.PrologueTime)
-	return appendInt(dst, r.TotalTime)
-}
-
-func (d *decoder) archResult(r *ArchResult) error {
-	var err error
-	if r.Arch, err = d.str("arch"); err != nil {
-		return err
-	}
-	for _, f := range []struct {
-		what string
-		dst  *int
-	}{
-		{"pes", &r.PEs}, {"period", &r.Period},
-		{"prologue_time", &r.PrologueTime}, {"total_time", &r.TotalTime},
-	} {
-		if *f.dst, err = d.integer(f.what); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AppendSelectArchResponse appends the binary encoding of r to dst.
-//
-//paraconv:hotpath
-func AppendSelectArchResponse(dst []byte, r *SelectArchResponse) []byte {
-	dst = appendHeader(dst, kindSelectArch)
-	dst = appendArchResult(dst, &r.Best)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Ranking)))
-	for i := range r.Ranking {
-		dst = appendArchResult(dst, &r.Ranking[i])
-	}
-	return dst
-}
-
-// DecodeSelectArchResponse parses a binary selectarch frame into r,
-// reusing its Ranking capacity.
-func DecodeSelectArchResponse(data []byte, r *SelectArchResponse) error {
-	d, err := newDecoder(data, kindSelectArch)
-	if err != nil {
-		return err
-	}
-	*r = SelectArchResponse{Ranking: r.Ranking[:0]}
-	if err := d.archResult(&r.Best); err != nil {
-		return err
-	}
-	n, err := d.length("ranking")
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		var entry ArchResult
-		if err := d.archResult(&entry); err != nil {
-			return err
-		}
-		r.Ranking = append(r.Ranking, entry)
 	}
 	return d.finish()
 }

@@ -122,7 +122,7 @@ func AppendPlan(dst []byte, p *sched.Plan) []byte {
 
 // AppendLeanPlan appends the kernel-free encoding of p to dst.  Only
 // para-conv plans are lean-framable (their kernel is derivable from
-// the problem graph); callers gate on p.Scheme.
+// the problem graph); AppendAtRest gates on p.Scheme.
 //
 //paraconv:hotpath
 func AppendLeanPlan(dst []byte, p *sched.Plan) []byte {
@@ -131,10 +131,22 @@ func AppendLeanPlan(dst []byte, p *sched.Plan) []byte {
 	return appendPlanBody(dst, p)
 }
 
-// LeanPlanFrame reports whether data is a lean (kernel-free) plan
-// frame, so fill clients can pick the matching decoder without
+// AppendAtRest appends the frame p is kept in outside memory — the
+// memory entry's copy, the store payload and every fill answer: lean
+// for para-conv plans, whose every reader holds the problem graph, and
+// the self-contained stored-plan frame for the baselines, whose kernel
+// is not derivable.  DecodeFillPlan reads either.
+func AppendAtRest(dst []byte, p *sched.Plan) []byte {
+	if p.Scheme == SchemeParaCONV {
+		return AppendLeanPlan(dst, p)
+	}
+	return AppendPlan(dst, p)
+}
+
+// leanPlanFrame reports whether data is a lean (kernel-free) plan
+// frame, so DecodeFillPlan can pick the matching decoder without
 // committing to a parse.
-func LeanPlanFrame(data []byte) bool {
+func leanPlanFrame(data []byte) bool {
 	return len(data) >= 4 && data[0] == 'P' && data[1] == 'C' && data[2] == kindLeanPlan
 }
 
@@ -312,7 +324,7 @@ func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
 // under lim — the one decoder for every plan read from the store or a
 // peer.
 func DecodeFillPlan(data []byte, g *dag.Graph, lim dag.Limits) (*sched.Plan, error) {
-	if LeanPlanFrame(data) {
+	if leanPlanFrame(data) {
 		return DecodeLeanPlan(data, g)
 	}
 	return DecodePlan(data, lim)

@@ -132,7 +132,7 @@ func checkPlanFrames(t *testing.T, g *dag.Graph, frame []byte) {
 	}
 
 	want, reencode := errFull, func(p *sched.Plan) []byte { return AppendPlan(nil, p) }
-	if LeanPlanFrame(frame) {
+	if leanPlanFrame(frame) {
 		want, reencode = errLean, func(p *sched.Plan) []byte { return AppendLeanPlan(nil, p) }
 	}
 	if (errFill == nil) != (want == nil) || (errFill != nil && errFill.Error() != want.Error()) {

@@ -196,8 +196,13 @@ func TestLeanPlanRoundTrip(t *testing.T) {
 	if len(frame) >= len(full) {
 		t.Errorf("lean frame is %d bytes, full frame %d — stripping the kernel saved nothing", len(frame), len(full))
 	}
-	if !LeanPlanFrame(frame) || LeanPlanFrame(full) {
-		t.Error("LeanPlanFrame misclassifies the framings")
+	if !leanPlanFrame(frame) || leanPlanFrame(full) {
+		t.Error("leanPlanFrame misclassifies the framings")
+	}
+	baseline := *plan
+	baseline.Scheme = "sparta"
+	if !bytes.Equal(AppendAtRest(nil, plan), frame) || !bytes.Equal(AppendAtRest(nil, &baseline), AppendPlan(nil, &baseline)) {
+		t.Error("AppendAtRest does not rest para-conv lean and a baseline self-contained")
 	}
 	got, err := DecodeLeanPlan(frame, g)
 	if err != nil {

@@ -147,39 +147,6 @@ func TestPlanResponseEmptySlicesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSimulateResponseRoundTrip(t *testing.T) {
-	r := SimulateResponse{
-		Scheme: "sparta", Arch: "hmc2", Iterations: 100, Cycles: 9999,
-		TasksExecuted: 700, CacheReads: 55, EDRAMReads: 12,
-		CacheBytes: 1 << 40, EDRAMBytes: -3, EnergyPJ: 123.5,
-		Utilization: 0.75, OffChipFetchRatio: 0.125, PeakCacheLoad: 31,
-	}
-	var got SimulateResponse
-	if err := DecodeSimulateResponse(AppendSimulateResponse(nil, &r), &got); err != nil {
-		t.Fatalf("DecodeSimulateResponse: %v", err)
-	}
-	if !reflect.DeepEqual(got, r) {
-		t.Errorf("simulate round trip:\n got %+v\nwant %+v", got, r)
-	}
-}
-
-func TestSelectArchResponseRoundTrip(t *testing.T) {
-	r := SelectArchResponse{
-		Best: ArchResult{Arch: "neurocube", PEs: 64, Period: 9, PrologueTime: 18, TotalTime: 900},
-		Ranking: []ArchResult{
-			{Arch: "neurocube", PEs: 64, Period: 9, PrologueTime: 18, TotalTime: 900},
-			{Arch: "edge", PEs: 64, Period: 21, PrologueTime: 42, TotalTime: 2100},
-		},
-	}
-	var got SelectArchResponse
-	if err := DecodeSelectArchResponse(AppendSelectArchResponse(nil, &r), &got); err != nil {
-		t.Fatalf("DecodeSelectArchResponse: %v", err)
-	}
-	if !reflect.DeepEqual(got, r) {
-		t.Errorf("selectarch round trip:\n got %+v\nwant %+v", got, r)
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	plan := AppendPlanResponse(nil, &PlanResponse{Scheme: "x", Arch: "y"})
 	tests := []struct {
@@ -189,7 +156,7 @@ func TestDecodeErrors(t *testing.T) {
 	}{
 		{"short input", func() error { return DecodePlanResponse([]byte{'P'}, &PlanResponse{}) }, "shorter than"},
 		{"bad magic", func() error { return DecodePlanResponse([]byte{'X', 'C', 'P', 1}, &PlanResponse{}) }, "bad magic"},
-		{"wrong kind", func() error { return DecodeSimulateResponse(plan, &SimulateResponse{}) }, "frame kind"},
+		{"wrong kind", func() error { return DecodePlanResponse([]byte{'P', 'C', kindRequest, 1}, &PlanResponse{}) }, "frame kind"},
 		{"future version", func() error {
 			b := append([]byte(nil), plan...)
 			b[3] = 9
@@ -225,8 +192,6 @@ func TestDecodeNeverPanics(t *testing.T) {
 	frames := [][]byte{
 		AppendRequest(nil, &Request{Arch: "a", Archs: []string{"b"}, PEs: 4}, testGraph(t)),
 		AppendPlanResponse(nil, &PlanResponse{Scheme: "s", VertexRetiming: []int{1, 2}}),
-		AppendSimulateResponse(nil, &SimulateResponse{Scheme: "s"}),
-		AppendSelectArchResponse(nil, &SelectArchResponse{Ranking: []ArchResult{{Arch: "a"}}}),
 	}
 	for fi, frame := range frames {
 		for i := 0; i <= len(frame); i++ {
@@ -240,8 +205,6 @@ func TestDecodeNeverPanics(t *testing.T) {
 				var req Request
 				_, _ = DecodeRequest(in, &req, dag.Limits{})
 				_ = DecodePlanResponse(in, &PlanResponse{})
-				_ = DecodeSimulateResponse(in, &SimulateResponse{})
-				_ = DecodeSelectArchResponse(in, &SelectArchResponse{})
 			}()
 		}
 	}
@@ -257,14 +220,10 @@ func TestAppendZeroAlloc(t *testing.T) {
 	g := testGraph(t)
 	req := Request{Arch: "neurocube", PEs: 16, Iterations: 100}
 	plan := PlanResponse{Scheme: "para-conv", VertexRetiming: []int{1, 2, 3}, CachedEdges: []int{0}}
-	sim := SimulateResponse{Scheme: "para-conv", EnergyPJ: 1.5}
-	sel := SelectArchResponse{Best: ArchResult{Arch: "edge"}, Ranking: []ArchResult{{Arch: "edge"}}}
 	buf := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(200, func() {
 		buf = AppendRequest(buf[:0], &req, g)
 		buf = AppendPlanResponse(buf[:0], &plan)
-		buf = AppendSimulateResponse(buf[:0], &sim)
-		buf = AppendSelectArchResponse(buf[:0], &sel)
 	})
 	if allocs > 0 {
 		t.Errorf("Append* allocate %.1f times per run, want 0", allocs)
