@@ -259,6 +259,17 @@ func CaseHistogram(classes []EdgeClass) map[Case]int {
 // dag.EdgeID.
 type Assignment []pim.Placement
 
+// TransferTime is the one placement→transfer rule every scheduler and
+// simulator applies: an IPR placed in on-chip cache moves in
+// e.CacheTime, any other placement pays the eDRAM round trip
+// e.EDRAMTime.
+func TransferTime(e *dag.Edge, p pim.Placement) int {
+	if p == pim.InCache {
+		return e.CacheTime
+	}
+	return e.EDRAMTime
+}
+
 // AllEDRAM returns the assignment that places every IPR in eDRAM —
 // the no-cache baseline.
 func AllEDRAM(n int) Assignment {

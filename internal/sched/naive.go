@@ -22,13 +22,7 @@ func NaiveCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sched: naive: %w", err)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: naive: %w", err)
-	}
-	if g.NumNodes() == 0 {
-		return nil, fmt.Errorf("sched: naive: empty graph %q", g.Name())
-	}
-	if err := g.Validate(); err != nil {
+	if err := checkProblem("naive", g, cfg); err != nil {
 		return nil, err
 	}
 	order, err := g.TopoSort()

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/dag"
-	"repro/internal/pim"
 	"repro/internal/retime"
 )
 
@@ -46,9 +45,6 @@ func (p PackPolicy) String() string {
 
 // ObjectiveWithPolicy is Objective with an explicit packing policy.
 func ObjectiveWithPolicy(g *dag.Graph, numPEs int, policy PackPolicy) (IterationSchedule, error) {
-	if policy == PackTopo {
-		return Objective(g, numPEs) // runs the same checks itself
-	}
 	if numPEs < 1 {
 		return IterationSchedule{}, fmt.Errorf("sched: %d PEs; want >= 1", numPEs)
 	}
@@ -59,19 +55,28 @@ func ObjectiveWithPolicy(g *dag.Graph, numPEs int, policy PackPolicy) (Iteration
 		return IterationSchedule{}, err
 	}
 	switch policy {
+	case PackTopo:
+		// A fresh scratch: the caller keeps the schedule's slices.
+		iter, err := buildObjective(new(planScratch), g, numPEs, periodFloor(g))
+		if err != nil {
+			return IterationSchedule{}, fmt.Errorf("sched: objective: %w", err)
+		}
+		return iter, nil
 	case PackLPT:
 		order := make([]dag.NodeID, g.NumNodes())
 		for i := range order {
 			order[i] = dag.NodeID(i)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ea, eb := g.Node(order[a]).Exec, g.Node(order[b]).Exec
-			if ea != eb {
-				return ea > eb
-			}
-			return order[a] < order[b]
-		})
-		return packOrder(g, numPEs, order), nil
+		sortLPT(g, order)
+		tasks := make([]Task, g.NumNodes())
+		period := packObjective(g, order, numPEs, tasks, make([]int, numPEs), periodFloor(g))
+		return IterationSchedule{
+			Graph:      g,
+			PEs:        numPEs,
+			Period:     period,
+			Tasks:      tasks,
+			Assignment: retime.AllEDRAM(g.NumEdges()),
+		}, nil
 	case PackLevel:
 		return packLevels(g, numPEs)
 	default:
@@ -79,84 +84,41 @@ func ObjectiveWithPolicy(g *dag.Graph, numPEs int, policy PackPolicy) (Iteration
 	}
 }
 
-// packOrder places vertices in the given order onto the least loaded
-// PE, back to back.
-func packOrder(g *dag.Graph, numPEs int, order []dag.NodeID) IterationSchedule {
-	loads := make([]int, numPEs)
-	tasks := make([]Task, g.NumNodes())
-	for _, v := range order {
-		pe := 0
-		for i := 1; i < numPEs; i++ {
-			if loads[i] < loads[pe] {
-				pe = i
-			}
+// sortLPT orders vertices longest execution time first, ties by ID.
+func sortLPT(g *dag.Graph, order []dag.NodeID) {
+	sort.Slice(order, func(a, b int) bool {
+		ea, eb := g.Node(order[a]).Exec, g.Node(order[b]).Exec
+		if ea != eb {
+			return ea > eb
 		}
-		exec := g.Node(v).Exec
-		tasks[v] = Task{Node: v, PE: pim.PEID(pe), Start: loads[pe], Finish: loads[pe] + exec}
-		loads[pe] += exec
-	}
-	period := 0
-	for _, l := range loads {
-		if l > period {
-			period = l
-		}
-	}
-	if floor := periodFloor(g); floor > period {
-		period = floor
-	}
-	return IterationSchedule{
-		Graph:      g,
-		PEs:        numPEs,
-		Period:     period,
-		Tasks:      tasks,
-		Assignment: retime.AllEDRAM(g.NumEdges()),
-	}
+		return order[a] < order[b]
+	})
 }
 
-// packLevels schedules each ASAP level as a synchronized block.
+// packLevels schedules each ASAP level as a synchronized block: the
+// level is packed longest-first for balance, and its block starts once
+// the previous level's has finished.
 func packLevels(g *dag.Graph, numPEs int) (IterationSchedule, error) {
 	levels, err := g.Levels()
 	if err != nil {
 		return IterationSchedule{}, err
 	}
 	tasks := make([]Task, g.NumNodes())
+	loads := make([]int, numPEs)
 	t := 0
 	for _, level := range levels {
-		// LPT within the level for balance.
-		order := append([]dag.NodeID(nil), level...)
-		sort.Slice(order, func(a, b int) bool {
-			ea, eb := g.Node(order[a]).Exec, g.Node(order[b]).Exec
-			if ea != eb {
-				return ea > eb
-			}
-			return order[a] < order[b]
-		})
-		loads := make([]int, numPEs)
-		blockLen := 0
-		for _, v := range order {
-			pe := 0
-			for i := 1; i < numPEs; i++ {
-				if loads[i] < loads[pe] {
-					pe = i
-				}
-			}
-			exec := g.Node(v).Exec
-			tasks[v] = Task{Node: v, PE: pim.PEID(pe), Start: t + loads[pe], Finish: t + loads[pe] + exec}
-			loads[pe] += exec
-			if loads[pe] > blockLen {
-				blockLen = loads[pe]
-			}
+		sortLPT(g, level)
+		blockLen := packObjective(g, level, numPEs, tasks, loads, 0)
+		for _, v := range level {
+			tasks[v].Start += t
+			tasks[v].Finish += t
 		}
 		t += blockLen
-	}
-	period := t
-	if floor := periodFloor(g); floor > period {
-		period = floor
 	}
 	return IterationSchedule{
 		Graph:      g,
 		PEs:        numPEs,
-		Period:     period,
+		Period:     max(t, periodFloor(g)),
 		Tasks:      tasks,
 		Assignment: retime.AllEDRAM(g.NumEdges()),
 	}, nil

@@ -98,45 +98,49 @@ func periodFloor(g *dag.Graph) int {
 // packing makespan, raised to the period floor so Theorem 3.1's
 // precondition holds with usable transfer windows.
 func Objective(g *dag.Graph, numPEs int) (IterationSchedule, error) {
-	if numPEs < 1 {
-		return IterationSchedule{}, fmt.Errorf("sched: %d PEs; want >= 1", numPEs)
-	}
-	if g.NumNodes() == 0 {
-		return IterationSchedule{}, fmt.Errorf("sched: empty graph %q", g.Name())
-	}
-	if err := g.Validate(); err != nil {
-		return IterationSchedule{}, err
-	}
+	return ObjectiveWithPolicy(g, numPEs, PackTopo)
+}
 
-	order, err := g.TopoSort()
+// buildObjective is the one objective builder behind Objective and
+// paraCONVKernel: the topological order, the greedy packing onto
+// numPEs PEs (its period raised to floor, g's periodFloor) and the
+// all-eDRAM assignment, all written into sc, then the invariant
+// check.  g must already be valid.
+//
+//paraconv:hotpath
+func buildObjective(sc *planScratch, g *dag.Graph, numPEs, floor int) (IterationSchedule, error) {
+	order, err := g.TopoSortInto(sc.order)
+	sc.order = order
 	if err != nil {
 		return IterationSchedule{}, err
 	}
-
-	loads := make([]int, numPEs)
-	tasks := make([]Task, g.NumNodes())
-	period := packObjective(g, order, numPEs, tasks, loads)
-	iter := IterationSchedule{
-		Graph:      g,
-		PEs:        numPEs,
-		Period:     period,
-		Tasks:      tasks,
-		Assignment: retime.AllEDRAM(g.NumEdges()),
+	n := g.NumNodes()
+	sc.loads = ints(sc.loads, numPEs)
+	if cap(sc.tasks) < n {
+		sc.tasks = make([]Task, n)
 	}
+	tasks := sc.tasks[:n]
+	period := packObjective(g, order, numPEs, tasks, sc.loads, floor)
+	if cap(sc.assign) < g.NumEdges() {
+		sc.assign = make(retime.Assignment, g.NumEdges())
+	}
+	assign := sc.assign[:g.NumEdges()]
+	for i := range assign {
+		assign[i] = pim.InEDRAM
+	}
+	iter := IterationSchedule{Graph: g, PEs: numPEs, Period: period, Tasks: tasks, Assignment: assign}
 	if err := checkSchedule(&iter, 0, 0); err != nil {
-		return IterationSchedule{}, fmt.Errorf("sched: objective: %w", err)
+		return IterationSchedule{}, err
 	}
 	return iter, nil
 }
 
 // packObjective fills tasks (len |V|) and loads (len numPEs, used as
-// scratch) with the greedy topological packing and returns the
-// resulting period, already raised to the period floor.  It is the
-// allocation-free core shared by Objective and the pooled kernel
-// path.
+// scratch) by placing the vertices in order onto the least loaded PE,
+// back to back, and returns the resulting period, raised to floor.
 //
 //paraconv:hotpath
-func packObjective(g *dag.Graph, order []dag.NodeID, numPEs int, tasks []Task, loads []int) int {
+func packObjective(g *dag.Graph, order []dag.NodeID, numPEs int, tasks []Task, loads []int, floor int) int {
 	clear(loads)
 	for _, v := range order {
 		pe := 0
@@ -149,14 +153,11 @@ func packObjective(g *dag.Graph, order []dag.NodeID, numPEs int, tasks []Task, l
 		tasks[v] = Task{Node: v, PE: pim.PEID(pe), Start: loads[pe], Finish: loads[pe] + exec}
 		loads[pe] += exec
 	}
-	period := 0
+	period := floor
 	for _, l := range loads {
 		if l > period {
 			period = l
 		}
-	}
-	if floor := periodFloor(g); floor > period {
-		period = floor
 	}
 	return period
 }
@@ -194,14 +195,13 @@ func packedMakespan(execs []int, numPEs int, loads []int) int {
 // (fewer groups mean less filter-weight duplication and, for graphs
 // that already fill the array, U = 1: the paper's single-kernel
 // configuration).
-func chooseGroups(ctx context.Context, sc *planScratch, g *dag.Graph, numPEs int) (int, error) {
+func chooseGroups(ctx context.Context, sc *planScratch, g *dag.Graph, numPEs, floor int) (int, error) {
 	sc.execs = ints(sc.execs, g.NumNodes())
 	execs := sc.execs
 	for i := range g.Nodes() {
 		execs[i] = g.Nodes()[i].Exec
 	}
 	slices.SortFunc(execs, func(a, b int) int { return b - a })
-	floor := periodFloor(g)
 
 	sc.loads = ints(sc.loads, numPEs)
 	cands := sc.cands[:0]
@@ -242,24 +242,19 @@ func chooseGroups(ctx context.Context, sc *planScratch, g *dag.Graph, numPEs int
 // allocation and the retiming stages check ctx at iteration boundaries
 // and return its error cleanly when cancelled mid-solve.
 func ParaCONVCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: para-conv: %w", err)
-	}
-	if g.NumNodes() == 0 {
-		return nil, fmt.Errorf("sched: para-conv: empty graph %q", g.Name())
-	}
-	if err := g.Validate(); err != nil {
+	if err := checkProblem("para-conv", g, cfg); err != nil {
 		return nil, err
 	}
 	sc := planPool.Get().(*planScratch)
 	defer planPool.Put(sc)
+	floor := periodFloor(g)
 	groupSpan := span.Start(ctx, "sched.groups")
-	groups, err := chooseGroups(ctx, sc, g, cfg.NumPEs)
+	groups, err := chooseGroups(ctx, sc, g, cfg.NumPEs, floor)
 	groupSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	return paraCONVKernel(ctx, sc, g, cfg, groups)
+	return paraCONVKernel(ctx, sc, g, cfg, groups, floor)
 }
 
 // ParaCONVSingleCtx runs Para-CONV with a single group spanning the
@@ -267,18 +262,25 @@ func ParaCONVCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, erro
 // configuration the paper's motivational example uses.  Ablation
 // benches compare it against the adaptive ParaCONVCtx.
 func ParaCONVSingleCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: para-conv: %w", err)
-	}
-	if g.NumNodes() == 0 {
-		return nil, fmt.Errorf("sched: para-conv: empty graph %q", g.Name())
-	}
-	if err := g.Validate(); err != nil {
+	if err := checkProblem("para-conv", g, cfg); err != nil {
 		return nil, err
 	}
 	sc := planPool.Get().(*planScratch)
 	defer planPool.Put(sc)
-	return paraCONVKernel(ctx, sc, g, cfg, 1)
+	return paraCONVKernel(ctx, sc, g, cfg, 1, periodFloor(g))
+}
+
+// checkProblem is the argument check every planner entry point
+// shares: a valid configuration and a non-empty, valid graph.  scheme
+// names the planner in the error.
+func checkProblem(scheme string, g *dag.Graph, cfg pim.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("sched: %s: %w", scheme, err)
+	}
+	if g.NumNodes() == 0 {
+		return fmt.Errorf("sched: %s: empty graph %q", scheme, g.Name())
+	}
+	return g.Validate()
 }
 
 // ParaCONVGivenScheduleCtx runs Para-CONV's allocation stage against
@@ -379,39 +381,19 @@ func (sc *planScratch) retained() retime.Result {
 // returned *Plan retains) are allocated.
 //
 //paraconv:hotpath
-func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.Config, groups int) (*Plan, error) {
+func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.Config, groups, floor int) (*Plan, error) {
 	if groups < 1 || cfg.NumPEs%groups != 0 {
 		return nil, fmt.Errorf("sched: para-conv: %d groups does not divide %d PEs", groups, cfg.NumPEs)
 	}
 	groupPEs := cfg.NumPEs / groups
 
-	// Objective schedule on the group (the pooled form of Objective;
-	// the callers have already validated g and cfg).
 	objSpan := span.Start(ctx, "sched.objective")
-	n := g.NumNodes()
-	order, err := g.TopoSortInto(sc.order)
-	sc.order = order
+	iter, err := buildObjective(sc, g, groupPEs, floor)
+	objSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("sched: para-conv objective: %w", err)
 	}
-	sc.loads = ints(sc.loads, cfg.NumPEs)
-	if cap(sc.tasks) < n {
-		sc.tasks = make([]Task, n)
-	}
-	tasks := sc.tasks[:n]
-	period := packObjective(g, order, groupPEs, tasks, sc.loads[:groupPEs])
-	if cap(sc.assign) < g.NumEdges() {
-		sc.assign = make(retime.Assignment, g.NumEdges())
-	}
-	objAssign := sc.assign[:g.NumEdges()]
-	for i := range objAssign {
-		objAssign[i] = pim.InEDRAM
-	}
-	iter := IterationSchedule{Graph: g, PEs: groupPEs, Period: period, Tasks: tasks, Assignment: objAssign}
-	objSpan.End()
-	if err := checkSchedule(&iter, 0, 0); err != nil {
-		return nil, fmt.Errorf("sched: para-conv objective: %w", fmt.Errorf("sched: objective: %w", err))
-	}
+	tasks, n := iter.Tasks, g.NumNodes()
 
 	// Timing straight out of the packed tasks (tasks[v].Node == v).
 	sc.start = ints(sc.start, n)
@@ -420,9 +402,9 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 		sc.start[v] = tasks[v].Start
 		sc.finish[v] = tasks[v].Finish
 	}
-	tm := retime.Timing{Start: sc.start[:n], Finish: sc.finish[:n], Period: period}
+	tm := retime.Timing{Start: sc.start[:n], Finish: sc.finish[:n], Period: iter.Period}
 
-	if err := allocate(ctx, sc, g, tm, groupPEs*cfg.CacheUnitsPerPE, order); err != nil {
+	if err := allocate(ctx, sc, g, tm, groupPEs*cfg.CacheUnitsPerPE, sc.order); err != nil {
 		return nil, err
 	}
 
@@ -449,7 +431,7 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 	full := IterationSchedule{
 		Graph:      gu,
 		PEs:        cfg.NumPEs,
-		Period:     period,
+		Period:     iter.Period,
 		Tasks:      fullTasks,
 		Assignment: retime.ExpandAssignment(sc.alloc.Assignment, groups),
 	}

@@ -1,6 +1,7 @@
 // Package sched builds executable schedules for CNN task graphs on the
-// PIM PE array: the Para-CONV software-pipelined schedule (paper §3)
-// and the SPARTA baseline [6] it is evaluated against (§4).
+// PIM PE array: the Para-CONV software-pipelined schedule (paper §3),
+// the SPARTA baseline [6] it is evaluated against (§4), and a naive
+// round-robin floor below both.
 //
 // Para-CONV produces a compact steady-state kernel: vertices are
 // packed onto PEs ignoring intra-iteration dependencies (retiming
@@ -8,16 +9,17 @@
 // period close to the rate-optimal bound max(⌈Σc_i/P⌉, max c_i).  The
 // price is a prologue of R_max iterations that pre-executes retimed
 // operations; Para-CONV's DP allocator (internal/core) minimizes that
-// price under the cache capacity.
+// price under the cache capacity.  When one iteration cannot fill the
+// array, the kernel is replicated across equal PE groups, each running
+// its own iterations (Plan.ConcurrentIterations).
 //
 // SPARTA is a throughput-aware runtime task allocator for many-core
 // platforms: it characterizes tasks from sensor observations (here:
 // their measured execution times and traffic volumes), prioritizes
 // them, and list-schedules each iteration respecting all intra-
-// iteration dependencies — no retiming, no software pipelining.  It
-// exploits iteration-level parallelism instead, running independent
-// iterations on disjoint PE groups, with the group size chosen for
-// maximum throughput.
+// iteration dependencies — no retiming, no software pipelining.  One
+// iteration spans the whole array and iterations run back to back, so
+// the iteration interval is the whole makespan.
 package sched
 
 import (
@@ -209,8 +211,8 @@ func (s *IterationSchedule) CheckDependencies() error {
 	for i := range s.Graph.Edges() {
 		e := s.Graph.Edge(dag.EdgeID(i))
 		transfer := e.CacheTime
-		if len(s.Assignment) == s.Graph.NumEdges() && s.Assignment[i] == pim.InEDRAM {
-			transfer = e.EDRAMTime
+		if len(s.Assignment) == s.Graph.NumEdges() {
+			transfer = retime.TransferTime(e, s.Assignment[i])
 		}
 		ready := s.Tasks[e.From].Finish + transfer
 		if s.Tasks[e.To].Start < ready {
@@ -248,18 +250,19 @@ func (s *IterationSchedule) Utilization() float64 {
 // retiming cost.
 type Plan struct {
 	// Scheme names the scheduler that produced the plan
-	// ("para-conv" or "sparta").
+	// ("para-conv", "sparta" or "naive").
 	Scheme string
 	// Iter is the schedule of a single iteration.
 	Iter IterationSchedule
-	// ConcurrentIterations is the number of independent iterations in
-	// flight (SPARTA's PE-group replication; 1 for Para-CONV, whose
-	// parallelism lives inside the kernel).
+	// ConcurrentIterations is the number of independent iterations one
+	// period completes: the PE groups a Para-CONV kernel is replicated
+	// across; 1 for SPARTA and naive, whose iterations run back to
+	// back.
 	ConcurrentIterations int
-	// RMax is the maximum retiming value (0 for SPARTA).
+	// RMax is the maximum retiming value (0 for SPARTA and naive).
 	RMax int
 	// Retiming carries the per-vertex retiming result expanded to the
-	// kernel graph Iter.Graph (zero value for SPARTA).
+	// kernel graph Iter.Graph (zero value for SPARTA and naive).
 	Retiming retime.Result
 	// LogicalRetiming is the retiming result on the original
 	// (un-unrolled) application graph for Para-CONV plans.
@@ -273,12 +276,13 @@ type Plan struct {
 }
 
 // PrologueTime returns the preprocessing time R_max x p before the
-// steady-state kernel (0 for SPARTA).
+// steady-state kernel (0 for SPARTA and naive).
 func (p *Plan) PrologueTime() int { return p.RMax * p.Iter.Period }
 
 // TotalTime returns the end-to-end execution time of `iterations`
-// iterations of the application: prologue plus steady-state, with
-// concurrent iteration groups amortizing SPARTA's makespan.
+// iterations of the application: prologue plus steady state, each
+// period completing ConcurrentIterations iterations (a replicated
+// Para-CONV kernel's groups).
 func (p *Plan) TotalTime(iterations int) int {
 	if iterations <= 0 {
 		return 0

@@ -26,13 +26,7 @@ import (
 // checks ctx at task-placement boundaries and returns its error when
 // cancelled.
 func SPARTACtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: sparta: %w", err)
-	}
-	if g.NumNodes() == 0 {
-		return nil, fmt.Errorf("sched: sparta: empty graph %q", g.Name())
-	}
-	if err := g.Validate(); err != nil {
+	if err := checkProblem("sparta", g, cfg); err != nil {
 		return nil, err
 	}
 	assignment := greedyCache(g, cfg.TotalCacheUnits())
@@ -105,13 +99,7 @@ func listSchedule(ctx context.Context, g *dag.Graph, pes int, assignment retime.
 		return IterationSchedule{}, fmt.Errorf("sched: %d PEs; want >= 1", pes)
 	}
 	n := g.NumNodes()
-	transfer := func(eid dag.EdgeID) int {
-		e := g.Edge(eid)
-		if assignment[eid] == pim.InCache {
-			return e.CacheTime
-		}
-		return e.EDRAMTime
-	}
+	transfer := func(eid dag.EdgeID) int { return retime.TransferTime(g.Edge(eid), assignment[eid]) }
 
 	// Upward rank: longest path from each vertex to any sink, counting
 	// execution and transfer times — the task characterization signal.

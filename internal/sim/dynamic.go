@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/pim"
@@ -32,10 +33,86 @@ func (s DynamicStats) Utilization(numPEs int) float64 {
 	return float64(s.BusyPE) / float64(s.Makespan*numPEs)
 }
 
-// dynEvent is a completion event in the dynamic executor.
+// QueueStats reports an arrival-driven execution: inference requests
+// arrive every `interval` time units and queue until the window
+// admits them; the latency of a request is completion minus arrival.
+type QueueStats struct {
+	Iterations int
+	Interval   int
+	// MeanLatency, P95Latency and MaxLatency summarize request
+	// latencies in time units.
+	MeanLatency float64
+	P95Latency  int
+	MaxLatency  int
+	// Makespan is the completion time of the last request.
+	Makespan int
+}
+
+// Dynamic executes the application as a self-timed dataflow machine:
+// no static schedule, no retiming — any task instance whose operands
+// have arrived is dispatched to the first free PE, with up to `window`
+// application iterations in flight at once.  This is the execution
+// model a fully dynamic PIM runtime would implement; its throughput
+// upper-bounds what a static scheduler can reach under the same IPR
+// placement, at the price of hardware the paper's architecture does
+// not have (global dispatch, per-instance scoreboards).  The ablation
+// benches report how close Para-CONV's static kernel comes to this
+// bound.
+func Dynamic(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, iterations, window int) (DynamicStats, error) {
+	run, err := selfTimed(g, cfg, assignment, 0, iterations, window)
+	if err != nil {
+		return DynamicStats{}, fmt.Errorf("sim: dynamic: %w", err)
+	}
+	return DynamicStats{
+		Makespan:    run.makespan,
+		Iterations:  iterations,
+		Throughput:  float64(iterations) / float64(run.makespan),
+		BusyPE:      run.busy,
+		MaxInFlight: run.maxInFlight,
+	}, nil
+}
+
+// Queueing executes `iterations` requests arriving every `interval`
+// time units under self-timed dataflow dispatch with the given IPR
+// placement and pipelining window, and reports latency statistics.
+// An interval below the sustainable service time makes latencies grow
+// linearly (the queue diverges); above it, latency settles at the
+// pipeline traversal time — the knee locates the system's capacity.
+// At interval 0 every request arrives at once and the run is
+// Dynamic's.
+func Queueing(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, interval, iterations, window int) (QueueStats, error) {
+	run, err := selfTimed(g, cfg, assignment, interval, iterations, window)
+	if err != nil {
+		return QueueStats{}, fmt.Errorf("sim: queueing: %w", err)
+	}
+	sorted := run.latencies
+	slices.Sort(sorted)
+	sum := 0
+	for _, l := range sorted {
+		sum += l
+	}
+	return QueueStats{
+		Iterations:  iterations,
+		Interval:    interval,
+		MeanLatency: float64(sum) / float64(iterations),
+		P95Latency:  sorted[(len(sorted)*95)/100],
+		MaxLatency:  sorted[len(sorted)-1],
+		Makespan:    run.makespan,
+	}, nil
+}
+
+// selfTimedRun is what one self-timed execution records.
+type selfTimedRun struct {
+	makespan    int
+	busy        int   // aggregate PE-busy time
+	maxInFlight int   // peak concurrent iterations
+	latencies   []int // per iteration: completion minus arrival
+}
+
+// dynEvent is a completion event in the self-timed executor.
 type dynEvent struct {
 	time int
-	kind uint8 // 0 = task finished, 1 = transfer arrived
+	kind uint8 // 0 = task finished, 1 = transfer arrived, 2 = arrival tick
 	node dag.NodeID
 	edge dag.EdgeID
 	iter int
@@ -77,57 +154,43 @@ type iterSlot struct {
 	used    bool
 }
 
-// Dynamic executes the application as a self-timed dataflow machine:
-// no static schedule, no retiming — any task instance whose operands
-// have arrived is dispatched to the first free PE, with up to `window`
-// application iterations in flight at once.  This is the execution
-// model a fully dynamic PIM runtime would implement; its throughput
-// upper-bounds what a static scheduler can reach under the same IPR
-// placement, at the price of hardware the paper's architecture does
-// not have (global dispatch, per-instance scoreboards).  The ablation
-// benches report how close Para-CONV's static kernel comes to this
-// bound.
-func Dynamic(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, iterations, window int) (DynamicStats, error) {
+// selfTimed is the one self-timed dataflow executor behind Dynamic
+// and Queueing: iteration k arrives at k*interval (all at time zero
+// for interval 0), is admitted once the window has room, and each of
+// its task instances is dispatched to the first free PE as soon as its
+// operands have arrived.
+func selfTimed(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, interval, iterations, window int) (selfTimedRun, error) {
 	if err := cfg.Validate(); err != nil {
-		return DynamicStats{}, fmt.Errorf("sim: dynamic: %w", err)
+		return selfTimedRun{}, err
 	}
 	if err := g.Validate(); err != nil {
-		return DynamicStats{}, fmt.Errorf("sim: dynamic: %w", err)
+		return selfTimedRun{}, err
 	}
 	if g.NumNodes() == 0 {
-		return DynamicStats{}, fmt.Errorf("sim: dynamic: empty graph")
+		return selfTimedRun{}, fmt.Errorf("empty graph")
 	}
 	if len(assignment) != g.NumEdges() {
-		return DynamicStats{}, fmt.Errorf("sim: dynamic: assignment covers %d/%d edges", len(assignment), g.NumEdges())
+		return selfTimedRun{}, fmt.Errorf("assignment covers %d/%d edges", len(assignment), g.NumEdges())
 	}
-	if iterations < 1 || window < 1 {
-		return DynamicStats{}, fmt.Errorf("sim: dynamic: iterations %d, window %d; want >= 1", iterations, window)
+	if interval < 0 || iterations < 1 || window < 1 {
+		return selfTimedRun{}, fmt.Errorf("interval %d, iterations %d, window %d; want interval >= 0, iterations and window >= 1",
+			interval, iterations, window)
 	}
 
 	n := g.NumNodes()
-	transfer := func(eid dag.EdgeID) int {
-		e := g.Edge(eid)
-		if assignment[eid] == pim.InCache {
-			return e.CacheTime
-		}
-		return e.EDRAMTime
-	}
-
 	slots := make([]iterSlot, window)
 	started, completed := 0, 0
+	run := selfTimedRun{latencies: make([]int, iterations)}
 
 	var events dynHeap
 	var readyQ []dynEvent
 	peFree := make([]int, cfg.NumPEs)
-	busy := 0
-	makespan := 0
-	maxInFlight := 0
 
-	// admit starts iterations while the window has room and the
-	// target slot is reusable; sources of a fresh iteration become
+	// admit starts arrived iterations while the window has room and
+	// the target slot is reusable; sources of a fresh iteration become
 	// ready immediately.
 	admit := func(now int) {
-		for started < iterations && started-completed < window {
+		for started < iterations && started-completed < window && started*interval <= now {
 			slot := &slots[started%window]
 			if slot.used && slot.done < n {
 				break
@@ -141,8 +204,14 @@ func Dynamic(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, iterati
 			}
 			started++
 		}
-		if f := started - completed; f > maxInFlight {
-			maxInFlight = f
+		if f := started - completed; f > run.maxInFlight {
+			run.maxInFlight = f
+		}
+		// Wake up for the next arrival even if nothing else happens.
+		if started < iterations {
+			if next := started * interval; next > now {
+				heap.Push(&events, dynEvent{time: next, kind: 2, iter: started})
+			}
 		}
 	}
 
@@ -163,7 +232,7 @@ func Dynamic(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, iterati
 			ev := readyQ[i]
 			exec := g.Node(ev.node).Exec
 			peFree[pe] = now + exec
-			busy += exec
+			run.busy += exec
 			heap.Push(&events, dynEvent{time: now + exec, kind: 0, node: ev.node, iter: ev.iter})
 			readyQ = append(readyQ[:i], readyQ[i+1:]...)
 		}
@@ -171,10 +240,9 @@ func Dynamic(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, iterati
 
 	admit(0)
 	dispatch(0)
-
 	for completed < iterations {
 		if events.Len() == 0 {
-			return DynamicStats{}, fmt.Errorf("sim: dynamic executor stalled at %d/%d iterations", completed, iterations)
+			return selfTimedRun{}, fmt.Errorf("executor stalled at %d/%d iterations", completed, iterations)
 		}
 		ev := heap.Pop(&events).(dynEvent)
 		now := ev.time
@@ -184,12 +252,13 @@ func Dynamic(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, iterati
 			slot.done++
 			if slot.done == n {
 				completed++
-				if now > makespan {
-					makespan = now
+				run.latencies[ev.iter] = now - ev.iter*interval
+				if now > run.makespan {
+					run.makespan = now
 				}
 			}
 			for _, eid := range g.Out(ev.node) {
-				heap.Push(&events, dynEvent{time: now + transfer(eid), kind: 1, edge: eid, iter: ev.iter})
+				heap.Push(&events, dynEvent{time: now + retime.TransferTime(g.Edge(eid), assignment[eid]), kind: 1, edge: eid, iter: ev.iter})
 			}
 		case 1: // transfer arrived
 			e := g.Edge(ev.edge)
@@ -200,16 +269,10 @@ func Dynamic(g *dag.Graph, cfg pim.Config, assignment retime.Assignment, iterati
 					readyQ = append(readyQ, dynEvent{time: now, node: e.To, iter: ev.iter})
 				}
 			}
+		case 2: // arrival tick — admission handled below
 		}
 		admit(now)
 		dispatch(now)
 	}
-
-	return DynamicStats{
-		Makespan:    makespan,
-		Iterations:  iterations,
-		Throughput:  float64(iterations) / float64(makespan),
-		BusyPE:      busy,
-		MaxInFlight: maxInFlight,
-	}, nil
+	return run, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/obs/span"
 	"repro/internal/pim"
+	"repro/internal/retime"
 	"repro/internal/sched"
 )
 
@@ -118,20 +119,8 @@ func (tr *Trace) BusySpread() int {
 func TraceRunCtx(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, *Trace, error) {
 	sp := span.Start(ctx, "sim.trace_run")
 	defer sp.End()
-	if err := ctx.Err(); err != nil {
-		return Stats{}, nil, fmt.Errorf("sim: %w", err)
-	}
-	if plan == nil {
-		return Stats{}, nil, fmt.Errorf("sim: nil plan")
-	}
-	if err := cfg.Validate(); err != nil {
-		return Stats{}, nil, fmt.Errorf("sim: %w", err)
-	}
-	if iterations < 1 {
-		return Stats{}, nil, fmt.Errorf("sim: %d iterations; want >= 1", iterations)
-	}
-	if err := plan.Iter.Validate(); err != nil {
-		return Stats{}, nil, fmt.Errorf("sim: invalid iteration schedule: %w", err)
+	if err := checkRun(ctx, plan, cfg, iterations); err != nil {
+		return Stats{}, nil, err
 	}
 	if err := checkCacheCapacity(plan, cfg); err != nil {
 		return Stats{}, nil, err
@@ -177,10 +166,7 @@ func traceSequential(ctx context.Context, plan *sched.Plan, cfg pim.Config, iter
 		for i := range g.Edges() {
 			e := g.Edge(dag.EdgeID(i))
 			place := plan.Iter.Assignment[i]
-			dur := e.CacheTime
-			if place == pim.InEDRAM {
-				dur = e.EDRAMTime
-			}
+			dur := retime.TransferTime(e, place)
 			start := base + plan.Iter.Tasks[e.From].Finish
 			tr.Events = append(tr.Events,
 				Event{Time: start, Kind: EvTransferStart, Edge: e.ID, Iter: it, Place: place},
@@ -258,10 +244,7 @@ func tracePipelined(ctx context.Context, plan *sched.Plan, cfg pim.Config, itera
 		}
 		e := g.Edge(dag.EdgeID(i))
 		place := plan.Iter.Assignment[i]
-		dur := e.CacheTime
-		if place == pim.InEDRAM {
-			dur = e.EDRAMTime
-		}
+		dur := retime.TransferTime(e, place)
 		gap := r.R[e.From] - r.R[e.To]
 		if gap < 0 {
 			return Stats{}, nil, fmt.Errorf("sim: edge %d->%d has negative retiming gap", e.From, e.To)

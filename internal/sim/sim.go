@@ -16,7 +16,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/dag"
@@ -89,20 +88,8 @@ func (s Stats) OffChipFetchRatio() float64 {
 func RunCtx(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, error) {
 	sp := span.Start(ctx, "sim.run")
 	defer sp.End()
-	if err := ctx.Err(); err != nil {
-		return Stats{}, fmt.Errorf("sim: %w", err)
-	}
-	if plan == nil {
-		return Stats{}, errors.New("sim: nil plan")
-	}
-	if err := cfg.Validate(); err != nil {
-		return Stats{}, fmt.Errorf("sim: %w", err)
-	}
-	if iterations < 1 {
-		return Stats{}, fmt.Errorf("sim: %d iterations; want >= 1", iterations)
-	}
-	if err := plan.Iter.Validate(); err != nil {
-		return Stats{}, fmt.Errorf("sim: invalid iteration schedule: %w", err)
+	if err := checkRun(ctx, plan, cfg, iterations); err != nil {
+		return Stats{}, err
 	}
 	switch plan.Scheme {
 	case "para-conv":
@@ -115,6 +102,30 @@ func RunCtx(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations in
 	default:
 		return Stats{}, fmt.Errorf("sim: unknown scheme %q", plan.Scheme)
 	}
+}
+
+// checkRun is the argument check RunCtx and TraceRunCtx share: a live
+// context, a plan, a valid configuration, at least one iteration and a
+// structurally sound iteration schedule.
+//
+//paraconv:hotpath
+func checkRun(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if plan == nil {
+		return fmt.Errorf("sim: nil plan")
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if iterations < 1 {
+		return fmt.Errorf("sim: %d iterations; want >= 1", iterations)
+	}
+	if err := plan.Iter.Validate(); err != nil {
+		return fmt.Errorf("sim: invalid iteration schedule: %w", err)
+	}
+	return nil
 }
 
 // runSequential executes iterations back-to-back: iteration k occupies
@@ -173,10 +184,7 @@ func runPipelined(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterati
 			return Stats{}, fmt.Errorf("sim: cancelled verifying edge %d/%d: %w", i, g.NumEdges(), err)
 		}
 		e := g.Edge(dag.EdgeID(i))
-		transfer := e.CacheTime
-		if plan.Iter.Assignment[i] == pim.InEDRAM {
-			transfer = e.EDRAMTime
-		}
+		transfer := retime.TransferTime(e, plan.Iter.Assignment[i])
 		gap := r.R[e.From] - r.R[e.To] // rounds between producer and consumer instances
 		if gap < 0 {
 			return Stats{}, fmt.Errorf("sim: edge %d->%d has negative retiming gap %d", e.From, e.To, gap)
