@@ -23,14 +23,14 @@
 // /debug/traces and /debug/slo on the same listener.
 //
 // -data-dir enables the durable content-addressed plan store: solved
-// plans are written through to fingerprint-named files under DIR, and
-// a restarted daemon pointed at the same DIR serves previously solved
-// graphs without re-running the solver (see DESIGN.md "Durable
-// store").  The write is committed behind the response, at most one
-// per run slot at once (-workers, 0 = GOMAXPROCS: every goroutine that
-// can write), and a drain lands every accepted write before the
-// process exits.  -store-max-bytes bounds the directory; least
-// recently used entries are evicted past it.
+// plans are appended to segment files under DIR, and a restarted
+// daemon pointed at the same DIR serves previously solved graphs
+// without re-running the solver (see DESIGN.md "Durable store").  The
+// write is group-committed behind the response, at most one pending
+// per run slot (-workers, 0 = GOMAXPROCS: every goroutine that can
+// write), and a drain lands every accepted write before the process
+// exits.  -store-max-bytes bounds the directory; the oldest segment is
+// evicted past it.
 //
 // -peers runs the daemon as one member of a sharded planning cluster:
 // a comma-separated static member list (host:port each, the same list
@@ -76,6 +76,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // heapFloorBytes is the heap size below which the daemon does not
@@ -103,12 +104,12 @@ func main() {
 	queue := flag.Int("queue", 64, "admission-queue depth; requests beyond it are shed with 429")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGTERM drain waits for queued work before cutting it off")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default per-request solve deadline (clients may lower it via timeout_ms)")
-	maxBody := flag.Int64("max-body", 1<<20, "maximum request body bytes")
+	maxBody := flag.Int64("max-body", wire.MaxBodyBytes, "maximum request body bytes")
 	maxNodes := flag.Int("max-nodes", 20000, "maximum graph vertices accepted from the network")
 	maxEdges := flag.Int("max-edges", 200000, "maximum graph edges accepted from the network")
 	cacheBound := flag.Int("cache-bound", 0, "plan-cache entry bound (0 = default)")
 	dataDir := flag.String("data-dir", "", "durable plan-store directory (empty = no durable store)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0, "plan-store payload byte bound, LRU-evicted past it (0 = unbounded)")
+	storeMaxBytes := flag.Int64("store-max-bytes", 0, "plan-store byte bound, oldest segment evicted past it (0 = unbounded)")
 	peers := flag.String("peers", "", "comma-separated cluster member list, host:port each, identical on every node (empty = single node)")
 	nodeID := flag.String("node-id", "", "this node's entry in -peers (default: the bound -addr)")
 	traceSample := flag.Int("trace-sample", 0, "trace one request in N (1 = all, 0 = tracing off)")
@@ -147,7 +148,8 @@ func main() {
 			// write-through and lose the warm-restart cache silently.
 			log.Fatalf("plan store failed write probe: %v", err)
 		}
-		log.Printf("plan store %s (%d entries, %d payload bytes)", st.Dir(), st.Len(), st.Stats().Bytes)
+		stats := st.Stats()
+		log.Printf("plan store %s (%d entries, %d segment bytes)", st.Dir(), stats.Entries, stats.Bytes)
 		cfg.Store = st
 	}
 	s := server.New(cfg)

@@ -66,7 +66,7 @@ func AllPasses() []Pass {
 		},
 		{
 			Name: "fsio",
-			Doc:  "direct filesystem writes (os.Create, os.WriteFile, os.Rename) outside internal/store; durable state goes through the store's atomic writer",
+			Doc:  "direct filesystem writes (os.Create, os.WriteFile, os.Rename) outside internal/store; durable state goes through the store's segment log",
 			Run:  symbolPass("fsio"),
 		},
 		{
@@ -187,16 +187,17 @@ var symbolRules = []symbolRule{
 		Msg:     "{sym} uses net/http's default client; " + clientMsg},
 
 	// fsio.  Durable state belongs to internal/store, whose writes are
-	// atomic (temp file + fsync + rename) and CRC-framed; an os.Create
-	// or os.Rename anywhere else is a durability bug waiting for a
-	// crash — a torn file the store's recovery sweep will never see.
+	// CRC-framed appends to a segment log, fsynced per batch and
+	// truncated back on failure or at the next Open; an os.Create or
+	// os.Rename anywhere else is a durability bug waiting for a crash —
+	// a torn file the store's recovery scan will never see.
 	// Reads (os.Open, os.ReadFile) and temp-file creation in throwaway
 	// directories stay legal everywhere; it is the durable-write verbs
 	// that must be centralised, os.Root's methods of the same names
 	// included.
 	{Pass: "fsio", Pkg: "os", Allowed: []string{"/internal/store"},
 		Symbols: []string{"Create", "WriteFile", "Rename", "Root.Create", "Root.WriteFile", "Root.Rename"},
-		Msg:     "direct filesystem write ({sym}) outside internal/store; durable state goes through the plan store's atomic writer"},
+		Msg:     "direct filesystem write ({sym}) outside internal/store; durable state goes through the plan store's segment log"},
 }
 
 // pkgPath is the import path the rule's symbols are declared in.

@@ -8,6 +8,8 @@ import (
 	"net"
 	"strconv"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // The fill path talks raw HTTP/1.1 over pooled persistent TCP
@@ -16,9 +18,19 @@ import (
 // spends serving a cached fill.  Requests are pre-serialized byte
 // slices written verbatim; responses are parsed just enough to recover the status code and a
 // Content-Length-delimited body.  Anything irregular — no
-// Content-Length, a parse failure, a dead conn — closes the
-// connection and surfaces as a fill failure, which the caller turns
-// into a local solve.
+// Content-Length, one past maxResponseBytes, a parse failure, a dead
+// conn — closes the connection and surfaces as a fill failure, which
+// feeds the peer's breaker and which the caller turns into a local
+// solve.
+
+// maxResponseBytes bounds the body roundTrip allocates for, checked
+// before the allocation: a peer's Content-Length is as hostile as any
+// other byte off the network.  An owner answers a fill with a plan's
+// at-rest frame, which for a baseline plan carries its kernel graph and
+// runs to about 1.6 times the binary graph (991 KB for a 623 KB,
+// 20,000-vertex graph), and that graph came in a request body of at
+// most wire.MaxBodyBytes by default; four times that leaves headroom.
+const maxResponseBytes = 4 * wire.MaxBodyBytes
 
 // peerConn is one pooled connection to a peer.
 type peerConn struct {
@@ -92,6 +104,9 @@ func (pc *peerConn) roundTrip(ctx context.Context, deadline time.Time, raw []byt
 		// buffered writers; refusing them keeps the conn state machine
 		// trivial.
 		return 0, nil, fmt.Errorf("response has no Content-Length")
+	}
+	if length > maxResponseBytes {
+		return 0, nil, fmt.Errorf("response Content-Length %d exceeds the %d-byte bound", length, maxResponseBytes)
 	}
 	body = make([]byte, length)
 	if _, err := readFull(pc.br, body); err != nil {

@@ -55,11 +55,30 @@ func BuildItems(g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing) ([]I
 }
 
 // BuildItemsInto is BuildItems appending into dst[:0], the
-// caller-buffer form for pooled solve paths.  The sort comparator is
-// capture-free, so a call with sufficient capacity allocates nothing.
+// caller-buffer form for pooled solve paths: a call with sufficient
+// capacity allocates nothing.
 //
 //paraconv:hotpath
 func BuildItemsInto(dst []Item, g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing) ([]Item, error) {
+	sc := optPool.Get().(*optScratch)
+	defer optPool.Put(sc)
+	return buildItems(dst, &sc.buckets, g, classes, tm)
+}
+
+// countingSpan bounds the deadline range the counting sort takes on,
+// in buckets per IPR: past it, clearing and scanning the buckets costs
+// more than the comparison sort they replace.
+const countingSpan = 4
+
+// buildItems is BuildItemsInto with pooled deadline buckets, which it
+// grows as needed and clears before use.  A deadline is the consumer's
+// start time, in [0, period], and the classes come in edge order, so a
+// stable counting sort by deadline yields the (Deadline, Edge) order in
+// O(E + period); a long period, or classes out of edge order, fall back
+// to the comparison sort.
+//
+//paraconv:hotpath
+func buildItems(dst []Item, buckets *[]int32, g *dag.Graph, classes []retime.EdgeClass, tm retime.Timing) ([]Item, error) {
 	if len(classes) != g.NumEdges() {
 		return nil, fmt.Errorf("core: classification covers %d edges; want %d", len(classes), g.NumEdges())
 	}
@@ -68,6 +87,43 @@ func BuildItemsInto(dst []Item, g *dag.Graph, classes []retime.EdgeClass, tm ret
 	}
 	if cap(dst) < len(classes) {
 		dst = make([]Item, 0, len(classes))
+	}
+	if span := tm.Period + 1; span <= countingSpan*len(classes) {
+		if cap(*buckets) <= span {
+			*buckets = make([]int32, span+1)
+		}
+		// next[d+1] counts the items due at d; the prefix sum turns
+		// next[d] into the slot of the next item due at d.
+		next := (*buckets)[:span+1]
+		clear(next)
+		n, last := 0, dag.EdgeID(-1)
+		for i := range classes {
+			c := &classes[i]
+			if c.DeltaR() <= 0 {
+				continue
+			}
+			if c.Edge <= last {
+				n = -1 // out of edge order: ties would not fall by edge ID
+				break
+			}
+			next[tm.Start[g.Edge(c.Edge).To]+1]++
+			n, last = n+1, c.Edge
+		}
+		if n >= 0 {
+			for d := 1; d <= span; d++ {
+				next[d] += next[d-1]
+			}
+			items := dst[:n]
+			for i := range classes {
+				if c := &classes[i]; c.DeltaR() > 0 {
+					e := g.Edge(c.Edge)
+					d := tm.Start[e.To]
+					items[next[d]] = Item{Edge: c.Edge, Deadline: d, Size: e.Size, DeltaR: c.DeltaR()}
+					next[d]++
+				}
+			}
+			return items, nil
+		}
 	}
 	items := dst[:0]
 	for i := range classes {
@@ -110,11 +166,12 @@ type Allocation struct {
 }
 
 // optScratch pools the allocation pipeline's intermediates — the DP
-// item list, the decision vector and the zero-ΔR filler keys — so a
-// steady-state OptimizeInto call allocates nothing beyond what dst
-// itself lacks.
+// item list and its deadline buckets, the decision vector and the
+// zero-ΔR filler keys — so a steady-state OptimizeInto call allocates
+// nothing beyond what dst itself lacks.
 type optScratch struct {
 	items   []Item
+	buckets []int32
 	chosen  []bool
 	fillers []filler
 }
@@ -141,7 +198,7 @@ func OptimizeInto(ctx context.Context, dst *Allocation, g *dag.Graph, classes []
 	}
 	sc := optPool.Get().(*optScratch)
 	defer optPool.Put(sc)
-	items, err := BuildItemsInto(sc.items[:0], g, classes, tm)
+	items, err := buildItems(sc.items[:0], &sc.buckets, g, classes, tm)
 	if items != nil {
 		sc.items = items
 	}

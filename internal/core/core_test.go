@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -320,5 +321,60 @@ func TestOptimizeReducesRMax(t *testing.T) {
 	}
 	if resOpt.RMax != resC.RMax {
 		t.Errorf("with unlimited capacity, optimized RMax %d should equal all-cache %d", resOpt.RMax, resC.RMax)
+	}
+}
+
+// TestBuildItemsOrderMatchesSort: the counting sort and its fallbacks
+// give the (Deadline, Edge) order of a comparison sort, over random
+// timings whose period is short (counting), long (fallback) or whose
+// classes come out of edge order (fallback).
+func TestBuildItemsOrderMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(30)
+		g := dag.New("items")
+		for i := 0; i < n; i++ {
+			g.AddNode(dag.Node{Kind: dag.OpConv, Exec: 1})
+		}
+		for i := 0; i < 3*n; i++ {
+			from := rng.Intn(n - 1)
+			g.AddEdge(dag.Edge{From: dag.NodeID(from), To: dag.NodeID(from + 1 + rng.Intn(n-1-from)), Size: 1 + rng.Intn(4)})
+		}
+		period := 1 + rng.Intn(4*g.NumEdges())
+		if trial%3 == 0 {
+			period *= 50
+		}
+		tm := retime.Timing{Start: make([]int, n), Finish: make([]int, n), Period: period}
+		for v := range tm.Start {
+			tm.Start[v] = rng.Intn(period + 1)
+			tm.Finish[v] = tm.Start[v] + rng.Intn(period-tm.Start[v]+1)
+		}
+		classes := make([]retime.EdgeClass, g.NumEdges())
+		for i := range classes {
+			classes[i] = retime.EdgeClass{Edge: dag.EdgeID(i), RCache: rng.Intn(3), REDRAM: rng.Intn(4)}
+		}
+		if trial%5 == 0 {
+			rng.Shuffle(len(classes), func(i, j int) { classes[i], classes[j] = classes[j], classes[i] })
+		}
+		var want []Item
+		for _, c := range classes {
+			if c.DeltaR() > 0 {
+				e := g.Edge(c.Edge)
+				want = append(want, Item{Edge: c.Edge, Deadline: tm.Start[e.To], Size: e.Size, DeltaR: c.DeltaR()})
+			}
+		}
+		slices.SortFunc(want, func(a, b Item) int {
+			if a.Deadline != b.Deadline {
+				return a.Deadline - b.Deadline
+			}
+			return int(a.Edge - b.Edge)
+		})
+		got, err := BuildItems(g, classes, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (period %d, %d edges): BuildItems = %v, want %v", trial, period, g.NumEdges(), got, want)
+		}
 	}
 }

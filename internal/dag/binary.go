@@ -206,6 +206,7 @@ func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	g.validated = true
 	return g, nil
 }
 

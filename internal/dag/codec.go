@@ -280,6 +280,7 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	g.validated = true
 	return g, nil
 }
 

@@ -121,6 +121,12 @@ type Graph struct {
 	// out[v] and in[v] hold edge IDs ordered by insertion.
 	out [][]EdgeID
 	in  [][]EdgeID
+
+	// validated marks a graph a decoder proved structurally valid
+	// (see Revalidate).  Only the decoders set it, before any other
+	// goroutine can see the graph; AddNode, AddEdge(s) and Grow clear
+	// it, and Clone does not copy it.
+	validated bool
 }
 
 // New returns an empty graph with the given name (used in reports and
@@ -148,6 +154,7 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 //
 //paraconv:hotpath
 func (g *Graph) Grow(nodes, edges int) {
+	g.validated = false
 	if nodes > 0 {
 		if free := cap(g.nodes) - len(g.nodes); free < nodes {
 			g.nodes = append(make([]Node, 0, len(g.nodes)+nodes), g.nodes...)
@@ -165,6 +172,7 @@ func (g *Graph) Grow(nodes, edges int) {
 // AddNode appends a vertex and returns its ID.  The ID field of the
 // argument is ignored and overwritten.
 func (g *Graph) AddNode(n Node) NodeID {
+	g.validated = false
 	n.ID = NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, n)
 	g.out = append(g.out, nil)
@@ -179,6 +187,7 @@ func (g *Graph) AddEdge(e Edge) EdgeID {
 	if !g.hasNode(e.From) || !g.hasNode(e.To) {
 		panic(fmt.Sprintf("dag: AddEdge %d->%d: node out of range (|V|=%d)", e.From, e.To, len(g.nodes)))
 	}
+	g.validated = false
 	e.ID = EdgeID(len(g.edges))
 	g.edges = append(g.edges, e)
 	g.out[e.From] = append(g.out[e.From], e.ID)
@@ -210,7 +219,7 @@ func (g *Graph) AddEdges(es []Edge) {
 				es[i].From, es[i].To, len(g.nodes)))
 		}
 	}
-	g.Grow(0, len(es))
+	g.Grow(0, len(es)) // clears the validated mark
 	g.edges = append(g.edges, es...)
 	g.link()
 }
@@ -291,7 +300,10 @@ func (g *Graph) Node(id NodeID) *Node {
 }
 
 // Edge returns a pointer to the edge with the given ID, panicking on an
-// invalid ID.  The pointer stays valid until the next AddEdge.
+// invalid ID.  The pointer stays valid until the next AddEdge.  Writing
+// its weights is allowed while the graph is being built; writing From
+// or To is not supported: the adjacency lists (Out, In) would not
+// follow.
 func (g *Graph) Edge(id EdgeID) *Edge {
 	if !g.hasEdge(id) {
 		panic(fmt.Sprintf("dag: Edge(%d): out of range (|E|=%d)", id, len(g.edges)))

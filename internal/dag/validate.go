@@ -85,6 +85,25 @@ func (g *Graph) Validate() error {
 	return errors.Join(errs...)
 }
 
+// Revalidate is Validate for a caller that may hold a graph a decoder
+// has already proved: on a graph marked at decode (DecodeBinary, the
+// text decoder) and not grown since, it skips the structural checks —
+// endpoints, self-loops, duplicate edges, acyclicity — and runs only
+// the per-element weight and exec checks, which Node and Edge's
+// pointers can still break.  An unmarked graph gets the full Validate.
+// Validate itself never sets the mark: planners revalidate shared
+// graphs from many goroutines, and a write there would race.
+func (g *Graph) Revalidate() error {
+	if !g.validated {
+		return g.Validate()
+	}
+	var errs []error
+	for i := range g.edges {
+		errs = appendEdgeWeightErrors(errs, &g.edges[i])
+	}
+	return errors.Join(appendExecErrors(errs, g)...)
+}
+
 // validateSlow is the original map-based validation, kept for the
 // defective case so duplicate-edge errors interleave with the other
 // per-edge defects in edge-ID order, exactly as before.

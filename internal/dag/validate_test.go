@@ -96,3 +96,74 @@ func TestValidateCleanGraphAllocatesNothing(t *testing.T) {
 		t.Errorf("Validate on a clean graph allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestRevalidateMatchesValidate: on a decoded graph, every defect of
+// the table, whether a mutator added it (clearing the mark) or it was
+// written through Node or Edge (keeping the mark), draws the same
+// error from Revalidate as from Validate.
+func TestRevalidateMatchesValidate(t *testing.T) {
+	for _, d := range validateDefects {
+		t.Run(d.name, func(t *testing.T) {
+			for seed := int64(0); seed < 20; seed++ {
+				g, err := DecodeBinary(AppendBinary(nil, randomDAG(seed, 40, 120)), Limits{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !g.validated {
+					t.Fatal("DecodeBinary did not mark the graph it validated")
+				}
+				d.inject(g, rand.New(rand.NewSource(seed)))
+				if re, full := fmt.Sprint(g.Revalidate()), fmt.Sprint(g.Validate()); re != full {
+					t.Fatalf("seed %d: Revalidate and Validate disagree:\nrevalidate %s\nvalidate   %s", seed, re, full)
+				}
+			}
+		})
+	}
+}
+
+// TestValidatedMark: the decoders set the mark, the mutators clear it,
+// and neither Clone nor Validate hands it on.
+func TestValidatedMark(t *testing.T) {
+	src := randomDAG(3, 20, 40)
+	var text strings.Builder
+	if err := WriteText(&text, src); err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := ReadText(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBinary, err := DecodeBinary(AppendBinary(nil, src), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Validate(); err != nil || src.validated {
+		t.Fatalf("Validate (err %v) set the mark: %v", err, src.validated)
+	}
+	for _, g := range []*Graph{fromText, fromBinary} {
+		if !g.validated {
+			t.Error("a decoder left the graph unmarked")
+		}
+		if g.Clone().validated {
+			t.Error("Clone of a decoded graph copied the mark")
+		}
+	}
+	mutators := []struct {
+		name   string
+		mutate func(g *Graph)
+	}{
+		{"AddNode", func(g *Graph) { g.AddNode(Node{Exec: 1}) }},
+		{"AddEdge", func(g *Graph) { g.AddEdge(Edge{From: 0, To: 1, Size: 1, EDRAMTime: 1}) }},
+		{"AddEdges", func(g *Graph) { g.AddEdges([]Edge{{From: 0, To: 1, Size: 1, EDRAMTime: 1}}) }},
+		{"Grow", func(g *Graph) { g.Grow(1, 1) }},
+	}
+	for _, m := range mutators {
+		g, err := DecodeBinary(AppendBinary(nil, src), Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.mutate(g); g.validated {
+			t.Errorf("%s kept the mark", m.name)
+		}
+	}
+}

@@ -62,8 +62,8 @@ var (
 	StoreMisses      = Default().Counter("paraconv_store_misses_total", "store reads that found no durable entry")
 	StoreWrites      = Default().Counter("paraconv_store_writes_total", "entries accepted for write-through to the data dir (committed behind the response; failed commits also count in write_errors)")
 	StoreWriteErrors = Default().Counter("paraconv_store_write_errors_total", "write-through attempts that failed (store stays best-effort)")
-	StoreCorrupt     = Default().Counter("paraconv_store_corrupt_total", "entries quarantined because the frame failed its magic/CRC/length checks")
-	StoreEvictions   = Default().Counter("paraconv_store_evictions_total", "entries evicted by the capacity-bounded LRU sweep")
+	StoreCorrupt     = Default().Counter("paraconv_store_corrupt_total", "store frames dropped because they failed their magic/CRC/length/key checks: a torn segment tail at open, or a frame that no longer reads back")
+	StoreEvictions   = Default().Counter("paraconv_store_evictions_total", "entries dropped with the oldest segment when the store passed its byte bound")
 	StoreEntries     = Default().Gauge("paraconv_store_entries", "durable entries currently resident in the data dir")
 	StoreBytes       = Default().Gauge("paraconv_store_bytes", "bytes of durable entries currently resident in the data dir")
 )

@@ -8,6 +8,11 @@ import (
 	"repro/internal/sched"
 )
 
+// errLeaderPanicked is a flight's result when its leader's solve
+// panicked: like a cancelled leader, it sends the waiters back to
+// re-enter the flight under their own contexts.
+var errLeaderPanicked = errors.New("run: the flight leader's solve panicked")
+
 // flightCall is one in-progress plan solve that concurrent cache
 // misses for the same fingerprint attach to.
 type flightCall struct {
@@ -33,7 +38,8 @@ type flightCall struct {
 // solve keeps running for the others), and when the *leader* is
 // cancelled, surviving waiters re-enter the flight under their own
 // still-live contexts rather than inheriting a cancellation that was
-// never theirs.
+// never theirs.  A leader whose solve panics releases its flight the
+// same way on its way out, and the panic goes on up its own stack.
 func (c *planCache) doFlight(ctx context.Context, fp string, solve func() (*sched.Plan, error)) (*sched.Plan, error) {
 	for {
 		c.flightMu.Lock()
@@ -46,7 +52,8 @@ func (c *planCache) doFlight(ctx context.Context, fp string, solve func() (*sche
 				return nil, ctx.Err()
 			}
 			if call.err != nil {
-				if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
+				if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) ||
+					errors.Is(call.err, errLeaderPanicked) {
 					// The leader's scope died, not the problem.  If our
 					// own scope is still live, try again (attaching to
 					// a newer flight or leading one ourselves).
@@ -61,16 +68,23 @@ func (c *planCache) doFlight(ctx context.Context, fp string, solve func() (*sche
 			obs.PlanCacheDedupHits.Inc()
 			return call.plan, nil
 		}
-		call := &flightCall{done: make(chan struct{})}
+		call := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
 		c.flights[fp] = call
 		c.flightMu.Unlock()
+		c.lead(fp, call, solve)
+		return call.plan, call.err
+	}
+}
 
-		call.plan, call.err = solve()
-
+// lead runs the leader's solve and releases the flight however solve
+// ends: a panic leaves call.err at errLeaderPanicked, so no waiter
+// waits out its deadline on a flight nobody will finish.
+func (c *planCache) lead(fp string, call *flightCall, solve func() (*sched.Plan, error)) {
+	defer func() {
 		c.flightMu.Lock()
 		delete(c.flights, fp)
 		c.flightMu.Unlock()
 		close(call.done)
-		return call.plan, call.err
-	}
+	}()
+	call.plan, call.err = solve()
 }

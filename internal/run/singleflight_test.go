@@ -395,3 +395,51 @@ func TestWithContextSharesCacheAndScopesCancellation(t *testing.T) {
 		t.Errorf("parent session broken after derived cancellation: %v", err)
 	}
 }
+
+// TestDoFlightLeaderPanicReleasesFlight: a leader whose solve panics
+// re-raises the panic, and its waiter re-enters the flight and solves
+// inside its own deadline; afterwards no flight is left behind.
+// Without the release the waiter would wait out its deadline.
+func TestDoFlightLeaderPanicReleasesFlight(t *testing.T) {
+	c := newPlanCache(8)
+	key := "g|c|v"
+	entered, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.doFlight(context.Background(), key, func() (*sched.Plan, error) {
+			close(entered)
+			<-release
+			panic("solver bug")
+		})
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	want := &sched.Plan{Scheme: "test"}
+	type result struct {
+		p   *sched.Plan
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		p, err := c.doFlight(ctx, key, func() (*sched.Plan, error) { return want, nil })
+		waiter <- result{p, err}
+	}()
+	waitForWaiters(t, c, key, 1)
+	close(release)
+
+	if r := <-recovered; r != "solver bug" {
+		t.Fatalf("leader recovered %v, want its own panic re-raised", r)
+	}
+	if r := <-waiter; r.err != nil || r.p != want {
+		t.Fatalf("waiter got %v/%v, want its own solve's plan", r.p, r.err)
+	}
+	c.flightMu.Lock()
+	left := len(c.flights)
+	c.flightMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d flights left behind, want none", left)
+	}
+}

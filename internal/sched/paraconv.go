@@ -271,8 +271,9 @@ func ParaCONVSingleCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan
 }
 
 // checkProblem is the argument check every planner entry point
-// shares: a valid configuration and a non-empty, valid graph.  scheme
-// names the planner in the error.
+// shares: a valid configuration and a non-empty, valid graph.  A graph
+// a decoder already proved is not re-proved (dag.Graph.Revalidate).
+// scheme names the planner in the error.
 func checkProblem(scheme string, g *dag.Graph, cfg pim.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("sched: %s: %w", scheme, err)
@@ -280,7 +281,7 @@ func checkProblem(scheme string, g *dag.Graph, cfg pim.Config) error {
 	if g.NumNodes() == 0 {
 		return fmt.Errorf("sched: %s: empty graph %q", scheme, g.Name())
 	}
-	return g.Validate()
+	return g.Revalidate()
 }
 
 // ParaCONVGivenScheduleCtx runs Para-CONV's allocation stage against

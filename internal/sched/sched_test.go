@@ -424,3 +424,38 @@ func TestNaiveErrors(t *testing.T) {
 		t.Error("invalid config accepted")
 	}
 }
+
+// TestParaCONVRechecksDecodedGraph: a graph marked valid at decode
+// skips only the structural re-check, and only until it is mutated —
+// a cycle added with AddEdge and a vertex weight written through Node
+// are both still rejected.
+func TestParaCONVRechecksDecodedGraph(t *testing.T) {
+	decoded := func() *dag.Graph {
+		g, err := dag.DecodeBinary(dag.AppendBinary(nil, synthGraph(t, 30, 70, 11)), dag.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	cfg := pim.Neurocube(16)
+	if _, err := ParaCONVCtx(context.Background(), decoded(), cfg); err != nil {
+		t.Fatalf("clean decoded graph rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(g *dag.Graph)
+		want   string
+	}{
+		{"cycle added after decode", func(g *dag.Graph) {
+			e := g.Edge(0)
+			g.AddEdge(dag.Edge{From: e.To, To: e.From, Size: 1, EDRAMTime: 1})
+		}, "cycle"},
+		{"zero exec written through Node", func(g *dag.Graph) { g.Node(0).Exec = 0 }, "exec"},
+	} {
+		g := decoded()
+		tc.damage(g)
+		if _, err := ParaCONVCtx(context.Background(), g, cfg); err == nil || !strings.Contains(err.Error(), " "+tc.want+": ") {
+			t.Errorf("%s: ParaCONVCtx err = %v, want a %q error", tc.name, err, tc.want)
+		}
+	}
+}

@@ -48,6 +48,7 @@ import (
 	"repro/internal/obs/slo"
 	"repro/internal/obs/span"
 	"repro/internal/run"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a Server.  The zero value is usable: every
@@ -103,7 +104,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 64
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
+		c.MaxBodyBytes = wire.MaxBodyBytes
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second

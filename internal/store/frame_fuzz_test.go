@@ -3,7 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -108,4 +111,53 @@ func FuzzStoreFrame(f *testing.F) {
 		f.Add(s.frame, s.key)
 	}
 	f.Fuzz(checkStoreFrame)
+}
+
+// FuzzStoreSegment opens a store over one fuzzed segment file: Open
+// never panics, and every entry it then serves is a whole frame of
+// the file, CRC included, under its own key.
+func FuzzStoreSegment(f *testing.F) {
+	two := append(appendFrame(nil, "a", []byte("x")), appendFrame(nil, "b", []byte("y"))...)
+	f.Add(two)
+	f.Add(append(append([]byte(nil), two...), 'P', 'C', 'S'))       // torn tail
+	f.Add(append(appendFrame(nil, "a", []byte("old")), two...))     // a later frame of a key wins
+	f.Add(append(append([]byte(nil), two[:len(two)/2]...), two...)) // torn frame mid-segment
+	for _, s := range frameSeeds() {
+		f.Add(s.frame)
+	}
+	// One dir for every input: Open creates nothing, so each input
+	// only rewrites the one segment file.
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", 0, segSuffix)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer func() {
+			for _, seg := range s.segs {
+				seg.f.Close() // the store has no Close; inputs come faster than GC
+			}
+		}()
+		s.mu.Lock()
+		keys := make([]string, 0, len(s.index))
+		for k := range s.index {
+			keys = append(keys, k)
+		}
+		s.mu.Unlock()
+		for _, k := range keys {
+			p, ok := s.Get(k)
+			if !ok {
+				t.Fatalf("Get missed key %q, which Open indexed", k)
+			}
+			if !bytes.Contains(data, appendFrame(nil, k, p)) {
+				t.Fatalf("Get(%q) served %q, which no whole frame of the segment holds", k, p)
+			}
+		}
+		if st := s.Stats(); st.Corrupt > 1 {
+			t.Fatalf("one segment counted %d corrupt frames; its scan stops at the first", st.Corrupt)
+		}
+	})
 }

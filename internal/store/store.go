@@ -1,60 +1,55 @@
 // Package store is the durable, content-addressed blob store behind
-// the in-memory plan cache.  Every entry is one file in a flat data
-// dir, named by the SHA-256 of its key, holding a CRC-guarded frame
-// around an opaque payload (internal/run stores wire-encoded plans).
+// the in-memory plan cache: CRC-guarded frames around opaque payloads
+// (wire-encoded plans), appended to segment files in a flat data dir
+// and indexed in memory by key.
 //
 // Durability invariants live in this package and nowhere else — the
 // fsio vet pass bans direct os.Create/os.WriteFile/os.Rename outside
 // it:
 //
-//   - writes are atomic: payload goes to a temp file in the same dir,
-//     is fsynced, then renamed over the final name (the dir is fsynced
-//     after the rename), so a crash leaves either the old entry or the
-//     new one, never a torn file;
-//   - writes are behind the caller, but bounded: Put hands the frame to
-//     a commit goroutine and returns once the write accepted K writes
-//     earlier has landed (K fixed at Open), Get serves an accepted write
-//     before its commit lands, and Flush waits for every accepted write
-//     — so a crash loses at most K entries, which the cache above simply
-//     recomputes;
-//   - reads are CRC-guarded: a frame failing its magic, version,
-//     length, key, or CRC-32 check is quarantined (renamed to *.bad)
-//     and reported as a miss, never served;
-//   - capacity is bounded: when MaxBytes would be exceeded, the
-//     least-recently-used entries (by file mtime, refreshed on every
-//     hit) are evicted until the new entry fits.
+//   - writes are group-committed and bounded: Put queues the frame and
+//     returns once the write accepted K writes earlier has landed (K
+//     fixed at Open); one committer appends everything queued with one
+//     write and one fsync, and truncates a failed batch away, so a
+//     write is either on disk and indexed or counted in WriteErrors;
+//     Get serves an accepted write before it lands, Flush waits for
+//     all of them, and a crash loses at most K entries, which the cache
+//     above simply recomputes;
+//   - reads are CRC-guarded: Open truncates each segment at its first
+//     frame failing its magic, version, length or CRC check (a torn
+//     tail), and Get re-checks the frame it reads, dropping one that
+//     has rotted since and reporting a miss;
+//   - capacity is bounded: the active segment rotates at
+//     min(MaxBytes/4, 1 MiB), and past MaxBytes the oldest whole
+//     segments are removed (FIFO).
 //
-// The only goroutines the store runs are its in-flight commits; a
-// *Store is safe for concurrent use by any number of callers.
+// The only goroutines the store runs are its in-flight commits: one
+// committer, started by a Put into an empty queue and gone once the
+// queue is empty.  A *Store is safe for concurrent use.
 package store
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
 
 const (
-	// entrySuffix names committed entries; quarantined frames get
-	// badSuffix appended, temp files carry tmpPrefix and are swept at
-	// Open.
-	entrySuffix = ".plan"
-	badSuffix   = ".bad"
-	tmpPrefix   = ".tmp-"
-
+	// Segment files are "<16 hex digit id>.seg", rotated at
+	// min(MaxBytes/4, maxSegmentBytes); probe files carry tmpPrefix.
+	segSuffix       = ".seg"
+	tmpPrefix       = ".tmp-"
+	maxSegmentBytes = 1 << 20
 	// frame layout: magic 'P','C','S', version byte, 4-byte LE CRC-32
 	// (IEEE) of everything after the CRC field, then uvarint key
 	// length + key bytes + uvarint payload length + payload bytes,
@@ -65,22 +60,20 @@ const (
 
 var frameMagic = [3]byte{'P', 'C', 'S'}
 
-// Options tunes one store.  The zero value is fully durable and
-// unbounded.
+// Options tunes one store; the zero value is durable and unbounded.
 type Options struct {
-	// MaxBytes caps the total on-disk size of committed entries;
-	// 0 means unlimited.
+	// MaxBytes caps the segments' total size; 0 means unlimited.
 	MaxBytes int64
 	// CommitSlots is K, how far commits may trail Put: Put waits until
 	// the write accepted K writes earlier has landed, so at most K
-	// writes are committing at once and none is still pending once K
-	// later ones are accepted.  0 means runtime.GOMAXPROCS(0).
+	// writes are pending at once.  0 means runtime.GOMAXPROCS(0).
 	CommitSlots int
 }
 
 // Stats is a point-in-time snapshot of one store's counters.  Writes
-// counts the writes Put accepted; a commit that then fails counts in
-// WriteErrors as well.
+// counts the writes Put accepted, WriteErrors those rejected or in a
+// failed batch; Bytes is the segments' size, overwritten frames
+// included; Evictions counts the entries removed with their segment.
 type Stats struct {
 	Entries     int
 	Bytes       int64
@@ -92,26 +85,47 @@ type Stats struct {
 	Evictions   uint64
 }
 
-type entry struct {
-	name  string // file name within dir
-	size  int64
-	mtime time.Time
+// segment is one append-only file of frames.
+type segment struct {
+	id   uint64
+	f    *os.File
+	size int64    // bytes of whole frames; written by the committer only
+	keys []string // keys of the frames indexed into it, guarded by mu
 }
 
-// pendingWrite is a write Put accepted whose commit has not landed.
+// location is where one committed frame lies.
+type location struct {
+	seg *segment
+	off int64
+	n   int
+}
+
+// pendingWrite is a write Put accepted whose commit has not landed;
+// its payload is the frame's last plen bytes.
 type pendingWrite struct {
-	payload []byte
-	done    chan struct{} // closed once the commit has landed or failed
+	key   string
+	frame []byte
+	plen  int
+	done  chan struct{} // closed once its batch has landed or failed
 }
 
 // Store is a durable content-addressed blob store over one data dir.
 type Store struct {
-	dir  string
-	opts Options
+	dir      string
+	opts     Options
+	segBytes int64 // the active segment rotates once it holds this much
 
-	mu      sync.Mutex
-	entries map[string]*entry // file name -> committed entry
-	pending map[string]*pendingWrite
+	// segs, active and nextID belong to Open, then the committer.
+	segs   []*segment // oldest first
+	active *segment   // appends land here; nil until the next commit creates one
+	nextID uint64
+
+	mu         sync.Mutex
+	index      map[string]location
+	pending    map[string]*pendingWrite // each key's newest write not yet landed
+	queue      []*pendingWrite          // accepted, not yet taken by the committer
+	committing bool                     // a committer is running
+	tail       chan struct{}            // done of the newest accepted write
 	// ring holds the done channels of the last K accepted writes: write
 	// seq takes ring[seq%K] and waits for the write there, seq-K.
 	ring  []chan struct{}
@@ -120,10 +134,9 @@ type Store struct {
 	stats Stats
 }
 
-// Open scans dir (creating it if needed) and returns a store over it.
-// Leftover temp files from a crashed writer are removed; committed
-// entries are tallied for the capacity bound but not CRC-verified
-// until first read.
+// Open scans dir (creating it if needed) and returns a store over it:
+// segments in id order, every frame checked, a later frame of a key
+// winning.  Leftover probe files from a crash are removed.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty data dir")
@@ -139,104 +152,110 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts.CommitSlots = runtime.GOMAXPROCS(0)
 	}
 	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		ring:    make([]chan struct{}, opts.CommitSlots),
-		entries: make(map[string]*entry),
-		pending: make(map[string]*pendingWrite),
+		dir:      dir,
+		opts:     opts,
+		segBytes: maxSegmentBytes,
+		ring:     make([]chan struct{}, opts.CommitSlots),
+		index:    make(map[string]location),
+		pending:  make(map[string]*pendingWrite),
 	}
+	if opts.MaxBytes > 0 {
+		s.segBytes = min(opts.MaxBytes/4, s.segBytes)
+	}
+	// ReadDir sorts by name, and fixed-width hex names sort by id.
 	for _, de := range names {
 		name := de.Name()
-		if de.IsDir() {
-			continue
-		}
 		if strings.HasPrefix(name, tmpPrefix) {
-			// A writer died between CreateTemp and rename; the
-			// committed state never referenced this file.
 			_ = os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		if !strings.HasSuffix(name, entrySuffix) {
+		id, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 16, 64)
+		if err != nil || name != filepath.Base(s.segPath(id)) || !de.Type().IsRegular() {
 			continue
 		}
-		info, err := de.Info()
-		if err != nil {
-			continue
+		if err := s.scan(id); err != nil {
+			return nil, err
 		}
-		s.entries[name] = &entry{name: name, size: info.Size(), mtime: info.ModTime()}
-		s.bytes += info.Size()
+		s.nextID = id + 1
 	}
 	s.publish()
 	return s, nil
 }
 
+// segPath returns the file path of segment id.
+func (s *Store) segPath(id uint64) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%016x%s", id, segSuffix))
+}
+
+// scan indexes every frame of segment id; the first frame that fails
+// its checks counts one Corrupt, and the segment is truncated there.
+func (s *Store) scan(id uint64) error {
+	path := s.segPath(id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("store: read segment: %w", err)
+	}
+	seg := &segment{id: id}
+	for int(seg.size) < len(data) {
+		key, _, n, err := nextFrame(data[seg.size:])
+		if err != nil {
+			s.stats.Corrupt++
+			obs.StoreCorrupt.Inc()
+			obs.Log().Warn("store segment has a torn or corrupt tail; truncating", "segment", path, "offset", seg.size, "err", err)
+			if err := os.Truncate(path, seg.size); err != nil {
+				return fmt.Errorf("store: truncate torn segment: %w", err)
+			}
+			break
+		}
+		k := string(key)
+		s.index[k] = location{seg: seg, off: seg.size, n: n}
+		seg.keys = append(seg.keys, k)
+		seg.size += int64(n)
+	}
+	if seg.f, err = os.Open(path); err != nil {
+		return fmt.Errorf("store: open segment: %w", err)
+	}
+	s.segs = append(s.segs, seg)
+	s.bytes += seg.size
+	return nil
+}
+
 // Dir returns the data dir the store was opened on.
 func (s *Store) Dir() string { return s.dir }
-
-// Len returns the committed entry count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = len(s.entries)
+	st.Entries = len(s.index)
 	st.Bytes = s.bytes
 	return st
 }
 
-// Probe verifies the store can still commit an entry: create a temp
-// file in the data dir, write to it, rename it in-dir, remove it —
-// exactly the syscall sequence writeAtomic needs, so a passing probe
-// means the next write-through will not hit a full disk, a read-only
-// remount, or a yanked data dir.  The daemon probes once at startup
-// (fail fast on a misconfigured -data-dir) and /readyz probes on
-// every poll.  Probe files carry tmpPrefix, so one orphaned by a
-// crash mid-probe is swept by the next Open like any torn write.
+// Probe verifies the store can still commit: create a file in the
+// data dir, write it, remove it — what a segment rotation and an
+// eviction need — so a passing probe means the next commit will not
+// hit a full disk, a read-only remount, or a yanked data dir.  The
+// daemon probes at startup and /readyz on every poll.  A probe file
+// orphaned by a crash carries tmpPrefix and is swept by the next Open.
 func (s *Store) Probe() error {
 	f, err := os.CreateTemp(s.dir, tmpPrefix+"probe-*")
+	if err == nil {
+		_, err = f.Write([]byte("probe"))
+		err = errors.Join(err, f.Close(), os.Remove(f.Name()))
+	}
 	if err != nil {
-		return fmt.Errorf("store: probe create: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write([]byte("probe")); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: probe write: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: probe close: %w", err)
-	}
-	dst := tmp + ".renamed"
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: probe rename: %w", err)
-	}
-	if err := os.Remove(dst); err != nil {
-		return fmt.Errorf("store: probe cleanup: %w", err)
+		return fmt.Errorf("store: probe: %w", err)
 	}
 	return nil
 }
 
-// publish mirrors the resident tallies to the shared gauges; callers
-// hold s.mu or have exclusive access.
+// publish mirrors the tallies to the shared gauges; callers hold s.mu
+// or have exclusive access.
 func (s *Store) publish() {
-	obs.StoreEntries.Set(int64(len(s.entries)))
+	obs.StoreEntries.Set(int64(len(s.index)))
 	obs.StoreBytes.Set(s.bytes)
-}
-
-// fileName returns the content-addressed file name for key: the
-// SHA-256 of the key, hex-encoded, keeps arbitrary cache-key strings
-// (which embed config dumps) out of the filesystem namespace.
-func fileName(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + entrySuffix
 }
 
 // appendFrame builds the durable frame around key and payload.
@@ -253,134 +272,110 @@ func appendFrame(dst []byte, key string, payload []byte) []byte {
 	return dst
 }
 
-// parseFrame validates a frame read back from disk and returns its
-// payload.  Any deviation — short header, wrong magic or version, CRC
-// mismatch, a length field lying about the bytes that follow or padded
-// past its minimal form, key mismatch, or trailing garbage — is an
-// error; the caller quarantines.
-func parseFrame(data []byte, key string) ([]byte, error) {
-	if len(data) < frameHeaderSize {
-		return nil, fmt.Errorf("store: frame is %d bytes, shorter than the %d-byte header", len(data), frameHeaderSize)
+// nextFrame checks the frame at the head of data and returns its key,
+// its payload and its length.  Any deviation — short header, wrong
+// magic or version, a length field lying about the bytes that follow
+// or padded past its minimal form, CRC mismatch — is an error.
+func nextFrame(data []byte) (key, payload []byte, n int, err error) {
+	if len(data) < frameHeaderSize || [3]byte(data) != frameMagic || data[3] != frameVersion {
+		return nil, nil, 0, fmt.Errorf("store: no version-%d frame header in %d bytes", frameVersion, len(data))
 	}
-	if data[0] != frameMagic[0] || data[1] != frameMagic[1] || data[2] != frameMagic[2] {
-		return nil, errors.New("store: frame magic mismatch")
+	off := frameHeaderSize
+	field := func(what string) ([]byte, error) {
+		l, m := binary.Uvarint(data[off:])
+		if m <= 0 || l > uint64(len(data)-off-m) {
+			return nil, fmt.Errorf("store: %s length field lies about the bytes that follow", what)
+		}
+		if m > 1 && data[off+m-1] == 0 {
+			// A redundant trailing zero group (0x80 0x00 for 0): refusing
+			// it keeps every accepted frame appendFrame's one encoding.
+			return nil, fmt.Errorf("store: %s length field is a non-minimal varint", what)
+		}
+		off += m + int(l)
+		return data[off-int(l) : off], nil
 	}
-	if data[3] != frameVersion {
-		return nil, fmt.Errorf("store: frame version %d, want %d", data[3], frameVersion)
+	if key, err = field("key"); err == nil {
+		payload, err = field("payload")
 	}
-	wantCRC := binary.LittleEndian.Uint32(data[4:8])
-	body := data[8:]
-	if got := crc32.ChecksumIEEE(body); got != wantCRC {
-		return nil, fmt.Errorf("store: CRC mismatch: frame says %#x, payload hashes to %#x", wantCRC, got)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	klen, n := binary.Uvarint(body)
-	if n <= 0 || klen > uint64(len(body)-n) {
-		return nil, errors.New("store: key length field lies about the bytes that follow")
+	want := binary.LittleEndian.Uint32(data[4:8])
+	if got := crc32.ChecksumIEEE(data[frameHeaderSize:off]); got != want {
+		return nil, nil, 0, fmt.Errorf("store: CRC mismatch: frame says %#x, its bytes hash to %#x", want, got)
 	}
-	if padded(body[:n]) {
-		return nil, errors.New("store: key length field is a non-minimal varint")
-	}
-	body = body[n:]
-	gotKey := body[:klen]
-	body = body[klen:]
-	if string(gotKey) != key {
-		// Neither key is quoted: the stored one is whatever the disk
-		// holds, and escaping either costs up to four bytes per byte.
-		return nil, fmt.Errorf("store: entry holds a different %d-byte key than the %d-byte key asked for (hash collision or misfiled entry)", len(gotKey), len(key))
-	}
-	plen, n := binary.Uvarint(body)
-	if n <= 0 || plen != uint64(len(body)-n) {
-		return nil, errors.New("store: payload length field lies about the bytes that follow")
-	}
-	if padded(body[:n]) {
-		return nil, errors.New("store: payload length field is a non-minimal varint")
-	}
-	return body[n:], nil
+	return key, payload, off, nil
 }
 
-// padded reports whether a uvarint carries a redundant trailing zero
-// group (0x80 0x00 for 0).  appendFrame never writes one; refusing it
-// keeps every accepted frame the one encoding of its key and payload.
-func padded(uvarint []byte) bool {
-	return len(uvarint) > 1 && uvarint[len(uvarint)-1] == 0
+// parseFrame checks that data is exactly one frame recorded under key
+// and returns its payload.
+func parseFrame(data []byte, key string) ([]byte, error) {
+	got, payload, n, err := nextFrame(data)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(data) {
+		return nil, fmt.Errorf("store: %d trailing bytes after the frame", len(data)-n)
+	}
+	if string(got) != key {
+		// Neither key is quoted: the stored one is whatever the disk
+		// holds, and escaping either costs up to four bytes per byte.
+		return nil, fmt.Errorf("store: frame holds a different %d-byte key than the %d-byte key asked for", len(got), len(key))
+	}
+	return payload, nil
 }
 
 // Get returns the payload stored under key, or false on miss.  A write
-// Put accepted is served before its commit lands.  A corrupt entry is
-// quarantined and reported as a miss.  A hit on a committed entry
-// refreshes its mtime so the LRU sweep sees recency.  The caller owns
-// the returned bytes.
-func (s *Store) Get(key string) ([]byte, bool) {
-	name := fileName(key)
+// Put accepted is served before its commit lands.  A committed frame
+// is read with one pread and re-checked; one that fails is dropped
+// from the index, counted Corrupt and reported as a miss.  The caller
+// owns the returned bytes.
+func (s *Store) Get(key string) (payload []byte, hit bool) {
 	s.mu.Lock()
-	if w, ok := s.pending[name]; ok {
+	w, hit := s.pending[key]
+	loc, ok := s.index[key]
+	s.mu.Unlock()
+	var err error
+	if hit {
+		payload = append([]byte(nil), w.frame[len(w.frame)-w.plen:]...)
+	} else if ok {
+		data := make([]byte, loc.n)
+		if _, err = loc.seg.f.ReadAt(data, loc.off); err == nil {
+			payload, err = parseFrame(data, key)
+		}
+		hit = err == nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// A closed segment was evicted under us; any other failure means
+	// the frame on disk is no longer the one indexed: drop it, unless
+	// the key has moved on since the lookup.
+	if err != nil && !errors.Is(err, os.ErrClosed) && s.index[key] == loc {
+		delete(s.index, key)
+		s.stats.Corrupt++
+		s.publish()
+		obs.StoreCorrupt.Inc()
+		obs.Log().Warn("store frame failed its re-check; dropped", "segment", s.segPath(loc.seg.id), "offset", loc.off, "err", err)
+	}
+	if hit {
 		s.stats.Hits++
-		s.mu.Unlock()
 		obs.StoreHits.Inc()
-		return append([]byte(nil), w.payload...), true
-	}
-	s.mu.Unlock()
-	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.mu.Lock()
+	} else {
 		s.stats.Misses++
-		s.mu.Unlock()
 		obs.StoreMisses.Inc()
-		return nil, false
 	}
-	payload, perr := parseFrame(data, key)
-	if perr != nil {
-		s.quarantine(name, int64(len(data)))
-		obs.StoreMisses.Inc()
-		return nil, false
-	}
-	now := time.Now()
-	_ = os.Chtimes(path, now, now) // best-effort LRU recency
-	s.mu.Lock()
-	if e, ok := s.entries[name]; ok {
-		e.mtime = now
-	}
-	s.stats.Hits++
-	s.mu.Unlock()
-	obs.StoreHits.Inc()
-	return payload, true
+	return payload, hit
 }
 
-// quarantine moves a corrupt entry aside (never deleting the evidence)
-// and drops it from the resident tallies.
-func (s *Store) quarantine(name string, size int64) {
-	path := filepath.Join(s.dir, name)
-	if err := os.Rename(path, path+badSuffix); err != nil {
-		// The rename failing (e.g. read-only dir) must not leave the
-		// corrupt frame servable; removing is the fallback.
-		_ = os.Remove(path)
-	}
-	s.mu.Lock()
-	if _, ok := s.entries[name]; ok {
-		delete(s.entries, name)
-		s.bytes -= size
-	}
-	s.stats.Corrupt++
-	s.stats.Misses++
-	s.publish()
-	s.mu.Unlock()
-	obs.StoreCorrupt.Inc()
-}
-
-// Put accepts payload for a durable write under key and returns once
-// the write accepted K writes earlier has landed: the frame is built
-// and size-checked here, then a commit goroutine lands it atomically,
-// evicting least-recently-used entries as the capacity bound requires.
-// Waiting for that one write, not for any free slot, keeps a stalled
-// commit from falling ever further behind while later ones pass it.
-// Get serves the payload from the moment Put returns; Flush waits for
-// the commit.  Two writes of one key commit in the order their Puts
-// returned.  The error reports only a rejected write (an entry larger
-// than the whole store); a commit that fails later is counted and
-// logged — callers treat the store as best-effort either way.
+// Put accepts payload for a durable write under key: it builds and
+// size-checks the frame, waits until the write accepted K writes
+// earlier has landed (one write, not any free slot, so a stalled
+// commit cannot be overtaken without bound), and queues the frame for
+// the committer.  Get serves the payload from the moment Put returns.
+// Writes land in queue order, so of two writes of one key the later
+// wins.  The error reports only a rejected write (an entry larger than
+// the whole store); a failed commit is counted and logged.
 func (s *Store) Put(key string, payload []byte) error {
-	name := fileName(key)
 	frame := appendFrame(make([]byte, 0, frameHeaderSize+2*binary.MaxVarintLen64+len(key)+len(payload)), key, payload)
 	if s.opts.MaxBytes > 0 && int64(len(frame)) > s.opts.MaxBytes {
 		s.mu.Lock()
@@ -390,7 +385,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		return fmt.Errorf("store: %d-byte entry exceeds the %d-byte store capacity", len(frame), s.opts.MaxBytes)
 	}
 
-	w := &pendingWrite{payload: frame[len(frame)-len(payload):], done: make(chan struct{})}
+	w := &pendingWrite{key: key, frame: frame, plen: len(payload), done: make(chan struct{})}
 	s.mu.Lock()
 	slot := &s.ring[s.seq%uint64(len(s.ring))]
 	s.seq++
@@ -401,142 +396,145 @@ func (s *Store) Put(key string, payload []byte) error {
 		<-behind
 	}
 	s.mu.Lock()
-	for prev, ok := s.pending[name]; ok; prev, ok = s.pending[name] {
-		// An earlier write of this key is still committing; landing
-		// after it keeps the newer payload on disk.
-		s.mu.Unlock()
-		<-prev.done
-		s.mu.Lock()
-	}
-	s.pending[name] = w
+	s.pending[key] = w
+	s.queue = append(s.queue, w)
+	s.tail = w.done
 	s.stats.Writes++
+	start := !s.committing
+	s.committing = true
 	s.mu.Unlock()
 	obs.StoreWrites.Inc()
-	go s.commit(name, frame, w)
+	if start {
+		go s.commitLoop()
+	}
 	return nil
 }
 
-// commit lands one accepted write and accounts for it.
-func (s *Store) commit(name string, frame []byte, w *pendingWrite) {
-	err := s.writeAtomic(name, frame)
-	size := int64(len(frame))
-	s.mu.Lock()
-	delete(s.pending, name)
-	if err != nil {
-		s.stats.WriteErrors++
-	} else {
-		// Room is made under the lock that admits the entry: commits
-		// that each made room before writing could otherwise all land
-		// past the bound.
-		s.makeRoom(name, size)
-		if old, ok := s.entries[name]; ok {
-			s.bytes -= old.size
+// commitLoop lands the queued writes batch by batch, each with one
+// write and one fsync, and returns once the queue is empty.
+func (s *Store) commitLoop() {
+	var buf []byte
+	for {
+		s.mu.Lock()
+		batch := s.queue
+		s.queue = nil
+		if len(batch) == 0 {
+			s.committing = false
+			s.mu.Unlock()
+			return
 		}
-		s.entries[name] = &entry{name: name, size: size, mtime: time.Now()}
-		s.bytes += size
+		s.mu.Unlock()
+		buf = buf[:0]
+		for _, w := range batch {
+			buf = append(buf, w.frame...)
+		}
+		seg, off, err := s.append(buf)
+		s.mu.Lock()
+		for _, w := range batch {
+			close(w.done)
+			if s.pending[w.key] == w {
+				delete(s.pending, w.key)
+			}
+			if err != nil {
+				s.stats.WriteErrors++
+				continue
+			}
+			s.index[w.key] = location{seg: seg, off: off, n: len(w.frame)}
+			seg.keys = append(seg.keys, w.key)
+			off += int64(len(w.frame))
+			s.bytes += int64(len(w.frame))
+		}
 		s.publish()
+		s.mu.Unlock()
+		if err != nil {
+			obs.StoreWriteErrors.Add(int64(len(batch)))
+			obs.Log().Warn("store batch commit failed", "writes", len(batch), "err", err)
+		}
 	}
-	s.mu.Unlock()
-	close(w.done)
+}
+
+// append lands buf on the active segment with one write and one fsync,
+// rotating and evicting first as the bounds require, and returns where
+// it landed.  A failed write is truncated away; if the truncate fails
+// too, the next batch starts a new segment.
+func (s *Store) append(buf []byte) (*segment, int64, error) {
+	if s.active != nil && s.active.size >= s.segBytes {
+		s.active = nil // rotate; the old segment stays open for reads
+	}
+	dirty := s.makeRoom(int64(len(buf)))
+	if s.active == nil {
+		f, err := os.OpenFile(s.segPath(s.nextID), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return nil, 0, fmt.Errorf("store: create segment: %w", err)
+		}
+		s.active = &segment{id: s.nextID, f: f}
+		s.segs = append(s.segs, s.active)
+		s.nextID++
+		dirty = true
+	}
+	if dirty {
+		if d, err := os.Open(s.dir); err == nil {
+			_ = d.Sync()
+			d.Close()
+		}
+	}
+	seg, off := s.active, s.active.size
+	_, err := seg.f.WriteAt(buf, off)
+	if err == nil {
+		err = seg.f.Sync()
+	}
 	if err != nil {
-		obs.StoreWriteErrors.Inc()
-		obs.Log().Warn("store write-behind commit failed", "file", name, "err", err)
+		if seg.f.Truncate(off) != nil {
+			s.active = nil
+		}
+		return nil, 0, fmt.Errorf("store: append %d bytes to segment %016x: %w", len(buf), seg.id, err)
 	}
+	seg.size += int64(len(buf))
+	return seg, off, nil
+}
+
+// makeRoom removes the oldest segments until need more bytes fit the
+// bound, and reports whether it removed any.
+func (s *Store) makeRoom(need int64) bool {
+	var victims []*segment
+	s.mu.Lock()
+	for s.opts.MaxBytes > 0 && len(s.segs) > 0 && s.bytes+need > s.opts.MaxBytes {
+		v := s.segs[0]
+		s.segs, victims = s.segs[1:], append(victims, v)
+		if v == s.active {
+			s.active = nil
+		}
+		for _, key := range v.keys {
+			if s.index[key].seg == v {
+				delete(s.index, key)
+				s.stats.Evictions++
+				obs.StoreEvictions.Inc()
+			}
+		}
+		s.bytes -= v.size
+	}
+	s.publish()
+	s.mu.Unlock()
+	for _, v := range victims {
+		v.f.Close()
+		_ = os.Remove(s.segPath(v.id))
+	}
+	return len(victims) > 0
 }
 
 // Flush waits until every write Put accepted before the call has
-// committed or failed, or until ctx ends.  The daemon's drain calls it
-// so an accepted write is on disk before the process exits.
+// landed or failed (writes land in queue order, so that is the newest
+// one), or until ctx ends.  The daemon's drain calls it.
 func (s *Store) Flush(ctx context.Context) error {
 	s.mu.Lock()
-	waits := make([]chan struct{}, 0, len(s.pending))
-	for _, w := range s.pending {
-		waits = append(waits, w.done)
-	}
+	tail := s.tail
 	s.mu.Unlock()
-	for _, done := range waits {
+	if tail != nil {
 		select {
-		case <-done:
+		case <-tail:
 		case <-ctx.Done():
 			return fmt.Errorf("store: flush: %w", ctx.Err())
 		}
-	}
-	return nil
-}
-
-// makeRoom evicts LRU entries until an incoming entry of the given
-// size (possibly replacing name) fits the bounds.  Caller holds s.mu.
-func (s *Store) makeRoom(name string, size int64) {
-	overBytes := func() bool {
-		if s.opts.MaxBytes <= 0 {
-			return false
-		}
-		b := s.bytes + size
-		if old, ok := s.entries[name]; ok {
-			b -= old.size
-		}
-		return b > s.opts.MaxBytes
-	}
-	if !overBytes() {
-		return
-	}
-	// Oldest-first sweep; ties break by name so eviction order is
-	// deterministic under coarse mtime clocks.
-	victims := make([]*entry, 0, len(s.entries))
-	for n, e := range s.entries {
-		if n == name {
-			continue // the entry being replaced is accounted above
-		}
-		victims = append(victims, e)
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		if !victims[i].mtime.Equal(victims[j].mtime) {
-			return victims[i].mtime.Before(victims[j].mtime)
-		}
-		return victims[i].name < victims[j].name
-	})
-	for _, v := range victims {
-		if !overBytes() {
-			break
-		}
-		_ = os.Remove(filepath.Join(s.dir, v.name))
-		delete(s.entries, v.name)
-		s.bytes -= v.size
-		s.stats.Evictions++
-		obs.StoreEvictions.Inc()
-	}
-	s.publish()
-}
-
-// writeAtomic lands frame at name via temp-file + rename, fsyncing the
-// file and the dir.
-func (s *Store) writeAtomic(name string, frame []byte) error {
-	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
-	if err != nil {
-		return fmt.Errorf("store: create temp entry: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("store: write entry: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("store: sync entry: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("store: close entry: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("store: commit entry: %w", err)
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -9,10 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // openTest opens a store on a fresh temp dir and lands every accepted
@@ -114,8 +112,8 @@ func TestReopenSeesDurableEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 5 {
-		t.Fatalf("reopened store has %d entries, want 5", s2.Len())
+	if s2.Stats().Entries != 5 {
+		t.Fatalf("reopened store has %d entries, want 5", s2.Stats().Entries)
 	}
 	for i := 0; i < 5; i++ {
 		got, ok := s2.Get(fmt.Sprintf("key-%d", i))
@@ -125,79 +123,32 @@ func TestReopenSeesDurableEntries(t *testing.T) {
 	}
 }
 
-// entryPath returns the one committed entry file in the store dir.
-func entryPath(t *testing.T, s *Store) string {
+// segFiles returns the store's segment file paths, oldest first.
+func segFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	des, err := os.ReadDir(s.Dir())
+	files, err := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), entrySuffix) {
-			return filepath.Join(s.Dir(), de.Name())
-		}
-	}
-	t.Fatal("no committed entry found")
-	return ""
+	return files
 }
 
-func TestTornWriteIsQuarantined(t *testing.T) {
-	s := openTest(t, Options{})
-	putFlushed(t, s, "k", bytes.Repeat([]byte("x"), 256))
-	path := entryPath(t, s)
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+// lastSeg returns the newest segment file in the store's dir.
+func lastSeg(t *testing.T, s *Store) string {
+	t.Helper()
+	files := segFiles(t, s.Dir())
+	if len(files) == 0 {
+		t.Fatal("no segment file found")
 	}
-	// Truncate mid-payload: the classic torn write a non-atomic
-	// writer would leave after a crash.
-	if err := os.Truncate(path, info.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("Get served a torn entry")
-	}
-	if _, err := os.Stat(path + badSuffix); err != nil {
-		t.Fatalf("torn entry was not quarantined to %s: %v", badSuffix, err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("torn entry still servable at %s", path)
-	}
-	st := s.Stats()
-	if st.Corrupt != 1 || st.Entries != 0 {
-		t.Fatalf("stats = %+v, want 1 corrupt / 0 entries", st)
-	}
-	// The quarantined frame stays a miss on re-read, not an error loop.
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("Get served a quarantined entry")
-	}
+	return files[len(files)-1]
 }
 
-func TestBitFlipIsQuarantined(t *testing.T) {
-	s := openTest(t, Options{})
-	putFlushed(t, s, "k", bytes.Repeat([]byte("y"), 128))
-	path := entryPath(t, s)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("Get served a bit-flipped entry")
-	}
-	if s.Stats().Corrupt != 1 {
-		t.Fatal("bit flip was not counted as corruption")
-	}
-}
-
-// TestLyingLengthFrame hand-crafts a frame whose payload-length field
-// claims more bytes than the file holds, with the CRC recomputed so
-// only the length check can catch it.
+// TestLyingLengthFrame hand-crafts a segment whose one frame claims
+// more payload bytes than the file holds, with the CRC recomputed so
+// only the length check can catch it: Open truncates it as a torn
+// tail.
 func TestLyingLengthFrame(t *testing.T) {
-	s := openTest(t, Options{})
+	dir := t.TempDir()
 	key := "k"
 	body := binary.AppendUvarint(nil, uint64(len(key)))
 	body = append(body, key...)
@@ -206,31 +157,36 @@ func TestLyingLengthFrame(t *testing.T) {
 	frame := []byte{'P', 'C', 'S', frameVersion, 0, 0, 0, 0}
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
 	frame = append(frame, body...)
-	if err := os.WriteFile(filepath.Join(s.Dir(), fileName(key)), frame, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", 7, segSuffix)), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(key); ok {
 		t.Fatal("Get served a lying-length frame")
 	}
-	if s.Stats().Corrupt != 1 {
-		t.Fatal("lying-length frame was not counted as corruption")
+	if st := s.Stats(); st.Corrupt != 1 || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats = %+v, want 1 corrupt / 0 entries / 0 bytes", st)
 	}
 }
 
+// TestKeyMismatchIsQuarantined: a frame rewritten on disk under
+// another key of the same length, CRC resealed, is not served under
+// the key the index holds, and is dropped from the index.
 func TestKeyMismatchIsQuarantined(t *testing.T) {
 	s := openTest(t, Options{})
 	putFlushed(t, s, "real-key", []byte("payload"))
-	// Copy the committed frame to the file name of a different key —
-	// a misfiled entry (or a hash collision) must not be served.
-	data, err := os.ReadFile(entryPath(t, s))
-	if err != nil {
+	// Same key length, so the frame keeps its length and location.
+	if err := os.WriteFile(lastSeg(t, s), appendFrame(nil, "fake-key", []byte("payload")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(s.Dir(), fileName("other-key")), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("other-key"); ok {
+	if _, ok := s.Get("real-key"); ok {
 		t.Fatal("Get served a frame recorded under a different key")
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want 1 corrupt / 0 entries", st)
 	}
 }
 
@@ -247,77 +203,18 @@ func TestStaleTempFilesSweptAtOpen(t *testing.T) {
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatal("stale temp file survived Open")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("stale temp file was tallied as an entry: %d", s.Len())
-	}
-}
-
-func TestLRUEvictionByEntries(t *testing.T) {
-	s := openTest(t, capFor(3, "key-0", []byte("v")))
-	base := time.Now().Add(-time.Hour)
-	for i := 0; i < 3; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		putFlushed(t, s, key, []byte("v"))
-		// Spread mtimes coarsely so LRU order is unambiguous even on
-		// filesystems with coarse timestamps.
-		mt := base.Add(time.Duration(i) * time.Minute)
-		path := filepath.Join(s.Dir(), fileName(key))
-		if err := os.Chtimes(path, mt, mt); err != nil {
-			t.Fatal(err)
-		}
-		s.mu.Lock()
-		s.entries[fileName(key)].mtime = mt
-		s.mu.Unlock()
-	}
-	// key-0 is oldest; the fourth Put must evict exactly it.
-	putFlushed(t, s, "key-3", []byte("v"))
-	if _, ok := s.Get("key-0"); ok {
-		t.Fatal("LRU entry survived an over-capacity Put")
-	}
-	for _, key := range []string{"key-1", "key-2", "key-3"} {
-		if _, ok := s.Get(key); !ok {
-			t.Fatalf("recent entry %s was evicted", key)
-		}
-	}
-	if st := s.Stats(); st.Evictions != 1 || st.Entries != 3 {
-		t.Fatalf("stats = %+v, want 1 eviction / 3 entries", st)
-	}
-}
-
-func TestHitRefreshesRecency(t *testing.T) {
-	s := openTest(t, capFor(2, "a", []byte("v")))
-	old := time.Now().Add(-time.Hour)
-	for _, key := range []string{"a", "b"} {
-		putFlushed(t, s, key, []byte("v"))
-		path := filepath.Join(s.Dir(), fileName(key))
-		if err := os.Chtimes(path, old, old); err != nil {
-			t.Fatal(err)
-		}
-		s.mu.Lock()
-		s.entries[fileName(key)].mtime = old
-		s.mu.Unlock()
-	}
-	// Touch "a": the hit must refresh its recency so "b" becomes the
-	// LRU victim when "c" arrives.
-	if _, ok := s.Get("a"); !ok {
-		t.Fatal("warm-up Get missed")
-	}
-	putFlushed(t, s, "c", []byte("v"))
-	if _, ok := s.Get("b"); ok {
-		t.Fatal("unread entry b survived over recently-read a")
-	}
-	if _, ok := s.Get("a"); !ok {
-		t.Fatal("recently-read entry a was evicted")
+	if s.Stats().Entries != 0 {
+		t.Fatalf("stale temp file was tallied as an entry: %d", s.Stats().Entries)
 	}
 }
 
 func TestEvictionByBytes(t *testing.T) {
 	s := openTest(t, Options{MaxBytes: 600})
-	// Each frame is ~190 bytes (header + key + 150-byte payload), so
+	// Each frame is 166 bytes (header + key + 150-byte payload), past
+	// the 150-byte rotation size, so each lands in its own segment and
 	// the cap holds three; the fourth Put evicts the oldest.
 	for i := 0; i < 4; i++ {
 		putFlushed(t, s, fmt.Sprintf("key-%d", i), bytes.Repeat([]byte("z"), 150))
-		time.Sleep(5 * time.Millisecond) // separate mtimes
 	}
 	st := s.Stats()
 	if st.Evictions == 0 {
@@ -371,8 +268,8 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 	wg.Wait()
 	flush(t, s)
-	if s.Len() > 16 {
-		t.Fatalf("entry cap breached: %d", s.Len())
+	if s.Stats().Entries > 16 {
+		t.Fatalf("entry cap breached: %d", s.Stats().Entries)
 	}
 }
 
@@ -401,7 +298,8 @@ func TestGetAfterPutHits(t *testing.T) {
 }
 
 // TestFlushLandsEveryAcceptedWrite: concurrent writers, then Flush —
-// every accepted write is a committed file, no more and no fewer.
+// every accepted write is a committed entry that a reopen of the dir
+// finds, no more and no fewer.
 func TestFlushLandsEveryAcceptedWrite(t *testing.T) {
 	s := openTest(t, Options{})
 	var wg sync.WaitGroup
@@ -420,13 +318,13 @@ func TestFlushLandsEveryAcceptedWrite(t *testing.T) {
 	}
 	wg.Wait()
 	flush(t, s)
-	files, err := filepath.Glob(filepath.Join(s.Dir(), "*"+entrySuffix))
+	reopened, err := Open(s.Dir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Writes != 100 || uint64(len(files)) != st.Writes || st.Entries != len(files) || st.WriteErrors != 0 {
-		t.Fatalf("%d %s files after Flush; stats = %+v, want 100 writes, 100 entries, no errors", len(files), entrySuffix, st)
+	if st.Writes != 100 || st.Entries != 100 || st.WriteErrors != 0 || reopened.Stats().Entries != 100 {
+		t.Fatalf("after Flush: stats = %+v, reopened store holds %d; want 100 writes, 100 entries, no errors", st, reopened.Stats().Entries)
 	}
 }
 
@@ -491,13 +389,165 @@ func TestCommitsTrailPutByAtMostK(t *testing.T) {
 		if i < k {
 			continue
 		}
-		name := fileName(fmt.Sprintf("key-%d", i-k))
+		key := fmt.Sprintf("key-%d", i-k)
 		s.mu.Lock()
-		_, pending := s.pending[name]
-		_, landed := s.entries[name]
+		_, pending := s.pending[key]
+		_, landed := s.index[key]
 		s.mu.Unlock()
 		if pending || !landed {
 			t.Fatalf("after Put %d, write %d is pending=%v landed=%v; want landed", i, i-k, pending, landed)
 		}
 	}
+}
+
+// TestSegmentLog is the log's crash suite: each case writes key-0 ..
+// key-(writes-1), one flushed Put each, damages or drives the store,
+// then checks which keys it serves and what it counted.
+func TestSegmentLog(t *testing.T) {
+	payload := bytes.Repeat([]byte("p"), 100)
+	tests := []struct {
+		name   string
+		opts   Options
+		writes int
+		// act runs after the writes and returns the store to check: s
+		// itself, or a reopen of its dir.
+		act            func(t *testing.T, s *Store) *Store
+		served, missed []int
+		want           Stats // Corrupt, Evictions and WriteErrors are compared
+	}{
+		{
+			name:   "torn tail is truncated at Open",
+			writes: 3,
+			act: func(t *testing.T, s *Store) *Store {
+				path := lastSeg(t, s)
+				info, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Cut the last frame in half: what a crash mid-append
+				// leaves.
+				frame := int64(len(appendFrame(nil, "key-2", payload)))
+				if err := os.Truncate(path, info.Size()-frame/2); err != nil {
+					t.Fatal(err)
+				}
+				r := reopen(t, s)
+				if info, err := os.Stat(path); err != nil || info.Size() != 2*frame {
+					t.Fatalf("torn segment is %v bytes after Open (err %v), want the %d of its whole frames", info.Size(), err, 2*frame)
+				}
+				return r
+			},
+			served: []int{0, 1},
+			missed: []int{2},
+			want:   Stats{Corrupt: 1},
+		},
+		{
+			name:   "bit flip is one corrupt miss, then a clean re-put",
+			writes: 2,
+			act: func(t *testing.T, s *Store) *Store {
+				path := lastSeg(t, s)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)-1] ^= 0x01 // key-1's last payload byte
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					if _, ok := s.Get("key-1"); ok {
+						t.Fatal("Get served a bit-flipped frame")
+					}
+				}
+				// The next request re-solves and re-puts the plan.
+				putFlushed(t, s, "key-1", payload)
+				return s
+			},
+			served: []int{0, 1},
+			want:   Stats{Corrupt: 1},
+		},
+		{
+			name:   "eviction drops the oldest segment first",
+			opts:   capFor(3, "key-0", payload),
+			writes: 3,
+			act: func(t *testing.T, s *Store) *Store {
+				// A hit does not reorder eviction: key-0 goes first.
+				if _, ok := s.Get("key-0"); !ok {
+					t.Fatal("warm-up Get missed")
+				}
+				putFlushed(t, s, "key-3", payload)
+				if files := segFiles(t, s.Dir()); len(files) != 3 || filepath.Base(files[0]) != fmt.Sprintf("%016x%s", 1, segSuffix) {
+					t.Fatalf("segments after eviction: %v; want ids 1..3", files)
+				}
+				return s
+			},
+			served: []int{1, 2, 3},
+			missed: []int{0},
+			want:   Stats{Evictions: 1},
+		},
+		{
+			name:   "a batch with a failed write leaves no servable entry",
+			writes: 1,
+			act: func(t *testing.T, s *Store) *Store {
+				// Swap the active segment for a read-only handle: the
+				// append fails, and so does the truncate behind it.
+				ro, err := os.Open(s.active.f.Name())
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.active.f.Close()
+				s.active.f = ro
+				if err := s.Put("key-1", payload); err != nil {
+					t.Fatal(err)
+				}
+				flush(t, s)
+				// The next batch rotates to a fresh segment and lands.
+				putFlushed(t, s, "key-2", payload)
+				if n := len(segFiles(t, s.Dir())); n != 2 {
+					t.Fatalf("%d segments after the failed batch, want 2", n)
+				}
+				return reopen(t, s)
+			},
+			served: []int{0, 2},
+			missed: []int{1},
+			want:   Stats{WriteErrors: 1},
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTest(t, tc.opts)
+			for i := 0; i < tc.writes; i++ {
+				putFlushed(t, s, fmt.Sprintf("key-%d", i), payload)
+			}
+			got := tc.act(t, s)
+			for _, i := range tc.served {
+				if p, ok := got.Get(fmt.Sprintf("key-%d", i)); !ok || !bytes.Equal(p, payload) {
+					t.Errorf("key-%d = %q/%v, want it served", i, p, ok)
+				}
+			}
+			for _, i := range tc.missed {
+				if _, ok := got.Get(fmt.Sprintf("key-%d", i)); ok {
+					t.Errorf("key-%d served, want a miss", i)
+				}
+			}
+			st := s.Stats()
+			if got != s {
+				st.Corrupt = got.Stats().Corrupt
+			}
+			if st.Corrupt != tc.want.Corrupt || st.Evictions != tc.want.Evictions || st.WriteErrors != tc.want.WriteErrors {
+				t.Errorf("stats = %+v, want %d corrupt / %d evictions / %d write errors", st, tc.want.Corrupt, tc.want.Evictions, tc.want.WriteErrors)
+			}
+		})
+	}
+}
+
+// reopen flushes s and opens a second store over its dir, as a
+// restarted daemon does.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	flush(t, s)
+	r, err := Open(s.Dir(), Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	return r
 }

@@ -25,6 +25,11 @@ const (
 	ContentTypeBinary = "application/x-paraconv-bin"
 )
 
+// MaxBodyBytes is the default cap on a request body a daemon reads
+// (-max-body), and the base of the cap on a response body its fill
+// client reads from a peer (see cluster's roundTrip).
+const MaxBodyBytes = 1 << 20
+
 // Request is the body shared by the three solve endpoints.  Every
 // field except the graph is optional.
 type Request struct {

@@ -44,6 +44,8 @@ go test -run='^$' -fuzz='^FuzzRequestFrameSplit$' -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz='^FuzzPlanFrames$' -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz='^FuzzSplitPeerFill$' -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz='^FuzzStoreFrame$' -fuzztime=10s ./internal/store/
+go test -run='^$' -fuzz='^FuzzStoreSegment$' -fuzztime=10s ./internal/store/
+go test -run='^$' -fuzz='^FuzzPeerResponse$' -fuzztime=10s ./internal/cluster/
 go test -run='^$' -fuzz='^FuzzSynthGenerate$' -fuzztime=10s ./internal/synth/
 go test -run='^$' -fuzz='^FuzzKnapsackEquivalence$' -fuzztime=10s ./internal/core/
 
@@ -389,14 +391,17 @@ fi
 kill -TERM "$wr_pid"
 wait "$wr_pid" || { echo "warm-restart daemon (boot 1) did not drain cleanly" >&2; exit 1; }
 wr_pid=""
-plan_files=$(find "$wr_dir" -maxdepth 1 -name '*.plan' | wc -l)
-if (( plan_files != store_writes - ${store_errors:-0} )); then
-    echo "after the drain $wr_dir holds $plan_files plan files; boot 1 accepted $store_writes writes with ${store_errors:-0} errors" >&2
+
+start_wr_daemon "$tmpdir/wr2.err"
+# Boot 2's Open scanned the segments boot 1's drain landed: before any
+# request, it must index every write boot 1 accepted and did not fail.
+curl -fsS "http://$wr_addr/metrics" > "$tmpdir/wr2_boot_metrics.txt"
+boot_entries=$(awk '/^paraconv_store_entries / { print $2; exit }' "$tmpdir/wr2_boot_metrics.txt")
+if [[ "$boot_entries" != "$(( store_writes - ${store_errors:-0} ))" ]]; then
+    echo "restarted daemon indexed '$boot_entries' store entries; boot 1 accepted $store_writes writes with ${store_errors:-0} errors" >&2
     ls -la "$wr_dir" >&2 || true
     exit 1
 fi
-
-start_wr_daemon "$tmpdir/wr2.err"
 "$tmpdir/paraconvload" -addr "$wr_addr" -workers 4 -duration 2s \
     > "$tmpdir/wr_load2.out"
 check_burst "$tmpdir/wr_load2.out" "post-restart"
