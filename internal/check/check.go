@@ -1,58 +1,21 @@
-// Package check is the run-time invariant layer: executable
-// restatements of the paper's correctness conditions, callable from
-// any stage of the pipeline.
-//
-// Each validator re-derives one contract from first principles —
-// retiming legality R(i) >= R(i,j) >= R(j) with the Theorem 3.1 bound
-// rrv <= 2, schedule soundness (no PE runs two tasks at once, cached
-// IPRs fit the array), allocation bookkeeping (the DP's claimed
-// profit, footprint and prologue match its placement), and DAG
-// structural sanity.  Production code calls them behind Enabled(),
-// which holds only inside a test binary, so the checks cost nothing in
-// a served request; tests get them unconditionally.
-//
-// The validators deliberately take plain slices rather than the
-// producing packages' result types: check imports only dag and pim, so
-// retime, sched, core, opt, sim and synth can all call it without
-// import cycles.
+// Package check is the reference verifier: executable restatements of
+// the paper's correctness conditions — retiming legality
+// R(i) >= R(i,j) >= R(j) with the Theorem 3.1 bound rrv <= 2, schedule
+// soundness, allocation bookkeeping — written apart from the code they
+// verify.  The production plan check is sched.CheckPlan; tests and
+// the serve-path benchmark call these next to it, and CheckRetiming's
+// one production caller is retime.CheckLegal.  The validators take
+// plain slices and import only dag and pim, so any package can call
+// them.
 package check
 
 import (
 	"fmt"
 	"sort"
-	"testing"
 
 	"repro/internal/dag"
 	"repro/internal/pim"
 )
-
-// Enabled reports whether the invariant checks should run: exactly
-// when executing inside a test binary.
-func Enabled() bool { return testing.Testing() }
-
-// CheckDAG verifies structural sanity of a task graph: every edge
-// connects vertices that exist, no self-loops, and the graph is
-// acyclic.  It is the invariant every generator and graph transform
-// (synth, clustering, replication, codec) must preserve.
-func CheckDAG(g *dag.Graph) error {
-	if g == nil {
-		return fmt.Errorf("check: nil graph")
-	}
-	n := g.NumNodes()
-	for i := range g.Edges() {
-		e := &g.Edges()[i]
-		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
-			return fmt.Errorf("check: graph %q edge %d: endpoints %d->%d outside [0,%d)", g.Name(), i, e.From, e.To, n)
-		}
-		if e.From == e.To {
-			return fmt.Errorf("check: graph %q edge %d: self-loop on vertex %d", g.Name(), i, e.From)
-		}
-	}
-	if _, err := g.TopoSort(); err != nil {
-		return fmt.Errorf("check: graph %q: %w", g.Name(), err)
-	}
-	return nil
-}
 
 // CheckRetiming verifies Definition 3.1's legality and the Theorem 3.1
 // bound for a retiming: r holds the per-vertex retiming values R(i),

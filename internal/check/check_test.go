@@ -8,12 +8,6 @@ import (
 	"repro/internal/pim"
 )
 
-func TestEnabledInTests(t *testing.T) {
-	if !Enabled() {
-		t.Fatal("Enabled() = false inside a test binary")
-	}
-}
-
 func diamond() *dag.Graph {
 	g := dag.New("diamond")
 	for i := 0; i < 4; i++ {
@@ -24,23 +18,6 @@ func diamond() *dag.Graph {
 	g.AddEdge(dag.Edge{From: 1, To: 3, Size: 1, EDRAMTime: 1})
 	g.AddEdge(dag.Edge{From: 2, To: 3, Size: 1, EDRAMTime: 1})
 	return g
-}
-
-func TestCheckDAG(t *testing.T) {
-	if err := CheckDAG(diamond()); err != nil {
-		t.Errorf("CheckDAG(diamond) = %v", err)
-	}
-	if err := CheckDAG(nil); err == nil {
-		t.Error("CheckDAG(nil) accepted")
-	}
-	cyc := dag.New("cyc")
-	cyc.AddNode(dag.Node{Kind: dag.OpConv, Exec: 1})
-	cyc.AddNode(dag.Node{Kind: dag.OpConv, Exec: 1})
-	cyc.AddEdge(dag.Edge{From: 0, To: 1, Size: 1})
-	cyc.AddEdge(dag.Edge{From: 1, To: 0, Size: 1})
-	if err := CheckDAG(cyc); err == nil {
-		t.Error("CheckDAG accepted a cyclic graph")
-	}
 }
 
 func TestCheckRetiming(t *testing.T) {

@@ -20,9 +20,9 @@ import (
 // a DAG, the plan's retiming is legal and Theorem 3.1-bounded, the
 // kernel schedule never oversubscribes a PE or the cache, the
 // allocation's bookkeeping matches its placement, and the simulator
-// accepts and completes the plan.  The wired-in checks also run
-// implicitly (they are always on under `go test`), so a regression in
-// any stage fails here twice over.
+// accepts and completes the plan.  sched.CheckPlan, the check the
+// solver and the daemon's admission run, is called next to the
+// reference validators, so a regression fails here twice over.
 func TestPipelinePropertySweep(t *testing.T) {
 	const seeds = 60 // >= 50 seeded graphs per the correctness-tooling spec
 	for s := 0; s < seeds; s++ {
@@ -41,7 +41,7 @@ func TestPipelinePropertySweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("synth: %v", err)
 			}
-			if err := check.CheckDAG(g); err != nil {
+			if err := g.Validate(); err != nil {
 				t.Fatalf("generated graph: %v", err)
 			}
 
@@ -51,8 +51,13 @@ func TestPipelinePropertySweep(t *testing.T) {
 				t.Fatalf("para-conv: %v", err)
 			}
 
+			// The production check and the reference validators below
+			// must agree that the plan holds.
+			if err := sched.CheckPlan(plan, g, cfg); err != nil {
+				t.Errorf("CheckPlan: %v", err)
+			}
 			kernel := plan.Iter.Graph
-			if err := check.CheckDAG(kernel); err != nil {
+			if err := kernel.Validate(); err != nil {
 				t.Errorf("kernel graph: %v", err)
 			}
 			if err := check.CheckRetiming(kernel, plan.Retiming.R, plan.Retiming.REdge); err != nil {
@@ -152,6 +157,9 @@ func TestSweepCoversSPARTA(t *testing.T) {
 		}
 		if plan.RMax != 0 {
 			t.Errorf("seed %d: SPARTA plan claims RMax %d", s, plan.RMax)
+		}
+		if err := sched.CheckPlan(plan, g, cfg); err != nil {
+			t.Errorf("seed %d: CheckPlan: %v", s, err)
 		}
 		kernel := plan.Iter.Graph
 		exec := make([]int, kernel.NumNodes())

@@ -26,10 +26,11 @@ import (
 // maxResponseBytes bounds the body roundTrip allocates for, checked
 // before the allocation: a peer's Content-Length is as hostile as any
 // other byte off the network.  An owner answers a fill with a plan's
-// at-rest frame, which for a baseline plan carries its kernel graph and
-// runs to about 1.6 times the binary graph (991 KB for a 623 KB,
-// 20,000-vertex graph), and that graph came in a request body of at
-// most wire.MaxBodyBytes by default; four times that leaves headroom.
+// lean frame, which carries no graph: at one concurrent iteration it is
+// about two thirds of the binary problem graph (8.4 KB for a 13.4 KB
+// protein-shape graph), and that graph came in a request body of at
+// most wire.MaxBodyBytes by default; four times that leaves headroom
+// for replicated kernels.
 const maxResponseBytes = 4 * wire.MaxBodyBytes
 
 // peerConn is one pooled connection to a peer.
@@ -130,8 +131,8 @@ func readFull(br *bufio.Reader, dst []byte) (int, error) {
 // fillRequest pre-serializes the GET /v1/plans/{fp} exchange.  The
 // fill body (a wire peer-fill frame) may be empty for a lookup-only
 // probe of the owner's tiers.  The owner answers with the plan's
-// at-rest frame, which the requester decodes against the problem graph
-// it holds (wire.DecodeFillPlan).
+// lean frame, which the requester decodes against the problem graph it
+// holds (wire.DecodeLeanPlan).
 func fillRequest(addr, fp, contentType string, fill []byte) []byte {
 	var b bytes.Buffer
 	b.Grow(len(fill) + 256)

@@ -24,7 +24,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/check"
 	"repro/internal/dag"
 	"repro/internal/obs/span"
 	"repro/internal/pim"
@@ -233,12 +232,6 @@ func OptimizeInto(ctx context.Context, dst *Allocation, g *dag.Graph, classes []
 		}
 	}
 	sc.fillers = fillZeroDelta(g, classes, dst, capacity, sc.fillers[:0])
-	if check.Enabled() {
-		claim := check.Claim{CacheUsed: dst.CacheUsed, CachedCount: dst.CachedCount, RMax: -1}
-		if err := check.CheckAllocation(g, dst.Assignment, capacity, claim, nil); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
 	return nil
 }
 

@@ -255,6 +255,7 @@ func TestValidateRejectsDefects(t *testing.T) {
 		build func() *Graph
 		want  string
 	}{
+		{"nil", func() *Graph { return nil }, "nil"},
 		{"cycle", func() *Graph {
 			g := New("c")
 			g.AddNode(Node{Kind: OpConv, Exec: 1})

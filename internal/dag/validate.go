@@ -8,7 +8,7 @@ import (
 // ValidationError describes one defect found by Validate.
 type ValidationError struct {
 	// Kind is a short machine-checkable category, e.g. "cycle",
-	// "exec", "transfer", "size", "self-loop", "duplicate-edge".
+	// "exec", "transfer", "size", "self-loop", "duplicate-edge", "nil".
 	Kind string
 	// Detail is the human-readable description.
 	Detail string
@@ -62,8 +62,11 @@ scan:
 // duplicate-edge check stamps pooled per-vertex scratch, acyclicity is
 // an unordered Kahn pass (IsAcyclic), and the map-based scan only runs
 // (to attribute each duplicate to its edge ID) once a duplicate is
-// known to exist.
+// known to exist.  A nil graph is invalid, not a panic.
 func (g *Graph) Validate() error {
+	if g == nil {
+		return &ValidationError{Kind: "nil", Detail: "no graph"}
+	}
 	if g.hasDuplicateEdges() {
 		return g.validateSlow()
 	}

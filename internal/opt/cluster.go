@@ -13,7 +13,6 @@ package opt
 import (
 	"fmt"
 
-	"repro/internal/check"
 	"repro/internal/dag"
 )
 
@@ -135,11 +134,6 @@ func ClusterLinearChains(g *dag.Graph, maxExec int) (*ClusterResult, error) {
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("opt: clustering produced invalid graph: %w", err)
-	}
-	if check.Enabled() {
-		if err := check.CheckDAG(out); err != nil {
-			return nil, fmt.Errorf("opt: clustering: %w", err)
-		}
 	}
 	return &ClusterResult{Graph: out, MemberOf: memberOf, Merged: merged}, nil
 }

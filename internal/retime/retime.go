@@ -360,11 +360,6 @@ func ApplyInto(res *Result, g *dag.Graph, classes []EdgeClass, a Assignment, per
 			rmax = x
 		}
 	}
-	if check.Enabled() {
-		if err := check.CheckRetiming(g, r, rEdge); err != nil {
-			return fmt.Errorf("retime: %w", err)
-		}
-	}
 	res.R, res.REdge, res.RMax, res.Period = r, rEdge, rmax, period
 	return nil
 }
@@ -388,10 +383,6 @@ func AnalyzeAssignment(g *dag.Graph, tm Timing, a Assignment) (Result, []EdgeCla
 // rrv within Theorem 3.1's [0,2], and R(i) - R(j) at least the rrv of
 // every edge.  It returns a descriptive error for the first violation.
 func CheckLegal(g *dag.Graph, res Result) error {
-	if len(res.R) != g.NumNodes() || len(res.REdge) != g.NumEdges() {
-		return fmt.Errorf("retime: result covers %d vertices, %d edges; want %d, %d",
-			len(res.R), len(res.REdge), g.NumNodes(), g.NumEdges())
-	}
 	if err := check.CheckRetiming(g, res.R, res.REdge); err != nil {
 		return fmt.Errorf("retime: %w", err)
 	}

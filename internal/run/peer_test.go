@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/dag"
 	"repro/internal/pim"
 	"repro/internal/sched"
 	"repro/internal/wire"
@@ -78,7 +77,7 @@ func TestPeerFillServesAndPromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	filler := &stubFiller{payload: wire.AppendPlan(nil, want), ok: true}
+	filler := &stubFiller{payload: wire.AppendLeanPlan(nil, want), ok: true}
 	st := newMemBlobStore()
 	s := New(context.Background())
 	s.AttachStore(st)
@@ -196,8 +195,8 @@ func TestPeerFillOwnerAndOptOut(t *testing.T) {
 
 // TestEncodedPlanByFingerprintStoreTier: a restarted owner (fresh
 // memory cache, same durable store) serves peer fills from the store's
-// payload verbatim — the lean frame a para-conv plan rests in, and a
-// baseline's self-contained frame.
+// payload verbatim — the lean frame every plan rests in, a baseline's
+// included.
 func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 	g := testGraph(t, "peerstore", 24, 50, 9600)
 	cfg := pim.Neurocube(16)
@@ -226,10 +225,10 @@ func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: restarted owner missed a store-resident fingerprint", tc.want.Scheme)
 		}
-		if stored, _ := st.Get(tc.fp); !bytes.Equal(payload, stored) || !bytes.Equal(payload, wire.AppendAtRest(nil, tc.want)) {
-			t.Fatalf("%s: store-served fill is not the stored at-rest frame", tc.want.Scheme)
+		if stored, _ := st.Get(tc.fp); !bytes.Equal(payload, stored) || !bytes.Equal(payload, wire.AppendLeanPlan(nil, tc.want)) {
+			t.Fatalf("%s: store-served fill is not the stored lean frame", tc.want.Scheme)
 		}
-		p, err := wire.DecodeFillPlan(payload, g, dag.Limits{})
+		p, err := wire.DecodeLeanPlan(payload, g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,14 @@ var solvers = map[string]func(context.Context, *dag.Graph, pim.Config) (*sched.P
 	variantNaive:    sched.NaiveCtx,
 }
 
+// schemeOf names the plan scheme of variant's solver.
+func schemeOf(variant string) string {
+	if variant == variantSPARTA || variant == variantNaive {
+		return variant
+	}
+	return variantParaCONV
+}
+
 // ErrUnknownVariant is wrapped by PlanVariant's error for a variant
 // name outside the table — the caller's mistake, not a planner
 // rejection.
@@ -177,7 +185,7 @@ func (s *Session) plan(variant, extra, graphFP string, cfg pim.Config,
 		}
 		// Second tier: the durable store (when attached).  A hit skips
 		// the solver entirely — this is the warm-restart path.
-		if p, ok := s.storeTier(fp, cfg.Name, g); ok {
+		if p, ok := s.storeTier(fp, variant, g, cfg); ok {
 			return p, nil
 		}
 		// Third tier: the cluster (when attached).  Only for problems

@@ -11,8 +11,8 @@ import (
 	"repro/internal/synth"
 )
 
-// openStore opens a store on dir and lands its accepted writes before
-// the test's temp dirs are removed.
+// openStore opens a store on dir and closes it, landing its accepted
+// writes, before the test's temp dirs are removed.
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
@@ -20,7 +20,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := st.Flush(context.Background()); err != nil {
+		if err := st.Close(context.Background()); err != nil {
 			t.Error(err)
 		}
 	})
@@ -65,10 +65,10 @@ func TestStoreWarmRestart(t *testing.T) {
 	}
 
 	// Second boot: fresh in-memory cache, same dir, once the first
-	// boot's writes have landed.  Every plan must come from the durable
-	// tier — StoreHits counts exactly the lookups, and the solver (which
-	// would bump StoreMisses on its way in) never runs.
-	if err := st1.Flush(context.Background()); err != nil {
+	// boot's drain has landed its writes.  Every plan must come from the
+	// durable tier — StoreHits counts exactly the lookups, and the solver
+	// (which would bump StoreMisses on its way in) never runs.
+	if err := st1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st2 := openStore(t, dir)

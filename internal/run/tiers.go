@@ -2,6 +2,7 @@ package run
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/dag"
 	"repro/internal/obs"
@@ -49,8 +50,8 @@ type PeerFiller interface {
 	// the owner can solve on the requester's behalf; it is invoked
 	// only when the owner's tiers miss (the warm path ships nothing
 	// but the fingerprint), and may be nil for lookup-only probes.
-	// The payload is a lean or stored-plan frame — callers holding the
-	// problem graph decode it with wire.DecodeFillPlan.
+	// The payload is a lean plan frame — callers holding the problem
+	// graph decode it with wire.DecodeLeanPlan.
 	// ok=false means no peer could serve it; the caller falls back to
 	// a local solve.
 	Fill(ctx context.Context, fp string, fill func() []byte) (payload []byte, ok bool)
@@ -73,15 +74,23 @@ func (s *Session) AttachPeers(f PeerFiller) {
 
 // admit is the one door every plan that did not come from a local
 // solve walks through, whichever outer tier produced its frame: decode
-// (lean frames against g, the problem graph in hand), then re-validate
-// — a CRC catches disk rot and a peer is trusted to be a peer, but a
-// plan written by a buggy build is caught by the same structural
-// checks a fresh solve satisfies by construction.  Any failure is a
-// logged miss: the solver is always a correct fallback.
-func admit(tier, fp string, frame []byte, g *dag.Graph) (*sched.Plan, bool) {
-	p, err := wire.DecodeFillPlan(frame, g, dag.Limits{})
+// the lean frame against g, the problem graph in hand, then prove the
+// plan for this request — the variant's scheme, a sound schedule
+// (IterationSchedule.Validate), and the plan check every solver's own
+// output passes (sched.CheckPlan).  A CRC catches disk rot and a peer
+// is trusted to be a peer, but a plan written by a buggy build or
+// forged in transit is not served.  Any failure, a stored-plan frame
+// included, is a logged miss: the solver is always a correct fallback.
+func admit(tier, fp, variant string, frame []byte, g *dag.Graph, cfg pim.Config) (*sched.Plan, bool) {
+	p, err := wire.DecodeLeanPlan(frame, g)
+	if err == nil && p.Scheme != schemeOf(variant) {
+		err = fmt.Errorf("run: %s plan for a %s request", p.Scheme, variant)
+	}
 	if err == nil {
 		err = p.Iter.Validate()
+	}
+	if err == nil {
+		err = sched.CheckPlan(p, g, cfg)
 	}
 	if err != nil {
 		obs.Log().Warn("plan frame rejected, falling through to solve", "tier", tier, "fp", fp, "err", err)
@@ -100,7 +109,7 @@ func admit(tier, fp string, frame []byte, g *dag.Graph) (*sched.Plan, bool) {
 // behind the response (see internal/store).
 func (c *planCache) promote(fp, arch string, p *sched.Plan, rest []byte, toStore bool) {
 	if rest == nil {
-		rest = wire.AppendAtRest(nil, p)
+		rest = wire.AppendLeanPlan(nil, p)
 	}
 	c.put(fp, arch, p, rest)
 	if !toStore || c.store == nil {
@@ -112,7 +121,7 @@ func (c *planCache) promote(fp, arch string, p *sched.Plan, rest []byte, toStore
 }
 
 // storeTier runs the durable-tier consultation for a flight leader.
-func (s *Session) storeTier(fp, arch string, g *dag.Graph) (*sched.Plan, bool) {
+func (s *Session) storeTier(fp, variant string, g *dag.Graph, cfg pim.Config) (*sched.Plan, bool) {
 	c := s.cache
 	if c.store == nil {
 		return nil, false
@@ -122,14 +131,14 @@ func (s *Session) storeTier(fp, arch string, g *dag.Graph) (*sched.Plan, bool) {
 	frame, ok := c.store.Get(fp)
 	var p *sched.Plan
 	if ok {
-		p, ok = admit("store", fp, frame, g)
+		p, ok = admit("store", fp, variant, frame, g, cfg)
 	}
 	if !ok {
 		c.count(&c.n.StoreMisses)
 		return nil, false
 	}
 	c.count(&c.n.StoreHits)
-	c.promote(fp, arch, p, frame, false)
+	c.promote(fp, cfg.Name, p, frame, false)
 	return p, true
 }
 
@@ -153,7 +162,7 @@ func (s *Session) peerTier(fp, variant string, g *dag.Graph, cfg pim.Config) (*s
 	fillSpan.End()
 	var p *sched.Plan
 	if ok {
-		p, ok = admit("peer", fp, frame, g)
+		p, ok = admit("peer", fp, variant, frame, g, cfg)
 	} else if err := s.ctx.Err(); err != nil {
 		// Distinguish "peer unavailable" from "my own caller is gone":
 		// the former degrades to a local solve, the latter must surface
@@ -173,7 +182,7 @@ func (s *Session) peerTier(fp, variant string, g *dag.Graph, cfg pim.Config) (*s
 
 // EncodedPlanByFingerprint serves the owner's side of the fill
 // protocol: the plan for fp from this session's local tiers, as the
-// at-rest frame (wire.AppendAtRest) the memory entry or the store
+// lean frame (wire.AppendLeanPlan) the memory entry or the store
 // already holds — shared, not copied, since serving fills is an
 // owner's hot path under a thundering fleet.  ok=false means no local
 // tier can answer; the server decides whether to solve on the

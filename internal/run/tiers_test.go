@@ -6,12 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/pim"
+	"repro/internal/retime"
 	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -57,13 +59,18 @@ func (a tierCounts) minus(b tierCounts) tierCounts {
 }
 
 // checkAgainstProblem re-derives a plan's correctness from g, the
-// problem graph, trusting none of the plan's own bookkeeping: its
-// kernel is g unrolled ConcurrentIterations times, the kernel schedule
-// fits the array with every duration g's execution time, and — for a
-// Para-CONV plan — the retiming is legal on g (Definition 3.1, Theorem
-// 3.1) and the allocation's footprint, count and R_max match its claim.
+// problem graph, trusting none of the plan's own bookkeeping: it
+// passes sched.CheckPlan, the check the solvers and admission run, and
+// the independent reference validators agree — its kernel is g
+// unrolled ConcurrentIterations times, the kernel schedule fits the
+// array with every duration g's execution time, and, for a Para-CONV
+// plan, the retiming is legal on g (Definition 3.1, Theorem 3.1) and
+// the allocation's footprint, count and R_max match its claim.
 func checkAgainstProblem(t *testing.T, g *dag.Graph, cfg pim.Config, p *sched.Plan) {
 	t.Helper()
+	if err := sched.CheckPlan(p, g, cfg); err != nil {
+		t.Fatal(err)
+	}
 	groups := p.ConcurrentIterations
 	if groups < 1 || cfg.NumPEs%groups != 0 || len(p.Iter.Assignment) < g.NumEdges() {
 		t.Fatalf("plan has %d groups and %d placements for %d PEs and %d edges", groups, len(p.Iter.Assignment), cfg.NumPEs, g.NumEdges())
@@ -99,9 +106,10 @@ func checkAgainstProblem(t *testing.T, g *dag.Graph, cfg pim.Config, p *sched.Pl
 }
 
 // TestTierDifferential serves one problem through every path a plan
-// can take — local solve, memory hit, store hit, peer fill with a full
-// and with a lean frame, a stale, epochless or corrupted frame in
-// either outer tier, and a baseline through the store — and requires
+// can take — local solve, memory hit, store hit, peer fill with a lean
+// frame, a self-contained (stored-plan) frame or a stale, epochless or
+// corrupted one in either outer tier, and a baseline through the
+// store — and requires
 // that each path returns the plan a local solve produces (byte-identical
 // wire.AppendPlan frames) and one that checks out against the problem
 // graph, moves exactly the counters that name its tier, leaves the
@@ -164,20 +172,26 @@ func TestTierDifferential(t *testing.T) {
 		{name: "store frame corrupted", store: true, seed: corrupt, want: stale},
 		{name: "store frame from another epoch", store: true, seed: foreign, want: stale},
 		{name: "store frame from the parent build", store: true, seed: legacy, want: stale},
+		{name: "store frame self-contained", store: true, seed: full, want: stale},
 		{
-			name:    "baseline writes through a full frame",
+			name:    "baseline writes through a lean frame",
 			variant: variantSPARTA, store: true,
 			want: tierCounts{memMisses: 1, storeMisses: 1, solves: 1, obsStoreWrites: 1},
 		},
 		{
 			name:    "baseline store hit",
-			variant: variantSPARTA, store: true, seed: wire.AppendPlan(nil, refs[variantSPARTA]),
+			variant: variantSPARTA, store: true, seed: wire.AppendLeanPlan(nil, refs[variantSPARTA]),
 			want: tierCounts{memMisses: 1, storeHits: 1, obsStoreHits: 1},
+		},
+		{
+			name:    "baseline store frame self-contained",
+			variant: variantSPARTA, store: true, seed: wire.AppendPlan(nil, refs[variantSPARTA]),
+			want: stale,
 		},
 		{
 			name: "peer fill, full frame",
 			peer: &stubFiller{payload: full, ok: true},
-			want: tierCounts{memMisses: 1, peerFills: 1},
+			want: tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1},
 		},
 		{
 			name: "peer fill, lean frame",
@@ -235,11 +249,11 @@ func TestTierDifferential(t *testing.T) {
 				t.Error("plan does not re-encode to the local solve's frame")
 			}
 			checkAgainstProblem(t, g, cfg, p)
-			// The store holds the plan at rest in this epoch — lean for
-			// para-conv, full for a baseline — whatever it held before.
+			// The store holds the plan's lean frame in this epoch,
+			// whatever it held before.
 			if st != nil {
-				if got, ok := st.Get(fp); !ok || !bytes.Equal(got, wire.AppendAtRest(nil, ref)) {
-					t.Error("store does not hold the plan's at-rest frame")
+				if got, ok := st.Get(fp); !ok || !bytes.Equal(got, wire.AppendLeanPlan(nil, ref)) {
+					t.Error("store does not hold the plan's lean frame")
 				}
 			}
 			// Whatever tier answered, the memory tier now holds the plan:
@@ -266,7 +280,7 @@ func TestTierDifferential(t *testing.T) {
 			if !ok {
 				t.Fatal("EncodedPlanByFingerprint missed")
 			}
-			rebuilt, err := wire.DecodeFillPlan(fill, g, dag.Limits{})
+			rebuilt, err := wire.DecodeLeanPlan(fill, g)
 			if err != nil {
 				t.Fatalf("fill frame: %v", err)
 			}
@@ -274,6 +288,128 @@ func TestTierDifferential(t *testing.T) {
 				t.Error("fill frame does not rebuild to the local solve's frame")
 			}
 		})
+	}
+}
+
+// TestAdmitRejectsForgedFrames serves one problem through each outer
+// tier holding a forged plan frame: one that decodes, and that the
+// structural schedule check alone would pass, but that is not a legal
+// plan for the request.  Each must be rejected by admission and counted
+// as exactly one miss of its tier, then one solve, whose answer is
+// byte-identical to the local solve's.
+func TestAdmitRejectsForgedFrames(t *testing.T) {
+	g := testGraph(t, "forged", 120, 300, 2)
+	cfg := pim.Neurocube(16)
+	refs := make(map[string]*sched.Plan)
+	for _, v := range []string{variantParaCONV, variantSPARTA, variantNaive} {
+		p, err := New(context.Background()).PlanVariant(v, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[v] = p
+	}
+	ref := refs[variantParaCONV]
+	ci, m := ref.ConcurrentIterations, g.NumEdges()
+	if ci < 2 || ref.CachedIPRs == 0 || ref.RMax == 0 {
+		t.Fatalf("fixture plan has CI %d, %d cached IPRs and R_max %d; want CI > 1 and both > 0", ci, ref.CachedIPRs, ref.RMax)
+	}
+	// forge re-encodes a fresh copy of variant's reference plan after
+	// edit: every field is the solver's except what edit changes.
+	forge := func(variant string, edit func(p *sched.Plan)) []byte {
+		p, err := wire.DecodeLeanPlan(wire.AppendLeanPlan(nil, refs[variant]), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(p)
+		return wire.AppendLeanPlan(nil, p)
+	}
+	// both sets a retiming field in the logical and the kernel retiming
+	// alike, so only the property under test is forged.
+	both := func(p *sched.Plan, f func(r *retime.Result)) {
+		f(&p.LogicalRetiming)
+		f(&p.Retiming)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		variant string
+		frame   []byte
+	}{
+		{"every IPR in cache", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
+			used := 0
+			for i := range p.Iter.Assignment {
+				p.Iter.Assignment[i] = pim.InCache
+			}
+			for i := 0; i < m; i++ {
+				used += g.Edges()[i].Size
+			}
+			p.CachedIPRs, p.CacheLoadUnits = m, ci*used
+		})},
+		{"zeroed retiming", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
+			both(p, func(r *retime.Result) { clear(r.R); clear(r.REdge); r.RMax = 0 })
+			p.RMax = 0
+		})},
+		{"lying RMax", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) { p.RMax-- })},
+		{"lying CachedIPRs", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) { p.CachedIPRs++ })},
+		{"lying CacheLoadUnits", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) { p.CacheLoadUnits -= ci })},
+		{"lying CI", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) { p.ConcurrentIterations = 1 })},
+		{"retiming of the wrong length", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
+			both(p, func(r *retime.Result) { r.R = r.R[:len(r.R)-1] })
+		})},
+		{"retiming inflated past the minimum", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
+			both(p, func(r *retime.Result) {
+				for i := range r.R {
+					r.R[i]++
+				}
+				r.RMax++
+			})
+			p.RMax++
+		})},
+		{"kernel assignment whose groups differ", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
+			i := slices.Index(p.Iter.Assignment[:m], pim.InCache)
+			p.Iter.Assignment[m+i] = pim.InEDRAM
+		})},
+		{"baseline with CI 2", variantSPARTA, forge(variantSPARTA, func(p *sched.Plan) {
+			n := len(p.Iter.Tasks)
+			for _, task := range p.Iter.Tasks[:n] {
+				task.Node += dag.NodeID(n)
+				p.Iter.Tasks = append(p.Iter.Tasks, task)
+			}
+			p.Iter.Assignment = append(p.Iter.Assignment, p.Iter.Assignment...)
+			p.ConcurrentIterations = 2
+		})},
+		{"another scheme's plan", variantSPARTA, wire.AppendLeanPlan(nil, refs[variantNaive])},
+		{"stored-plan frame", variantParaCONV, wire.AppendPlan(nil, ref)},
+	} {
+		for _, tier := range []string{"store", "peer"} {
+			t.Run(tier+"/"+tc.name, func(t *testing.T) {
+				want := wire.AppendPlan(nil, refs[tc.variant])
+				s := New(context.Background())
+				var counts tierCounts
+				if tier == "store" {
+					st := newMemBlobStore()
+					if err := st.Put(PlanFingerprint(tc.variant, "", g, cfg), tc.frame); err != nil {
+						t.Fatal(err)
+					}
+					s.AttachStore(st)
+					counts = tierCounts{memMisses: 1, storeMisses: 1, solves: 1}
+				} else {
+					s.AttachPeers(&stubFiller{payload: tc.frame, ok: true})
+					counts = tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1}
+				}
+				before := readTierCounts(s)
+				p, err := s.PlanVariant(tc.variant, g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := readTierCounts(s).minus(before); got != counts {
+					t.Errorf("counters moved by %+v, want %+v", got, counts)
+				}
+				if !bytes.Equal(wire.AppendPlan(nil, p), want) {
+					t.Error("served plan is not the local solve's")
+				}
+			})
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func NaiveCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) 
 			makespan = tasks[i].Finish
 		}
 	}
-	return recordPlan(&Plan{
+	p := &Plan{
 		Scheme: "naive",
 		Iter: IterationSchedule{
 			Graph:      g,
@@ -66,5 +66,9 @@ func NaiveCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) 
 			Assignment: assignment,
 		},
 		ConcurrentIterations: 1,
-	}), nil
+	}
+	if err := CheckPlan(p, g, cfg); err != nil {
+		return nil, err
+	}
+	return recordPlan(p), nil
 }

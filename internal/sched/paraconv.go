@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/obs/span"
@@ -32,6 +31,7 @@ type planScratch struct {
 	alloc   core.Allocation
 	res     retime.Result
 	cands   []groupCand
+	need    []int // CheckPlan's least retiming per vertex
 }
 
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}
@@ -48,22 +48,6 @@ func ints(s []int, n int) []int {
 // groupCand is one divisor candidate of the group search: u groups at
 // packed period p.
 type groupCand struct{ u, p int }
-
-// checkSchedule re-verifies an iteration schedule through the
-// invariant layer when checks are enabled: PE exclusivity, window
-// bounds and the cache footprint against the given capacity.
-func checkSchedule(s *IterationSchedule, cacheLoad, cacheCap int) error {
-	if !check.Enabled() {
-		return nil
-	}
-	exec := make([]int, s.Graph.NumNodes())
-	slots := make([]check.Slot, len(s.Tasks))
-	for i := range s.Tasks {
-		exec[i] = s.Graph.Node(dag.NodeID(i)).Exec
-		slots[i] = check.Slot{PE: int(s.Tasks[i].PE), Start: s.Tasks[i].Start, Finish: s.Tasks[i].Finish}
-	}
-	return check.CheckSchedule(s.PEs, s.Period, exec, slots, cacheLoad, cacheCap)
-}
 
 // transferWindowFactor sizes the minimum kernel period relative to the
 // largest eDRAM transfer time.  Theorem 3.1 only needs c_{i,j} <= p,
@@ -104,8 +88,8 @@ func Objective(g *dag.Graph, numPEs int) (IterationSchedule, error) {
 // buildObjective is the one objective builder behind Objective and
 // paraCONVKernel: the topological order, the greedy packing onto
 // numPEs PEs (its period raised to floor, g's periodFloor) and the
-// all-eDRAM assignment, all written into sc, then the invariant
-// check.  g must already be valid.
+// all-eDRAM assignment, all written into sc.  g must already be
+// valid.
 //
 //paraconv:hotpath
 func buildObjective(sc *planScratch, g *dag.Graph, numPEs, floor int) (IterationSchedule, error) {
@@ -128,11 +112,7 @@ func buildObjective(sc *planScratch, g *dag.Graph, numPEs, floor int) (Iteration
 	for i := range assign {
 		assign[i] = pim.InEDRAM
 	}
-	iter := IterationSchedule{Graph: g, PEs: numPEs, Period: period, Tasks: tasks, Assignment: assign}
-	if err := checkSchedule(&iter, 0, 0); err != nil {
-		return IterationSchedule{}, err
-	}
-	return iter, nil
+	return IterationSchedule{Graph: g, PEs: numPEs, Period: period, Tasks: tasks, Assignment: assign}, nil
 }
 
 // packObjective fills tasks (len |V|) and loads (len numPEs, used as
@@ -299,9 +279,6 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: para-conv: %w", err)
 	}
-	if iter.Graph != g {
-		return nil, fmt.Errorf("sched: para-conv: schedule was built for a different graph")
-	}
 	if err := iter.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: para-conv: invalid objective schedule: %w", err)
 	}
@@ -312,7 +289,7 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 	}
 	iter.Assignment = slices.Clone(sc.alloc.Assignment)
 	res := sc.retained()
-	return recordPlan(&Plan{
+	p := &Plan{
 		Scheme:               "para-conv",
 		Iter:                 iter,
 		ConcurrentIterations: 1,
@@ -321,15 +298,20 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 		LogicalRetiming:      res,
 		CachedIPRs:           sc.alloc.CachedCount,
 		CacheLoadUnits:       sc.alloc.CacheUsed,
-	}), nil
+	}
+	if err := CheckPlan(p, g, cfg); err != nil {
+		return nil, err
+	}
+	return recordPlan(p), nil
 }
 
 // allocate is the allocation stage both Para-CONV entry points share:
 // Figure-4 classification of the objective timing, the §3.3.2 DP under
-// the cache capacity, the minimal retiming for the chosen placement
-// and its legality and allocation checks.  Every result lands in the
-// pooled scratch (sc.classes, sc.alloc, sc.res); a non-nil order is
-// g's topological order, saving the retiming pass a re-sort.
+// the cache capacity and the minimal retiming for the chosen
+// placement; the caller proves the plan it builds with CheckPlan.
+// Every result lands in the pooled scratch (sc.classes, sc.alloc,
+// sc.res); a non-nil order is g's topological order, saving the
+// retiming pass a re-sort.
 func allocate(ctx context.Context, sc *planScratch, g *dag.Graph, tm retime.Timing, capacity int, order []dag.NodeID) error {
 	classes, err := retime.ClassifyInto(sc.classes, g, tm)
 	if err != nil {
@@ -344,15 +326,6 @@ func allocate(ctx context.Context, sc *planScratch, g *dag.Graph, tm retime.Timi
 	retimeSpan.End()
 	if err != nil {
 		return fmt.Errorf("sched: para-conv retime: %w", err)
-	}
-	if err := retime.CheckLegal(g, sc.res); err != nil {
-		return fmt.Errorf("sched: para-conv produced illegal retiming: %w", err)
-	}
-	if check.Enabled() {
-		if err := check.CheckAllocation(g, sc.alloc.Assignment, capacity,
-			check.Claim{CacheUsed: sc.alloc.CacheUsed, CachedCount: sc.alloc.CachedCount, RMax: sc.res.RMax}, sc.res.R); err != nil {
-			return fmt.Errorf("sched: para-conv: %w", err)
-		}
 	}
 	return nil
 }
@@ -436,10 +409,7 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 		Tasks:      fullTasks,
 		Assignment: retime.ExpandAssignment(sc.alloc.Assignment, groups),
 	}
-	if err := checkSchedule(&full, groups*sc.alloc.CacheUsed, cfg.TotalCacheUnits()); err != nil {
-		return nil, fmt.Errorf("sched: para-conv replicated kernel: %w", err)
-	}
-	return recordPlan(&Plan{
+	p := &Plan{
 		Scheme:               "para-conv",
 		Iter:                 full,
 		ConcurrentIterations: groups,
@@ -448,7 +418,11 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 		LogicalRetiming:      sc.retained(),
 		CachedIPRs:           sc.alloc.CachedCount,
 		CacheLoadUnits:       groups * sc.alloc.CacheUsed,
-	}), nil
+	}
+	if err := CheckPlan(p, g, cfg); err != nil {
+		return nil, err
+	}
+	return recordPlan(p), nil
 }
 
 // expandRetiming replicates a single-group retiming result onto the

@@ -83,9 +83,8 @@ func (s *IterationSchedule) Timing() retime.Timing {
 // once, task windows inside [0, Period], durations matching Exec, PEs
 // in range, and no two tasks overlapping on one PE.  It does NOT check
 // dependencies — Para-CONV kernels intentionally break intra-iteration
-// ordering (retiming legality is checked separately via
-// retime.CheckLegal), while SPARTA schedules check them with
-// CheckDependencies.
+// ordering (retiming legality is checked separately, by CheckPlan),
+// while SPARTA schedules check them with CheckDependencies.
 func (s *IterationSchedule) Validate() error {
 	var errs []error
 	if s.Graph == nil {

@@ -41,13 +41,17 @@ func SPARTACtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error)
 			load += g.Edge(dag.EdgeID(i)).Size
 		}
 	}
-	return recordPlan(&Plan{
+	p := &Plan{
 		Scheme:               "sparta",
 		Iter:                 iter,
 		ConcurrentIterations: 1,
 		CachedIPRs:           cached,
 		CacheLoadUnits:       load,
-	}), nil
+	}
+	if err := CheckPlan(p, g, cfg); err != nil {
+		return nil, err
+	}
+	return recordPlan(p), nil
 }
 
 // greedyCache is SPARTA's cache policy: tasks' traffic volumes are the

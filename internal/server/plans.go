@@ -18,10 +18,9 @@ import (
 // — lets this node solve on the requester's behalf, through the same
 // admission gate as every other solve (a 429 shed degrades the
 // requester to its own local solve).  A bodiless miss is a 404.  The
-// response body is always the plan's at-rest frame (wire.AppendAtRest):
-// lean for para-conv, which skips both the owner's graph encode and the
-// requester's graph decode on the cluster's warm path, self-contained
-// for the baselines.
+// response body is always the plan's at-rest lean frame
+// (wire.AppendLeanPlan), which skips both the owner's graph encode and
+// the requester's graph decode on the cluster's warm path.
 //
 // Fills are served whatever this node's own ring view says about
 // ownership: the requester routed here off its view, and answering is
@@ -81,7 +80,7 @@ func (s *Server) planByFingerprint(sr *statusRecorder, r *http.Request) {
 		if err != nil {
 			return
 		}
-		payload = wire.AppendAtRest(nil, a.Plan)
+		payload = wire.AppendLeanPlan(nil, a.Plan)
 	}) {
 		return
 	}

@@ -109,7 +109,7 @@ func TestPlansLookupAfterSolve(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeBinary {
 		t.Errorf("Content-Type %q, want %s", ct, wire.ContentTypeBinary)
 	}
-	p, err := wire.DecodeFillPlan(data, g, dag.Limits{})
+	p, err := wire.DecodeLeanPlan(data, g)
 	if err != nil {
 		t.Fatalf("payload failed to decode as a plan frame: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestPlansFillSolvesOnBehalf(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fill status %d, body %s", resp.StatusCode, data)
 	}
-	p, err := wire.DecodeFillPlan(data, g, dag.Limits{})
+	p, err := wire.DecodeLeanPlan(data, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +312,8 @@ func TestPlansLeanServing(t *testing.T) {
 	if err := p.Iter.Validate(); err != nil {
 		t.Fatalf("lean fill-solved plan invalid: %v", err)
 	}
-	if want := wire.AppendAtRest(nil, p); !bytes.Equal(data, want) {
-		t.Fatal("fill answer is not the plan's at-rest frame")
+	if want := wire.AppendLeanPlan(nil, p); !bytes.Equal(data, want) {
+		t.Fatal("fill answer is not the plan's lean frame")
 	}
 
 	resp, warm := getPlans(t, ts.URL, fp, nil)
@@ -323,9 +323,8 @@ func TestPlansLeanServing(t *testing.T) {
 }
 
 // TestPlansStoreOnlyEntry: a restarted owner holds its plans only in
-// its store.  A bodiless lookup gets the stored at-rest bytes
-// verbatim — the lean frame of a para-conv plan, the self-contained
-// frame of a baseline.
+// its store.  A bodiless lookup gets the stored lean frame verbatim,
+// for a para-conv plan and a baseline alike.
 func TestPlansStoreOnlyEntry(t *testing.T) {
 	dir := t.TempDir()
 	g := plansGraph(t, 91)
@@ -336,7 +335,7 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts1 := newTestServer(t, Config{Store: st1})
-	kinds := map[string]byte{"para-conv": 'l', "sparta": 'L'}
+	kinds := map[string]byte{"para-conv": 'l', "sparta": 'l'}
 	fps := map[string]string{}
 	for variant := range kinds {
 		fps[variant] = run.PlanFingerprint(variant, "", g, cfg)
@@ -345,8 +344,8 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 		}
 	}
 
-	// A restart finds what the first boot's drain flushed.
-	if err := st1.Flush(context.Background()); err != nil {
+	// A restart finds what the first boot's drain landed.
+	if err := st1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := store.Open(dir, store.Options{})
@@ -363,7 +362,7 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 		if data[2] != kind {
 			t.Errorf("%s lookup answered a %q frame, want %q", variant, data[2], kind)
 		}
-		p, err := wire.DecodeFillPlan(data, g, dag.Limits{})
+		p, err := wire.DecodeLeanPlan(data, g)
 		if err != nil {
 			t.Fatalf("%s lookup payload: %v", variant, err)
 		}

@@ -253,10 +253,10 @@ func (s *Server) Handler() http.Handler {
 // (satisfied by *store.Store).
 type storeProber interface{ Probe() error }
 
-// storeFlusher is the drain hook of a write-behind store (satisfied by
-// *store.Store): Flush returns once every accepted write has landed.
-type storeFlusher interface {
-	Flush(ctx context.Context) error
+// storeCloser is the drain hook of a write-behind store (satisfied by
+// *store.Store): Close lands every accepted write, then closes its files.
+type storeCloser interface {
+	Close(ctx context.Context) error
 }
 
 // AttachCluster installs cl as this node's fleet view: the shared
@@ -332,10 +332,10 @@ func (r *Running) Addr() string { return r.ln.Addr().String() }
 // stop accepting connections, and wait up to timeout for every request
 // already inside the gate — solving or waiting for a run slot — to
 // finish on its own connection, then for the durable store's accepted
-// writes to commit.  A nil return means every accepted request
-// completed and every write it handed the store is on disk; a non-nil
-// return means the timeout expired and remaining connections were cut
-// or writes left uncommitted.
+// writes to commit and its files to close.  A nil return means every
+// accepted request completed and every write it handed the store is on
+// disk; a non-nil return means the timeout expired and remaining
+// connections were cut or writes left uncommitted.
 func (r *Running) Drain(timeout time.Duration) error {
 	r.s.draining.Store(true)
 	r.stop.Do(func() { close(r.sloStop) })
@@ -348,10 +348,11 @@ func (r *Running) Drain(timeout time.Duration) error {
 		r.srv.Close()
 	}
 	// Every solve has now returned, so no write is accepted after this:
-	// land the ones still committing inside the same deadline.
-	if f, ok := r.s.cfg.Store.(storeFlusher); ok {
-		if ferr := f.Flush(ctx); ferr != nil && err == nil {
-			err = ferr
+	// land the ones still committing inside the same deadline, and close
+	// the store.
+	if c, ok := r.s.cfg.Store.(storeCloser); ok {
+		if cerr := c.Close(ctx); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	return err

@@ -39,9 +39,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		// Land the store's accepted writes before its temp dir goes.
-		if f, ok := cfg.Store.(storeFlusher); ok {
-			if err := f.Flush(context.Background()); err != nil {
+		// Land the store's accepted writes and close it before its
+		// temp dir goes.
+		if c, ok := cfg.Store.(storeCloser); ok {
+			if err := c.Close(context.Background()); err != nil {
 				t.Error(err)
 			}
 		}
@@ -545,8 +546,8 @@ func TestWarmRestartThroughServer(t *testing.T) {
 		t.Fatalf("boot1 store counters = %+v", cs)
 	}
 
-	// A restart finds what the first boot's drain flushed.
-	if err := st1.Flush(context.Background()); err != nil {
+	// A restart finds what the first boot's drain landed.
+	if err := st1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := store.Open(dir, store.Options{})

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -136,11 +137,7 @@ func FuzzStoreSegment(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		defer func() {
-			for _, seg := range s.segs {
-				seg.f.Close() // the store has no Close; inputs come faster than GC
-			}
-		}()
+		defer s.Close(context.Background()) // inputs come faster than GC finalizes files
 		s.mu.Lock()
 		keys := make([]string, 0, len(s.index))
 		for k := range s.index {

@@ -125,6 +125,7 @@ type Store struct {
 	pending    map[string]*pendingWrite // each key's newest write not yet landed
 	queue      []*pendingWrite          // accepted, not yet taken by the committer
 	committing bool                     // a committer is running
+	closed     bool                     // Close was called: no write is accepted
 	tail       chan struct{}            // done of the newest accepted write
 	// ring holds the done channels of the last K accepted writes: write
 	// seq takes ring[seq%K] and waits for the write there, seq-K.
@@ -374,7 +375,8 @@ func (s *Store) Get(key string) (payload []byte, hit bool) {
 // the committer.  Get serves the payload from the moment Put returns.
 // Writes land in queue order, so of two writes of one key the later
 // wins.  The error reports only a rejected write (an entry larger than
-// the whole store); a failed commit is counted and logged.
+// the whole store, or a closed store); a failed commit is counted and
+// logged.
 func (s *Store) Put(key string, payload []byte) error {
 	frame := appendFrame(make([]byte, 0, frameHeaderSize+2*binary.MaxVarintLen64+len(key)+len(payload)), key, payload)
 	if s.opts.MaxBytes > 0 && int64(len(frame)) > s.opts.MaxBytes {
@@ -396,6 +398,12 @@ func (s *Store) Put(key string, payload []byte) error {
 		<-behind
 	}
 	s.mu.Lock()
+	if s.closed {
+		// Refused, so release the write that waits on this one.
+		s.mu.Unlock()
+		close(w.done)
+		return errors.New("store: closed")
+	}
 	s.pending[key] = w
 	s.queue = append(s.queue, w)
 	s.tail = w.done
@@ -522,9 +530,30 @@ func (s *Store) makeRoom(need int64) bool {
 	return len(victims) > 0
 }
 
+// Close refuses later writes, waits as Flush does for the accepted
+// ones, then closes every segment file, so a later Put is an error and
+// a Get a miss.  If ctx ends first, it closes nothing (a commit may
+// still be writing).  The daemon's drain calls it.
+func (s *Store) Close(ctx context.Context) error {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	if err := s.Flush(ctx); err != nil {
+		return err
+	}
+	// No write is queued or landing, so no commit touches a segment.
+	var errs []error
+	for _, seg := range s.segs {
+		if err := seg.f.Close(); err != nil && !errors.Is(err, os.ErrClosed) {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // Flush waits until every write Put accepted before the call has
 // landed or failed (writes land in queue order, so that is the newest
-// one), or until ctx ends.  The daemon's drain calls it.
+// one), or until ctx ends.
 func (s *Store) Flush(ctx context.Context) error {
 	s.mu.Lock()
 	tail := s.tail

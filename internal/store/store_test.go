@@ -9,20 +9,30 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// openTest opens a store on a fresh temp dir and lands every accepted
-// write before the dir is removed.
+// openTest opens a store on a fresh temp dir and closes it, landing
+// every accepted write, before the dir is removed.
 func openTest(t *testing.T, opts Options) *Store {
 	t.Helper()
 	s, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	t.Cleanup(func() { flush(t, s) })
+	closeOnCleanup(t, s)
 	return s
+}
+
+// closeOnCleanup closes s when the test ends.
+func closeOnCleanup(t *testing.T, s *Store) {
+	t.Cleanup(func() {
+		if err := s.Close(context.Background()); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
 }
 
 // flush waits for s's accepted writes: tests that read the data dir, or
@@ -95,23 +105,15 @@ func TestOverwriteIsAtomicAndAccounted(t *testing.T) {
 }
 
 func TestReopenSeesDurableEntries(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTest(t, Options{})
 	for i := 0; i < 5; i++ {
 		if err := s.Put(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	flush(t, s)
 	// A second Open over the same dir models the daemon restart: the
 	// scan must tally every committed entry and serve them all.
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := reopen(t, s)
 	if s2.Stats().Entries != 5 {
 		t.Fatalf("reopened store has %d entries, want 5", s2.Stats().Entries)
 	}
@@ -318,10 +320,7 @@ func TestFlushLandsEveryAcceptedWrite(t *testing.T) {
 	}
 	wg.Wait()
 	flush(t, s)
-	reopened, err := Open(s.Dir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reopened := reopen(t, s)
 	st := s.Stats()
 	if st.Writes != 100 || st.Entries != 100 || st.WriteErrors != 0 || reopened.Stats().Entries != 100 {
 		t.Fatalf("after Flush: stats = %+v, reopened store holds %d; want 100 writes, 100 entries, no errors", st, reopened.Stats().Entries)
@@ -549,5 +548,62 @@ func reopen(t *testing.T, s *Store) *Store {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	closeOnCleanup(t, r)
 	return r
+}
+
+// openIn lists the files under dir that this process holds open, read
+// from /proc/self/fd.
+func openIn(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	var open []string
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// TestCloseReleasesSegmentFiles: Close lands every accepted write and
+// closes every segment file; afterwards a Put is refused and a Get
+// misses, without a panic, and a reopen of the dir serves every entry.
+func TestCloseReleasesSegmentFiles(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts open files through /proc/self/fd")
+	}
+	payload := bytes.Repeat([]byte("p"), 100)
+	s := openTest(t, capFor(40, "key-00", payload)) // rotates every 10 frames
+	for i := 0; i < 25; i++ {
+		if err := s.Put(fmt.Sprintf("key-%02d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(t, s)
+	if n := len(openIn(t, s.Dir())); n < 3 {
+		t.Fatalf("%d segment files open before Close; the fixture should span 3", n)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if open := openIn(t, s.Dir()); len(open) != 0 {
+		t.Fatalf("files still open after Close: %v", open)
+	}
+	if err := s.Put("late", payload); err == nil {
+		t.Error("Put after Close was accepted")
+	}
+	if _, ok := s.Get("key-00"); ok {
+		t.Error("Get after Close hit")
+	}
+	r := reopen(t, s)
+	for i := 0; i < 25; i++ {
+		if got, ok := r.Get(fmt.Sprintf("key-%02d", i)); !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("key-%02d missing after Close and reopen", i)
+		}
+	}
 }

@@ -3,13 +3,12 @@ package synth_test
 import (
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/synth"
 )
 
 // FuzzSynthGenerate drives the generator with arbitrary parameter
 // triples.  Whenever Generate accepts the parameters, its output must
-// be a valid DAG (per the invariant layer) with exactly the requested
+// be a valid DAG (per Graph.Validate) with exactly the requested
 // vertex and edge counts; whenever it rejects them, it must do so with
 // an error, never a panic.
 func FuzzSynthGenerate(f *testing.F) {
@@ -33,7 +32,7 @@ func FuzzSynthGenerate(f *testing.F) {
 		if err != nil {
 			return // rejected parameters are fine; panics are not
 		}
-		if err := check.CheckDAG(g); err != nil {
+		if err := g.Validate(); err != nil {
 			t.Fatalf("Generate(%d,%d,%d) produced invalid graph: %v", vertices, edges, seed, err)
 		}
 		if g.NumNodes() != vertices || g.NumEdges() != edges {

@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/check"
 	"repro/internal/dag"
 )
 
@@ -220,11 +219,6 @@ func Generate(p Params) (*dag.Graph, error) {
 
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: generated graph invalid: %w", err)
-	}
-	if check.Enabled() {
-		if err := check.CheckDAG(g); err != nil {
-			return nil, fmt.Errorf("synth: %w", err)
-		}
 	}
 	return g, nil
 }

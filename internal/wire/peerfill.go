@@ -10,7 +10,7 @@ import (
 // node that misses its local tiers ships the complete planning problem
 // — variant, architecture configuration, and the kernel graph as the
 // trailing dag frame — to the fingerprint's owner, which answers with
-// a stored-plan frame (AppendPlan).  Carrying the full problem, not
+// the plan's lean frame (AppendLeanPlan).  Carrying the full problem, not
 // just the fingerprint, is what lets the owner solve on behalf of the
 // whole fleet when it has never seen the graph either: that is how N
 // identical bursts across the cluster collapse to one solve.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -12,33 +13,36 @@ import (
 
 // The plan frames carry a complete *sched.Plan — everything a
 // restarted daemon needs to serve a previously solved graph without
-// re-running the solver.  They are the durable store's payloads and the
-// cluster fill protocol's.  Both open with the solver epoch that made
-// the plan (sched.SolverEpoch, 4 bytes little-endian) after the
-// envelope and decode only in that epoch, so a plan from a solver that
-// may plan differently is a miss, never served.  Epochless frames from
-// older builds hold their scheme's length and first letters there,
-// which never read as a small epoch.  The stored-plan frame embeds the
+// re-running the solver.  The lean frame is the durable store's payload
+// and the cluster fill protocol's, for every scheme; the stored-plan
+// frame is written and read only by the benchmarks.  Both open with the
+// solver epoch that made the plan (sched.SolverEpoch, 4 bytes
+// little-endian) after the envelope and decode only in that epoch, so a
+// plan from a solver that may plan differently is a miss, never served.
+// Epochless frames from older builds hold their scheme's length and
+// first letters there, which never read as a small epoch.  The stored-plan frame embeds the
 // kernel graph as a length-prefixed dag frame mid-stream (more fields
 // follow it); both round-trip the full retiming results.
 
-// kindStoredPlan is the frame kind byte of a self-contained plan: the
-// at-rest form of the baselines, whose kernel is not derivable.
+// kindStoredPlan is the frame kind byte of a self-contained plan, which
+// embeds its kernel graph.  No program keeps a plan in it: a store or
+// peer frame of this kind is a miss.
 const kindStoredPlan = 'L'
 
 // kindLeanPlan is the frame kind byte of a kernel-free plan: the same
 // fields as a stored plan minus the embedded graph, and the at-rest
-// form of every para-conv plan.  Every reader of a plan outside memory
-// holds the problem graph it was solved from — a store hit runs after
-// the request's graph is decoded, a fill requester ships it — and a
-// para-conv kernel is Replicate(graph, ConcurrentIterations) by
-// construction (see internal/sched), so keeping it is redundancy.
+// form of every plan.  Every reader of a plan outside memory holds the
+// problem graph it was solved from — a store hit runs after the
+// request's graph is decoded, a fill requester ships it — and every
+// kernel is derivable from it: a plan at one concurrent iteration
+// schedules the problem graph itself, and a para-conv kernel is
+// Replicate(graph, ConcurrentIterations) by construction (see
+// internal/sched), so keeping it is redundancy.
 const kindLeanPlan = 'l'
 
-// SchemeParaCONV is the plan scheme whose kernel graph is derivable
-// from the problem graph (Iter.Graph == Replicate(g, CI) for every
-// para-conv plan the solvers build), making it eligible for lean
-// framing.
+// SchemeParaCONV is the one plan scheme that replicates its kernel
+// (Iter.Graph == Replicate(g, CI) for every para-conv plan the solvers
+// build), so the only one a lean frame may carry at CI > 1.
 const SchemeParaCONV = "para-conv"
 
 // planEpochSize is the width of the solver-epoch field.
@@ -105,7 +109,10 @@ func appendPlanBody(dst []byte, p *sched.Plan) []byte {
 	return appendInt(dst, p.CacheLoadUnits)
 }
 
-// AppendPlan appends the binary encoding of a complete plan to dst.
+// AppendPlan appends the self-contained stored-plan frame of p to dst.
+// No program keeps a plan in it: only the serve-path benchmark and the
+// kernel chain's store/plan_encode_200 row write it, and ROADMAP items
+// 4a/8 and 17 retire those.
 //
 //paraconv:hotpath
 func AppendPlan(dst []byte, p *sched.Plan) []byte {
@@ -120,27 +127,15 @@ func AppendPlan(dst []byte, p *sched.Plan) []byte {
 	return appendPlanBody(dst, p)
 }
 
-// AppendLeanPlan appends the kernel-free encoding of p to dst.  Only
-// para-conv plans are lean-framable (their kernel is derivable from
-// the problem graph); AppendAtRest gates on p.Scheme.
+// AppendLeanPlan appends the kernel-free encoding of p to dst: the
+// frame every plan is kept in outside memory — the memory entry's
+// copy, the store payload and every fill answer.
 //
 //paraconv:hotpath
 func AppendLeanPlan(dst []byte, p *sched.Plan) []byte {
 	dst = appendPlanHeader(dst, kindLeanPlan)
 	dst = appendString(dst, p.Scheme)
 	return appendPlanBody(dst, p)
-}
-
-// AppendAtRest appends the frame p is kept in outside memory — the
-// memory entry's copy, the store payload and every fill answer: lean
-// for para-conv plans, whose every reader holds the problem graph, and
-// the self-contained stored-plan frame for the baselines, whose kernel
-// is not derivable.  DecodeFillPlan reads either.
-func AppendAtRest(dst []byte, p *sched.Plan) []byte {
-	if p.Scheme == SchemeParaCONV {
-		return AppendLeanPlan(dst, p)
-	}
-	return AppendPlan(dst, p)
 }
 
 // leanPlanFrame reports whether data is a lean (kernel-free) plan
@@ -188,8 +183,8 @@ func (d *decoder) retimeResult(what string, r *retime.Result) error {
 // DecodePlan parses a stored-plan frame into a fresh plan.  The
 // embedded kernel graph is decoded under lim (zero = unlimited) and
 // validated by the dag decoder; the schedule's structural soundness is
-// the caller's check — internal/run validates every decoded plan
-// before trusting it.
+// the caller's check.  No production code reads this frame: the
+// serve-path benchmark does, and ROADMAP items 4a/8 retire it.
 func DecodePlan(data []byte, lim dag.Limits) (*sched.Plan, error) {
 	d, err := newPlanDecoder(data, kindStoredPlan)
 	if err != nil {
@@ -263,10 +258,17 @@ func (d *decoder) planBody(p *sched.Plan) error {
 	if p.RMax, err = d.integer("r_max"); err != nil {
 		return err
 	}
+	start := d.off
 	if err = d.retimeResult("retiming", &p.Retiming); err != nil {
 		return err
 	}
-	if err = d.retimeResult("logical_retiming", &p.LogicalRetiming); err != nil {
+	// At one concurrent iteration the logical retiming repeats the
+	// kernel's byte for byte: share the decoded result, as the solvers
+	// do, instead of parsing the same bytes twice.
+	if again := d.data[start:d.off]; bytes.HasPrefix(d.data[d.off:], again) {
+		p.LogicalRetiming = p.Retiming
+		d.off += len(again)
+	} else if err = d.retimeResult("logical_retiming", &p.LogicalRetiming); err != nil {
 		return err
 	}
 	if p.CachedIPRs, err = d.integer("cached_iprs"); err != nil {
@@ -280,11 +282,12 @@ func (d *decoder) planBody(p *sched.Plan) error {
 
 // DecodeLeanPlan parses a kernel-free plan frame against g, the
 // problem graph the requester already holds, rebuilding the kernel the
-// solver would have built: for one concurrent iteration the kernel IS
-// the problem graph (aliased, exactly as sched.ParaCONVGivenScheduleCtx
-// plans alias their caller's graph), otherwise Replicate derives it.
-// The decoded schedule still carries no proof it matches g — callers
-// validate it, as they do every decoded plan.
+// solver would have built: for one concurrent iteration, of any scheme,
+// the kernel IS the problem graph (aliased, exactly as every solver
+// plans on its caller's graph), and for a para-conv plan at more,
+// Replicate derives it.  The decoded plan still carries no proof it
+// matches g: internal/run's admission runs IterationSchedule.Validate
+// and sched.CheckPlan on it before serving it.
 //
 //paraconv:hotpath
 func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
@@ -295,9 +298,6 @@ func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
 	p := &sched.Plan{}
 	if p.Scheme, err = d.str("scheme"); err != nil {
 		return nil, err
-	}
-	if p.Scheme != SchemeParaCONV {
-		return nil, fmt.Errorf("wire: lean frame carries scheme %q; only %s kernels are derivable", p.Scheme, SchemeParaCONV)
 	}
 	if g == nil {
 		return nil, fmt.Errorf("wire: lean plan frame needs the problem graph to rebuild its kernel")
@@ -311,6 +311,9 @@ func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
 	if ci < 1 || ci > len(p.Iter.Tasks) || len(p.Iter.Tasks) != ci*n {
 		return nil, fmt.Errorf("wire: lean plan has %d tasks for %d concurrent iterations of a %d-vertex graph", len(p.Iter.Tasks), ci, n)
 	}
+	if ci > 1 && p.Scheme != SchemeParaCONV {
+		return nil, fmt.Errorf("wire: lean %q plan replicates its kernel; only %s kernels replicate", p.Scheme, SchemeParaCONV)
+	}
 	if ci == 1 {
 		p.Iter.Graph = g
 	} else if p.Iter.Graph, err = dag.Replicate(g, ci); err != nil {
@@ -321,8 +324,10 @@ func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
 
 // DecodeFillPlan decodes a plan frame of either kind — lean against g,
 // the problem graph in hand, or the self-contained stored-plan frame
-// under lim — the one decoder for every plan read from the store or a
-// peer.
+// under lim.  No production code calls it: admission reads only lean
+// frames (DecodeLeanPlan), so a stored-plan frame from disk or a peer
+// is a miss.  The serve-path benchmark times it, and ROADMAP items
+// 4a/8 retire it.
 func DecodeFillPlan(data []byte, g *dag.Graph, lim dag.Limits) (*sched.Plan, error) {
 	if leanPlanFrame(data) {
 		return DecodeLeanPlan(data, g)

@@ -29,8 +29,8 @@ func planFuzzGraph(tb testing.TB) *dag.Graph {
 	return g
 }
 
-// planSeed is one named frame; valid marks the well-formed at-rest
-// frames of this epoch, the only ones that may decode and validate.
+// planSeed is one named frame; valid marks the well-formed plan frames
+// of this epoch, the only ones that may decode and validate.
 type planSeed struct {
 	name  string
 	frame []byte
@@ -38,8 +38,8 @@ type planSeed struct {
 }
 
 // planSeeds is the named edge-case table behind both the unit test and
-// the fuzz corpus: the at-rest frames of both kinds, and every way one
-// can arrive truncated, stale, padded or lying.
+// the fuzz corpus: the plan frames of both kinds, and every way one can
+// arrive truncated, stale, padded or lying.
 func planSeeds(tb testing.TB) []planSeed {
 	tb.Helper()
 	g := planFuzzGraph(tb)
@@ -71,6 +71,8 @@ func planSeeds(tb testing.TB) []planSeed {
 	}
 	lying := *multi
 	lying.ConcurrentIterations = 1 << 40
+	replicatedBaseline := *multi
+	replicatedBaseline.Scheme = baseline.Scheme
 
 	return []planSeed{
 		{"lean, CI > 1", lean, true},
@@ -91,7 +93,8 @@ func planSeeds(tb testing.TB) []planSeed {
 		{"padded scheme length", with(lean, pad(schemeAt)), false},
 		{"padded PE count", with(lean, pad(pesAt)), false},
 		{"lean CI beyond its tasks", AppendLeanPlan(nil, &lying), false},
-		{"lean baseline scheme", AppendLeanPlan(nil, baseline), false},
+		{"lean baseline scheme", AppendLeanPlan(nil, baseline), true},
+		{"lean baseline at CI > 1", AppendLeanPlan(nil, &replicatedBaseline), false},
 		{"request frame as a plan", AppendRequest(nil, &Request{PEs: 16}, g), false},
 		{"response frame as a plan", AppendPlanResponse(nil, NewPlanResponse(multi, "neurocube", 10)), false},
 	}

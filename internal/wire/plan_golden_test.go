@@ -123,3 +123,24 @@ func TestPlanBytesGolden(t *testing.T) {
 		t.Errorf("%s differs from this build's plans (rerun with -update, and bump sched.SolverEpoch, if the change is intended):\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
+
+// TestSolverEpochPinsPlanGolden ties sched.SolverEpoch to the plan
+// golden: the pair (epoch, sha256 of plan_hashes.golden) is pinned, so
+// rewriting the golden with -update without bumping the epoch fails
+// here.  An intended plan change bumps the epoch and re-pins both; a
+// frame from the old epoch is then a miss, never a plan this build
+// would not produce.
+func TestSolverEpochPinsPlanGolden(t *testing.T) {
+	const (
+		pinnedEpoch  = 1
+		pinnedGolden = "519dde2ed3fbbbcac92cd8c6ba5c5b5c676018b2a4c988f78a154a8542294401"
+	)
+	data, err := os.ReadFile(filepath.Join("testdata", "plan_hashes.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); sched.SolverEpoch != pinnedEpoch || got != pinnedGolden {
+		t.Errorf("(SolverEpoch, golden sha256) = (%d, %s), pinned (%d, %s): a plan change bumps sched.SolverEpoch and re-pins both",
+			sched.SolverEpoch, got, pinnedEpoch, pinnedGolden)
+	}
+}

@@ -199,11 +199,6 @@ func TestLeanPlanRoundTrip(t *testing.T) {
 	if !leanPlanFrame(frame) || leanPlanFrame(full) {
 		t.Error("leanPlanFrame misclassifies the framings")
 	}
-	baseline := *plan
-	baseline.Scheme = "sparta"
-	if !bytes.Equal(AppendAtRest(nil, plan), frame) || !bytes.Equal(AppendAtRest(nil, &baseline), AppendPlan(nil, &baseline)) {
-		t.Error("AppendAtRest does not rest para-conv lean and a baseline self-contained")
-	}
 	got, err := DecodeLeanPlan(frame, g)
 	if err != nil {
 		t.Fatalf("DecodeLeanPlan: %v", err)
@@ -234,6 +229,23 @@ func TestLeanPlanAliasesSingleIterationKernel(t *testing.T) {
 		t.Error("single-iteration lean decode did not alias the problem graph")
 	}
 	plansEqual(t, plan, got)
+
+	// Every scheme rests lean: a baseline plans on the problem graph
+	// itself, so its kernel aliases it too.
+	for _, solve := range []func(context.Context, *dag.Graph, pim.Config) (*sched.Plan, error){sched.SPARTACtx, sched.NaiveCtx} {
+		base, err := solve(context.Background(), g, pim.Neurocube(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeLeanPlan(AppendLeanPlan(nil, base), g)
+		if err != nil {
+			t.Fatalf("DecodeLeanPlan(%s): %v", base.Scheme, err)
+		}
+		if got.Iter.Graph != g {
+			t.Errorf("%s lean decode did not alias the problem graph", base.Scheme)
+		}
+		plansEqual(t, base, got)
+	}
 }
 
 func TestLeanPlanRejections(t *testing.T) {
@@ -242,7 +254,7 @@ func TestLeanPlanRejections(t *testing.T) {
 	other := *plan
 	other.Scheme = "sparta"
 	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, &other), g); err == nil {
-		t.Error("DecodeLeanPlan accepted a non-para-conv scheme")
+		t.Error("DecodeLeanPlan accepted a replicated kernel of a scheme that never replicates")
 	}
 	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, plan), nil); err == nil {
 		t.Error("DecodeLeanPlan accepted a nil problem graph")

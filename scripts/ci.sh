@@ -28,6 +28,17 @@ echo "== paraconv-vet -escapes"
 # baseline (regenerate intentional changes with -escapes-update).
 go run ./cmd/paraconv-vet -escapes ./...
 
+echo "== one program under test and in the daemon"
+# No production code branches on test mode: the plan check
+# (sched.CheckPlan) is always on, and internal/check is a reference
+# verifier that tests call directly, never a gate inside the program.
+if hits=$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=testdata \
+    'testing\.Testing\(|check\.Enabled' .); then
+    echo "non-test Go outside benchmark/ branches on test mode:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 echo "== build"
 go build ./...
 
