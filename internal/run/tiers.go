@@ -75,16 +75,17 @@ func (s *Session) AttachPeers(f PeerFiller) {
 // admit is the one door every plan that did not come from a local
 // solve walks through, whichever outer tier produced its frame: decode
 // the lean frame against g, the problem graph in hand, then prove the
-// plan for this request — the variant's scheme, a sound schedule
-// (IterationSchedule.Validate), and the plan check every solver's own
-// output passes (sched.CheckPlan).  A CRC catches disk rot and a peer
+// plan for this request — the variant's scheme, one concurrent
+// iteration for every variant but the adaptive para-conv, a sound
+// schedule (IterationSchedule.Validate), and the plan check every
+// solver's own output passes (sched.CheckPlan).  A CRC catches disk rot and a peer
 // is trusted to be a peer, but a plan written by a buggy build or
 // forged in transit is not served.  Any failure, a stored-plan frame
 // included, is a logged miss: the solver is always a correct fallback.
 func admit(tier, fp, variant string, frame []byte, g *dag.Graph, cfg pim.Config) (*sched.Plan, bool) {
 	p, err := wire.DecodeLeanPlan(frame, g)
-	if err == nil && p.Scheme != schemeOf(variant) {
-		err = fmt.Errorf("run: %s plan for a %s request", p.Scheme, variant)
+	if err == nil && (p.Scheme != schemeOf(variant) || variant != variantParaCONV && p.ConcurrentIterations != 1) {
+		err = fmt.Errorf("run: %s plan at %d concurrent iterations for a %s request", p.Scheme, p.ConcurrentIterations, variant)
 	}
 	if err == nil {
 		err = p.Iter.Validate()

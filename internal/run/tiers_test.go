@@ -39,6 +39,7 @@ func readTierCounts(s *Session) tierCounts {
 		storeHits: cs.StoreHits, storeMisses: cs.StoreMisses,
 		peerFills: cs.PeerFills, fallbacks: cs.PeerFallbacks,
 		solves: obs.PlanSolveTimer(variantParaCONV).Histogram().State().Count +
+			obs.PlanSolveTimer(variantSingle).Histogram().State().Count +
 			obs.PlanSolveTimer(variantSPARTA).Histogram().State().Count,
 		obsStoreHits:   obs.StoreHits.Value(),
 		obsStoreWrites: obs.StoreWrites.Value(),
@@ -301,7 +302,7 @@ func TestAdmitRejectsForgedFrames(t *testing.T) {
 	g := testGraph(t, "forged", 120, 300, 2)
 	cfg := pim.Neurocube(16)
 	refs := make(map[string]*sched.Plan)
-	for _, v := range []string{variantParaCONV, variantSPARTA, variantNaive} {
+	for _, v := range []string{variantParaCONV, variantSingle, variantSPARTA, variantNaive} {
 		p, err := New(context.Background()).PlanVariant(v, g, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -379,6 +380,7 @@ func TestAdmitRejectsForgedFrames(t *testing.T) {
 			p.ConcurrentIterations = 2
 		})},
 		{"another scheme's plan", variantSPARTA, wire.AppendLeanPlan(nil, refs[variantNaive])},
+		{"replicated plan under a single-group key", variantSingle, wire.AppendLeanPlan(nil, ref)},
 		{"stored-plan frame", variantParaCONV, wire.AppendPlan(nil, ref)},
 	} {
 		for _, tier := range []string{"store", "peer"} {

@@ -31,7 +31,6 @@ type planScratch struct {
 	alloc   core.Allocation
 	res     retime.Result
 	cands   []groupCand
-	need    []int // CheckPlan's least retiming per vertex
 }
 
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}
@@ -299,7 +298,8 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 		CachedIPRs:           sc.alloc.CachedCount,
 		CacheLoadUnits:       sc.alloc.CacheUsed,
 	}
-	if err := CheckPlan(p, g, cfg); err != nil {
+	sc.start = ints(sc.start, g.NumNodes())
+	if err := checkPlan(p, g, cfg, sc.start); err != nil {
 		return nil, err
 	}
 	return recordPlan(p), nil
@@ -419,7 +419,8 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 		CachedIPRs:           sc.alloc.CachedCount,
 		CacheLoadUnits:       groups * sc.alloc.CacheUsed,
 	}
-	if err := CheckPlan(p, g, cfg); err != nil {
+	// The timing is spent: its n start slots serve as the check's scratch.
+	if err := checkPlan(p, g, cfg, sc.start); err != nil {
 		return nil, err
 	}
 	return recordPlan(p), nil

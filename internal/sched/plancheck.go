@@ -26,9 +26,19 @@ var (
 // A baseline honours its dependencies and carries no retiming.  It
 // does not re-run IterationSchedule.Validate, which a solver's schedule
 // passes by construction and internal/run runs on every decoded plan.
+// A solver holding pooled scratch calls checkPlan directly.
+func CheckPlan(p *Plan, g *dag.Graph, cfg pim.Config) error {
+	sc := planPool.Get().(*planScratch)
+	defer planPool.Put(sc)
+	sc.start = ints(sc.start, g.NumNodes())
+	return checkPlan(p, g, cfg, sc.start)
+}
+
+// checkPlan is CheckPlan over need, caller-owned scratch of at least
+// |V| ints whose contents it overwrites.
 //
 //paraconv:hotpath
-func CheckPlan(p *Plan, g *dag.Graph, cfg pim.Config) error {
+func checkPlan(p *Plan, g *dag.Graph, cfg pim.Config, need []int) error {
 	it, lr := &p.Iter, &p.LogicalRetiming
 	ci, n, m := p.ConcurrentIterations, g.NumNodes(), g.NumEdges()
 	switch { // lengths first: nothing below may index out of range
@@ -101,10 +111,7 @@ func CheckPlan(p *Plan, g *dag.Graph, cfg pim.Config) error {
 	// that honours its out-edges, R(v) − R(j) ≥ rrv (Definition 3.1),
 	// with sinks at 0.  One pass in edge order, so the graph is read
 	// sequentially; need[v] gathers each vertex's least R.
-	sc := planPool.Get().(*planScratch)
-	defer planPool.Put(sc)
-	sc.need = ints(sc.need, n)
-	need := sc.need
+	need = need[:n]
 	clear(need)
 	for i := range edges {
 		e := &edges[i]

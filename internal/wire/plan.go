@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -258,17 +257,10 @@ func (d *decoder) planBody(p *sched.Plan) error {
 	if p.RMax, err = d.integer("r_max"); err != nil {
 		return err
 	}
-	start := d.off
 	if err = d.retimeResult("retiming", &p.Retiming); err != nil {
 		return err
 	}
-	// At one concurrent iteration the logical retiming repeats the
-	// kernel's byte for byte: share the decoded result, as the solvers
-	// do, instead of parsing the same bytes twice.
-	if again := d.data[start:d.off]; bytes.HasPrefix(d.data[d.off:], again) {
-		p.LogicalRetiming = p.Retiming
-		d.off += len(again)
-	} else if err = d.retimeResult("logical_retiming", &p.LogicalRetiming); err != nil {
+	if err = d.retimeResult("logical_retiming", &p.LogicalRetiming); err != nil {
 		return err
 	}
 	if p.CachedIPRs, err = d.integer("cached_iprs"); err != nil {
