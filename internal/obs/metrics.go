@@ -68,6 +68,19 @@ var (
 	StoreBytes       = Default().Gauge("paraconv_store_bytes", "bytes of durable entries currently resident in the data dir")
 )
 
+// Plan admission (internal/run): store and peer frames that did not
+// decode to a legal plan for their request — a forged or corrupted
+// plan, or one an older build laid out — each followed by a local
+// solve.  Keyed by the tier that handed the frame over, "store" or
+// "peer"; both series exist from boot.
+var AdmitRejects = map[string]*Counter{"store": admitRejects("store"), "peer": admitRejects("peer")}
+
+func admitRejects(tier string) *Counter {
+	return Default().Counter("paraconv_admit_rejects_total",
+		"store or peer plan frames admission rejected before a local solve, by tier",
+		Label{Key: "tier", Value: tier})
+}
+
 // Sharded planning cluster (internal/cluster, wired through
 // internal/run's peer tier and internal/server's /v1/plans endpoint).
 var (

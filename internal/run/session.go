@@ -134,7 +134,8 @@ func (s *Session) CacheStats() CacheStats {
 
 // plan runs one planning problem through the tier chain: one
 // fingerprint, composed from graphFP (GraphFingerprint of the problem
-// graph, or FrameFingerprint of its undecoded frame), then memory →
+// graph, or FrameFingerprint of its undecoded frame) and, for the
+// given-schedule variant, the given schedule's, then memory →
 // flight → store → peer → solver, each keyed by that fingerprint.  The
 // memory tier is probed before anything needs the graph itself: graph
 // is called only on a miss, at most once, and its error is returned
@@ -142,7 +143,7 @@ func (s *Session) CacheStats() CacheStats {
 // when some tier behind memory has to read them.  Failed solves are not
 // cached (they are cheap — validation rejects before the DP runs — and
 // the error should be re-derived fresh for each caller).
-func (s *Session) plan(variant, extra, graphFP string, cfg pim.Config,
+func (s *Session) plan(variant, graphFP string, given *sched.IterationSchedule, cfg pim.Config,
 	graph func() (*dag.Graph, error),
 	solve func(context.Context, *dag.Graph) (*sched.Plan, error)) (Answer, error) {
 	if graphFP == nilGraphFP {
@@ -152,6 +153,10 @@ func (s *Session) plan(variant, extra, graphFP string, cfg pim.Config,
 		return Answer{Plan: p}, err
 	}
 	fpSpan := span.Start(s.ctx, "run.fingerprint")
+	extra := ""
+	if given != nil {
+		extra = ScheduleFingerprint(*given)
+	}
 	fp := PlanFingerprintHashed(variant, extra, graphFP, cfg)
 	fpSpan.End()
 	lookupSpan := span.Start(s.ctx, "run.cache")
@@ -185,15 +190,15 @@ func (s *Session) plan(variant, extra, graphFP string, cfg pim.Config,
 		}
 		// Second tier: the durable store (when attached).  A hit skips
 		// the solver entirely — this is the warm-restart path.
-		if p, ok := s.storeTier(fp, variant, g, cfg); ok {
+		if p, ok := s.storeTier(fp, variant, g, cfg, given); ok {
 			return p, nil
 		}
 		// Third tier: the cluster (when attached).  Only for problems
-		// the peer-fill frame can express: the given-schedule variant's
-		// extra (a schedule fingerprint) has no wire form, so it always
-		// solves locally.  A (nil, nil) return is the degradation path:
-		// fall through to the solver.
-		if extra == "" {
+		// the peer-fill frame can express: the given schedule has no
+		// wire form, so the given-schedule variant always solves
+		// locally.  A (nil, nil) return is the degradation path: fall
+		// through to the solver.
+		if given == nil {
 			if p, err := s.peerTier(fp, variant, g, cfg); p != nil || err != nil {
 				return p, err
 			}
@@ -233,7 +238,7 @@ func (s *Session) PlanVariantHashed(variant, graphFP string, cfg pim.Config,
 	if !ok {
 		return Answer{}, fmt.Errorf("%w %s (want para-conv, para-conv-single, sparta or naive)", ErrUnknownVariant, variant)
 	}
-	return s.plan(variant, "", graphFP, cfg, graph,
+	return s.plan(variant, graphFP, nil, cfg, graph,
 		func(ctx context.Context, g *dag.Graph) (*sched.Plan, error) { return solver(ctx, g, cfg) })
 }
 
@@ -247,7 +252,7 @@ func (s *Session) Plan(g *dag.Graph, cfg pim.Config) (*sched.Plan, error) {
 // iteration schedule (retiming + cache allocation only).  The cache
 // key incorporates a fingerprint of the given schedule.
 func (s *Session) PlanWithSchedule(g *dag.Graph, iter sched.IterationSchedule, cfg pim.Config) (*sched.Plan, error) {
-	a, err := s.plan(variantGiven, ScheduleFingerprint(iter), GraphFingerprint(g), cfg,
+	a, err := s.plan(variantGiven, GraphFingerprint(g), &iter, cfg,
 		func() (*dag.Graph, error) { return g, nil },
 		func(ctx context.Context, g *dag.Graph) (*sched.Plan, error) {
 			return sched.ParaCONVGivenScheduleCtx(ctx, g, iter, cfg)

@@ -6,14 +6,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
-	"slices"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/pim"
-	"repro/internal/retime"
 	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -30,6 +28,8 @@ type tierCounts struct {
 	obsStoreHits           int64  // paraconv_store_hits_total
 	obsStoreWrites         int64  // paraconv_store_writes_total
 	obsFallbacks           int64  // paraconv_cluster_fallback_solves_total
+	obsStoreRejects        int64  // paraconv_admit_rejects_total{tier="store"}
+	obsPeerRejects         int64  // paraconv_admit_rejects_total{tier="peer"}
 }
 
 func readTierCounts(s *Session) tierCounts {
@@ -40,10 +40,13 @@ func readTierCounts(s *Session) tierCounts {
 		peerFills: cs.PeerFills, fallbacks: cs.PeerFallbacks,
 		solves: obs.PlanSolveTimer(variantParaCONV).Histogram().State().Count +
 			obs.PlanSolveTimer(variantSingle).Histogram().State().Count +
-			obs.PlanSolveTimer(variantSPARTA).Histogram().State().Count,
-		obsStoreHits:   obs.StoreHits.Value(),
-		obsStoreWrites: obs.StoreWrites.Value(),
-		obsFallbacks:   obs.ClusterFallbackSolves.Value(),
+			obs.PlanSolveTimer(variantSPARTA).Histogram().State().Count +
+			obs.PlanSolveTimer(variantGiven).Histogram().State().Count,
+		obsStoreHits:    obs.StoreHits.Value(),
+		obsStoreWrites:  obs.StoreWrites.Value(),
+		obsFallbacks:    obs.ClusterFallbackSolves.Value(),
+		obsStoreRejects: obs.AdmitRejects["store"].Value(),
+		obsPeerRejects:  obs.AdmitRejects["peer"].Value(),
 	}
 }
 
@@ -52,10 +55,12 @@ func (a tierCounts) minus(b tierCounts) tierCounts {
 		memHits: a.memHits - b.memHits, memMisses: a.memMisses - b.memMisses,
 		storeHits: a.storeHits - b.storeHits, storeMisses: a.storeMisses - b.storeMisses,
 		peerFills: a.peerFills - b.peerFills, fallbacks: a.fallbacks - b.fallbacks,
-		solves:         a.solves - b.solves,
-		obsStoreHits:   a.obsStoreHits - b.obsStoreHits,
-		obsStoreWrites: a.obsStoreWrites - b.obsStoreWrites,
-		obsFallbacks:   a.obsFallbacks - b.obsFallbacks,
+		solves:          a.solves - b.solves,
+		obsStoreHits:    a.obsStoreHits - b.obsStoreHits,
+		obsStoreWrites:  a.obsStoreWrites - b.obsStoreWrites,
+		obsFallbacks:    a.obsFallbacks - b.obsFallbacks,
+		obsStoreRejects: a.obsStoreRejects - b.obsStoreRejects,
+		obsPeerRejects:  a.obsPeerRejects - b.obsPeerRejects,
 	}
 }
 
@@ -142,7 +147,7 @@ func TestTierDifferential(t *testing.T) {
 	if !bytes.Equal(legacy, append(full[:4:4], full[8:]...)) {
 		t.Fatal("testdata/parent_build_stored_plan.bin is not the epochless frame of this problem's plan")
 	}
-	stale := tierCounts{memMisses: 1, storeMisses: 1, solves: 1, obsStoreHits: 1, obsStoreWrites: 1}
+	stale := tierCounts{memMisses: 1, storeMisses: 1, solves: 1, obsStoreHits: 1, obsStoreWrites: 1, obsStoreRejects: 1}
 
 	for _, tc := range []struct {
 		name    string
@@ -192,7 +197,7 @@ func TestTierDifferential(t *testing.T) {
 		{
 			name: "peer fill, full frame",
 			peer: &stubFiller{payload: full, ok: true},
-			want: tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1},
+			want: tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1, obsPeerRejects: 1},
 		},
 		{
 			name: "peer fill, lean frame",
@@ -207,7 +212,7 @@ func TestTierDifferential(t *testing.T) {
 		{
 			name: "peer frame corrupted",
 			peer: &stubFiller{payload: corrupt, ok: true},
-			want: tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1},
+			want: tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1, obsPeerRejects: 1},
 		},
 		{
 			name: "peer unavailable",
@@ -281,7 +286,7 @@ func TestTierDifferential(t *testing.T) {
 			if !ok {
 				t.Fatal("EncodedPlanByFingerprint missed")
 			}
-			rebuilt, err := wire.DecodeLeanPlan(fill, g)
+			rebuilt, err := wire.DecodeLeanPlan(fill, g, cfg.NumPEs)
 			if err != nil {
 				t.Fatalf("fill frame: %v", err)
 			}
@@ -295,9 +300,12 @@ func TestTierDifferential(t *testing.T) {
 // TestAdmitRejectsForgedFrames serves one problem through each outer
 // tier holding a forged plan frame: one that decodes, and that the
 // structural schedule check alone would pass, but that is not a legal
-// plan for the request.  Each must be rejected by admission and counted
-// as exactly one miss of its tier, then one solve, whose answer is
-// byte-identical to the local solve's.
+// plan for the request.  Each must be rejected by admission, counted
+// once in paraconv_admit_rejects_total under its tier and as one miss
+// of that tier, then solved, and the answer must be byte-identical to
+// the local solve's.  A logical frame keeps only group 0, the counts
+// and the scheme, so each forgery edits those; what the decoder derives
+// (the other groups, the retiming, the cache counts) cannot be forged.
 func TestAdmitRejectsForgedFrames(t *testing.T) {
 	g := testGraph(t, "forged", 120, 300, 2)
 	cfg := pim.Neurocube(16)
@@ -310,67 +318,55 @@ func TestAdmitRejectsForgedFrames(t *testing.T) {
 		refs[v] = p
 	}
 	ref := refs[variantParaCONV]
-	ci, m := ref.ConcurrentIterations, g.NumEdges()
-	if ci < 2 || ref.CachedIPRs == 0 || ref.RMax == 0 {
-		t.Fatalf("fixture plan has CI %d, %d cached IPRs and R_max %d; want CI > 1 and both > 0", ci, ref.CachedIPRs, ref.RMax)
+	n := g.NumNodes()
+	if ref.ConcurrentIterations < 2 || ref.CachedIPRs == 0 || ref.RMax == 0 {
+		t.Fatalf("fixture plan has CI %d, %d cached IPRs and R_max %d; want CI > 1 and both > 0", ref.ConcurrentIterations, ref.CachedIPRs, ref.RMax)
 	}
 	// forge re-encodes a fresh copy of variant's reference plan after
 	// edit: every field is the solver's except what edit changes.
 	forge := func(variant string, edit func(p *sched.Plan)) []byte {
-		p, err := wire.DecodeLeanPlan(wire.AppendLeanPlan(nil, refs[variant]), g)
+		p, err := wire.DecodeLeanPlan(wire.AppendLeanPlan(nil, refs[variant]), g, cfg.NumPEs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		edit(p)
 		return wire.AppendLeanPlan(nil, p)
 	}
-	// both sets a retiming field in the logical and the kernel retiming
-	// alike, so only the property under test is forged.
-	both := func(p *sched.Plan, f func(r *retime.Result)) {
-		f(&p.LogicalRetiming)
-		f(&p.Retiming)
+	// The given-schedule key binds its schedule: a plan solved on a
+	// 16-PE objective schedule, stored under an 8-PE schedule's key on
+	// a 32-PE array, is legal for the array but not for the key.
+	wide := pim.Neurocube(32)
+	given := make(map[int]sched.IterationSchedule)
+	for _, pes := range []int{8, 16} {
+		iter, err := sched.Objective(g, pes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		given[pes] = iter
+	}
+	onSixteen, err := sched.ParaCONVGivenScheduleCtx(context.Background(), g, given[16], wide)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	for _, tc := range []struct {
 		name    string
 		variant string
-		frame   []byte
+		// given, when set, is the objective schedule a para-conv-given
+		// request plans on an array of wide's PEs; it has no peer tier.
+		given *sched.IterationSchedule
+		frame []byte
 	}{
-		{"every IPR in cache", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
-			used := 0
+		{name: "every IPR in cache", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) {
 			for i := range p.Iter.Assignment {
 				p.Iter.Assignment[i] = pim.InCache
 			}
-			for i := 0; i < m; i++ {
-				used += g.Edges()[i].Size
-			}
-			p.CachedIPRs, p.CacheLoadUnits = m, ci*used
 		})},
-		{"zeroed retiming", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
-			both(p, func(r *retime.Result) { clear(r.R); clear(r.REdge); r.RMax = 0 })
-			p.RMax = 0
+		{name: "lying CI", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) {
+			p.Iter.Tasks, p.Iter.Assignment = p.Iter.Tasks[:n], p.Iter.Assignment[:g.NumEdges()]
+			p.ConcurrentIterations = 1
 		})},
-		{"lying RMax", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) { p.RMax-- })},
-		{"lying CachedIPRs", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) { p.CachedIPRs++ })},
-		{"lying CacheLoadUnits", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) { p.CacheLoadUnits -= ci })},
-		{"lying CI", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) { p.ConcurrentIterations = 1 })},
-		{"retiming of the wrong length", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
-			both(p, func(r *retime.Result) { r.R = r.R[:len(r.R)-1] })
-		})},
-		{"retiming inflated past the minimum", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
-			both(p, func(r *retime.Result) {
-				for i := range r.R {
-					r.R[i]++
-				}
-				r.RMax++
-			})
-			p.RMax++
-		})},
-		{"kernel assignment whose groups differ", variantParaCONV, forge(variantParaCONV, func(p *sched.Plan) {
-			i := slices.Index(p.Iter.Assignment[:m], pim.InCache)
-			p.Iter.Assignment[m+i] = pim.InEDRAM
-		})},
-		{"baseline with CI 2", variantSPARTA, forge(variantSPARTA, func(p *sched.Plan) {
+		{name: "baseline with CI 2", variant: variantSPARTA, frame: forge(variantSPARTA, func(p *sched.Plan) {
 			n := len(p.Iter.Tasks)
 			for _, task := range p.Iter.Tasks[:n] {
 				task.Node += dag.NodeID(n)
@@ -379,41 +375,56 @@ func TestAdmitRejectsForgedFrames(t *testing.T) {
 			p.Iter.Assignment = append(p.Iter.Assignment, p.Iter.Assignment...)
 			p.ConcurrentIterations = 2
 		})},
-		{"another scheme's plan", variantSPARTA, wire.AppendLeanPlan(nil, refs[variantNaive])},
-		{"replicated plan under a single-group key", variantSingle, wire.AppendLeanPlan(nil, ref)},
-		{"stored-plan frame", variantParaCONV, wire.AppendPlan(nil, ref)},
+		{name: "another scheme's plan", variant: variantSPARTA, frame: wire.AppendLeanPlan(nil, refs[variantNaive])},
+		{name: "replicated plan under a single-group key", variant: variantSingle, frame: wire.AppendLeanPlan(nil, ref)},
+		{name: "stored-plan frame", variant: variantParaCONV, frame: wire.AppendPlan(nil, ref)},
+		{name: "another schedule's plan under a given-schedule key", variant: variantGiven,
+			given: ptr(given[8]), frame: wire.AppendLeanPlan(nil, onSixteen)},
 	} {
 		for _, tier := range []string{"store", "peer"} {
+			if tier == "peer" && tc.given != nil {
+				continue
+			}
 			t.Run(tier+"/"+tc.name, func(t *testing.T) {
-				want := wire.AppendPlan(nil, refs[tc.variant])
+				cfg, extra, plan := cfg, "", func(s *Session) (*sched.Plan, error) { return s.PlanVariant(tc.variant, g, cfg) }
+				if tc.given != nil {
+					cfg, extra = wide, ScheduleFingerprint(*tc.given)
+					plan = func(s *Session) (*sched.Plan, error) { return s.PlanWithSchedule(g, *tc.given, wide) }
+				}
+				local, err := plan(New(context.Background()))
+				if err != nil {
+					t.Fatal(err)
+				}
 				s := New(context.Background())
 				var counts tierCounts
 				if tier == "store" {
 					st := newMemBlobStore()
-					if err := st.Put(PlanFingerprint(tc.variant, "", g, cfg), tc.frame); err != nil {
+					if err := st.Put(PlanFingerprint(tc.variant, extra, g, cfg), tc.frame); err != nil {
 						t.Fatal(err)
 					}
 					s.AttachStore(st)
-					counts = tierCounts{memMisses: 1, storeMisses: 1, solves: 1}
+					counts = tierCounts{memMisses: 1, storeMisses: 1, solves: 1, obsStoreRejects: 1}
 				} else {
 					s.AttachPeers(&stubFiller{payload: tc.frame, ok: true})
-					counts = tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1}
+					counts = tierCounts{memMisses: 1, fallbacks: 1, solves: 1, obsFallbacks: 1, obsPeerRejects: 1}
 				}
 				before := readTierCounts(s)
-				p, err := s.PlanVariant(tc.variant, g, cfg)
+				p, err := plan(s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := readTierCounts(s).minus(before); got != counts {
 					t.Errorf("counters moved by %+v, want %+v", got, counts)
 				}
-				if !bytes.Equal(wire.AppendPlan(nil, p), want) {
+				if !bytes.Equal(wire.AppendPlan(nil, p), wire.AppendPlan(nil, local)) {
 					t.Error("served plan is not the local solve's")
 				}
 			})
 		}
 	}
 }
+
+func ptr[T any](v T) *T { return &v }
 
 // TestFingerprintValuesPinned holds fingerprints to the hex strings the
 // builds before hash-before-decode produced.  They name files in every

@@ -61,11 +61,9 @@ const transferWindowFactor = 3
 // graph: the largest execution time and transferWindowFactor times the
 // largest eDRAM transfer.
 func periodFloor(g *dag.Graph) int {
-	floor := g.MaxExec()
-	for i := range g.Edges() {
-		if t := transferWindowFactor * g.Edge(dag.EdgeID(i)).EDRAMTime; t > floor {
-			floor = t
-		}
+	floor, edges := g.MaxExec(), g.Edges()
+	for i := range edges {
+		floor = max(floor, transferWindowFactor*edges[i].EDRAMTime)
 	}
 	return floor
 }
@@ -143,25 +141,24 @@ func packObjective(g *dag.Graph, order []dag.NodeID, numPEs int, tasks []Task, l
 
 // packedMakespan computes the LPT makespan of the execution-time
 // multiset (already sorted descending) on numPEs PEs — the cheap inner
-// loop of the group search.  loads is caller scratch of length numPEs.
+// loop of the group search.  loads is caller scratch of length numPEs,
+// kept as a min-heap: each execution time lands on a least loaded PE,
+// and which of several does cannot change the loads' multiset.
 func packedMakespan(execs []int, numPEs int, loads []int) int {
 	clear(loads)
 	for _, e := range execs {
-		pe := 0
-		for i := 1; i < numPEs; i++ {
-			if loads[i] < loads[pe] {
-				pe = i
+		loads[0] += e
+		for i, c := 0, 1; c < numPEs; i, c = c, 2*c+1 { // sift the root down
+			if c+1 < numPEs && loads[c+1] < loads[c] {
+				c++
 			}
-		}
-		loads[pe] += e
-	}
-	m := 0
-	for _, l := range loads {
-		if l > m {
-			m = l
+			if loads[c] >= loads[i] {
+				break
+			}
+			loads[i], loads[c] = loads[c], loads[i]
 		}
 	}
-	return m
+	return slices.Max(loads)
 }
 
 // chooseGroups picks how many identical PE groups the array is split
@@ -180,7 +177,8 @@ func chooseGroups(ctx context.Context, sc *planScratch, g *dag.Graph, numPEs, fl
 	for i := range g.Nodes() {
 		execs[i] = g.Nodes()[i].Exec
 	}
-	slices.SortFunc(execs, func(a, b int) int { return b - a })
+	slices.Sort(execs)
+	slices.Reverse(execs)
 
 	sc.loads = ints(sc.loads, numPEs)
 	cands := sc.cands[:0]
@@ -283,61 +281,14 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 	}
 	sc := planPool.Get().(*planScratch)
 	defer planPool.Put(sc)
-	if err := allocate(ctx, sc, g, iter.Timing(), cfg.TotalCacheUnits(), nil); err != nil {
+	p, err := assemble(ctx, sc, "para-conv", g, iter, 1, cfg.TotalCacheUnits())
+	if err != nil {
 		return nil, err
 	}
-	iter.Assignment = slices.Clone(sc.alloc.Assignment)
-	res := sc.retained()
-	p := &Plan{
-		Scheme:               "para-conv",
-		Iter:                 iter,
-		ConcurrentIterations: 1,
-		RMax:                 res.RMax,
-		Retiming:             res,
-		LogicalRetiming:      res,
-		CachedIPRs:           sc.alloc.CachedCount,
-		CacheLoadUnits:       sc.alloc.CacheUsed,
-	}
-	sc.start = ints(sc.start, g.NumNodes())
-	if err := checkPlan(p, g, cfg, sc.start); err != nil {
+	if err := checkPlan(p, g, cfg, sc); err != nil {
 		return nil, err
 	}
 	return recordPlan(p), nil
-}
-
-// allocate is the allocation stage both Para-CONV entry points share:
-// Figure-4 classification of the objective timing, the §3.3.2 DP under
-// the cache capacity and the minimal retiming for the chosen
-// placement; the caller proves the plan it builds with CheckPlan.
-// Every result lands in the pooled scratch (sc.classes, sc.alloc,
-// sc.res); a non-nil order is g's topological order, saving the
-// retiming pass a re-sort.
-func allocate(ctx context.Context, sc *planScratch, g *dag.Graph, tm retime.Timing, capacity int, order []dag.NodeID) error {
-	classes, err := retime.ClassifyInto(sc.classes, g, tm)
-	if err != nil {
-		return fmt.Errorf("sched: para-conv classify: %w", err)
-	}
-	sc.classes = classes
-	if err := core.OptimizeInto(ctx, &sc.alloc, g, classes, tm, capacity); err != nil {
-		return fmt.Errorf("sched: para-conv allocate: %w", err)
-	}
-	retimeSpan := span.Start(ctx, "sched.retime")
-	err = retime.ApplyInto(&sc.res, g, classes, sc.alloc.Assignment, tm.Period, order)
-	retimeSpan.End()
-	if err != nil {
-		return fmt.Errorf("sched: para-conv retime: %w", err)
-	}
-	return nil
-}
-
-// retained copies the scratch retiming out for a plan to keep.
-func (sc *planScratch) retained() retime.Result {
-	return retime.Result{
-		R:      append([]int(nil), sc.res.R...),
-		REdge:  append([]int(nil), sc.res.REdge...),
-		RMax:   sc.res.RMax,
-		Period: sc.res.Period,
-	}
 }
 
 // paraCONVKernel builds the Para-CONV plan for a fixed group count
@@ -350,9 +301,8 @@ func (sc *planScratch) retained() retime.Result {
 //
 // Every intermediate — topological order, objective timing, edge
 // classes, DP allocation, retiming propagation — lives in the pooled
-// scratch; only the replicated graph (none for one group), final task
-// list, expanded assignment and fresh retiming copies (the state the
-// returned *Plan retains) are allocated.
+// scratch; only what assemble builds for the returned *Plan is
+// allocated.
 //
 //paraconv:hotpath
 func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.Config, groups, floor int) (*Plan, error) {
@@ -362,84 +312,135 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 	groupPEs := cfg.NumPEs / groups
 
 	objSpan := span.Start(ctx, "sched.objective")
-	iter, err := buildObjective(sc, g, groupPEs, floor)
+	group, err := buildObjective(sc, g, groupPEs, floor)
 	objSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("sched: para-conv objective: %w", err)
 	}
-	tasks, n := iter.Tasks, g.NumNodes()
-
-	// Timing straight out of the packed tasks (tasks[v].Node == v).
-	sc.start = ints(sc.start, n)
-	sc.finish = ints(sc.finish, n)
-	for v := 0; v < n; v++ {
-		sc.start[v] = tasks[v].Start
-		sc.finish[v] = tasks[v].Finish
-	}
-	tm := retime.Timing{Start: sc.start[:n], Finish: sc.finish[:n], Period: iter.Period}
-
-	if err := allocate(ctx, sc, g, tm, groupPEs*cfg.CacheUnitsPerPE, sc.order); err != nil {
+	p, err := assemble(ctx, sc, "para-conv", g, group, groups, groupPEs*cfg.CacheUnitsPerPE)
+	if err != nil {
 		return nil, err
 	}
-
-	// Replicate the group schedule across the array.  Everything from
-	// here down is retained by the returned plan, so it is built fresh
-	// rather than from the scratch.  One group's kernel is the problem
-	// graph itself, aliased as wire.DecodeLeanPlan and
-	// ParaCONVGivenScheduleCtx alias it, so a planned graph is read-only.
-	gu := g
-	if groups > 1 {
-		if gu, err = dag.Replicate(g, groups); err != nil {
-			return nil, fmt.Errorf("sched: para-conv replicate: %w", err)
-		}
-	}
-	fullTasks := make([]Task, 0, gu.NumNodes())
-	for k := 0; k < groups; k++ {
-		for i := range tasks {
-			t := tasks[i]
-			t.Node += dag.NodeID(k * n)
-			t.PE += pim.PEID(k * groupPEs)
-			fullTasks = append(fullTasks, t)
-		}
-	}
-	full := IterationSchedule{
-		Graph:      gu,
-		PEs:        cfg.NumPEs,
-		Period:     iter.Period,
-		Tasks:      fullTasks,
-		Assignment: retime.ExpandAssignment(sc.alloc.Assignment, groups),
-	}
-	p := &Plan{
-		Scheme:               "para-conv",
-		Iter:                 full,
-		ConcurrentIterations: groups,
-		RMax:                 sc.res.RMax,
-		Retiming:             expandRetiming(sc.res, groups),
-		LogicalRetiming:      sc.retained(),
-		CachedIPRs:           sc.alloc.CachedCount,
-		CacheLoadUnits:       groups * sc.alloc.CacheUsed,
-	}
-	// The timing is spent: its n start slots serve as the check's scratch.
-	if err := checkPlan(p, g, cfg, sc.start); err != nil {
+	if err := checkPlan(p, g, cfg, sc); err != nil {
 		return nil, err
 	}
 	return recordPlan(p), nil
 }
 
-// expandRetiming replicates a single-group retiming result onto the
-// replicated kernel graph: every group's copy of vertex v inherits
-// R(v) and every copy of edge e inherits its required rrv.  Legality
-// carries over because the groups' schedules are identical.
-func expandRetiming(res retime.Result, groups int) retime.Result {
-	out := retime.Result{
-		R:      make([]int, 0, len(res.R)*groups),
-		REdge:  make([]int, 0, len(res.REdge)*groups),
-		RMax:   res.RMax,
-		Period: res.Period,
+// Assemble rebuilds a plan from what rests of it outside memory — its
+// scheme, group (one iteration of g on group.PEs PEs, with its IPR
+// placement) and the count ci of groups that run it — by the lines the
+// solvers assemble their own plans with, so a decoded plan and a
+// solved one are built alike.  The caller runs CheckPlan on the result
+// before trusting it.
+func Assemble(scheme string, g *dag.Graph, group IterationSchedule, ci int) (*Plan, error) {
+	sc := planPool.Get().(*planScratch)
+	defer planPool.Put(sc)
+	return assemble(context.Background(), sc, scheme, g, group, ci, -1)
+}
+
+// assemble is the one assembly path behind every plan, solved or
+// decoded (§3.3).  A para-conv group's edges are classified under its
+// timing (Figure 4), and with a capacity ≥ 0 the §3.3.2 DP places its
+// IPRs under it — the solver's step; a decoded group comes placed.
+// The plan runs group on each of ci identical PE groups: group k is
+// group 0 shifted by k·|V| vertices and k·group.PEs PEs on the kernel
+// Replicate(g, ci) — g itself, aliased, at one group, so a planned
+// graph is read-only — and places its IPRs as group 0 does.  The cache
+// counts are read off that placement, and a para-conv plan carries the
+// minimal retiming it implies under the group's timing (Definition
+// 3.1), repeated per group.  Everything the plan retains is built
+// fresh, so group may live in sc; a baseline (never replicated, never
+// retimed) needs no sc.
+//
+//paraconv:hotpath
+func assemble(ctx context.Context, sc *planScratch, scheme string, g *dag.Graph, group IterationSchedule, ci, capacity int) (*Plan, error) {
+	var classes []retime.EdgeClass
+	if scheme == "para-conv" {
+		n := len(group.Tasks)
+		sc.start, sc.finish = ints(sc.start, n), ints(sc.finish, n)
+		for v := range group.Tasks {
+			sc.start[v], sc.finish[v] = group.Tasks[v].Start, group.Tasks[v].Finish
+		}
+		tm := retime.Timing{Start: sc.start, Finish: sc.finish, Period: group.Period}
+		var err error
+		if classes, err = retime.ClassifyInto(sc.classes, g, tm); err != nil {
+			return nil, fmt.Errorf("sched: para-conv classify: %w", err)
+		}
+		sc.classes = classes
+		if capacity >= 0 {
+			if err := core.OptimizeInto(ctx, &sc.alloc, g, classes, tm, capacity); err != nil {
+				return nil, fmt.Errorf("sched: para-conv allocate: %w", err)
+			}
+			group.Assignment = sc.alloc.Assignment
+		}
+	} else if ci != 1 {
+		return nil, errBaseline
 	}
-	for k := 0; k < groups; k++ {
-		out.R = append(out.R, res.R...)
-		out.REdge = append(out.REdge, res.REdge...)
+
+	kernel := g
+	if ci > 1 {
+		var err error
+		if kernel, err = dag.Replicate(g, ci); err != nil {
+			return nil, fmt.Errorf("sched: %s replicate: %w", scheme, err)
+		}
 	}
-	return out
+	n := len(group.Tasks)
+	tasks := make([]Task, 0, ci*n)
+	for k := 0; k < ci; k++ {
+		for v, t := range group.Tasks {
+			t.Node = dag.NodeID(k*n + v)
+			t.PE += pim.PEID(k * group.PEs)
+			tasks = append(tasks, t)
+		}
+	}
+	p := &Plan{
+		Scheme: scheme,
+		Iter: IterationSchedule{
+			Graph:      kernel,
+			PEs:        ci * group.PEs,
+			Period:     group.Period,
+			Tasks:      tasks,
+			Assignment: retime.ExpandAssignment(group.Assignment, ci),
+		},
+		ConcurrentIterations: ci,
+	}
+	for i, pl := range group.Assignment {
+		if pl == pim.InCache {
+			p.CachedIPRs++
+			p.CacheLoadUnits += ci * g.Edges()[i].Size
+		}
+	}
+	if classes == nil {
+		return p, nil
+	}
+
+	retimeSpan := span.Start(ctx, "sched.retime")
+	err := retime.ApplyInto(&sc.res, g, classes, group.Assignment, group.Period, nil)
+	retimeSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("sched: para-conv retime: %w", err)
+	}
+	// Every group's copy of vertex v inherits R(v), and every copy of
+	// edge e its rrv; group 0's copy is the logical retiming.
+	res, kr := &sc.res, &p.Retiming
+	p.RMax, kr.RMax, kr.Period = res.RMax, res.RMax, res.Period
+	kr.R, kr.REdge = make([]int, 0, ci*len(res.R)), make([]int, 0, ci*len(res.REdge))
+	for k := 0; k < ci; k++ {
+		kr.R, kr.REdge = append(kr.R, res.R...), append(kr.REdge, res.REdge...)
+	}
+	p.LogicalRetiming = *kr
+	p.LogicalRetiming.R, p.LogicalRetiming.REdge = kr.R[:n:n], kr.REdge[:len(classes):len(classes)]
+	return p, nil
+}
+
+// Groups is the group count ParaCONVCtx splits a numPEs-PE array into
+// for g (see chooseGroups): a function of g's execution times and
+// numPEs alone, so admission re-derives it rather than trusting a
+// frame's.
+func Groups(g *dag.Graph, numPEs int) int {
+	sc := planPool.Get().(*planScratch)
+	defer planPool.Put(sc)
+	u, _ := chooseGroups(context.Background(), sc, g, numPEs, periodFloor(g))
+	return u
 }

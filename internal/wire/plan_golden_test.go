@@ -126,6 +126,41 @@ func TestPlanBytesGolden(t *testing.T) {
 	}
 }
 
+// TestLogicalFrameRebuildsEveryPlan: for every golden graph, PE count
+// and planner, baselines included, the logical frame decodes to the
+// plan the solver built, in every field — the decoder and the solver
+// assemble plans by the same lines.
+func TestLogicalFrameRebuildsEveryPlan(t *testing.T) {
+	graphs := goldenGraphs(t)
+	for _, pl := range []struct {
+		name string
+		plan func(context.Context, *dag.Graph, pim.Config) (*sched.Plan, error)
+	}{
+		{"para-conv", sched.ParaCONVCtx},
+		{"para-conv-single", sched.ParaCONVSingleCtx},
+		{"para-conv-given", givenObjective},
+		{"sparta", sched.SPARTACtx},
+		{"naive", sched.NaiveCtx},
+	} {
+		for _, pes := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64} {
+			for _, g := range graphs {
+				p, err := pl.plan(context.Background(), g, pim.Neurocube(pes))
+				if err != nil {
+					t.Fatalf("%s on %d PEs, %s: %v", pl.name, pes, g.Name(), err)
+				}
+				got, err := wire.DecodeLeanPlan(wire.AppendLeanPlan(nil, p), g, pes)
+				if err != nil {
+					t.Fatalf("%s on %d PEs, %s: %v", pl.name, pes, g.Name(), err)
+				}
+				wire.PlansEqual(t, p, got)
+				if t.Failed() {
+					t.Fatalf("%s on %d PEs, %s: decoded plan differs from the solved one", pl.name, pes, g.Name())
+				}
+			}
+		}
+	}
+}
+
 // TestSolverEpochPinsPlanGolden ties sched.SolverEpoch to the plans in
 // the golden: the pair (epoch, sha256 of plan_hashes.golden with every
 // lean= column dropped) is pinned, so rewriting the plans with -update

@@ -39,6 +39,17 @@ if hits=$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchma
     exit 1
 fi
 
+echo "== the stored-plan frame stays with the benchmarks"
+# Every plan rests in the logical frame (wire.AppendLeanPlan and
+# DecodeLeanPlan).  The self-contained 'L' frame is written and read
+# only by benchmark/ and internal/bench until they retire it.
+if hits=$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=bench --exclude-dir=testdata \
+    'wire\.(AppendPlan|DecodePlan|DecodeFillPlan)\b' .); then
+    echo "non-test Go outside benchmark/ and internal/bench names the stored-plan frame:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 echo "== build"
 go build ./...
 
