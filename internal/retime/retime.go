@@ -179,9 +179,8 @@ func ClassifyInto(dst []EdgeClass, g *dag.Graph, tm Timing) ([]EdgeClass, error)
 		dst = make([]EdgeClass, g.NumEdges())
 	}
 	classes := dst[:g.NumEdges()]
-	edges := g.Edges()
-	for i := range edges {
-		e := &edges[i]
+	for i := range g.Edges() {
+		e := g.Edge(dag.EdgeID(i))
 		if e.EDRAMTime > tm.Period {
 			return nil, fmt.Errorf("retime: edge %d (%d->%d) eDRAM transfer %d exceeds period %d; Theorem 3.1 bound would break",
 				e.ID, e.From, e.To, e.EDRAMTime, tm.Period)
@@ -310,12 +309,12 @@ func (r Result) Prologue() int { return r.RMax * r.Period }
 // ApplyInto computes the minimal legal vertex retiming for the given
 // placement assignment under iteration period p: every edge requires
 // R(producer) - R(consumer) >= rrv(placement), and we minimize every
-// R (hence R_max) by a longest-path pass from the sinks, pinned at 0.
-// The result is written into res, reusing the capacity of its R and
-// REdge slices.  A non-nil order must be a topological order of g (as
-// returned by TopoSort), walked in reverse; nil runs the pass as a
-// reverse Kahn sweep instead, which settles a vertex once every
-// successor is settled and so needs no order computed first.
+// R (hence R_max) by a longest-path pass in reverse topological
+// order, with sinks pinned at 0.  The result is written into res,
+// reusing the capacity of its R and REdge slices.  A non-nil order
+// must be a topological order of g (as returned by TopoSort), letting
+// a caller that already holds one skip the re-sort; nil recomputes
+// it.
 //
 //paraconv:hotpath
 func ApplyInto(res *Result, g *dag.Graph, classes []EdgeClass, a Assignment, period int, order []dag.NodeID) error {
@@ -325,7 +324,13 @@ func ApplyInto(res *Result, g *dag.Graph, classes []EdgeClass, a Assignment, per
 	if len(classes) != g.NumEdges() || len(a) != g.NumEdges() {
 		return fmt.Errorf("retime: classes/assignment cover %d/%d edges; want %d", len(classes), len(a), g.NumEdges())
 	}
-	if order != nil && len(order) != g.NumNodes() {
+	if order == nil {
+		var err error
+		order, err = g.TopoSort()
+		if err != nil {
+			return err
+		}
+	} else if len(order) != g.NumNodes() {
 		return fmt.Errorf("retime: supplied order covers %d vertices; want %d", len(order), g.NumNodes())
 	}
 	if cap(res.REdge) < g.NumEdges() {
@@ -340,18 +345,14 @@ func ApplyInto(res *Result, g *dag.Graph, classes []EdgeClass, a Assignment, per
 	}
 	r := res.R[:g.NumNodes()]
 	clear(r)
-	if order != nil {
-		for idx := len(order) - 1; idx >= 0; idx-- {
-			v := order[idx]
-			for _, eid := range g.Out(v) {
-				e := g.Edge(eid)
-				if need := r[e.To] + rEdge[eid]; need > r[v] {
-					r[v] = need
-				}
+	for idx := len(order) - 1; idx >= 0; idx-- {
+		v := order[idx]
+		for _, eid := range g.Out(v) {
+			e := g.Edge(eid)
+			if need := r[e.To] + rEdge[eid]; need > r[v] {
+				r[v] = need
 			}
 		}
-	} else if err := fromSinks(g, rEdge, r); err != nil {
-		return err
 	}
 	rmax := 0
 	for _, x := range r {
@@ -360,35 +361,6 @@ func ApplyInto(res *Result, g *dag.Graph, classes []EdgeClass, a Assignment, per
 		}
 	}
 	res.R, res.REdge, res.RMax, res.Period = r, rEdge, rmax, period
-	return nil
-}
-
-// fromSinks raises each r[v] (zeroed) to the longest rrv path from v
-// to a sink: a sink settles at 0, and a vertex settles once its last
-// successor has, at the most any out-edge needs.
-//
-//paraconv:hotpath
-func fromSinks(g *dag.Graph, rEdge, r []int) error {
-	n := g.NumNodes()
-	left, settled, edges := make([]int, n), make([]dag.NodeID, 0, n), g.Edges()
-	for v := range left {
-		if left[v] = g.OutDegree(dag.NodeID(v)); left[v] == 0 {
-			settled = append(settled, dag.NodeID(v))
-		}
-	}
-	for i := 0; i < len(settled); i++ {
-		w := settled[i]
-		for _, eid := range g.In(w) {
-			u := edges[eid].From
-			r[u] = max(r[u], r[w]+rEdge[eid])
-			if left[u]--; left[u] == 0 {
-				settled = append(settled, u)
-			}
-		}
-	}
-	if len(settled) != n {
-		return fmt.Errorf("retime: %d of %d vertices settle: %w", len(settled), n, dag.ErrCyclic)
-	}
 	return nil
 }
 

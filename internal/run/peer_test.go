@@ -228,7 +228,7 @@ func TestEncodedPlanByFingerprintStoreTier(t *testing.T) {
 		if stored, _ := st.Get(tc.fp); !bytes.Equal(payload, stored) || !bytes.Equal(payload, wire.AppendLeanPlan(nil, tc.want)) {
 			t.Fatalf("%s: store-served fill is not the stored lean frame", tc.want.Scheme)
 		}
-		p, err := wire.DecodeLeanPlan(payload, g, cfg.NumPEs)
+		p, err := wire.DecodeLeanPlan(payload, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestEncodedFillByFingerprint(t *testing.T) {
 	if !bytes.Equal(storeLean, memLean) {
 		t.Fatal("store-tier fill differs from the memory tier's")
 	}
-	p, err := wire.DecodeLeanPlan(storeLean, g, cfg.NumPEs)
+	p, err := wire.DecodeLeanPlan(storeLean, g)
 	if err != nil {
 		t.Fatal(err)
 	}

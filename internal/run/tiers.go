@@ -75,33 +75,30 @@ func (s *Session) AttachPeers(f PeerFiller) {
 
 // admit is the one door every plan that did not come from a local
 // solve walks through, whichever outer tier produced its frame: decode
-// the logical frame against g, the problem graph in hand, rebuilding
-// the plan by the solver's own assembly, then prove the plan for this
-// request — the variant's scheme; the group count the variant plans
-// with (the adaptive para-conv's group search re-run on g, one group
-// for every other variant); for a given-schedule request, the very
-// schedule its key fingerprints; and the plan check every solver's own
-// output passes (sched.CheckPlan).  A CRC catches disk rot and a peer
-// is trusted to be a peer, but a plan written by a buggy or older
-// build, or forged in transit, is not served.  Any failure, a
+// the lean frame against g, the problem graph in hand, then prove the
+// plan for this request — the variant's scheme, one concurrent
+// iteration for every variant but the adaptive para-conv, for a
+// given-schedule request the very schedule its key fingerprints, a
+// sound schedule (IterationSchedule.Validate), and the plan check
+// every solver's own output passes (sched.CheckPlan).  A CRC catches
+// disk rot and a peer is trusted to be a peer, but a plan written by a
+// buggy build or forged in transit is not served.  Any failure, a
 // stored-plan frame included, is a logged and counted rejection
 // (obs.AdmitRejects) and a miss: the solver is always a correct
 // fallback.
 func admit(tier, fp, variant string, frame []byte, g *dag.Graph, cfg pim.Config, given *sched.IterationSchedule) (*sched.Plan, bool) {
-	p, err := wire.DecodeLeanPlan(frame, g, cfg.NumPEs)
+	p, err := wire.DecodeLeanPlan(frame, g)
+	if err == nil && (p.Scheme != schemeOf(variant) || variant != variantParaCONV && p.ConcurrentIterations != 1) {
+		err = fmt.Errorf("run: %s plan at %d concurrent iterations for a %s request", p.Scheme, p.ConcurrentIterations, variant)
+	}
+	if err == nil && given != nil && (p.Iter.PEs != given.PEs || p.Iter.Period != given.Period || !slices.Equal(p.Iter.Tasks, given.Tasks)) {
+		err = fmt.Errorf("run: plan is not on the objective schedule its key names")
+	}
 	if err == nil {
-		ci := 1
-		if variant == variantParaCONV {
-			ci = sched.Groups(g, cfg.NumPEs)
-		}
-		switch {
-		case p.Scheme != schemeOf(variant) || p.ConcurrentIterations != ci:
-			err = fmt.Errorf("run: %s plan at %d concurrent iterations for a %s request, which plans %d", p.Scheme, p.ConcurrentIterations, variant, ci)
-		case given != nil && (p.Iter.PEs != given.PEs || p.Iter.Period != given.Period || !slices.Equal(p.Iter.Tasks, given.Tasks)):
-			err = fmt.Errorf("run: plan is not on the objective schedule its key names")
-		default:
-			err = sched.CheckPlan(p, g, cfg)
-		}
+		err = p.Iter.Validate()
+	}
+	if err == nil {
+		err = sched.CheckPlan(p, g, cfg)
 	}
 	if err != nil {
 		obs.AdmitRejects[tier].Inc()

@@ -6,12 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/pim"
+	"repro/internal/retime"
 	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -286,7 +288,7 @@ func TestTierDifferential(t *testing.T) {
 			if !ok {
 				t.Fatal("EncodedPlanByFingerprint missed")
 			}
-			rebuilt, err := wire.DecodeLeanPlan(fill, g, cfg.NumPEs)
+			rebuilt, err := wire.DecodeLeanPlan(fill, g)
 			if err != nil {
 				t.Fatalf("fill frame: %v", err)
 			}
@@ -303,9 +305,7 @@ func TestTierDifferential(t *testing.T) {
 // plan for the request.  Each must be rejected by admission, counted
 // once in paraconv_admit_rejects_total under its tier and as one miss
 // of that tier, then solved, and the answer must be byte-identical to
-// the local solve's.  A logical frame keeps only group 0, the counts
-// and the scheme, so each forgery edits those; what the decoder derives
-// (the other groups, the retiming, the cache counts) cannot be forged.
+// the local solve's.
 func TestAdmitRejectsForgedFrames(t *testing.T) {
 	g := testGraph(t, "forged", 120, 300, 2)
 	cfg := pim.Neurocube(16)
@@ -318,19 +318,25 @@ func TestAdmitRejectsForgedFrames(t *testing.T) {
 		refs[v] = p
 	}
 	ref := refs[variantParaCONV]
-	n := g.NumNodes()
-	if ref.ConcurrentIterations < 2 || ref.CachedIPRs == 0 || ref.RMax == 0 {
-		t.Fatalf("fixture plan has CI %d, %d cached IPRs and R_max %d; want CI > 1 and both > 0", ref.ConcurrentIterations, ref.CachedIPRs, ref.RMax)
+	ci, m := ref.ConcurrentIterations, g.NumEdges()
+	if ci < 2 || ref.CachedIPRs == 0 || ref.RMax == 0 {
+		t.Fatalf("fixture plan has CI %d, %d cached IPRs and R_max %d; want CI > 1 and both > 0", ci, ref.CachedIPRs, ref.RMax)
 	}
 	// forge re-encodes a fresh copy of variant's reference plan after
 	// edit: every field is the solver's except what edit changes.
 	forge := func(variant string, edit func(p *sched.Plan)) []byte {
-		p, err := wire.DecodeLeanPlan(wire.AppendLeanPlan(nil, refs[variant]), g, cfg.NumPEs)
+		p, err := wire.DecodeLeanPlan(wire.AppendLeanPlan(nil, refs[variant]), g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		edit(p)
 		return wire.AppendLeanPlan(nil, p)
+	}
+	// both sets a retiming field in the logical and the kernel retiming
+	// alike, so only the property under test is forged.
+	both := func(p *sched.Plan, f func(r *retime.Result)) {
+		f(&p.LogicalRetiming)
+		f(&p.Retiming)
 	}
 	// The given-schedule key binds its schedule: a plan solved on a
 	// 16-PE objective schedule, stored under an 8-PE schedule's key on
@@ -358,13 +364,38 @@ func TestAdmitRejectsForgedFrames(t *testing.T) {
 		frame []byte
 	}{
 		{name: "every IPR in cache", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) {
+			used := 0
 			for i := range p.Iter.Assignment {
 				p.Iter.Assignment[i] = pim.InCache
 			}
+			for i := 0; i < m; i++ {
+				used += g.Edges()[i].Size
+			}
+			p.CachedIPRs, p.CacheLoadUnits = m, ci*used
 		})},
-		{name: "lying CI", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) {
-			p.Iter.Tasks, p.Iter.Assignment = p.Iter.Tasks[:n], p.Iter.Assignment[:g.NumEdges()]
-			p.ConcurrentIterations = 1
+		{name: "zeroed retiming", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) {
+			both(p, func(r *retime.Result) { clear(r.R); clear(r.REdge); r.RMax = 0 })
+			p.RMax = 0
+		})},
+		{name: "lying RMax", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) { p.RMax-- })},
+		{name: "lying CachedIPRs", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) { p.CachedIPRs++ })},
+		{name: "lying CacheLoadUnits", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) { p.CacheLoadUnits -= ci })},
+		{name: "lying CI", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) { p.ConcurrentIterations = 1 })},
+		{name: "retiming of the wrong length", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) {
+			both(p, func(r *retime.Result) { r.R = r.R[:len(r.R)-1] })
+		})},
+		{name: "retiming inflated past the minimum", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) {
+			both(p, func(r *retime.Result) {
+				for i := range r.R {
+					r.R[i]++
+				}
+				r.RMax++
+			})
+			p.RMax++
+		})},
+		{name: "kernel assignment whose groups differ", variant: variantParaCONV, frame: forge(variantParaCONV, func(p *sched.Plan) {
+			i := slices.Index(p.Iter.Assignment[:m], pim.InCache)
+			p.Iter.Assignment[m+i] = pim.InEDRAM
 		})},
 		{name: "baseline with CI 2", variant: variantSPARTA, frame: forge(variantSPARTA, func(p *sched.Plan) {
 			n := len(p.Iter.Tasks)

@@ -29,6 +29,7 @@ func NaiveCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) 
 	if err != nil {
 		return nil, err
 	}
+	assignment := retime.AllEDRAM(g.NumEdges())
 	n := g.NumNodes()
 	peFree := make([]int, cfg.NumPEs)
 	dataReady := make([]int, n)
@@ -55,15 +56,16 @@ func NaiveCtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error) 
 			makespan = tasks[i].Finish
 		}
 	}
-	p, err := assemble(ctx, nil, "naive", g, IterationSchedule{
-		Graph:      g,
-		PEs:        cfg.NumPEs,
-		Period:     makespan,
-		Tasks:      tasks,
-		Assignment: retime.AllEDRAM(g.NumEdges()),
-	}, 1, -1)
-	if err != nil {
-		return nil, err
+	p := &Plan{
+		Scheme: "naive",
+		Iter: IterationSchedule{
+			Graph:      g,
+			PEs:        cfg.NumPEs,
+			Period:     makespan,
+			Tasks:      tasks,
+			Assignment: assignment,
+		},
+		ConcurrentIterations: 1,
 	}
 	if err := CheckPlan(p, g, cfg); err != nil {
 		return nil, err

@@ -61,9 +61,11 @@ const transferWindowFactor = 3
 // graph: the largest execution time and transferWindowFactor times the
 // largest eDRAM transfer.
 func periodFloor(g *dag.Graph) int {
-	floor, edges := g.MaxExec(), g.Edges()
-	for i := range edges {
-		floor = max(floor, transferWindowFactor*edges[i].EDRAMTime)
+	floor := g.MaxExec()
+	for i := range g.Edges() {
+		if t := transferWindowFactor * g.Edge(dag.EdgeID(i)).EDRAMTime; t > floor {
+			floor = t
+		}
 	}
 	return floor
 }
@@ -141,24 +143,25 @@ func packObjective(g *dag.Graph, order []dag.NodeID, numPEs int, tasks []Task, l
 
 // packedMakespan computes the LPT makespan of the execution-time
 // multiset (already sorted descending) on numPEs PEs — the cheap inner
-// loop of the group search.  loads is caller scratch of length numPEs,
-// kept as a min-heap: each execution time lands on a least loaded PE,
-// and which of several does cannot change the loads' multiset.
+// loop of the group search.  loads is caller scratch of length numPEs.
 func packedMakespan(execs []int, numPEs int, loads []int) int {
 	clear(loads)
 	for _, e := range execs {
-		loads[0] += e
-		for i, c := 0, 1; c < numPEs; i, c = c, 2*c+1 { // sift the root down
-			if c+1 < numPEs && loads[c+1] < loads[c] {
-				c++
+		pe := 0
+		for i := 1; i < numPEs; i++ {
+			if loads[i] < loads[pe] {
+				pe = i
 			}
-			if loads[c] >= loads[i] {
-				break
-			}
-			loads[i], loads[c] = loads[c], loads[i]
+		}
+		loads[pe] += e
+	}
+	m := 0
+	for _, l := range loads {
+		if l > m {
+			m = l
 		}
 	}
-	return slices.Max(loads)
+	return m
 }
 
 // chooseGroups picks how many identical PE groups the array is split
@@ -177,8 +180,7 @@ func chooseGroups(ctx context.Context, sc *planScratch, g *dag.Graph, numPEs, fl
 	for i := range g.Nodes() {
 		execs[i] = g.Nodes()[i].Exec
 	}
-	slices.Sort(execs)
-	slices.Reverse(execs)
+	slices.SortFunc(execs, func(a, b int) int { return b - a })
 
 	sc.loads = ints(sc.loads, numPEs)
 	cands := sc.cands[:0]
@@ -281,11 +283,12 @@ func ParaCONVGivenScheduleCtx(ctx context.Context, g *dag.Graph, iter IterationS
 	}
 	sc := planPool.Get().(*planScratch)
 	defer planPool.Put(sc)
-	p, err := assemble(ctx, sc, "para-conv", g, iter, 1, cfg.TotalCacheUnits())
+	p, err := assemble(ctx, sc, g, iter, 1, cfg.TotalCacheUnits(), nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkPlan(p, g, cfg, sc); err != nil {
+	// The timing is spent: its n start slots serve as the check's scratch.
+	if err := checkPlan(p, g, cfg, sc.start); err != nil {
 		return nil, err
 	}
 	return recordPlan(p), nil
@@ -317,75 +320,62 @@ func paraCONVKernel(ctx context.Context, sc *planScratch, g *dag.Graph, cfg pim.
 	if err != nil {
 		return nil, fmt.Errorf("sched: para-conv objective: %w", err)
 	}
-	p, err := assemble(ctx, sc, "para-conv", g, group, groups, groupPEs*cfg.CacheUnitsPerPE)
+	p, err := assemble(ctx, sc, g, group, groups, groupPEs*cfg.CacheUnitsPerPE, sc.order)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkPlan(p, g, cfg, sc); err != nil {
+	// The timing is spent: its n start slots serve as the check's scratch.
+	if err := checkPlan(p, g, cfg, sc.start); err != nil {
 		return nil, err
 	}
 	return recordPlan(p), nil
 }
 
-// Assemble rebuilds a plan from what rests of it outside memory — its
-// scheme, group (one iteration of g on group.PEs PEs, with its IPR
-// placement) and the count ci of groups that run it — by the lines the
-// solvers assemble their own plans with, so a decoded plan and a
-// solved one are built alike.  The caller runs CheckPlan on the result
-// before trusting it.
-func Assemble(scheme string, g *dag.Graph, group IterationSchedule, ci int) (*Plan, error) {
-	sc := planPool.Get().(*planScratch)
-	defer planPool.Put(sc)
-	return assemble(context.Background(), sc, scheme, g, group, ci, -1)
-}
-
-// assemble is the one assembly path behind every plan, solved or
-// decoded (§3.3).  A para-conv group's edges are classified under its
-// timing (Figure 4), and with a capacity ≥ 0 the §3.3.2 DP places its
-// IPRs under it — the solver's step; a decoded group comes placed.
-// The plan runs group on each of ci identical PE groups: group k is
-// group 0 shifted by k·|V| vertices and k·group.PEs PEs on the kernel
-// Replicate(g, ci) — g itself, aliased, at one group, so a planned
-// graph is read-only — and places its IPRs as group 0 does.  The cache
-// counts are read off that placement, and a para-conv plan carries the
-// minimal retiming it implies under the group's timing (Definition
-// 3.1), repeated per group.  Everything the plan retains is built
-// fresh, so group may live in sc; a baseline (never replicated, never
-// retimed) needs no sc.
+// assemble is the assembly step both Para-CONV entry points end in
+// (§3.3): group is one iteration of g on group.PEs PEs (the objective
+// schedule), whose edges are classified under its timing (Figure 4)
+// and whose IPRs the §3.3.2 DP places under capacity.  The plan runs
+// group on each of ci identical PE groups: group k is group 0 shifted
+// by k·|V| vertices and k·group.PEs PEs on the kernel Replicate(g, ci)
+// — g itself, aliased, at one group, so a planned graph is read-only —
+// and places its IPRs as group 0 does.  The cache counts are read off
+// that placement, and the plan carries the minimal retiming it implies
+// under the group's timing (Definition 3.1), repeated per group; a
+// non-nil order is g's topological order, saving the retiming pass a
+// re-sort.  Every intermediate lives in sc and everything the plan
+// retains is built fresh, so group may live in sc too; the caller
+// proves the plan with checkPlan.
 //
 //paraconv:hotpath
-func assemble(ctx context.Context, sc *planScratch, scheme string, g *dag.Graph, group IterationSchedule, ci, capacity int) (*Plan, error) {
-	var classes []retime.EdgeClass
-	if scheme == "para-conv" {
-		n := len(group.Tasks)
-		sc.start, sc.finish = ints(sc.start, n), ints(sc.finish, n)
-		for v := range group.Tasks {
-			sc.start[v], sc.finish[v] = group.Tasks[v].Start, group.Tasks[v].Finish
-		}
-		tm := retime.Timing{Start: sc.start, Finish: sc.finish, Period: group.Period}
-		var err error
-		if classes, err = retime.ClassifyInto(sc.classes, g, tm); err != nil {
-			return nil, fmt.Errorf("sched: para-conv classify: %w", err)
-		}
-		sc.classes = classes
-		if capacity >= 0 {
-			if err := core.OptimizeInto(ctx, &sc.alloc, g, classes, tm, capacity); err != nil {
-				return nil, fmt.Errorf("sched: para-conv allocate: %w", err)
-			}
-			group.Assignment = sc.alloc.Assignment
-		}
-	} else if ci != 1 {
-		return nil, errBaseline
+func assemble(ctx context.Context, sc *planScratch, g *dag.Graph, group IterationSchedule, ci, capacity int, order []dag.NodeID) (*Plan, error) {
+	n := len(group.Tasks)
+	sc.start, sc.finish = ints(sc.start, n), ints(sc.finish, n)
+	for v := range group.Tasks {
+		sc.start[v], sc.finish[v] = group.Tasks[v].Start, group.Tasks[v].Finish
+	}
+	tm := retime.Timing{Start: sc.start, Finish: sc.finish, Period: group.Period}
+	classes, err := retime.ClassifyInto(sc.classes, g, tm)
+	if err != nil {
+		return nil, fmt.Errorf("sched: para-conv classify: %w", err)
+	}
+	sc.classes = classes
+	if err := core.OptimizeInto(ctx, &sc.alloc, g, classes, tm, capacity); err != nil {
+		return nil, fmt.Errorf("sched: para-conv allocate: %w", err)
+	}
+	group.Assignment = sc.alloc.Assignment
+	retimeSpan := span.Start(ctx, "sched.retime")
+	err = retime.ApplyInto(&sc.res, g, classes, group.Assignment, group.Period, order)
+	retimeSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("sched: para-conv retime: %w", err)
 	}
 
 	kernel := g
 	if ci > 1 {
-		var err error
 		if kernel, err = dag.Replicate(g, ci); err != nil {
-			return nil, fmt.Errorf("sched: %s replicate: %w", scheme, err)
+			return nil, fmt.Errorf("sched: para-conv replicate: %w", err)
 		}
 	}
-	n := len(group.Tasks)
 	tasks := make([]Task, 0, ci*n)
 	for k := 0; k < ci; k++ {
 		for v, t := range group.Tasks {
@@ -395,7 +385,7 @@ func assemble(ctx context.Context, sc *planScratch, scheme string, g *dag.Graph,
 		}
 	}
 	p := &Plan{
-		Scheme: scheme,
+		Scheme: "para-conv",
 		Iter: IterationSchedule{
 			Graph:      kernel,
 			PEs:        ci * group.PEs,
@@ -404,43 +394,43 @@ func assemble(ctx context.Context, sc *planScratch, scheme string, g *dag.Graph,
 			Assignment: retime.ExpandAssignment(group.Assignment, ci),
 		},
 		ConcurrentIterations: ci,
+		RMax:                 sc.res.RMax,
+		LogicalRetiming:      sc.retained(),
 	}
+	p.Retiming = expandRetiming(p.LogicalRetiming, ci)
 	for i, pl := range group.Assignment {
 		if pl == pim.InCache {
 			p.CachedIPRs++
 			p.CacheLoadUnits += ci * g.Edges()[i].Size
 		}
 	}
-	if classes == nil {
-		return p, nil
-	}
-
-	retimeSpan := span.Start(ctx, "sched.retime")
-	err := retime.ApplyInto(&sc.res, g, classes, group.Assignment, group.Period, nil)
-	retimeSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("sched: para-conv retime: %w", err)
-	}
-	// Every group's copy of vertex v inherits R(v), and every copy of
-	// edge e its rrv; group 0's copy is the logical retiming.
-	res, kr := &sc.res, &p.Retiming
-	p.RMax, kr.RMax, kr.Period = res.RMax, res.RMax, res.Period
-	kr.R, kr.REdge = make([]int, 0, ci*len(res.R)), make([]int, 0, ci*len(res.REdge))
-	for k := 0; k < ci; k++ {
-		kr.R, kr.REdge = append(kr.R, res.R...), append(kr.REdge, res.REdge...)
-	}
-	p.LogicalRetiming = *kr
-	p.LogicalRetiming.R, p.LogicalRetiming.REdge = kr.R[:n:n], kr.REdge[:len(classes):len(classes)]
 	return p, nil
 }
 
-// Groups is the group count ParaCONVCtx splits a numPEs-PE array into
-// for g (see chooseGroups): a function of g's execution times and
-// numPEs alone, so admission re-derives it rather than trusting a
-// frame's.
-func Groups(g *dag.Graph, numPEs int) int {
-	sc := planPool.Get().(*planScratch)
-	defer planPool.Put(sc)
-	u, _ := chooseGroups(context.Background(), sc, g, numPEs, periodFloor(g))
-	return u
+// retained copies the scratch retiming out for a plan to keep.
+func (sc *planScratch) retained() retime.Result {
+	return retime.Result{
+		R:      append([]int(nil), sc.res.R...),
+		REdge:  append([]int(nil), sc.res.REdge...),
+		RMax:   sc.res.RMax,
+		Period: sc.res.Period,
+	}
+}
+
+// expandRetiming replicates a single-group retiming result onto the
+// replicated kernel graph: every group's copy of vertex v inherits
+// R(v) and every copy of edge e inherits its required rrv.  Legality
+// carries over because the groups' schedules are identical.
+func expandRetiming(res retime.Result, groups int) retime.Result {
+	out := retime.Result{
+		R:      make([]int, 0, len(res.R)*groups),
+		REdge:  make([]int, 0, len(res.REdge)*groups),
+		RMax:   res.RMax,
+		Period: res.Period,
+	}
+	for k := 0; k < groups; k++ {
+		out.R = append(out.R, res.R...)
+		out.REdge = append(out.REdge, res.REdge...)
+	}
+	return out
 }

@@ -64,9 +64,7 @@ func TestCheckPlanEveryScheme(t *testing.T) {
 }
 
 // TestCheckPlanRejections: each property CheckPlan proves, broken on
-// its own in an otherwise solver-built replicated plan.  What a plan's
-// at-rest frame does not carry — the other groups, the retiming and the
-// cache counts — is derived by Assemble, not checked here.
+// its own in an otherwise solver-built replicated plan.
 func TestCheckPlanRejections(t *testing.T) {
 	g := synthGraph(t, 40, 100, 5)
 	cfg := pim.Neurocube(64)
@@ -81,11 +79,24 @@ func TestCheckPlanRejections(t *testing.T) {
 		{"schedule wider than the array", func(p *Plan) { p.Iter.PEs = 2 * cfg.NumPEs }, "PEs"},
 		{"foreign kernel graph", func(p *Plan) { p.Iter.Graph = g }, "kernel"},
 		{"bad placement byte", func(p *Plan) { p.Iter.Assignment[0] = 7 }, "placement"},
-		{"group 0 overlapping on a PE", func(p *Plan) {
-			p.Iter.Tasks[1].PE, p.Iter.Tasks[1].Start = p.Iter.Tasks[0].PE, p.Iter.Tasks[0].Start
-			p.Iter.Tasks[1].Finish = p.Iter.Tasks[1].Start + g.Node(1).Exec
-		}, "overlap"},
-		{"group 0 outside its share of the PEs", func(p *Plan) { p.Iter.Tasks[0].PE = pim.PEID(p.Iter.PEs / p.ConcurrentIterations) }, "want in [0,"},
+		{"lying cached count", func(p *Plan) { p.CachedIPRs++ }, "IPRs cached"},
+		{"lying footprint", func(p *Plan) { p.CacheLoadUnits++ }, "claims"},
+		{"groups differ", func(p *Plan) {
+			m := g.NumEdges()
+			p.Iter.Assignment[m] ^= pim.InCache ^ pim.InEDRAM
+		}, "copies"},
+		{"replica task moved", func(p *Plan) { p.Iter.Tasks[len(p.Iter.Tasks)-1].PE-- }, "copies"},
+		{"illegal retiming", func(p *Plan) { p.LogicalRetiming.R[0] = -1 }, "least its out-edges need"},
+		{"rrv other than its placement needs", func(p *Plan) { p.LogicalRetiming.REdge[0]++ }, "least its placement needs"},
+		{"retiming past the minimum", func(p *Plan) {
+			for v := range p.LogicalRetiming.R {
+				p.LogicalRetiming.R[v]++
+			}
+		}, "least its out-edges need"},
+		{"retiming of the wrong length", func(p *Plan) { p.LogicalRetiming.R = p.LogicalRetiming.R[1:] }, "covers"},
+		{"retiming period", func(p *Plan) { p.LogicalRetiming.Period++ }, "period"},
+		{"lying R_max", func(p *Plan) { p.RMax++ }, "R_max"},
+		{"kernel retiming not a copy", func(p *Plan) { p.Retiming.RMax++ }, "copies"},
 		{"unknown scheme", func(p *Plan) { p.Scheme = "greedy" }, "scheme"},
 		{"retimed baseline", func(p *Plan) { p.Scheme = "sparta" }, "baseline"},
 	} {
@@ -94,8 +105,8 @@ func TestCheckPlanRejections(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.ConcurrentIterations < 2 {
-				t.Fatalf("fixture plan has %d groups", p.ConcurrentIterations)
+			if p.ConcurrentIterations < 2 || p.CachedIPRs == 0 {
+				t.Fatalf("fixture plan has %d groups and %d cached IPRs", p.ConcurrentIterations, p.CachedIPRs)
 			}
 			tc.edit(p)
 			err = CheckPlan(p, g, cfg)

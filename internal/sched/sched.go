@@ -83,15 +83,9 @@ func (s *IterationSchedule) Timing() retime.Timing {
 // once, task windows inside [0, Period], durations matching Exec, PEs
 // in range, and no two tasks overlapping on one PE.  It does NOT check
 // dependencies — Para-CONV kernels intentionally break intra-iteration
-// ordering (the retiming the plan's assembly derives legalizes it),
+// ordering (retiming legality is checked separately, by CheckPlan),
 // while SPARTA schedules check them with CheckDependencies.
 func (s *IterationSchedule) Validate() error {
-	return s.validate(new(planScratch))
-}
-
-// validate is Validate bucketing tasks in sc's loads, so a caller
-// holding pooled scratch checks a schedule without allocating.
-func (s *IterationSchedule) validate(sc *planScratch) error {
 	var errs []error
 	if s.Graph == nil {
 		return errors.New("sched: schedule has no graph")
@@ -160,11 +154,7 @@ func (s *IterationSchedule) validate(sc *planScratch) error {
 		}
 		return errors.Join(errs...)
 	}
-	// One scratch run holds the per-PE counts and then the task
-	// indices bucketed by PE.
-	sc.loads = ints(sc.loads, s.PEs+1+inRange)
-	counts, byPE := sc.loads[:s.PEs+1], sc.loads[s.PEs+1:]
-	clear(counts)
+	counts := make([]int, s.PEs+1)
 	for _, t := range s.Tasks {
 		if t.PE >= 0 && int(t.PE) < s.PEs {
 			counts[t.PE+1]++
@@ -173,10 +163,11 @@ func (s *IterationSchedule) validate(sc *planScratch) error {
 	for pe := 1; pe <= s.PEs; pe++ {
 		counts[pe] += counts[pe-1]
 	}
+	byPE := make([]Task, inRange)
 	next := counts
-	for i, t := range s.Tasks {
+	for _, t := range s.Tasks {
 		if t.PE >= 0 && int(t.PE) < s.PEs {
-			byPE[next[t.PE]] = i
+			byPE[next[t.PE]] = t
 			next[t.PE]++
 		}
 	}
@@ -192,13 +183,13 @@ func (s *IterationSchedule) validate(sc *planScratch) error {
 		// spread across the array), and stability keeps tie order — and
 		// therefore error text — deterministic.
 		for i := 1; i < len(run); i++ {
-			for j := i; j > 0 && s.Tasks[run[j]].Start < s.Tasks[run[j-1]].Start; j-- {
+			for j := i; j > 0 && run[j].Start < run[j-1].Start; j-- {
 				run[j], run[j-1] = run[j-1], run[j]
 			}
 		}
 		for i := 1; i < len(run); i++ {
-			if a, b := s.Tasks[run[i-1]], s.Tasks[run[i]]; b.Start < a.Finish {
-				errs = append(errs, overlapError(pim.PEID(pe), a, b))
+			if run[i].Start < run[i-1].Finish {
+				errs = append(errs, overlapError(pim.PEID(pe), run[i-1], run[i]))
 			}
 		}
 	}

@@ -34,9 +34,19 @@ func SPARTACtx(ctx context.Context, g *dag.Graph, cfg pim.Config) (*Plan, error)
 	if err != nil {
 		return nil, fmt.Errorf("sched: sparta: %w", err)
 	}
-	p, err := assemble(ctx, nil, "sparta", g, iter, 1, -1)
-	if err != nil {
-		return nil, err
+	cached, load := 0, 0
+	for i, p := range assignment {
+		if p == pim.InCache {
+			cached++
+			load += g.Edge(dag.EdgeID(i)).Size
+		}
+	}
+	p := &Plan{
+		Scheme:               "sparta",
+		Iter:                 iter,
+		ConcurrentIterations: 1,
+		CachedIPRs:           cached,
+		CacheLoadUnits:       load,
 	}
 	if err := CheckPlan(p, g, cfg); err != nil {
 		return nil, err

@@ -109,7 +109,7 @@ func TestPlansLookupAfterSolve(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeBinary {
 		t.Errorf("Content-Type %q, want %s", ct, wire.ContentTypeBinary)
 	}
-	p, err := wire.DecodeLeanPlan(data, g, 4)
+	p, err := wire.DecodeLeanPlan(data, g)
 	if err != nil {
 		t.Fatalf("payload failed to decode as a plan frame: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestPlansFillSolvesOnBehalf(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fill status %d, body %s", resp.StatusCode, data)
 	}
-	p, err := wire.DecodeLeanPlan(data, g, cfg.NumPEs)
+	p, err := wire.DecodeLeanPlan(data, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestPlansLeanServing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fill status %d, body %s", resp.StatusCode, data)
 	}
-	p, err := wire.DecodeLeanPlan(data, g, cfg.NumPEs)
+	p, err := wire.DecodeLeanPlan(data, g)
 	if err != nil {
 		t.Fatalf("fill answer is not a lean frame: %v", err)
 	}
@@ -335,7 +335,7 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts1 := newTestServer(t, Config{Store: st1})
-	kinds := map[string]byte{"para-conv": 'g', "sparta": 'g'}
+	kinds := map[string]byte{"para-conv": 'l', "sparta": 'l'}
 	fps := map[string]string{}
 	for variant := range kinds {
 		fps[variant] = run.PlanFingerprint(variant, "", g, cfg)
@@ -362,7 +362,7 @@ func TestPlansStoreOnlyEntry(t *testing.T) {
 		if data[2] != kind {
 			t.Errorf("%s lookup answered a %q frame, want %q", variant, data[2], kind)
 		}
-		p, err := wire.DecodeLeanPlan(data, g, cfg.NumPEs)
+		p, err := wire.DecodeLeanPlan(data, g)
 		if err != nil {
 			t.Fatalf("%s lookup payload: %v", variant, err)
 		}

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/dag"
 	"repro/internal/pim"
@@ -11,39 +10,38 @@ import (
 	"repro/internal/sched"
 )
 
-// Two plan frames.  The logical frame is the at-rest form of every
-// plan — the durable store's payload and the cluster fill protocol's —
-// and holds only what the solver chose: the scheme, the PE count, the
-// period and the group count, then group 0's (PE, start, finish) per
-// vertex and its placement per edge.  Everything else of a plan — the
-// kernel, the other groups, the retiming and the cache counts — is a
-// function of those and the problem graph, which every reader of a
-// plan outside memory holds (a store hit runs after the request's
-// graph is decoded, a fill requester ships it), so the decoder derives
-// it with sched.Assemble, the lines the solvers assemble their own
-// plans with: a field that is not stored cannot lie.  The stored-plan
-// frame embeds the kernel graph (length-prefixed, mid-stream) and every
-// plan field; only the benchmarks write and read it.  Both open with
-// the solver epoch that made the plan (sched.SolverEpoch, 4 bytes
-// little-endian) after the envelope and decode only in that epoch, so
-// a plan from a solver that may plan differently is a miss, never
-// served.  Epochless frames from older builds hold their scheme's
-// length and first letters there, which never read as a small epoch.
+// The plan frames carry a complete *sched.Plan — everything a
+// restarted daemon needs to serve a previously solved graph without
+// re-running the solver.  The lean frame is the durable store's payload
+// and the cluster fill protocol's, for every scheme; the stored-plan
+// frame is written and read only by the benchmarks.  Both open with the
+// solver epoch that made the plan (sched.SolverEpoch, 4 bytes
+// little-endian) after the envelope and decode only in that epoch, so a
+// plan from a solver that may plan differently is a miss, never served.
+// Epochless frames from older builds hold their scheme's length and
+// first letters there, which never read as a small epoch.  The stored-plan frame embeds the
+// kernel graph as a length-prefixed dag frame mid-stream (more fields
+// follow it); both round-trip the full retiming results.
 
 // kindStoredPlan is the frame kind byte of a self-contained plan, which
 // embeds its kernel graph.  No program keeps a plan in it: a store or
 // peer frame of this kind is a miss.
 const kindStoredPlan = 'L'
 
-// kindLogicalPlan is the frame kind byte of the logical frame, the
-// at-rest form of every plan.  The build before it kept plans in kind
-// 'l', which also stored every group's tasks and placements, both
-// retimings and the counts; a frame of that kind is now a miss.
-const kindLogicalPlan = 'g'
+// kindLeanPlan is the frame kind byte of a kernel-free plan: the same
+// fields as a stored plan minus the embedded graph, and the at-rest
+// form of every plan.  Every reader of a plan outside memory holds the
+// problem graph it was solved from — a store hit runs after the
+// request's graph is decoded, a fill requester ships it — and every
+// kernel is derivable from it: a plan at one concurrent iteration
+// schedules the problem graph itself, and a para-conv kernel is
+// Replicate(graph, ConcurrentIterations) by construction (see
+// internal/sched), so keeping it is redundancy.
+const kindLeanPlan = 'l'
 
 // SchemeParaCONV is the one plan scheme that replicates its kernel
 // (Iter.Graph == Replicate(g, CI) for every para-conv plan the solvers
-// build), so the only one a logical frame may carry at CI > 1.
+// build), so the only one a lean frame may carry at CI > 1.
 const SchemeParaCONV = "para-conv"
 
 // planEpochSize is the width of the solver-epoch field.
@@ -88,8 +86,8 @@ func appendRetimeResult(dst []byte, r *retime.Result) []byte {
 	return appendInt(dst, r.Period)
 }
 
-// appendPlanBody appends every plan field after the kernel graph of a
-// stored-plan frame.
+// appendPlanBody appends every plan field after the kernel graph —
+// the part stored-plan and lean frames share.
 func appendPlanBody(dst []byte, p *sched.Plan) []byte {
 	dst = appendInt(dst, p.Iter.PEs)
 	dst = appendInt(dst, p.Iter.Period)
@@ -128,34 +126,22 @@ func AppendPlan(dst []byte, p *sched.Plan) []byte {
 	return appendPlanBody(dst, p)
 }
 
-// AppendLeanPlan appends the logical frame of p to dst: the frame
-// every plan is kept in outside memory — the memory entry's copy, the
-// store payload and every fill answer.  Group 0 is p's first
-// 1/ConcurrentIterations of tasks and placements.
+// AppendLeanPlan appends the kernel-free encoding of p to dst: the
+// frame every plan is kept in outside memory — the memory entry's
+// copy, the store payload and every fill answer.
 //
 //paraconv:hotpath
 func AppendLeanPlan(dst []byte, p *sched.Plan) []byte {
-	dst = appendPlanHeader(dst, kindLogicalPlan)
+	dst = appendPlanHeader(dst, kindLeanPlan)
 	dst = appendString(dst, p.Scheme)
-	dst = appendInt(dst, p.Iter.PEs)
-	dst = appendInt(dst, p.Iter.Period)
-	dst = appendInt(dst, p.ConcurrentIterations)
-	ci := max(p.ConcurrentIterations, 1)
-	tasks := p.Iter.Tasks[:len(p.Iter.Tasks)/ci]
-	dst = binary.AppendUvarint(dst, uint64(len(tasks)))
-	for i := range tasks {
-		dst = appendInt(dst, int(tasks[i].PE))
-		dst = appendInt(dst, tasks[i].Start)
-		dst = appendInt(dst, tasks[i].Finish)
-	}
-	return appendPlacements(dst, p.Iter.Assignment[:len(p.Iter.Assignment)/ci])
+	return appendPlanBody(dst, p)
 }
 
-// leanPlanFrame reports whether data is a logical plan frame, so
-// DecodeFillPlan can pick the matching decoder without committing to a
-// parse.
+// leanPlanFrame reports whether data is a lean (kernel-free) plan
+// frame, so DecodeFillPlan can pick the matching decoder without
+// committing to a parse.
 func leanPlanFrame(data []byte) bool {
-	return len(data) >= 4 && data[0] == 'P' && data[1] == 'C' && data[2] == kindLogicalPlan
+	return len(data) >= 4 && data[0] == 'P' && data[1] == 'C' && data[2] == kindLeanPlan
 }
 
 func (d *decoder) placements(what string) (retime.Assignment, error) {
@@ -227,8 +213,8 @@ func DecodePlan(data []byte, lim dag.Limits) (*sched.Plan, error) {
 	return p, nil
 }
 
-// planBody decodes every stored-plan field after the kernel graph and
-// seals the frame.
+// planBody decodes every plan field after the kernel graph and seals
+// the frame.
 func (d *decoder) planBody(p *sched.Plan) error {
 	var err error
 	if p.Iter.PEs, err = d.integer("pes"); err != nil {
@@ -286,99 +272,57 @@ func (d *decoder) planBody(p *sched.Plan) error {
 	return d.finish()
 }
 
-// DecodeLeanPlan parses a logical plan frame against g, the problem
-// graph the requester already holds, for an array of pes PEs, and
-// rebuilds the plan with sched.Assemble: the kernel, every group, the
-// retiming and the counts, exactly as the solver built them.  The
-// frame's PE count may not exceed pes, and its group count must divide
-// it, so a lying count sizes nothing the caller did not vouch for.
-// The decoded plan still carries no proof it is one this build would
-// plan for g: internal/run's admission runs sched.CheckPlan and its
-// key checks on it before serving it.
+// DecodeLeanPlan parses a kernel-free plan frame against g, the
+// problem graph the requester already holds, rebuilding the kernel the
+// solver would have built: for one concurrent iteration, of any scheme,
+// the kernel IS the problem graph (aliased, exactly as every solver
+// plans on its caller's graph), and for a para-conv plan at more,
+// Replicate derives it.  The decoded plan still carries no proof it
+// matches g: internal/run's admission runs IterationSchedule.Validate
+// and sched.CheckPlan on it before serving it.
 //
 //paraconv:hotpath
-func DecodeLeanPlan(data []byte, g *dag.Graph, pes int) (*sched.Plan, error) {
-	return decodeLogicalPlan(data, g, pes, 0)
-}
-
-// decodeLogicalPlan is DecodeLeanPlan with the frame's PE count capped
-// at maxPEs and, when maxKernel > 0, its kernel at maxKernel vertices.
-//
-//paraconv:hotpath
-func decodeLogicalPlan(data []byte, g *dag.Graph, maxPEs, maxKernel int) (*sched.Plan, error) {
-	d, err := newPlanDecoder(data, kindLogicalPlan)
+func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
+	d, err := newPlanDecoder(data, kindLeanPlan)
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := d.str("scheme")
-	if err != nil {
+	p := &sched.Plan{}
+	if p.Scheme, err = d.str("scheme"); err != nil {
 		return nil, err
 	}
 	if g == nil {
-		return nil, fmt.Errorf("wire: logical plan frame needs the problem graph to rebuild its plan")
+		return nil, fmt.Errorf("wire: lean plan frame needs the problem graph to rebuild its kernel")
 	}
-	var pes, ci int
-	var group sched.IterationSchedule
-	if pes, err = d.integer("pes"); err != nil {
+	if err := d.planBody(p); err != nil {
 		return nil, err
 	}
-	if group.Period, err = d.integer("period"); err != nil {
-		return nil, err
+	// One task per kernel vertex: checking that here keeps a lying CI
+	// from sizing the Replicate, as the frame's length bounds the tasks.
+	n, ci := g.NumNodes(), p.ConcurrentIterations
+	if ci < 1 || ci > len(p.Iter.Tasks) || len(p.Iter.Tasks) != ci*n {
+		return nil, fmt.Errorf("wire: lean plan has %d tasks for %d concurrent iterations of a %d-vertex graph", len(p.Iter.Tasks), ci, n)
 	}
-	if ci, err = d.integer("concurrent_iterations"); err != nil {
-		return nil, err
+	if ci > 1 && p.Scheme != SchemeParaCONV {
+		return nil, fmt.Errorf("wire: lean %q plan replicates its kernel; only %s kernels replicate", p.Scheme, SchemeParaCONV)
 	}
-	n := g.NumNodes()
-	if ci < 1 || pes < ci || pes > maxPEs || pes%ci != 0 || maxKernel > 0 && ci > maxKernel/max(n, 1) {
-		return nil, fmt.Errorf("wire: logical plan runs %d groups on %d PEs; this reader holds %d PEs", ci, pes, maxPEs)
-	}
-	group.Graph, group.PEs = g, pes/ci
-	ntasks, err := d.length("tasks")
-	if err != nil {
-		return nil, err
-	}
-	if ntasks != n {
-		return nil, fmt.Errorf("wire: logical plan schedules %d tasks for a %d-vertex graph", ntasks, n)
-	}
-	group.Tasks = make([]sched.Task, n)
-	for v := range group.Tasks {
-		t, pe := &group.Tasks[v], 0
-		if pe, err = d.integer("task pe"); err == nil {
-			if t.Start, err = d.integer("task start"); err == nil {
-				t.Finish, err = d.integer("task finish")
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Node, t.PE = dag.NodeID(v), pim.PEID(pe)
-	}
-	if group.Assignment, err = d.placements("assignment"); err != nil {
-		return nil, err
-	}
-	if len(group.Assignment) != g.NumEdges() {
-		return nil, fmt.Errorf("wire: logical plan places %d IPRs for a %d-edge graph", len(group.Assignment), g.NumEdges())
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	p, err := sched.Assemble(scheme, g, group, ci)
-	if err != nil {
-		return nil, fmt.Errorf("wire: rebuilding logical plan: %w", err)
+	if ci == 1 {
+		p.Iter.Graph = g
+	} else if p.Iter.Graph, err = dag.Replicate(g, ci); err != nil {
+		return nil, fmt.Errorf("wire: rebuilding lean plan kernel: %w", err)
 	}
 	return p, nil
 }
 
-// DecodeFillPlan decodes a plan frame of either kind — logical against
-// g, the problem graph in hand, with its kernel capped at lim.MaxNodes
-// vertices (zero = unlimited), or the self-contained stored-plan frame
-// under lim.  No production code calls it: admission reads only
-// logical frames (DecodeLeanPlan), so a stored-plan frame from disk or
-// a peer is a miss.  The serve-path benchmark times it, and ROADMAP
-// items 4a/8 retire it.
+// DecodeFillPlan decodes a plan frame of either kind — lean against g,
+// the problem graph in hand, or the self-contained stored-plan frame
+// under lim.  No production code calls it: admission reads only lean
+// frames (DecodeLeanPlan), so a stored-plan frame from disk or a peer
+// is a miss.  The serve-path benchmark times it, and ROADMAP items
+// 4a/8 retire it.
 func DecodeFillPlan(data []byte, g *dag.Graph, lim dag.Limits) (*sched.Plan, error) {
 	if leanPlanFrame(data) {
-		return decodeLogicalPlan(data, g, math.MaxInt, lim.MaxNodes)
+		return DecodeLeanPlan(data, g)
 	}
 	return DecodePlan(data, lim)
 }

@@ -17,11 +17,7 @@ import (
 // the daemon's graph limits cap a request's graph.
 var planFuzzLimits = dag.Limits{MaxNodes: 256, MaxEdges: 1024}
 
-// planFuzzPEs is the array every logical frame is decoded for: no
-// seed plan spans more.
-const planFuzzPEs = 16
-
-// planFuzzGraph is the problem graph every logical frame is decoded
+// planFuzzGraph is the problem graph every lean frame is decoded
 // against: small enough that the Para-CONV solver unrolls it into
 // several concurrent iterations on a 16-PE array.
 func planFuzzGraph(tb testing.TB) *dag.Graph {
@@ -75,16 +71,11 @@ func planSeeds(tb testing.TB) []planSeed {
 	}
 	lying := *multi
 	lying.ConcurrentIterations = 1 << 40
-	// groups re-encodes multi's group 0 claiming ci groups on pes PEs.
-	groups := func(pes, ci int) []byte {
-		group := *multi
-		group.Iter.PEs, group.ConcurrentIterations = pes, 1
-		group.Iter.Tasks = multi.Iter.Tasks[:len(multi.Iter.Tasks)/multi.ConcurrentIterations]
-		group.Iter.Assignment = multi.Iter.Assignment[:len(multi.Iter.Assignment)/multi.ConcurrentIterations]
-		frame := AppendLeanPlan(nil, &group)
-		at := len(appendInt(appendInt(appendString(appendPlanHeader(nil, kindLogicalPlan), group.Scheme), pes), group.Iter.Period))
-		return append(appendInt(frame[:at:at], ci), frame[at+1:]...)
-	}
+	// A lean frame's group count is its task count over |V|: one that
+	// claims 2^31 groups' tasks must be refused before anything is
+	// sized by it.
+	huge := appendInt(appendInt(appendString(appendPlanHeader(nil, kindLeanPlan), multi.Scheme), 1<<31), multi.Iter.Period)
+	huge = binary.AppendUvarint(huge, uint64(1<<31*g.NumNodes()))
 	replicatedBaseline := *multi
 	replicatedBaseline.Scheme = baseline.Scheme
 
@@ -111,7 +102,7 @@ func planSeeds(tb testing.TB) []planSeed {
 		{"lean baseline at CI > 1", AppendLeanPlan(nil, &replicatedBaseline), false},
 		{"request frame as a plan", AppendRequest(nil, &Request{PEs: 16}, g), false},
 		{"response frame as a plan", AppendPlanResponse(nil, NewPlanResponse(multi, "neurocube", 10)), false},
-		{"lean CI of 2^31 on as many PEs", groups(1<<31, 1<<31), false},
+		{"lean tasks of 2^31 groups", huge, false},
 	}
 }
 
@@ -132,10 +123,9 @@ func allocated(f func()) uint64 {
 
 // checkPlanFrames is the property: the three plan decoders never
 // panic, allocate at most linearly in the frame's length (a lying
-// count must not size anything the bytes, or the caller's bounds, do
-// not back), DecodeFillPlan agrees with the decoder of the frame's
-// kind, and an accepted frame is the one encoding of the plan it
-// decodes to.
+// count must not size anything the bytes do not back), DecodeFillPlan
+// agrees with the decoder of the frame's kind, and an accepted frame
+// is the one encoding of the plan it decodes to.
 func checkPlanFrames(t *testing.T, g *dag.Graph, frame []byte) {
 	var (
 		full, lean, fill          *sched.Plan
@@ -143,25 +133,19 @@ func checkPlanFrames(t *testing.T, g *dag.Graph, frame []byte) {
 	)
 	spent := allocated(func() {
 		full, errFull = DecodePlan(frame, planFuzzLimits)
-		lean, errLean = DecodeLeanPlan(frame, g, planFuzzPEs)
+		lean, errLean = DecodeLeanPlan(frame, g)
 		fill, errFill = DecodeFillPlan(frame, g, planFuzzLimits)
 	})
 	if bound := uint64(256*len(frame) + 1<<16); !raceEnabled && spent > bound {
 		t.Fatalf("decoding a %d-byte frame allocated %d bytes; bound %d", len(frame), spent, bound)
 	}
 
-	// DecodeFillPlan bounds a logical frame by its limits, not by an
-	// array, so it accepts every logical frame DecodeLeanPlan does on
-	// planFuzzPEs PEs (planFuzzLimits admit more groups than that), and
-	// is DecodePlan on every other.
-	reencode := func(p *sched.Plan) []byte { return AppendPlan(nil, p) }
+	want, reencode := errFull, func(p *sched.Plan) []byte { return AppendPlan(nil, p) }
 	if leanPlanFrame(frame) {
-		reencode = func(p *sched.Plan) []byte { return AppendLeanPlan(nil, p) }
-		if errLean == nil && errFill != nil {
-			t.Fatalf("DecodeFillPlan: %v; DecodeLeanPlan accepted the frame", errFill)
-		}
-	} else if (errFill == nil) != (errFull == nil) || (errFill != nil && errFill.Error() != errFull.Error()) {
-		t.Fatalf("DecodeFillPlan: %v; DecodePlan: %v", errFill, errFull)
+		want, reencode = errLean, func(p *sched.Plan) []byte { return AppendLeanPlan(nil, p) }
+	}
+	if (errFill == nil) != (want == nil) || (errFill != nil && errFill.Error() != want.Error()) {
+		t.Fatalf("DecodeFillPlan: %v; the %q decoder: %v", errFill, frame[2], want)
 	}
 	for _, d := range []struct {
 		name string

@@ -126,11 +126,11 @@ func TestPlanBytesGolden(t *testing.T) {
 	}
 }
 
-// TestLogicalFrameRebuildsEveryPlan: for every golden graph, PE count
-// and planner, baselines included, the logical frame decodes to the
+// TestLeanFrameRebuildsEveryPlan: for every golden graph, PE count
+// and planner, baselines included, the lean frame decodes to the
 // plan the solver built, in every field — the decoder and the solver
 // assemble plans by the same lines.
-func TestLogicalFrameRebuildsEveryPlan(t *testing.T) {
+func TestLeanFrameRebuildsEveryPlan(t *testing.T) {
 	graphs := goldenGraphs(t)
 	for _, pl := range []struct {
 		name string
@@ -148,7 +148,7 @@ func TestLogicalFrameRebuildsEveryPlan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on %d PEs, %s: %v", pl.name, pes, g.Name(), err)
 				}
-				got, err := wire.DecodeLeanPlan(wire.AppendLeanPlan(nil, p), g, pes)
+				got, err := wire.DecodeLeanPlan(wire.AppendLeanPlan(nil, p), g)
 				if err != nil {
 					t.Fatalf("%s on %d PEs, %s: %v", pl.name, pes, g.Name(), err)
 				}

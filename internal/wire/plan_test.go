@@ -202,7 +202,7 @@ func TestLeanPlanRoundTrip(t *testing.T) {
 	if !leanPlanFrame(frame) || leanPlanFrame(full) {
 		t.Error("leanPlanFrame misclassifies the framings")
 	}
-	got, err := DecodeLeanPlan(frame, g, 16)
+	got, err := DecodeLeanPlan(frame, g)
 	if err != nil {
 		t.Fatalf("DecodeLeanPlan: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestLeanPlanAliasesSingleIterationKernel(t *testing.T) {
 	if plan.ConcurrentIterations != 1 {
 		t.Fatalf("fixture has CI=%d; the aliasing path needs 1", plan.ConcurrentIterations)
 	}
-	got, err := DecodeLeanPlan(AppendLeanPlan(nil, plan), g, 4)
+	got, err := DecodeLeanPlan(AppendLeanPlan(nil, plan), g)
 	if err != nil {
 		t.Fatalf("DecodeLeanPlan: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestLeanPlanAliasesSingleIterationKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeLeanPlan(AppendLeanPlan(nil, base), g, 4)
+		got, err := DecodeLeanPlan(AppendLeanPlan(nil, base), g)
 		if err != nil {
 			t.Fatalf("DecodeLeanPlan(%s): %v", base.Scheme, err)
 		}
@@ -256,54 +256,14 @@ func TestLeanPlanRejections(t *testing.T) {
 
 	other := *plan
 	other.Scheme = "sparta"
-	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, &other), g, 16); err == nil {
+	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, &other), g); err == nil {
 		t.Error("DecodeLeanPlan accepted a replicated kernel of a scheme that never replicates")
 	}
-	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, plan), nil, 16); err == nil {
+	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, plan), nil); err == nil {
 		t.Error("DecodeLeanPlan accepted a nil problem graph")
 	}
-	if _, err := DecodeLeanPlan(AppendPlan(nil, plan), g, 16); err == nil {
+	if _, err := DecodeLeanPlan(AppendPlan(nil, plan), g); err == nil {
 		t.Error("DecodeLeanPlan accepted a stored-plan frame")
-	}
-	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, plan), g, 8); err == nil {
-		t.Error("DecodeLeanPlan accepted a 16-PE plan for an 8-PE reader")
-	}
-	other = *plan
-	other.Scheme = "greedy"
-	if _, err := DecodeLeanPlan(AppendLeanPlan(nil, &other), g, 16); err == nil {
-		t.Error("DecodeLeanPlan accepted an unknown scheme")
-	}
-}
-
-// TestLogicalFrameSize: the logical frame keeps group 0 and the
-// counts, against every group's tasks and placements, both retimings
-// and the counts that the frame before it kept.  That frame was the
-// stored-plan frame minus its 4-byte graph length and embedded kernel
-// (the same envelope, epoch, scheme and body), so its size is measured
-// off AppendPlan, which is unchanged.  At the serve-path benchmark's
-// shape (546 vertices, one group) the logical frame is at most 45 % of
-// it, and at 60 vertices on four groups at most 15 %.
-func TestLogicalFrameSize(t *testing.T) {
-	for _, tc := range []struct {
-		vertices, edges, ci int
-		most                float64
-	}{{546, 1449, 1, 0.45}, {60, 120, 4, 0.15}} {
-		g, err := synth.Generate(synth.Params{Vertices: tc.vertices, Edges: tc.edges, Seed: 10000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := sched.ParaCONVCtx(context.Background(), g, pim.Neurocube(16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.ConcurrentIterations != tc.ci {
-			t.Fatalf("%d/%d fixture plans %d groups, want %d", tc.vertices, tc.edges, p.ConcurrentIterations, tc.ci)
-		}
-		before := len(AppendPlan(nil, p)) - 4 - len(dag.AppendBinary(nil, p.Iter.Graph))
-		if got := len(AppendLeanPlan(nil, p)); float64(got) > tc.most*float64(before) {
-			t.Errorf("%d/%d at %d groups: logical frame %d B is %.1f %% of the %d B frame before it; want at most %.0f %%",
-				tc.vertices, tc.edges, tc.ci, got, 100*float64(got)/float64(before), before, 100*tc.most)
-		}
 	}
 }
 

@@ -40,7 +40,7 @@ if hits=$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchma
 fi
 
 echo "== the stored-plan frame stays with the benchmarks"
-# Every plan rests in the logical frame (wire.AppendLeanPlan and
+# Every plan rests in the lean frame (wire.AppendLeanPlan and
 # DecodeLeanPlan).  The self-contained 'L' frame is written and read
 # only by benchmark/ and internal/bench until they retire it.
 if hits=$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=bench --exclude-dir=testdata \
