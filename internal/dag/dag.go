@@ -195,35 +195,6 @@ func (g *Graph) AddEdge(e Edge) EdgeID {
 	return e.ID
 }
 
-// AddEdges appends a batch of edges at once.  When the graph has no
-// edges yet (the bulk-load case), the batch is copied in and linked
-// once (see link), so the whole load costs a constant number of
-// allocations instead of one growth chain per vertex.  With edges
-// already present it degrades to a plain AddEdge loop.  Like AddEdge
-// it panics on an out-of-range endpoint and assigns IDs in order.
-//
-//paraconv:hotpath
-func (g *Graph) AddEdges(es []Edge) {
-	if len(es) == 0 {
-		return
-	}
-	if len(g.edges) > 0 {
-		for i := range es {
-			g.AddEdge(es[i])
-		}
-		return
-	}
-	for i := range es {
-		if !g.hasNode(es[i].From) || !g.hasNode(es[i].To) {
-			panic(fmt.Sprintf("dag: AddEdges %d->%d: node out of range (|V|=%d)",
-				es[i].From, es[i].To, len(g.nodes)))
-		}
-	}
-	g.Grow(0, len(es)) // clears the validated mark
-	g.edges = append(g.edges, es...)
-	g.link()
-}
-
 // vertexPool recycles per-vertex int32 scratch: link's degree counters
 // and hasDuplicateEdges' last-seen stamps.
 var vertexPool = sync.Pool{New: func() any { return new([]int32) }}
@@ -247,9 +218,9 @@ func releaseVertexScratch(p *[]int32) {
 
 // link builds the adjacency lists of every edge in g.edges in one
 // pass, assigning edge IDs in slice order.  It is the bulk loaders'
-// (AddEdges, the codecs, Replicate) one way in: they write g.edges
-// directly, with every endpoint already range-checked, while no vertex
-// has an adjacency list yet.  The lists are carved out of two exact-fit
+// (the codecs, Replicate) one way in: they write g.edges directly,
+// with every endpoint already range-checked, while no vertex has an
+// adjacency list yet.  The lists are carved out of two exact-fit
 // backing arrays sized from the degree counts; full-slice expressions
 // cap each list at its own region, so a later AddEdge reallocates that
 // vertex's list instead of clobbering a neighbour's.

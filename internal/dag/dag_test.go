@@ -59,36 +59,6 @@ func TestAddEdgePanicsOnBadEndpoint(t *testing.T) {
 	g.AddEdge(Edge{From: 0, To: 5, Size: 1})
 }
 
-// TestAddEdgesMatchesAddEdge checks the bulk loader builds exactly the
-// edges and adjacency an AddEdge loop does, and that a later AddEdge
-// grows one vertex's list without clobbering its neighbour's.
-func TestAddEdgesMatchesAddEdge(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		g := randomDAG(seed, 30, 90)
-		bulk := New(g.Name())
-		for _, n := range g.Nodes() {
-			bulk.AddNode(n)
-		}
-		bulk.AddEdges(g.Edges())
-		extra := Edge{From: 0, To: NodeID(g.NumNodes() - 1), Size: 1, EDRAMTime: 1}
-		g.AddEdge(extra)
-		bulk.AddEdge(extra)
-		if bulk.NumEdges() != g.NumEdges() {
-			t.Fatalf("seed %d: %d edges, want %d", seed, bulk.NumEdges(), g.NumEdges())
-		}
-		for i := range g.Edges() {
-			if bulk.Edges()[i] != g.Edges()[i] {
-				t.Fatalf("seed %d: edge %d = %+v, want %+v", seed, i, bulk.Edges()[i], g.Edges()[i])
-			}
-		}
-		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-			if !slices.Equal(bulk.Out(v), g.Out(v)) || !slices.Equal(bulk.In(v), g.In(v)) {
-				t.Fatalf("seed %d: vertex %d out/in %v/%v, want %v/%v", seed, v, bulk.Out(v), bulk.In(v), g.Out(v), g.In(v))
-			}
-		}
-	}
-}
-
 func TestDegreesAndNeighbors(t *testing.T) {
 	g := paperGraph(t)
 	if got := g.OutDegree(0); got != 2 {

@@ -154,7 +154,6 @@ func TestValidatedMark(t *testing.T) {
 	}{
 		{"AddNode", func(g *Graph) { g.AddNode(Node{Exec: 1}) }},
 		{"AddEdge", func(g *Graph) { g.AddEdge(Edge{From: 0, To: 1, Size: 1, EDRAMTime: 1}) }},
-		{"AddEdges", func(g *Graph) { g.AddEdges([]Edge{{From: 0, To: 1, Size: 1, EDRAMTime: 1}}) }},
 		{"Grow", func(g *Graph) { g.Grow(1, 1) }},
 	}
 	for _, m := range mutators {

@@ -119,42 +119,23 @@ func (tr *Trace) BusySpread() int {
 func TraceRunCtx(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, *Trace, error) {
 	sp := span.Start(ctx, "sim.trace_run")
 	defer sp.End()
-	if err := checkRun(ctx, plan, cfg, iterations); err != nil {
+	tr := new(Trace)
+	stats, err := simulate(ctx, plan, cfg, iterations, tr)
+	if err != nil {
 		return Stats{}, nil, err
 	}
-	if err := checkCacheCapacity(plan, cfg); err != nil {
-		return Stats{}, nil, err
-	}
-	switch plan.Scheme {
-	case "para-conv":
-		return tracePipelined(ctx, plan, cfg, iterations)
-	case "sparta", "naive":
-		return traceSequential(ctx, plan, cfg, iterations)
-	default:
-		return Stats{}, nil, fmt.Errorf("sim: unknown scheme %q", plan.Scheme)
-	}
+	return stats, tr, nil
 }
 
-// traceSequential replays back-to-back iterations of a dependency-
-// complete schedule.
+// replaySequential replays back-to-back iterations of a dependency-
+// complete schedule: iteration k occupies [k*Period, (k+1)*Period).
 //
 //paraconv:hotpath
-func traceSequential(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, *Trace, error) {
-	g := plan.Iter.Graph
-	if err := plan.Iter.CheckDependencies(); err != nil {
-		return Stats{}, nil, fmt.Errorf("sim: sequential plan violates dependencies: %w", err)
-	}
-	p := plan.Iter.Period
-	// The event volume is exactly plan-derived: per iteration, two task
-	// events per task, two transfer events per edge, plus one
-	// iteration-done marker — so the log is allocated once, up front.
-	tr := &Trace{
-		Events: make([]Event, 0, iterations*(2*len(plan.Iter.Tasks)+2*g.NumEdges()+1)),
-		PEBusy: make([]int, plan.Iter.PEs),
-	}
+func replaySequential(ctx context.Context, plan *sched.Plan, iterations int, tr *Trace) error {
+	g, p := plan.Iter.Graph, plan.Iter.Period
 	for it := 0; it < iterations; it++ {
 		if err := ctx.Err(); err != nil {
-			return Stats{}, nil, fmt.Errorf("sim: trace cancelled at iteration %d/%d: %w", it, iterations, err)
+			return fmt.Errorf("sim: trace cancelled at iteration %d/%d: %w", it, iterations, err)
 		}
 		base := it * p
 		for i := range plan.Iter.Tasks {
@@ -174,56 +155,30 @@ func traceSequential(ctx context.Context, plan *sched.Plan, cfg pim.Config, iter
 		}
 		tr.Events = append(tr.Events, Event{Time: base + p, Kind: EvIterationDone, Iter: it})
 	}
-	finalize(tr)
-	stats, err := runSequential(plan, cfg, iterations)
-	if err != nil {
-		return Stats{}, nil, err
-	}
-	return stats, tr, nil
+	return nil
 }
 
-// tracePipelined replays the retimed kernel: after a prologue of RMax
+// replayPipelined replays the retimed kernel: after a prologue of RMax
 // rounds, each kernel round completes ConcurrentIterations application
 // iterations.  The instance of vertex v serving logical iteration ℓ
 // runs in round ℓ + RMax - R(v); transfers are placed inside the
-// windows the Theorem 3.1 discipline guarantees.
+// windows simulate has already proven they fit.
 //
 //paraconv:hotpath
-func tracePipelined(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, *Trace, error) {
-	g := plan.Iter.Graph
-	r := plan.Retiming
-	if len(r.R) != g.NumNodes() || len(r.REdge) != g.NumEdges() {
-		return Stats{}, nil, fmt.Errorf("sim: plan retiming covers %d vertices/%d edges; want %d/%d",
-			len(r.R), len(r.REdge), g.NumNodes(), g.NumEdges())
-	}
-	p := plan.Iter.Period
-	kernelIters := plan.ConcurrentIterations
-	if kernelIters < 1 {
-		kernelIters = 1
-	}
-	rounds := (iterations + kernelIters - 1) / kernelIters
+func replayPipelined(ctx context.Context, plan *sched.Plan, rounds int, tr *Trace) error {
+	g, p, r, tasks := plan.Iter.Graph, plan.Iter.Period, plan.Retiming, plan.Iter.Tasks
 	totalRounds := r.RMax + rounds
-	tm := plan.Iter.Timing()
-
-	// Exact plan-derived event count: every task emits two events for
-	// each of the `rounds` in-horizon iterations (the prologue/epilogue
-	// rounds skip the out-of-range instances), every edge two transfer
-	// events per iteration, plus one done marker per iteration.
-	tr := &Trace{
-		Events: make([]Event, 0, rounds*(2*len(plan.Iter.Tasks)+2*g.NumEdges()+1)),
-		PEBusy: make([]int, plan.Iter.PEs),
-	}
 	// Task events: vertex v in round k serves iteration k - RMax +
 	// R(v) of its kernel slot (each kernel slot is an independent
 	// iteration stream when the kernel packs several groups/unroll
 	// copies; we report the stream-local iteration index).
 	for k := 0; k < totalRounds; k++ {
 		if err := ctx.Err(); err != nil {
-			return Stats{}, nil, fmt.Errorf("sim: trace cancelled at round %d/%d: %w", k, totalRounds, err)
+			return fmt.Errorf("sim: trace cancelled at round %d/%d: %w", k, totalRounds, err)
 		}
 		base := k * p
-		for i := range plan.Iter.Tasks {
-			t := plan.Iter.Tasks[i]
+		for i := range tasks {
+			t := tasks[i]
 			iter := k - r.RMax + r.R[t.Node]
 			if iter < 0 || iter >= rounds {
 				continue // not yet started, or past the run's horizon
@@ -236,27 +191,18 @@ func tracePipelined(ctx context.Context, plan *sched.Plan, cfg pim.Config, itera
 
 	// Transfer events: edge (i,j) for iteration ℓ moves data from the
 	// producer instance (round ℓ+RMax-R(i)) to the consumer instance
-	// (round ℓ+RMax-R(j)).  Placement within the gap follows the
-	// non-straddling window discipline; any misfit is a hard error.
+	// (round ℓ+RMax-R(j)).
 	for i := range g.Edges() {
 		if err := ctx.Err(); err != nil {
-			return Stats{}, nil, fmt.Errorf("sim: trace cancelled at edge %d/%d: %w", i, g.NumEdges(), err)
+			return fmt.Errorf("sim: trace cancelled at edge %d/%d: %w", i, g.NumEdges(), err)
 		}
 		e := g.Edge(dag.EdgeID(i))
 		place := plan.Iter.Assignment[i]
 		dur := retime.TransferTime(e, place)
 		gap := r.R[e.From] - r.R[e.To]
-		if gap < 0 {
-			return Stats{}, nil, fmt.Errorf("sim: edge %d->%d has negative retiming gap", e.From, e.To)
-		}
 		for iter := 0; iter < rounds; iter++ {
 			prodRound := iter + r.RMax - r.R[e.From]
-			consRound := iter + r.RMax - r.R[e.To]
-			start, ok := placeTransfer(dur, tm.Finish[e.From], tm.Start[e.To], p, gap, prodRound, consRound)
-			if !ok {
-				return Stats{}, nil, fmt.Errorf("sim: edge %d->%d iteration %d: transfer %d does not fit gap %d (finish %d, start %d, period %d)",
-					e.From, e.To, iter, dur, gap, tm.Finish[e.From], tm.Start[e.To], p)
-			}
+			start := placeTransfer(dur, tasks[e.From].Finish, tasks[e.To].Start, p, gap, prodRound, prodRound+gap)
 			tr.Events = append(tr.Events,
 				Event{Time: start, Kind: EvTransferStart, Edge: e.ID, Iter: iter, Place: place},
 				Event{Time: start + dur, Kind: EvTransferEnd, Edge: e.ID, Iter: iter, Place: place})
@@ -268,42 +214,23 @@ func tracePipelined(ctx context.Context, plan *sched.Plan, cfg pim.Config, itera
 	for iter := 0; iter < rounds; iter++ {
 		tr.Events = append(tr.Events, Event{Time: (iter + r.RMax + 1) * p, Kind: EvIterationDone, Iter: iter})
 	}
-	finalize(tr)
-
-	stats, err := runPipelined(ctx, plan, cfg, iterations)
-	if err != nil {
-		return Stats{}, nil, err
-	}
-	return stats, tr, nil
+	return nil
 }
 
-// placeTransfer picks the deterministic start time of a transfer under
-// the non-straddling window discipline and reports whether it fits.
-// prodRound/consRound are the absolute kernel rounds of the producer
-// and consumer instances.
-func placeTransfer(dur, finish, start, period, gap, prodRound, consRound int) (int, bool) {
+// placeTransfer picks the deterministic start time of a transfer that
+// fits its window (gap >= retime.MinRelative): in the producer's round
+// right after it finishes when the same round or that round's tail
+// holds it, else at the head of the consumer's round, else in a
+// dedicated intermediate round.  prodRound/consRound are the absolute
+// kernel rounds of the producer and consumer instances.
+func placeTransfer(dur, finish, start, period, gap, prodRound, consRound int) int {
 	switch {
-	case gap == 0:
-		// Same round: between producer finish and consumer start.
-		if finish+dur <= start {
-			return prodRound*period + finish, true
-		}
-		return 0, false
+	case gap == 0, gap == 1 && dur <= period-finish:
+		return prodRound*period + finish
 	case gap == 1:
-		// Producer round's tail, else consumer round's head.
-		if dur <= period-finish {
-			return prodRound*period + finish, true
-		}
-		if dur <= start {
-			return consRound*period + start - dur, true
-		}
-		return 0, false
+		return consRound*period + start - dur
 	default:
-		// A dedicated intermediate round.
-		if dur <= period {
-			return (prodRound + 1) * period, true
-		}
-		return 0, false
+		return (prodRound + 1) * period
 	}
 }
 

@@ -3,11 +3,14 @@ package sim
 import (
 	"context"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dag"
 	"repro/internal/pim"
+	"repro/internal/retime"
 	"repro/internal/sched"
 	"repro/internal/synth"
 )
@@ -167,27 +170,130 @@ func TestPlaceTransfer(t *testing.T) {
 	cases := []struct {
 		name                                    string
 		dur, finish, start, period, gap, pr, cr int
-		wantOK                                  bool
 		wantTime                                int
 	}{
-		{"same-round fits", 1, 2, 4, 8, 0, 3, 3, true, 26},
-		{"same-round misses", 3, 2, 4, 8, 0, 3, 3, false, 0},
-		{"tail fits", 3, 4, 1, 8, 1, 2, 3, true, 20},
-		{"head fits", 5, 6, 5, 8, 1, 2, 3, true, 24},
-		{"one-gap misses", 7, 6, 5, 8, 1, 2, 3, false, 0},
-		{"dedicated round", 8, 8, 0, 8, 2, 1, 3, true, 16},
-		{"oversize", 9, 8, 0, 8, 2, 1, 3, false, 0},
+		{"same-round fits", 1, 2, 4, 8, 0, 3, 3, 26},
+		{"tail fits", 3, 4, 1, 8, 1, 2, 3, 20},
+		{"head fits", 5, 6, 5, 8, 1, 2, 3, 24},
+		{"dedicated round", 8, 8, 0, 8, 2, 1, 3, 16},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, ok := placeTransfer(c.dur, c.finish, c.start, c.period, c.gap, c.pr, c.cr)
-			if ok != c.wantOK {
-				t.Fatalf("ok = %v, want %v", ok, c.wantOK)
-			}
-			if ok && got != c.wantTime {
+			if got := placeTransfer(c.dur, c.finish, c.start, c.period, c.gap, c.pr, c.cr); got != c.wantTime {
 				t.Errorf("time = %d, want %d", got, c.wantTime)
 			}
 		})
+	}
+}
+
+// windowPlan is a two-vertex para-conv plan whose one eDRAM edge has
+// the given transfer time, producer finish, consumer start, period and
+// retiming gap, so a test can put the edge in any transfer window.
+func windowPlan(dur, finish, start, period, gap int) *sched.Plan {
+	g := dag.New("window")
+	g.AddNode(dag.Node{Kind: dag.OpConv, Exec: finish})
+	g.AddNode(dag.Node{Kind: dag.OpConv, Exec: 1})
+	g.AddEdge(dag.Edge{From: 0, To: 1, Size: 1, CacheTime: 1, EDRAMTime: dur})
+	return &sched.Plan{
+		Scheme: "para-conv",
+		Iter: sched.IterationSchedule{
+			Graph:  g,
+			PEs:    2,
+			Period: period,
+			Tasks: []sched.Task{
+				{Node: 0, PE: 0, Start: 0, Finish: finish},
+				{Node: 1, PE: 1, Start: start, Finish: start + 1},
+			},
+			Assignment: retime.Assignment{pim.InEDRAM},
+		},
+		ConcurrentIterations: 1,
+		RMax:                 gap,
+		Retiming:             retime.Result{R: []int{gap, 0}, REdge: []int{gap}, RMax: gap, Period: period},
+	}
+}
+
+// TestTraceRunRejectsBadInput runs every row through both simulator
+// entries: they prove a plan with one pass, so each must reject it
+// with the same error.
+func TestTraceRunRejectsBadInput(t *testing.T) {
+	g := synthGraph(t, 20, 45, 1)
+	cfg := pim.Neurocube(16)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparta, err := sched.SPARTACtx(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badCfg := cfg
+	badCfg.NumPEs = 0
+	unknown := *plan
+	unknown.Scheme = "wat"
+	overfull := *plan
+	overfull.CacheLoadUnits = cfg.TotalCacheUnits() + 1
+	// A consumer moved ahead of its producer's data.
+	late := *sparta
+	late.Iter.Tasks = slices.Clone(sparta.Iter.Tasks)
+	c := &late.Iter.Tasks[g.Edge(0).To]
+	c.Finish -= c.Start
+	c.Start = 0
+	// An edge whose chosen rrv exceeds its retiming gap.
+	raised := *plan
+	raised.Retiming.REdge = slices.Clone(plan.Retiming.REdge)
+	for i := range g.Edges() {
+		e := g.Edge(dag.EdgeID(i))
+		if gap := plan.Retiming.R[e.From] - plan.Retiming.R[e.To]; gap < 2 {
+			raised.Retiming.REdge[i] = gap + 1
+			break
+		}
+	}
+	rows := []struct {
+		name       string
+		plan       *sched.Plan
+		cfg        pim.Config
+		iterations int
+		want       string
+	}{
+		{"nil plan", nil, cfg, 5, "nil plan"},
+		{"zero iterations", plan, cfg, 0, "0 iterations"},
+		{"invalid config", plan, badCfg, 5, "sim: "},
+		{"unknown scheme", &unknown, cfg, 5, "unknown scheme"},
+		{"cache over capacity", &overfull, cfg, 5, "capacity units"},
+		{"dependency violation", &late, cfg, 5, "violates dependencies"},
+		{"REdge above gap", &raised, cfg, 5, "< rrv"},
+		{"same-round misses", windowPlan(3, 2, 4, 8, 0), cfg, 5, "unschedulable"},
+		{"one-gap misses", windowPlan(7, 6, 5, 8, 1), cfg, 5, "unschedulable"},
+		{"oversize", windowPlan(9, 8, 0, 8, 2), cfg, 5, "unschedulable"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			_, runErr := RunCtx(context.Background(), row.plan, row.cfg, row.iterations)
+			_, tr, traceErr := TraceRunCtx(context.Background(), row.plan, row.cfg, row.iterations)
+			if runErr == nil || traceErr == nil {
+				t.Fatalf("RunCtx err = %v, TraceRunCtx err = %v; want both to reject", runErr, traceErr)
+			}
+			if runErr.Error() != traceErr.Error() {
+				t.Errorf("RunCtx err = %q, TraceRunCtx err = %q; want the same", runErr, traceErr)
+			}
+			if !strings.Contains(runErr.Error(), row.want) {
+				t.Errorf("err = %q, want it to name %q", runErr, row.want)
+			}
+			if tr != nil {
+				t.Error("TraceRunCtx returned a trace with its error")
+			}
+		})
+	}
+	// The window rows' plans are sound apart from the one transfer: at
+	// one time unit the same edge fits every window.
+	for _, gap := range []int{0, 1, 2} {
+		fits := windowPlan(1, 6, 7, 8, gap)
+		if _, err := RunCtx(context.Background(), fits, cfg, 5); err != nil {
+			t.Errorf("gap %d: RunCtx rejected a fitting transfer: %v", gap, err)
+		}
+		if _, _, err := TraceRunCtx(context.Background(), fits, cfg, 5); err != nil {
+			t.Errorf("gap %d: TraceRunCtx rejected a fitting transfer: %v", gap, err)
+		}
 	}
 }
 
@@ -220,26 +326,6 @@ func TestEventKindString(t *testing.T) {
 		if ev.String() != want {
 			t.Errorf("%d.String() = %q, want %q", ev, ev.String(), want)
 		}
-	}
-}
-
-func TestTraceRunRejectsBadInput(t *testing.T) {
-	g := synthGraph(t, 20, 45, 1)
-	cfg := pim.Neurocube(16)
-	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := TraceRunCtx(context.Background(), nil, cfg, 5); err == nil {
-		t.Error("nil plan accepted")
-	}
-	if _, _, err := TraceRunCtx(context.Background(), plan, cfg, 0); err == nil {
-		t.Error("zero iterations accepted")
-	}
-	unknown := *plan
-	unknown.Scheme = "wat"
-	if _, _, err := TraceRunCtx(context.Background(), &unknown, cfg, 5); err == nil {
-		t.Error("unknown scheme accepted")
 	}
 }
 

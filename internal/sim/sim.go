@@ -88,143 +88,116 @@ func (s Stats) OffChipFetchRatio() float64 {
 func RunCtx(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, error) {
 	sp := span.Start(ctx, "sim.run")
 	defer sp.End()
-	if err := checkRun(ctx, plan, cfg, iterations); err != nil {
-		return Stats{}, err
+	return simulate(ctx, plan, cfg, iterations, nil)
+}
+
+// simulate is the one simulator pass behind RunCtx and TraceRunCtx.
+// It proves the plan once: the arguments and the iteration schedule's
+// structure, Definition 3.1's legality of a para-conv retiming, the
+// cached footprint against the array's capacity, and then either the
+// intra-iteration dependencies (sparta, naive: iterations run back to
+// back) or every edge's transfer window (para-conv).  It then derives
+// Stats in closed form and, only when tr is non-nil, replays the run
+// into tr's event log.
+//
+// A para-conv kernel runs a prologue of RMax periods, after which each
+// period completes ConcurrentIterations application iterations.  For
+// edge (i, j) the producer serving iteration ℓ runs R(i)-R(j) rounds
+// before its consumer, and the transfer fits those rounds exactly when
+// they reach retime.MinRelative's window — the rule the solver retimes
+// by and sched.CheckPlan proves, restated here against absolute time.
+//
+//paraconv:hotpath
+func simulate(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int, tr *Trace) (Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return Stats{}, fmt.Errorf("sim: %w", err)
 	}
+	if plan == nil {
+		return Stats{}, fmt.Errorf("sim: nil plan")
+	}
+	if err := cfg.Validate(); err != nil {
+		return Stats{}, fmt.Errorf("sim: %w", err)
+	}
+	if iterations < 1 {
+		return Stats{}, fmt.Errorf("sim: %d iterations; want >= 1", iterations)
+	}
+	if err := plan.Iter.Validate(); err != nil {
+		return Stats{}, fmt.Errorf("sim: invalid iteration schedule: %w", err)
+	}
+	g, a, p := plan.Iter.Graph, plan.Iter.Assignment, plan.Iter.Period
+	pipelined := plan.Scheme == "para-conv"
 	switch plan.Scheme {
 	case "para-conv":
-		if err := retime.CheckLegal(plan.Iter.Graph, plan.Retiming); err != nil {
+		if err := retime.CheckLegal(g, plan.Retiming); err != nil {
 			return Stats{}, fmt.Errorf("sim: %w", err)
 		}
-		return runPipelined(ctx, plan, cfg, iterations)
 	case "sparta", "naive":
-		return runSequential(plan, cfg, iterations)
 	default:
 		return Stats{}, fmt.Errorf("sim: unknown scheme %q", plan.Scheme)
 	}
-}
-
-// checkRun is the argument check RunCtx and TraceRunCtx share: a live
-// context, a plan, a valid configuration, at least one iteration and a
-// structurally sound iteration schedule.
-//
-//paraconv:hotpath
-func checkRun(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("sim: %w", err)
+	// The cache load is per logical IPR (CacheLoadUnits): each cached
+	// intermediate result reserves one slot that successive iterations
+	// — and unrolled replicas, which are just iterations — reuse.
+	if load, cap := plan.CacheLoadUnits, cfg.TotalCacheUnits(); load > cap {
+		return Stats{}, fmt.Errorf("sim: cached IPRs need %d capacity units; PE array has %d", load, cap)
 	}
-	if plan == nil {
-		return fmt.Errorf("sim: nil plan")
-	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if iterations < 1 {
-		return fmt.Errorf("sim: %d iterations; want >= 1", iterations)
-	}
-	if err := plan.Iter.Validate(); err != nil {
-		return fmt.Errorf("sim: invalid iteration schedule: %w", err)
-	}
-	return nil
-}
-
-// runSequential executes iterations back-to-back: iteration k occupies
-// absolute time [k*M, (k+1)*M).  Dependencies are intra-iteration and
-// must be satisfied by the schedule itself.
-func runSequential(plan *sched.Plan, cfg pim.Config, iterations int) (Stats, error) {
-	g := plan.Iter.Graph
-	if err := plan.Iter.CheckDependencies(); err != nil {
+	// Sequential plans run iterations back to back: no prologue, one
+	// iteration per period.
+	rmax, kernelIters := 0, 1
+	if pipelined {
+		r, tasks := plan.Retiming, plan.Iter.Tasks
+		for i := range g.Edges() {
+			if err := ctx.Err(); err != nil {
+				return Stats{}, fmt.Errorf("sim: cancelled verifying edge %d/%d: %w", i, g.NumEdges(), err)
+			}
+			e := g.Edge(dag.EdgeID(i))
+			transfer := retime.TransferTime(e, a[i])
+			finish, start := tasks[e.From].Finish, tasks[e.To].Start
+			if gap := r.R[e.From] - r.R[e.To]; transfer > p || gap < retime.MinRelative(finish, transfer, start, p) {
+				return Stats{}, fmt.Errorf("sim: edge %d->%d unschedulable: gap %d periods, transfer %d, producer finish %d, consumer start %d, period %d",
+					e.From, e.To, gap, transfer, finish, start, p)
+			}
+		}
+		rmax, kernelIters = r.RMax, max(plan.ConcurrentIterations, 1)
+	} else if err := plan.Iter.CheckDependencies(); err != nil {
 		return Stats{}, fmt.Errorf("sim: sequential plan violates dependencies: %w", err)
 	}
-	if err := checkCacheCapacity(plan, cfg); err != nil {
-		return Stats{}, err
-	}
-	stats := Stats{NumPEs: cfg.NumPEs}
-	stats.Cycles = iterations * plan.Iter.Period
-	stats.Iterations = iterations
-	stats.TasksExecuted = iterations * g.NumNodes()
-	stats.BusyPE = iterations * totalExec(g)
-	stats.PEBusy = perPEBusy(plan, cfg.NumPEs, iterations)
-	accumulateTraffic(&stats, g, plan.Iter.Assignment, cfg, iterations)
-	stats.PeakCacheLoad = cacheLoad(g, plan.Iter.Assignment)
-	recordRunMetrics(stats, 0)
-	return stats, nil
-}
 
-// runPipelined executes a retimed kernel: after a prologue of RMax
-// periods, one kernel period completes ConcurrentIterations
-// application iterations.  The simulator replays the steady state and
-// verifies, for every edge, that the producing task instance finished
-// (and its transfer completed) before the consuming instance starts,
-// using the retiming offsets — the run-time restatement of
-// retime.CheckLegal against absolute time.
-func runPipelined(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations int) (Stats, error) {
-	g := plan.Iter.Graph
-	if err := checkCacheCapacity(plan, cfg); err != nil {
-		return Stats{}, err
-	}
-	p := plan.Iter.Period
-	r := plan.Retiming
-	if len(r.R) != g.NumNodes() || len(r.REdge) != g.NumEdges() {
-		return Stats{}, fmt.Errorf("sim: plan retiming covers %d vertices/%d edges; want %d/%d",
-			len(r.R), len(r.REdge), g.NumNodes(), g.NumEdges())
-	}
-	// Absolute-time dependency verification in steady state: the
-	// instance of vertex v serving logical iteration ℓ runs in kernel
-	// round ℓ + R(v) ... equivalently, within a round, v's instance
-	// belongs to iteration (round - R(v)).  For edge (i, j) the
-	// producer's result for iteration ℓ is computed in round ℓ+R(i),
-	// the consumer reads it in round ℓ+R(j); the transfer has
-	// R(i)-R(j) >= rrv periods available, which retime guarantees is
-	// enough under the non-straddling window discipline.  Here we
-	// re-derive the requirement and fail loudly on any violation.
-	tm := plan.Iter.Timing()
-	for i := range g.Edges() {
-		if err := ctx.Err(); err != nil {
-			return Stats{}, fmt.Errorf("sim: cancelled verifying edge %d/%d: %w", i, g.NumEdges(), err)
-		}
-		e := g.Edge(dag.EdgeID(i))
-		transfer := retime.TransferTime(e, plan.Iter.Assignment[i])
-		gap := r.R[e.From] - r.R[e.To] // rounds between producer and consumer instances
-		if gap < 0 {
-			return Stats{}, fmt.Errorf("sim: edge %d->%d has negative retiming gap %d", e.From, e.To, gap)
-		}
-		ok := false
-		switch {
-		case gap == 0:
-			ok = tm.Finish[e.From]+transfer <= tm.Start[e.To]
-		case gap == 1:
-			ok = transfer <= p-tm.Finish[e.From] || transfer <= tm.Start[e.To]
-		default: // gap >= 2: a full dedicated period is available
-			ok = transfer <= p
-		}
-		if !ok {
-			return Stats{}, fmt.Errorf("sim: edge %d->%d unschedulable: gap %d periods, transfer %d, producer finish %d, consumer start %d, period %d",
-				e.From, e.To, gap, transfer, tm.Finish[e.From], tm.Start[e.To], p)
-		}
-	}
-
-	kernelIters := plan.ConcurrentIterations
-	if kernelIters < 1 {
-		kernelIters = 1
-	}
-	// Semantics: run exactly `rounds` application iterations to
-	// completion.  Each vertex then executes exactly once per
-	// iteration — retimed vertices start during the prologue rounds
-	// and fall silent during the symmetric drain — so total work is
-	// rounds x one kernel, spread over (RMax + rounds) periods of
-	// wall-clock (fill and drain idle included in Cycles, hence in
+	// Semantics: run exactly `iterations` application iterations to
+	// completion, rounded up to whole kernel rounds.  Each vertex then
+	// executes exactly once per round — retimed vertices start during
+	// the prologue and fall silent during the symmetric drain — so total
+	// work is rounds x one kernel, spread over (RMax + rounds) periods
+	// of wall-clock (fill and drain idle included in Cycles, hence in
 	// Utilization).
 	rounds := (iterations + kernelIters - 1) / kernelIters
-	stats := Stats{NumPEs: cfg.NumPEs}
-	stats.Cycles = (r.RMax + rounds) * p
-	stats.Iterations = rounds * kernelIters
-	stats.TasksExecuted = rounds * g.NumNodes()
-	stats.BusyPE = rounds * totalExec(g)
-	stats.PEBusy = perPEBusy(plan, cfg.NumPEs, rounds)
-	accumulateTraffic(&stats, g, plan.Iter.Assignment, cfg, rounds)
-	stats.PeakCacheLoad = cacheLoad(g, plan.Iter.Assignment)
-	recordRunMetrics(stats, r.RMax)
+	if tr != nil {
+		// The event volume is exactly plan-derived: per round, two task
+		// events per task, two transfer events per edge, plus one
+		// iteration-done marker — so the log is allocated once, up
+		// front.
+		tr.Events = make([]Event, 0, rounds*(2*len(plan.Iter.Tasks)+2*g.NumEdges()+1))
+		tr.PEBusy = make([]int, plan.Iter.PEs)
+		replay := replaySequential
+		if pipelined {
+			replay = replayPipelined
+		}
+		if err := replay(ctx, plan, rounds, tr); err != nil {
+			return Stats{}, err
+		}
+		finalize(tr)
+	}
+	stats := Stats{
+		Cycles:        (rmax + rounds) * p,
+		Iterations:    rounds * kernelIters,
+		TasksExecuted: rounds * g.NumNodes(),
+		BusyPE:        rounds * totalExec(g),
+		PEBusy:        perPEBusy(plan, cfg.NumPEs, rounds),
+		NumPEs:        cfg.NumPEs,
+		PeakCacheLoad: cacheLoad(g, a),
+	}
+	accumulateTraffic(&stats, g, a, cfg, rounds)
+	recordRunMetrics(stats, rmax)
 	return stats, nil
 }
 
@@ -277,22 +250,6 @@ func cacheLoad(g *dag.Graph, a []pim.Placement) int {
 		}
 	}
 	return load
-}
-
-// checkCacheCapacity verifies the plan's logical cache footprint fits
-// the PE array.  The load is per logical IPR (CacheLoadUnits): each
-// cached intermediate result reserves one slot that successive
-// iterations — and unrolled replicas, which are just iterations —
-// reuse.
-func checkCacheCapacity(plan *sched.Plan, cfg pim.Config) error {
-	g := plan.Iter.Graph
-	if len(plan.Iter.Assignment) != g.NumEdges() {
-		return fmt.Errorf("sim: assignment covers %d/%d edges", len(plan.Iter.Assignment), g.NumEdges())
-	}
-	if load, cap := plan.CacheLoadUnits, cfg.TotalCacheUnits(); load > cap {
-		return fmt.Errorf("sim: cached IPRs need %d capacity units; PE array has %d", load, cap)
-	}
-	return nil
 }
 
 func accumulateTraffic(stats *Stats, g *dag.Graph, a []pim.Placement, cfg pim.Config, repetitions int) {

@@ -106,31 +106,42 @@ if ! cmp -s "$tmpdir/serial.out" "$tmpdir/par4.out"; then
     exit 1
 fi
 
+# boot <pidvar> <label> <errlog> <ready> <cmd...>: start cmd in THIS
+# shell (so the caller can wait on it) with its stderr in errlog, store
+# its pid in pidvar (where the EXIT trap finds it), and poll the log for
+# up to 10 s until it shows the ready line and a "listening on" address,
+# which lands in boot_addr.  Fails with the log if the process exits
+# first or never gets there.
+boot() {
+    local pidvar=$1 label=$2 errlog=$3 ready=$4
+    shift 4
+    "$@" 2> "$errlog" &
+    local pid=$!
+    printf -v "$pidvar" '%s' "$pid"
+    for _ in $(seq 1 100); do
+        if grep -q "$ready" "$errlog"; then
+            boot_addr=$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$errlog" | head -n1)
+            [[ -n "$boot_addr" ]] && return
+        fi
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "$label exited early:" >&2
+            cat "$errlog" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    echo "$label never reported its address:" >&2
+    cat "$errlog" >&2
+    exit 1
+}
+
 echo "== debug endpoint smoke"
 # The -http debug server must come up on a free port and expose the
 # core metric families after a run.  -http-hold keeps it alive until
 # we have curled it; the port is read from the startup log line.
-"$tmpdir/benchtab" -exp latency -http 127.0.0.1:0 -http-hold 60s \
-    > "$tmpdir/http.out" 2> "$tmpdir/http.err" &
-http_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    if grep -q "holding debug server" "$tmpdir/http.err"; then
-        addr=$(sed -n 's/.*debug server listening on \([0-9.:]*\).*/\1/p' "$tmpdir/http.err" | head -n1)
-        break
-    fi
-    if ! kill -0 "$http_pid" 2>/dev/null; then
-        echo "benchtab -http exited early:" >&2
-        cat "$tmpdir/http.err" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [[ -z "$addr" ]]; then
-    echo "benchtab -http never reported its address:" >&2
-    cat "$tmpdir/http.err" >&2
-    exit 1
-fi
+boot http_pid "benchtab -http" "$tmpdir/http.err" "holding debug server" \
+    "$tmpdir/benchtab" -exp latency -http 127.0.0.1:0 -http-hold 60s > "$tmpdir/http.out"
+addr=$boot_addr
 curl -fsS "http://$addr/metrics" > "$tmpdir/metrics.txt"
 for family in \
     paraconv_plancache_hits_total \
@@ -153,26 +164,8 @@ echo "== paraconvd smoke"
 # The planning daemon must come up on a free port, answer /v1/plan with
 # a valid JSON plan, and drain cleanly on SIGTERM (exit 0).
 go build -o "$tmpdir/paraconvd" ./cmd/paraconvd
-"$tmpdir/paraconvd" -addr 127.0.0.1:0 2> "$tmpdir/pd.err" &
-pd_pid=$!
-pd_addr=""
-for _ in $(seq 1 100); do
-    if grep -q "listening on" "$tmpdir/pd.err"; then
-        pd_addr=$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$tmpdir/pd.err" | head -n1)
-        break
-    fi
-    if ! kill -0 "$pd_pid" 2>/dev/null; then
-        echo "paraconvd exited early:" >&2
-        cat "$tmpdir/pd.err" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [[ -z "$pd_addr" ]]; then
-    echo "paraconvd never reported its address:" >&2
-    cat "$tmpdir/pd.err" >&2
-    exit 1
-fi
+boot pd_pid "paraconvd" "$tmpdir/pd.err" "listening on" "$tmpdir/paraconvd" -addr 127.0.0.1:0
+pd_addr=$boot_addr
 python3 - > "$tmpdir/plan_body.json" <<'PYEOF'
 import json
 graph = "graph smoke\n"
@@ -278,26 +271,9 @@ echo "== trace + SLO smoke"
 # serve the full span tree for a cache-miss simulate request (all six
 # pipeline stages), export it as a Chrome trace-event document, and
 # hold the standard SLOs under a short paraconvload run gated by -slo.
-"$tmpdir/paraconvd" -addr 127.0.0.1:0 -trace-sample 1 2> "$tmpdir/slo.err" &
-slo_pid=$!
-slo_addr=""
-for _ in $(seq 1 100); do
-    if grep -q "listening on" "$tmpdir/slo.err"; then
-        slo_addr=$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$tmpdir/slo.err" | head -n1)
-        break
-    fi
-    if ! kill -0 "$slo_pid" 2>/dev/null; then
-        echo "tracing paraconvd exited early:" >&2
-        cat "$tmpdir/slo.err" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [[ -z "$slo_addr" ]]; then
-    echo "tracing paraconvd never reported its address:" >&2
-    cat "$tmpdir/slo.err" >&2
-    exit 1
-fi
+boot slo_pid "tracing paraconvd" "$tmpdir/slo.err" "listening on" \
+    "$tmpdir/paraconvd" -addr 127.0.0.1:0 -trace-sample 1
+slo_addr=$boot_addr
 # The FIRST simulate request is the trace fixture: a cache miss runs
 # every stage (plan requests never run sim; cache hits skip the solver).
 curl -fsS -D "$tmpdir/trace_hdrs.txt" -X POST -H 'Content-Type: application/json' \
@@ -352,28 +328,9 @@ echo "== warm-restart smoke"
 # graph mix) and require zero solver work the second time around.
 wr_dir="$tmpdir/wr-data"
 start_wr_daemon() {
-    local errlog=$1
-    "$tmpdir/paraconvd" -addr 127.0.0.1:0 -data-dir "$wr_dir" \
-        -slo-interval 200ms 2> "$errlog" &
-    wr_pid=$!
-    wr_addr=""
-    for _ in $(seq 1 100); do
-        if grep -q "listening on" "$errlog"; then
-            wr_addr=$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$errlog" | head -n1)
-            break
-        fi
-        if ! kill -0 "$wr_pid" 2>/dev/null; then
-            echo "warm-restart paraconvd exited early:" >&2
-            cat "$errlog" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-    if [[ -z "$wr_addr" ]]; then
-        echo "warm-restart paraconvd never reported its address:" >&2
-        cat "$errlog" >&2
-        exit 1
-    fi
+    boot wr_pid "warm-restart paraconvd" "$1" "listening on" \
+        "$tmpdir/paraconvd" -addr 127.0.0.1:0 -data-dir "$wr_dir" -slo-interval 200ms
+    wr_addr=$boot_addr
 }
 # check_burst <load-output> <label>: every request of a paraconvload
 # run was answered 200, none died in transport.
@@ -464,32 +421,11 @@ for s in socks:
 PYEOF
 )
 peerlist="127.0.0.1:$cp1,127.0.0.1:$cp2,127.0.0.1:$cp3"
-start_cl_daemon() {
-    # start_cl_daemon <port> <errlog> <pidvar>: boot one member in THIS
-    # shell (so the caller can wait on it) and store its pid in pidvar.
-    local port=$1 errlog=$2 pidvar=$3
-    "$tmpdir/paraconvd" -addr "127.0.0.1:$port" -peers "$peerlist" \
-        2> "$errlog" &
-    local pid=$!
-    printf -v "$pidvar" '%s' "$pid"
-    for _ in $(seq 1 100); do
-        if grep -q "listening on" "$errlog"; then
-            return
-        fi
-        if ! kill -0 "$pid" 2>/dev/null; then
-            echo "cluster member :$port exited early:" >&2
-            cat "$errlog" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-    echo "cluster member :$port never reported its address:" >&2
-    cat "$errlog" >&2
-    exit 1
-}
-start_cl_daemon "$cp1" "$tmpdir/cl1.err" cl1_pid
-start_cl_daemon "$cp2" "$tmpdir/cl2.err" cl2_pid
-start_cl_daemon "$cp3" "$tmpdir/cl3.err" cl3_pid
+for i in 1 2 3; do
+    port_var="cp$i"
+    boot "cl${i}_pid" "cluster member :${!port_var}" "$tmpdir/cl$i.err" "listening on" \
+        "$tmpdir/paraconvd" -addr "127.0.0.1:${!port_var}" -peers "$peerlist"
+done
 for port in "$cp1" "$cp2" "$cp3"; do
     curl -fsS "http://127.0.0.1:$port/readyz" > "$tmpdir/cl_ready.txt"
     grep -q "^cluster: 3/3 members live$" "$tmpdir/cl_ready.txt" || {
