@@ -70,6 +70,11 @@ func AllPasses() []Pass {
 			Run:  symbolPass("fsio"),
 		},
 		{
+			Name: "canonvarint",
+			Doc:  "encoding/binary varint reads outside internal/frame; frames decode through frame.Reader, which rejects padded varints",
+			Run:  symbolPass("canonvarint"),
+		},
+		{
 			Name: "poolhygiene",
 			Doc:  "sync.Pool misuse: Get without a type assertion, Put without reset evidence, or pooled values escaping the get/put scope",
 			Run:  runPoolHygiene,
@@ -198,6 +203,14 @@ var symbolRules = []symbolRule{
 	{Pass: "fsio", Pkg: "os", Allowed: []string{"/internal/store"},
 		Symbols: []string{"Create", "WriteFile", "Rename", "Root.Create", "Root.WriteFile", "Root.Rename"},
 		Msg:     "direct filesystem write ({sym}) outside internal/store; durable state goes through the plan store's segment log"},
+
+	// canonvarint.  Plans are keyed by hashes of undecoded frames, sound
+	// only while each value has one accepted encoding.  encoding/binary's
+	// varint readers accept padded values; internal/frame's reader is the
+	// one that rejects them.  Encoding stays legal everywhere.
+	{Pass: "canonvarint", Pkg: "encoding/binary", Allowed: []string{"/internal/frame"},
+		Symbols: []string{"Uvarint", "Varint", "ReadUvarint", "ReadVarint"},
+		Msg:     "{sym} outside internal/frame accepts padded varints; decode frames through frame.Reader"},
 }
 
 // pkgPath is the import path the rule's symbols are declared in.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"repro/internal/frame"
 )
 
 // The binary codec is the wire-efficient sibling of the text format:
@@ -13,47 +15,41 @@ import (
 // other.  Layout, all integers varint (zigzag for signed values,
 // plain uvarint for counts and lengths):
 //
-//	magic   'P' 'C' 'G'            (3 bytes)
-//	version 0x01                   (1 byte)
+//	header  'P' 'C' 'G' 0x01       (internal/frame's envelope)
 //	name    uvarint len + bytes
 //	counts  uvarint nodes, uvarint edges
 //	node*   kind byte, varint exec, uvarint namelen + bytes
 //	edge*   uvarint from, uvarint to,
 //	        varint size, varint cachetime, varint edramtime
 //
-// Encoding is byte-for-byte deterministic: the same graph always
-// yields the same bytes (field order is fixed and varints have a
-// unique minimal form), and decoding accepts no other bytes for it:
-// padded varints are rejected, so an accepted frame is byte-for-byte
-// what AppendBinary would write for the decoded graph.  Decoding also
-// rejects trailing bytes, unknown versions and out-of-range
-// references, and enforces the same Limits
-// policy as the text parser — with the counts checked against the
-// remaining input length first, so a lying header cannot reserve
-// memory the body could never justify.
+// Encoding is byte-for-byte deterministic, and decoding (through
+// internal/frame's reader) accepts no other bytes, so an accepted frame
+// is what AppendBinary writes for the decoded graph.  Decoding also
+// enforces the text parser's Limits, with the counts checked against
+// the bytes left first, so a lying header reserves nothing.
 
 // BinaryVersion is the frame version the codec writes and the only
 // one it accepts.  Bump it on any layout change; readers reject
 // frames from the future rather than misparse them.
 const BinaryVersion = 1
 
-// binMagic are the three magic bytes opening a binary graph frame.
-var binMagic = [3]byte{'P', 'C', 'G'}
+// binKind is the frame kind byte of a binary graph frame.
+const binKind = 'G'
 
 // AppendBinary appends the binary encoding of g to dst and returns
 // the extended slice (zero allocations once dst has capacity).
 //
 //paraconv:hotpath
 func AppendBinary(dst []byte, g *Graph) []byte {
-	dst = append(dst, binMagic[0], binMagic[1], binMagic[2], BinaryVersion)
-	dst = appendBinString(dst, g.name)
+	dst = frame.AppendHeader(dst, binKind, BinaryVersion)
+	dst = frame.AppendBytes(dst, g.name)
 	dst = binary.AppendUvarint(dst, uint64(len(g.nodes)))
 	dst = binary.AppendUvarint(dst, uint64(len(g.edges)))
 	for i := range g.nodes {
 		n := &g.nodes[i]
 		dst = append(dst, byte(n.Kind))
 		dst = binary.AppendVarint(dst, int64(n.Exec))
-		dst = appendBinString(dst, n.Name)
+		dst = frame.AppendBytes(dst, n.Name)
 	}
 	for i := range g.edges {
 		e := &g.edges[i]
@@ -64,11 +60,6 @@ func AppendBinary(dst []byte, g *Graph) []byte {
 		dst = binary.AppendVarint(dst, int64(e.EDRAMTime))
 	}
 	return dst
-}
-
-func appendBinString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // binNameScratch pools the decoder's name staging: the graph name and
@@ -89,40 +80,22 @@ var binNamePool = sync.Pool{New: func() any { return new(binNameScratch) }}
 //
 //paraconv:hotpath
 func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
-	d := binDecoder{data: data}
-	if len(data) < 4 {
-		return nil, fmt.Errorf("dag: binary graph: %d-byte input shorter than the 4-byte header", len(data))
-	}
-	if data[0] != binMagic[0] || data[1] != binMagic[1] || data[2] != binMagic[2] {
-		return nil, fmt.Errorf("dag: binary graph: bad magic % x", data[:3])
-	}
-	if data[3] != BinaryVersion {
-		return nil, fmt.Errorf("dag: binary graph: unsupported version %d (want %d)", data[3], BinaryVersion)
-	}
-	d.off = 4
-
-	name, err := d.bstring()
-	if err != nil {
-		return nil, err
-	}
-	nodes, err := d.count("node")
-	if err != nil {
-		return nil, err
-	}
-	edges, err := d.count("edge")
-	if err != nil {
+	r := frame.Open(data, "dag: binary graph: ", binKind, BinaryVersion)
+	name := r.Bytes("string")
+	nodes, edges := int(r.Uvarint("node", maxCount)), int(r.Uvarint("edge", maxCount))
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if lim.MaxNodes > 0 && nodes > lim.MaxNodes {
-		return nil, &LimitError{Kind: "nodes", Max: lim.MaxNodes, Offset: d.off}
+		return nil, &LimitError{Kind: "nodes", Max: lim.MaxNodes, Offset: r.Offset()}
 	}
 	if lim.MaxEdges > 0 && edges > lim.MaxEdges {
-		return nil, &LimitError{Kind: "edges", Max: lim.MaxEdges, Offset: d.off}
+		return nil, &LimitError{Kind: "edges", Max: lim.MaxEdges, Offset: r.Offset()}
 	}
 	// Every node costs at least 3 bytes and every edge at least 5, so
 	// a header whose counts outrun the remaining input is lying; fail
 	// before reserving anything.
-	if rem := len(data) - d.off; 3*nodes+5*edges > rem {
+	if rem := len(data) - r.Offset(); 3*nodes+5*edges > rem {
 		return nil, fmt.Errorf("dag: binary graph: declared %d nodes, %d edges exceed the %d input bytes remaining", nodes, edges, rem)
 	}
 
@@ -140,20 +113,13 @@ func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
 	ns.lens = ns.lens[:0]
 	defer binNamePool.Put(ns)
 	for i := range g.nodes {
-		if d.off >= len(data) {
-			return nil, d.truncated("node")
-		}
-		kind := OpKind(data[d.off])
-		d.off++
+		kind := OpKind(r.Byte("node"))
 		if kind > OpOutput {
-			return nil, fmt.Errorf("dag: binary graph: node %d has unknown op kind %d", i, kind)
+			r.Fail(fmt.Errorf("dag: binary graph: node %d has unknown op kind %d", i, kind))
 		}
-		exec, err := d.bvarint("node exec")
-		if err != nil {
-			return nil, err
-		}
-		nm, err := d.bstring()
-		if err != nil {
+		exec := r.Varint("node exec", -maxAbsWeight, maxAbsWeight)
+		nm := r.Bytes("string")
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		ns.buf = append(ns.buf, nm...)
@@ -174,33 +140,21 @@ func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
 
 	g.edges = make([]Edge, edges)
 	for i := range g.edges {
-		from, err := d.count("edge endpoint")
-		if err != nil {
+		from, to := r.Uvarint("edge endpoint", maxCount), r.Uvarint("edge endpoint", maxCount)
+		if from >= uint64(nodes) || to >= uint64(nodes) {
+			r.Fail(fmt.Errorf("dag: binary graph: edge %d->%d references undeclared node", from, to))
+		}
+		g.edges[i] = Edge{From: NodeID(from), To: NodeID(to),
+			Size:      int(r.Varint("edge size", -maxAbsWeight, maxAbsWeight)),
+			CacheTime: int(r.Varint("edge cachetime", -maxAbsWeight, maxAbsWeight)),
+			EDRAMTime: int(r.Varint("edge edramtime", -maxAbsWeight, maxAbsWeight)),
+		}
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		to, err := d.count("edge endpoint")
-		if err != nil {
-			return nil, err
-		}
-		if from >= nodes || to >= nodes {
-			return nil, fmt.Errorf("dag: binary graph: edge %d->%d references undeclared node", from, to)
-		}
-		size, err := d.bvarint("edge size")
-		if err != nil {
-			return nil, err
-		}
-		ct, err := d.bvarint("edge cachetime")
-		if err != nil {
-			return nil, err
-		}
-		et, err := d.bvarint("edge edramtime")
-		if err != nil {
-			return nil, err
-		}
-		g.edges[i] = Edge{From: NodeID(from), To: NodeID(to), Size: int(size), CacheTime: int(ct), EDRAMTime: int(et)}
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("dag: binary graph: %d trailing bytes after the frame", len(data)-d.off)
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	g.link()
 	if err := g.Validate(); err != nil {
@@ -210,95 +164,11 @@ func DecodeBinary(data []byte, lim Limits) (*Graph, error) {
 	return g, nil
 }
 
-// binDecoder is a bounds-checked cursor over one binary frame.
-type binDecoder struct {
-	data []byte
-	off  int
-}
-
-func (d *binDecoder) truncated(what string) error {
-	return fmt.Errorf("dag: binary graph: truncated at offset %d reading %s", d.off, what)
-}
-
-// buvarint and bvarint read a one-byte varint (every count, endpoint
-// and weight below 128, or 64 signed: most of a frame) inline; longer
-// ones take encoding/binary's loop and the padding check.
-func (d *binDecoder) buvarint(what string) (uint64, error) {
-	if d.off < len(d.data) && d.data[d.off] < 0x80 {
-		d.off++
-		return uint64(d.data[d.off-1]), nil
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.truncated(what)
-	}
-	if n > 1 && d.data[d.off+n-1] == 0 {
-		return 0, d.padded(what)
-	}
-	d.off += n
-	return v, nil
-}
-
-// padded rejects a varint carrying a redundant trailing zero group
-// (0x80 0x00 for 0): AppendBinary never emits one, and accepting it
-// would let two byte strings decode to one graph — servers key plans by
-// a hash of the frame's bytes, so an accepted frame must be THE
-// encoding of its graph.
-func (d *binDecoder) padded(what string) error {
-	return fmt.Errorf("dag: binary graph: non-minimal varint at offset %d reading %s", d.off, what)
-}
-
 // maxAbsWeight bounds signed frame values to what the text codec can
 // represent (atoiBytes caps fields at 18 decimal digits), keeping the
 // two formats' accepted domains identical.
 const maxAbsWeight = 1e18 - 1
 
-func (d *binDecoder) bvarint(what string) (int64, error) {
-	if d.off < len(d.data) && d.data[d.off] < 0x80 {
-		b := d.data[d.off]
-		d.off++
-		return int64(b>>1) ^ -int64(b&1), nil
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.truncated(what)
-	}
-	if n > 1 && d.data[d.off+n-1] == 0 {
-		return 0, d.padded(what)
-	}
-	if v > maxAbsWeight || v < -maxAbsWeight {
-		return 0, fmt.Errorf("dag: binary graph: %s %d out of range", what, v)
-	}
-	d.off += n
-	return v, nil
-}
-
-// count reads a uvarint that must fit a non-negative int with headroom
-// (counts, lengths and endpoint indexes).  The label is passed through
-// verbatim — never concatenated — so the success path stays
-// allocation-free.
-func (d *binDecoder) count(what string) (int, error) {
-	v, err := d.buvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > 1<<31 {
-		return 0, fmt.Errorf("dag: binary graph: %s %d out of range", what, v)
-	}
-	return int(v), nil
-}
-
-// bstring reads a length-prefixed byte string, returning a view into
-// the input (callers must copy before the input is recycled).
-func (d *binDecoder) bstring() ([]byte, error) {
-	l, err := d.count("string")
-	if err != nil {
-		return nil, err
-	}
-	if l > len(d.data)-d.off {
-		return nil, d.truncated("string body")
-	}
-	s := d.data[d.off : d.off+l]
-	d.off += l
-	return s, nil
-}
+// maxCount bounds counts and endpoint indexes: a non-negative int with
+// headroom, so the size check's arithmetic cannot overflow.
+const maxCount = 1 << 31

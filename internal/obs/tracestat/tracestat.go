@@ -152,53 +152,27 @@ func Analyze(tr *sim.Trace, plan *sched.Plan, stats sim.Stats) (*Report, error) 
 		rep.PrologueEnd = plan.RMax * plan.Iter.Period
 	}
 
-	// Busy intervals per PE and the union of in-flight transfers,
-	// paired from the event stream by (id, iteration).
+	// Busy intervals per PE and the union of in-flight transfers.
 	busy := make([][]interval, stats.NumPEs)
 	var transfers []interval
-	type taskKey struct {
-		node int
-		iter int
-	}
-	type xferKey struct {
-		edge int
-		iter int
-	}
-	// Two passes: the trace sorts ends before starts at equal
-	// timestamps, so a zero-duration transfer's end precedes its
-	// start in event order.  Collect every start first, then pair.
-	taskStart := make(map[taskKey]sim.Event)
-	xferStart := make(map[xferKey]sim.Event)
-	for _, ev := range tr.Events {
-		switch ev.Kind {
-		case sim.EvTaskStart:
-			taskStart[taskKey{int(ev.Node), ev.Iter}] = ev
-		case sim.EvTransferStart:
-			xferStart[xferKey{int(ev.Edge), ev.Iter}] = ev
-		}
-	}
-	for _, ev := range tr.Events {
+	err := tr.Instances(func(s, ev *sim.Event) error {
 		switch ev.Kind {
 		case sim.EvTaskEnd:
-			s, ok := taskStart[taskKey{int(ev.Node), ev.Iter}]
-			if !ok {
-				return nil, fmt.Errorf("tracestat: task end for node %d iteration %d without start", ev.Node, ev.Iter)
-			}
 			if int(ev.PE) >= stats.NumPEs {
-				return nil, fmt.Errorf("tracestat: event on PE %d; stats say %d PEs", ev.PE, stats.NumPEs)
+				return fmt.Errorf("tracestat: event on PE %d; stats say %d PEs", ev.PE, stats.NumPEs)
 			}
 			if ev.Time > s.Time {
 				busy[ev.PE] = append(busy[ev.PE], interval{s.Time, ev.Time})
 			}
 		case sim.EvTransferEnd:
-			s, ok := xferStart[xferKey{int(ev.Edge), ev.Iter}]
-			if !ok {
-				return nil, fmt.Errorf("tracestat: transfer end for edge %d iteration %d without start", ev.Edge, ev.Iter)
-			}
 			if ev.Time > s.Time {
 				transfers = append(transfers, interval{s.Time, ev.Time})
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	moving := mergeIntervals(transfers)
 

@@ -291,6 +291,48 @@ func finalize(tr *Trace) {
 	}
 }
 
+// Instances calls fn, in log order, for every event but a start: an end
+// with the start it closes, any other event as its own start.  Starts
+// pair by (vertex or edge, iteration) and are collected first, as the
+// log sorts a zero-length transfer's end before its start.  An end
+// without a start, or fn's first error, stops the walk.
+func (tr *Trace) Instances(fn func(start, end *Event) error) error {
+	// An instance is a task (0) or a transfer (1), its vertex or edge,
+	// and its iteration.
+	key := func(ev *Event) [3]int {
+		if ev.Kind == EvTaskStart || ev.Kind == EvTaskEnd {
+			return [3]int{0, int(ev.Node), ev.Iter}
+		}
+		return [3]int{1, int(ev.Edge), ev.Iter}
+	}
+	starts := make(map[[3]int]*Event)
+	for i := range tr.Events {
+		if ev := &tr.Events[i]; ev.Kind == EvTaskStart || ev.Kind == EvTransferStart {
+			starts[key(ev)] = ev
+		}
+	}
+	for i := range tr.Events {
+		end, start, ok := &tr.Events[i], &tr.Events[i], true
+		switch end.Kind {
+		case EvTaskStart, EvTransferStart:
+			continue
+		case EvTaskEnd, EvTransferEnd:
+			k := key(end)
+			if start, ok = starts[k]; !ok {
+				what := "transfer end for edge"
+				if k[0] == 0 {
+					what = "task end for node"
+				}
+				return fmt.Errorf("sim: %s %d iteration %d without start", what, k[1], k[2])
+			}
+		}
+		if err := fn(start, end); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TaskEvents returns the trace's task events for one vertex, in time
 // order — a convenience for tests and debugging.
 func (tr *Trace) TaskEvents(v dag.NodeID) []Event {

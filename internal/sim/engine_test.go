@@ -105,6 +105,58 @@ func TestTraceTaskInstanceCounts(t *testing.T) {
 	}
 }
 
+// TestTraceInstances checks the pairing both trace readers share:
+// every end meets the start of its own instance, no earlier in time,
+// every non-start event is visited once in log order, and an end whose
+// start is missing is an error.
+func TestTraceInstances(t *testing.T) {
+	g := synthGraph(t, 30, 70, 5)
+	cfg := pim.Neurocube(8)
+	plan, err := sched.ParaCONVCtx(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr, err := TraceRunCtx(context.Background(), plan, cfg, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var visited []*Event
+	err = tr.Instances(func(start, end *Event) error {
+		visited = append(visited, end)
+		same := start.Iter == end.Iter && start.Time <= end.Time
+		switch end.Kind {
+		case EvTaskEnd:
+			same = same && start.Kind == EvTaskStart && start.Node == end.Node && start.PE == end.PE
+		case EvTransferEnd:
+			same = same && start.Kind == EvTransferStart && start.Edge == end.Edge
+		default:
+			same = start == end
+		}
+		if !same {
+			t.Fatalf("%+v paired with %+v", *end, *start)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*Event
+	for i := range tr.Events {
+		if k := tr.Events[i].Kind; k != EvTaskStart && k != EvTransferStart {
+			want = append(want, &tr.Events[i])
+		}
+	}
+	if !slices.Equal(visited, want) {
+		t.Fatalf("visited %d events, want the log's %d non-start events in order", len(visited), len(want))
+	}
+	for _, kind := range []EventKind{EvTaskStart, EvTransferStart} {
+		orphan := &Trace{Events: slices.DeleteFunc(slices.Clone(tr.Events), func(ev Event) bool { return ev.Kind == kind })}
+		if err := orphan.Instances(func(_, _ *Event) error { return nil }); err == nil || !strings.Contains(err.Error(), "without start") {
+			t.Errorf("trace without %v events: err = %v, want an end without a start", kind, err)
+		}
+	}
+}
+
 // TestTraceTransfersRespectInstanceOrder checks, for every transfer
 // event pair, that the data leaves after its producer instance ends
 // and arrives before its consumer instance starts.
@@ -228,6 +280,9 @@ func TestTraceRunRejectsBadInput(t *testing.T) {
 	}
 	badCfg := cfg
 	badCfg.NumPEs = 0
+	// Half the PEs with the same total cache: only the PE count is wrong.
+	small := pim.Neurocube(cfg.NumPEs / 2)
+	small.CacheUnitsPerPE = 2 * cfg.CacheUnitsPerPE
 	unknown := *plan
 	unknown.Scheme = "wat"
 	overfull := *plan
@@ -258,6 +313,7 @@ func TestTraceRunRejectsBadInput(t *testing.T) {
 		{"nil plan", nil, cfg, 5, "nil plan"},
 		{"zero iterations", plan, cfg, 0, "0 iterations"},
 		{"invalid config", plan, badCfg, 5, "sim: "},
+		{"more PEs than the array", plan, small, 5, "the array has"},
 		{"unknown scheme", &unknown, cfg, 5, "unknown scheme"},
 		{"cache over capacity", &overfull, cfg, 5, "capacity units"},
 		{"dependency violation", &late, cfg, 5, "violates dependencies"},

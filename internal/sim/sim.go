@@ -121,6 +121,9 @@ func simulate(ctx context.Context, plan *sched.Plan, cfg pim.Config, iterations 
 	if iterations < 1 {
 		return Stats{}, fmt.Errorf("sim: %d iterations; want >= 1", iterations)
 	}
+	if plan.Iter.PEs > cfg.NumPEs {
+		return Stats{}, fmt.Errorf("sim: plan schedules %d PEs; the array has %d", plan.Iter.PEs, cfg.NumPEs)
+	}
 	if err := plan.Iter.Validate(); err != nil {
 		return Stats{}, fmt.Errorf("sim: invalid iteration schedule: %w", err)
 	}

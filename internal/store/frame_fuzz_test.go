@@ -16,7 +16,7 @@ import (
 // sealed builds a frame around body — everything after the CRC field —
 // with a valid CRC, so a seed reaches the checks behind it.
 func sealed(body []byte) []byte {
-	frame := []byte{frameMagic[0], frameMagic[1], frameMagic[2], frameVersion, 0, 0, 0, 0}
+	frame := []byte{'P', 'C', frameKind, frameVersion, 0, 0, 0, 0}
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
 	return append(frame, body...)
 }

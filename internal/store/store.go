@@ -41,6 +41,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -50,15 +51,14 @@ const (
 	segSuffix       = ".seg"
 	tmpPrefix       = ".tmp-"
 	maxSegmentBytes = 1 << 20
-	// frame layout: magic 'P','C','S', version byte, 4-byte LE CRC-32
-	// (IEEE) of everything after the CRC field, then uvarint key
-	// length + key bytes + uvarint payload length + payload bytes,
-	// ending exactly at the payload's last byte.
+	// frame layout: internal/frame's envelope ('P','C','S', version),
+	// 4-byte LE CRC-32 (IEEE) of everything after the CRC field, then
+	// the key and the payload as length-prefixed byte strings, ending
+	// exactly at the payload's last byte.
+	frameKind       = 'S'
 	frameVersion    = 1
 	frameHeaderSize = 8
 )
-
-var frameMagic = [3]byte{'P', 'C', 'S'}
 
 // Options tunes one store; the zero value is durable and unbounded.
 type Options struct {
@@ -261,13 +261,11 @@ func (s *Store) publish() {
 
 // appendFrame builds the durable frame around key and payload.
 func appendFrame(dst []byte, key string, payload []byte) []byte {
-	dst = append(dst, frameMagic[0], frameMagic[1], frameMagic[2], frameVersion)
+	dst = frame.AppendHeader(dst, frameKind, frameVersion)
 	mark := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // CRC backpatched below
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
+	dst = frame.AppendBytes(dst, key)
+	dst = frame.AppendBytes(dst, payload)
 	crc := crc32.ChecksumIEEE(dst[mark+4:])
 	binary.LittleEndian.PutUint32(dst[mark:], crc)
 	return dst
@@ -278,34 +276,17 @@ func appendFrame(dst []byte, key string, payload []byte) []byte {
 // magic or version, a length field lying about the bytes that follow
 // or padded past its minimal form, CRC mismatch — is an error.
 func nextFrame(data []byte) (key, payload []byte, n int, err error) {
-	if len(data) < frameHeaderSize || [3]byte(data) != frameMagic || data[3] != frameVersion {
-		return nil, nil, 0, fmt.Errorf("store: no version-%d frame header in %d bytes", frameVersion, len(data))
-	}
-	off := frameHeaderSize
-	field := func(what string) ([]byte, error) {
-		l, m := binary.Uvarint(data[off:])
-		if m <= 0 || l > uint64(len(data)-off-m) {
-			return nil, fmt.Errorf("store: %s length field lies about the bytes that follow", what)
-		}
-		if m > 1 && data[off+m-1] == 0 {
-			// A redundant trailing zero group (0x80 0x00 for 0): refusing
-			// it keeps every accepted frame appendFrame's one encoding.
-			return nil, fmt.Errorf("store: %s length field is a non-minimal varint", what)
-		}
-		off += m + int(l)
-		return data[off-int(l) : off], nil
-	}
-	if key, err = field("key"); err == nil {
-		payload, err = field("payload")
-	}
-	if err != nil {
+	r := frame.Open(data, "store: ", frameKind, frameVersion)
+	want := r.Uint32("crc")
+	key, payload = r.Bytes("key"), r.Bytes("payload")
+	if err := r.Err(); err != nil {
 		return nil, nil, 0, err
 	}
-	want := binary.LittleEndian.Uint32(data[4:8])
-	if got := crc32.ChecksumIEEE(data[frameHeaderSize:off]); got != want {
+	n = r.Offset()
+	if got := crc32.ChecksumIEEE(data[frameHeaderSize:n]); got != want {
 		return nil, nil, 0, fmt.Errorf("store: CRC mismatch: frame says %#x, its bytes hash to %#x", want, got)
 	}
-	return key, payload, off, nil
+	return key, payload, n, nil
 }
 
 // parseFrame checks that data is exactly one frame recorded under key

@@ -81,37 +81,9 @@ func WriteCSV(w io.Writer, tr *sim.Trace) error {
 func WriteChrome(w io.Writer, tr *sim.Trace, g *dag.Graph) error {
 	const unit = 1000 // 1 schedule time unit -> 1 ms in the viewer
 	var events []span.ChromeEvent
-
-	// Pair starts and ends by (id, iteration) — instances are unique
-	// per iteration, and zero-duration cached forwards may have their
-	// end sorted at the same timestamp as their start.
-	type taskKey struct {
-		node dag.NodeID
-		iter int
-	}
-	type xferKey struct {
-		edge dag.EdgeID
-		iter int
-	}
-	taskStart := make(map[taskKey]*sim.Event)
-	xferStart := make(map[xferKey]*sim.Event)
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		switch ev.Kind {
-		case sim.EvTaskStart:
-			taskStart[taskKey{ev.Node, ev.Iter}] = ev
-		case sim.EvTransferStart:
-			xferStart[xferKey{ev.Edge, ev.Iter}] = ev
-		}
-	}
-	for i := range tr.Events {
-		ev := &tr.Events[i]
+	err := tr.Instances(func(s, ev *sim.Event) error {
 		switch ev.Kind {
 		case sim.EvTaskEnd:
-			s, ok := taskStart[taskKey{ev.Node, ev.Iter}]
-			if !ok {
-				return fmt.Errorf("trace: task end for node %d iteration %d without start", ev.Node, ev.Iter)
-			}
 			name := fmt.Sprintf("T%d", ev.Node+1)
 			if g != nil && int(ev.Node) < g.NumNodes() && g.Node(ev.Node).Name != "" {
 				name = g.Node(ev.Node).Name
@@ -123,10 +95,6 @@ func WriteChrome(w io.Writer, tr *sim.Trace, g *dag.Graph) error {
 				Args: map[string]any{"iteration": ev.Iter},
 			})
 		case sim.EvTransferEnd:
-			s, ok := xferStart[xferKey{ev.Edge, ev.Iter}]
-			if !ok {
-				return fmt.Errorf("trace: transfer end for edge %d iteration %d without start", ev.Edge, ev.Iter)
-			}
 			tid := 1
 			if ev.Place == pim.InEDRAM {
 				tid = 2
@@ -153,6 +121,10 @@ func WriteChrome(w io.Writer, tr *sim.Trace, g *dag.Graph) error {
 				PID: 3, TID: 1,
 			})
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	return span.WriteChromeDoc(w, events)
 }

@@ -3,17 +3,16 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dag"
+	"repro/internal/frame"
 )
 
-// The binary frames share one envelope: two magic bytes 'P' 'C', a
-// kind byte naming the payload, and a version byte.  Fields follow in
-// fixed order — varint for signed integers, uvarint for counts and
-// string lengths, 8 little-endian bytes for float64 values — so every
-// encoding is byte-for-byte deterministic.  A request's graph travels
+// The binary frames are internal/frame frames, one kind byte per
+// payload, with fields in fixed order, so every encoding is
+// byte-for-byte deterministic.  A request's graph travels
 // as a trailing dag binary frame (see dag.AppendBinary): it is the
 // last field, so it needs no length prefix and the dag decoder's own
 // trailing-byte check seals the envelope.
@@ -43,15 +42,6 @@ type GraphError struct{ Err error }
 func (e *GraphError) Error() string { return "wire: request graph: " + e.Err.Error() }
 func (e *GraphError) Unwrap() error { return e.Err }
 
-func appendHeader(dst []byte, kind byte) []byte {
-	return append(dst, 'P', 'C', kind, Version)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 func appendInt(dst []byte, v int) []byte {
 	return binary.AppendVarint(dst, int64(v))
 }
@@ -76,15 +66,15 @@ func appendInts(dst []byte, vs []int) []byte {
 //
 //paraconv:hotpath
 func AppendRequest(dst []byte, req *Request, g *dag.Graph) []byte {
-	dst = appendHeader(dst, kindRequest)
-	dst = appendString(dst, req.Arch)
+	dst = frame.AppendHeader(dst, kindRequest, Version)
+	dst = frame.AppendBytes(dst, req.Arch)
 	dst = binary.AppendUvarint(dst, uint64(len(req.Archs)))
 	for _, a := range req.Archs {
-		dst = appendString(dst, a)
+		dst = frame.AppendBytes(dst, a)
 	}
 	dst = appendInt(dst, req.PEs)
 	dst = appendInt(dst, req.Iterations)
-	dst = appendString(dst, req.Variant)
+	dst = frame.AppendBytes(dst, req.Variant)
 	dst = appendInt(dst, req.TimeoutMS)
 	if g != nil {
 		dst = dag.AppendBinary(dst, g)
@@ -103,46 +93,34 @@ func AppendRequest(dst []byte, req *Request, g *dag.Graph) []byte {
 //
 //paraconv:hotpath
 func SplitRequest(data []byte, req *Request) (frame []byte, err error) {
-	d, err := newDecoder(data, kindRequest)
-	if err != nil {
-		return nil, err
-	}
-	*req = Request{Archs: req.Archs[:0]}
-	if req.Arch, err = d.str("arch"); err != nil {
-		return nil, err
-	}
-	n, err := d.length("archs")
-	if err != nil {
+	d := open(data, kindRequest)
+	*req = Request{Arch: d.String("arch"), Archs: req.Archs[:0]}
+	n := d.Len("archs")
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		a, err := d.str("archs entry")
-		if err != nil {
-			return nil, err
-		}
-		req.Archs = append(req.Archs, a)
+		req.Archs = append(req.Archs, d.String("archs entry"))
 	}
-	if req.PEs, err = d.integer("pes"); err != nil {
-		return nil, err
-	}
-	if req.Iterations, err = d.integer("iterations"); err != nil {
-		return nil, err
-	}
-	if req.Variant, err = d.str("variant"); err != nil {
-		return nil, err
-	}
-	if req.TimeoutMS, err = d.integer("timeout_ms"); err != nil {
-		return nil, err
-	}
-	return d.graphFrame()
+	req.PEs = d.Int("pes")
+	req.Iterations = d.Int("iterations")
+	req.Variant = d.String("variant")
+	req.TimeoutMS = d.Int("timeout_ms")
+	return graphFrame(&d)
+}
+
+// open checks a wire frame's envelope.
+func open(data []byte, kind byte) frame.Reader {
+	return frame.Open(data, "wire: ", kind, Version)
 }
 
 // graphFrame returns the rest of the input as the trailing dag frame.
-func (d *decoder) graphFrame() ([]byte, error) {
-	if d.off == len(d.data) {
-		return nil, ErrNoGraph
+func graphFrame(d *frame.Reader) ([]byte, error) {
+	rest := d.Rest() // nil after a failure
+	if err := d.Err(); err != nil || len(rest) > 0 {
+		return rest, err
 	}
-	return d.data[d.off:], nil
+	return nil, ErrNoGraph
 }
 
 // DecodeGraph decodes a trailing dag frame (from SplitRequest or
@@ -183,9 +161,9 @@ func AppendPlanResponse(dst []byte, r *PlanResponse) []byte {
 // count.  PlanResponseFrame caches the first and last.
 
 func appendPlanResponseHead(dst []byte, r *PlanResponse) []byte {
-	dst = appendHeader(dst, kindPlan)
-	dst = appendString(dst, r.Scheme)
-	dst = appendString(dst, r.Arch)
+	dst = frame.AppendHeader(dst, kindPlan, Version)
+	dst = frame.AppendBytes(dst, r.Scheme)
+	dst = frame.AppendBytes(dst, r.Arch)
 	dst = appendInt(dst, r.PEs)
 	dst = appendInt(dst, r.Period)
 	dst = appendInt(dst, r.ConcurrentIterations)
@@ -242,174 +220,38 @@ func (f PlanResponseFrame) Append(dst []byte, iterations, totalTime int, through
 // DecodePlanResponse parses a binary plan frame into r, reusing the
 // capacity of its slices.
 func DecodePlanResponse(data []byte, r *PlanResponse) error {
-	d, err := newDecoder(data, kindPlan)
-	if err != nil {
-		return err
+	d := open(data, kindPlan)
+	*r = PlanResponse{
+		Scheme:               d.String("scheme"),
+		Arch:                 d.String("arch"),
+		PEs:                  d.Int("pes"),
+		Period:               d.Int("period"),
+		ConcurrentIterations: d.Int("concurrent_iterations"),
+		RMax:                 d.Int("r_max"),
+		PrologueTime:         d.Int("prologue_time"),
+		CachedIPRs:           d.Int("cached_iprs"),
+		CacheLoadUnits:       d.Int("cache_load_units"),
+		Vertices:             d.Int("vertices"),
+		Edges:                d.Int("edges"),
+		Iterations:           d.Int("iterations"),
+		TotalTime:            d.Int("total_time"),
+		Throughput:           d.Float64("throughput"),
+		VertexRetiming:       ints(&d, "vertex_retiming", r.VertexRetiming[:0]),
+		CachedEdges:          ints(&d, "cached_edges", r.CachedEdges[:0]),
 	}
-	*r = PlanResponse{VertexRetiming: r.VertexRetiming[:0], CachedEdges: r.CachedEdges[:0]}
-	if r.Scheme, err = d.str("scheme"); err != nil {
-		return err
-	}
-	if r.Arch, err = d.str("arch"); err != nil {
-		return err
-	}
-	for _, f := range []struct {
-		what string
-		dst  *int
-	}{
-		{"pes", &r.PEs}, {"period", &r.Period},
-		{"concurrent_iterations", &r.ConcurrentIterations}, {"r_max", &r.RMax},
-		{"prologue_time", &r.PrologueTime}, {"cached_iprs", &r.CachedIPRs},
-		{"cache_load_units", &r.CacheLoadUnits}, {"vertices", &r.Vertices},
-		{"edges", &r.Edges}, {"iterations", &r.Iterations}, {"total_time", &r.TotalTime},
-	} {
-		if *f.dst, err = d.integer(f.what); err != nil {
-			return err
-		}
-	}
-	if r.Throughput, err = d.float("throughput"); err != nil {
-		return err
-	}
-	if r.VertexRetiming, err = d.ints("vertex_retiming", r.VertexRetiming); err != nil {
-		return err
-	}
-	if r.CachedEdges, err = d.ints("cached_edges", r.CachedEdges); err != nil {
-		return err
-	}
-	return d.finish()
+	return d.Finish()
 }
 
-// decoder is a bounds-checked cursor over one wire frame.
-type decoder struct {
-	data []byte
-	off  int
-}
-
-func newDecoder(data []byte, kind byte) (*decoder, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("wire: %d-byte input shorter than the 4-byte header", len(data))
+// ints appends a length-prefixed run of signed integers to dst,
+// pre-sized: Len bounds n by the bytes left.
+func ints(d *frame.Reader, what string, dst []int) []int {
+	n := d.Len(what)
+	if d.Err() != nil {
+		return dst
 	}
-	if data[0] != 'P' || data[1] != 'C' {
-		return nil, fmt.Errorf("wire: bad magic % x", data[:2])
-	}
-	if data[2] != kind {
-		return nil, fmt.Errorf("wire: frame kind %q, want %q", data[2], kind)
-	}
-	if data[3] != Version {
-		return nil, fmt.Errorf("wire: unsupported version %d (want %d)", data[3], Version)
-	}
-	return &decoder{data: data, off: 4}, nil
-}
-
-func (d *decoder) truncated(what string) error {
-	return fmt.Errorf("wire: truncated at offset %d reading %s", d.off, what)
-}
-
-func (d *decoder) finish() error {
-	if d.off != len(d.data) {
-		return fmt.Errorf("wire: %d trailing bytes after the frame", len(d.data)-d.off)
-	}
-	return nil
-}
-
-func (d *decoder) varint(what string) (int64, error) {
-	// One- and two-byte fast paths: plan frames are dominated by small
-	// integers (task times bounded by the period, retiming values near
-	// zero), and binary.Varint's general loop costs more than the
-	// decode itself at the frame decoder's call rates.
-	if d.off+1 < len(d.data) {
-		if b := d.data[d.off]; b < 0x80 {
-			d.off++
-			return int64(b>>1) ^ -int64(b&1), nil
-		} else if b1 := d.data[d.off+1]; b1 < 0x80 && b1 != 0 {
-			u := uint64(b&0x7f) | uint64(b1)<<7
-			d.off += 2
-			return int64(u>>1) ^ -int64(u&1), nil
-		}
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.truncated(what)
-	}
-	if n > 1 && d.data[d.off+n-1] == 0 {
-		return 0, d.padded(what)
-	}
-	d.off += n
-	return v, nil
-}
-
-// padded rejects a varint with a redundant zero group (0x80 0x00 for
-// 0), so an accepted frame is the one encoding of what it decodes to.
-func (d *decoder) padded(what string) error {
-	return fmt.Errorf("wire: non-minimal varint at offset %d reading %s", d.off, what)
-}
-
-func (d *decoder) integer(what string) (int, error) {
-	v, err := d.varint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt || v < math.MinInt {
-		return 0, fmt.Errorf("wire: %s %d out of range", what, v)
-	}
-	return int(v), nil
-}
-
-// length reads a uvarint count, bounded against the bytes remaining so
-// a lying prefix cannot reserve unbacked memory.
-func (d *decoder) length(what string) (int, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.truncated(what)
-	}
-	if n > 1 && d.data[d.off+n-1] == 0 {
-		return 0, d.padded(what)
-	}
-	d.off += n
-	if v > uint64(len(d.data)-d.off) {
-		return 0, fmt.Errorf("wire: %s length %d exceeds the %d input bytes remaining", what, v, len(d.data)-d.off)
-	}
-	return int(v), nil
-}
-
-func (d *decoder) str(what string) (string, error) {
-	l, err := d.length(what)
-	if err != nil {
-		return "", err
-	}
-	s := string(d.data[d.off : d.off+l])
-	d.off += l
-	return s, nil
-}
-
-func (d *decoder) float(what string) (float64, error) {
-	if len(d.data)-d.off < 8 {
-		return 0, d.truncated(what)
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
-	d.off += 8
-	return f, nil
-}
-
-func (d *decoder) ints(what string, dst []int) ([]int, error) {
-	n, err := d.length(what)
-	if err != nil {
-		return dst, err
-	}
-	// length bounded n against the remaining bytes, so pre-sizing
-	// cannot reserve unbacked memory — and saves the append path's
-	// grow-and-copy churn on the frame decoder's array fields.
-	if cap(dst)-len(dst) < n {
-		grown := make([]int, len(dst), len(dst)+n)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		v, err := d.integer(what)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, v)
+		dst = append(dst, d.Int(what))
 	}
-	return dst, nil
+	return dst
 }

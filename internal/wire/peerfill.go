@@ -2,6 +2,7 @@ package wire
 
 import (
 	"repro/internal/dag"
+	"repro/internal/frame"
 	"repro/internal/pim"
 )
 
@@ -34,9 +35,9 @@ type PeerFill struct {
 
 // AppendPeerFill appends the binary encoding of a fill request to dst.
 func AppendPeerFill(dst []byte, variant string, cfg pim.Config, g *dag.Graph) []byte {
-	dst = appendHeader(dst, kindPeerFill)
-	dst = appendString(dst, variant)
-	dst = appendString(dst, cfg.Name)
+	dst = frame.AppendHeader(dst, kindPeerFill, Version)
+	dst = frame.AppendBytes(dst, variant)
+	dst = frame.AppendBytes(dst, cfg.Name)
 	dst = appendInt(dst, cfg.NumPEs)
 	dst = appendInt(dst, cfg.CacheUnitsPerPE)
 	dst = appendInt(dst, cfg.CacheBytesPerUnit)
@@ -61,49 +62,27 @@ func AppendPeerFill(dst []byte, variant string, cfg pim.Config, g *dag.Graph) []
 // dag frame undecoded, as a sub-slice of data (see SplitRequest).  A
 // missing graph is ErrNoGraph.
 func SplitPeerFill(data []byte) (*PeerFill, []byte, error) {
-	d, err := newDecoder(data, kindPeerFill)
+	d := open(data, kindPeerFill)
+	pf := &PeerFill{Variant: d.String("variant"), Config: pim.Config{
+		Name:                 d.String("config name"),
+		NumPEs:               d.Int("num_pes"),
+		CacheUnitsPerPE:      d.Int("cache_units_per_pe"),
+		CacheBytesPerUnit:    d.Int("cache_bytes_per_unit"),
+		NumVaults:            d.Int("num_vaults"),
+		RegFileEntries:       d.Int("regfile_entries"),
+		PFIFODepth:           d.Int("pfifo_depth"),
+		IFIFODepth:           d.Int("ififo_depth"),
+		OFIFODepth:           d.Int("ofifo_depth"),
+		CacheAccessCycles:    d.Int("cache_access_cycles"),
+		EDRAMAccessCycles:    d.Int("edram_access_cycles"),
+		HopCycles:            d.Int("hop_cycles"),
+		CacheEnergyPJPerByte: d.Float64("cache_energy_pj"),
+		EDRAMEnergyPJPerByte: d.Float64("edram_energy_pj"),
+		CyclesPerTimeUnit:    d.Int("cycles_per_time_unit"),
+	}}
+	graph, err := graphFrame(&d)
 	if err != nil {
 		return nil, nil, err
 	}
-	pf := &PeerFill{}
-	if pf.Variant, err = d.str("variant"); err != nil {
-		return nil, nil, err
-	}
-	if pf.Config.Name, err = d.str("config name"); err != nil {
-		return nil, nil, err
-	}
-	for _, f := range []struct {
-		what string
-		dst  *int
-	}{
-		{"num_pes", &pf.Config.NumPEs},
-		{"cache_units_per_pe", &pf.Config.CacheUnitsPerPE},
-		{"cache_bytes_per_unit", &pf.Config.CacheBytesPerUnit},
-		{"num_vaults", &pf.Config.NumVaults},
-		{"regfile_entries", &pf.Config.RegFileEntries},
-		{"pfifo_depth", &pf.Config.PFIFODepth},
-		{"ififo_depth", &pf.Config.IFIFODepth},
-		{"ofifo_depth", &pf.Config.OFIFODepth},
-		{"cache_access_cycles", &pf.Config.CacheAccessCycles},
-		{"edram_access_cycles", &pf.Config.EDRAMAccessCycles},
-		{"hop_cycles", &pf.Config.HopCycles},
-	} {
-		if *f.dst, err = d.integer(f.what); err != nil {
-			return nil, nil, err
-		}
-	}
-	if pf.Config.CacheEnergyPJPerByte, err = d.float("cache_energy_pj"); err != nil {
-		return nil, nil, err
-	}
-	if pf.Config.EDRAMEnergyPJPerByte, err = d.float("edram_energy_pj"); err != nil {
-		return nil, nil, err
-	}
-	if pf.Config.CyclesPerTimeUnit, err = d.integer("cycles_per_time_unit"); err != nil {
-		return nil, nil, err
-	}
-	frame, err := d.graphFrame()
-	if err != nil {
-		return nil, nil, err
-	}
-	return pf, frame, nil
+	return pf, graph, nil
 }

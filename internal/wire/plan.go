@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/dag"
+	"repro/internal/frame"
 	"repro/internal/pim"
 	"repro/internal/retime"
 	"repro/internal/sched"
@@ -50,25 +51,18 @@ const planEpochSize = 4
 // appendPlanHeader opens a plan frame of the given kind: the envelope,
 // then the solver epoch.
 func appendPlanHeader(dst []byte, kind byte) []byte {
-	dst = appendHeader(dst, kind)
+	dst = frame.AppendHeader(dst, kind, Version)
 	return binary.LittleEndian.AppendUint32(dst, sched.SolverEpoch)
 }
 
-// newPlanDecoder opens a plan frame of the given kind, rejecting one
-// solved in another epoch.
-func newPlanDecoder(data []byte, kind byte) (*decoder, error) {
-	d, err := newDecoder(data, kind)
-	if err != nil {
-		return nil, err
+// openPlan opens a plan frame of the given kind, rejecting one solved
+// in another epoch.
+func openPlan(data []byte, kind byte) frame.Reader {
+	d := open(data, kind)
+	if epoch := d.Uint32("solver epoch"); epoch != sched.SolverEpoch {
+		d.Fail(fmt.Errorf("wire: plan frame from solver epoch %d; this build plans in epoch %d", epoch, sched.SolverEpoch))
 	}
-	if len(d.data)-d.off < planEpochSize {
-		return nil, d.truncated("solver epoch")
-	}
-	if epoch := binary.LittleEndian.Uint32(d.data[d.off:]); epoch != sched.SolverEpoch {
-		return nil, fmt.Errorf("wire: plan frame from solver epoch %d; this build plans in epoch %d", epoch, sched.SolverEpoch)
-	}
-	d.off += planEpochSize
-	return d, nil
+	return d
 }
 
 func appendPlacements(dst []byte, a retime.Assignment) []byte {
@@ -116,7 +110,7 @@ func appendPlanBody(dst []byte, p *sched.Plan) []byte {
 //paraconv:hotpath
 func AppendPlan(dst []byte, p *sched.Plan) []byte {
 	dst = appendPlanHeader(dst, kindStoredPlan)
-	dst = appendString(dst, p.Scheme)
+	dst = frame.AppendBytes(dst, p.Scheme)
 	// The kernel graph is length-prefixed because plan fields follow
 	// it; the dag decoder is handed exactly its slice.
 	mark := len(dst)
@@ -133,7 +127,7 @@ func AppendPlan(dst []byte, p *sched.Plan) []byte {
 //paraconv:hotpath
 func AppendLeanPlan(dst []byte, p *sched.Plan) []byte {
 	dst = appendPlanHeader(dst, kindLeanPlan)
-	dst = appendString(dst, p.Scheme)
+	dst = frame.AppendBytes(dst, p.Scheme)
 	return appendPlanBody(dst, p)
 }
 
@@ -144,39 +138,27 @@ func leanPlanFrame(data []byte) bool {
 	return len(data) >= 4 && data[0] == 'P' && data[1] == 'C' && data[2] == kindLeanPlan
 }
 
-func (d *decoder) placements(what string) (retime.Assignment, error) {
-	n, err := d.length(what)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
+// placements reads an IPR assignment: one placement byte per edge.
+func placements(d *frame.Reader, what string) retime.Assignment {
+	n := d.Len(what)
+	if d.Err() != nil || n == 0 {
+		return nil
 	}
 	a := make(retime.Assignment, n)
-	for i := 0; i < n; i++ {
-		b := d.data[d.off]
-		d.off++
+	for i := range a {
+		b := d.Byte(what)
 		if b != byte(pim.InCache) && b != byte(pim.InEDRAM) {
-			return nil, fmt.Errorf("wire: %s entry %d has placement byte %d", what, i, b)
+			d.Fail(fmt.Errorf("wire: %s entry %d has placement byte %d", what, i, b))
+			return nil
 		}
 		a[i] = pim.Placement(b)
 	}
-	return a, nil
+	return a
 }
 
-func (d *decoder) retimeResult(what string, r *retime.Result) error {
-	var err error
-	if r.R, err = d.ints(what+" r", nil); err != nil {
-		return err
-	}
-	if r.REdge, err = d.ints(what+" redge", nil); err != nil {
-		return err
-	}
-	if r.RMax, err = d.integer(what + " rmax"); err != nil {
-		return err
-	}
-	r.Period, err = d.integer(what + " period")
-	return err
+// retimeResult reads one retime.Result; each label names its field.
+func retimeResult(d *frame.Reader, r, redge, rmax, period string) retime.Result {
+	return retime.Result{R: ints(d, r, nil), REdge: ints(d, redge, nil), RMax: d.Int(rmax), Period: d.Int(period)}
 }
 
 // DecodePlan parses a stored-plan frame into a fresh plan.  The
@@ -185,29 +167,18 @@ func (d *decoder) retimeResult(what string, r *retime.Result) error {
 // the caller's check.  No production code reads this frame: the
 // serve-path benchmark does, and ROADMAP items 4a/8 retire it.
 func DecodePlan(data []byte, lim dag.Limits) (*sched.Plan, error) {
-	d, err := newPlanDecoder(data, kindStoredPlan)
-	if err != nil {
+	d := openPlan(data, kindStoredPlan)
+	p := &sched.Plan{Scheme: d.String("scheme")}
+	graph := d.Take(int(d.Uint32("graph length")), "graph")
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	p := &sched.Plan{}
-	if p.Scheme, err = d.str("scheme"); err != nil {
-		return nil, err
-	}
-	if len(d.data)-d.off < 4 {
-		return nil, d.truncated("graph length")
-	}
-	glen := int(binary.LittleEndian.Uint32(d.data[d.off:]))
-	d.off += 4
-	if glen > len(d.data)-d.off {
-		return nil, fmt.Errorf("wire: graph length %d exceeds the %d input bytes remaining", glen, len(d.data)-d.off)
-	}
-	g, err := dag.DecodeBinary(d.data[d.off:d.off+glen], lim)
+	g, err := dag.DecodeBinary(graph, lim)
 	if err != nil {
 		return nil, &GraphError{Err: err}
 	}
-	d.off += glen
 	p.Iter.Graph = g
-	if err := d.planBody(p); err != nil {
+	if err := planBody(&d, p); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -215,61 +186,28 @@ func DecodePlan(data []byte, lim dag.Limits) (*sched.Plan, error) {
 
 // planBody decodes every plan field after the kernel graph and seals
 // the frame.
-func (d *decoder) planBody(p *sched.Plan) error {
-	var err error
-	if p.Iter.PEs, err = d.integer("pes"); err != nil {
+func planBody(d *frame.Reader, p *sched.Plan) error {
+	p.Iter.PEs = d.Int("pes")
+	p.Iter.Period = d.Int("period")
+	n := d.Len("tasks")
+	if err := d.Err(); err != nil {
 		return err
 	}
-	if p.Iter.Period, err = d.integer("period"); err != nil {
-		return err
-	}
-	ntasks, err := d.length("tasks")
-	if err != nil {
-		return err
-	}
-	if ntasks > 0 {
-		p.Iter.Tasks = make([]sched.Task, ntasks)
+	if n > 0 {
+		p.Iter.Tasks = make([]sched.Task, n)
 		for i := range p.Iter.Tasks {
-			t := &p.Iter.Tasks[i]
-			var v int
-			if v, err = d.integer("task node"); err != nil {
-				return err
-			}
-			t.Node = dag.NodeID(v)
-			if v, err = d.integer("task pe"); err != nil {
-				return err
-			}
-			t.PE = pim.PEID(v)
-			if t.Start, err = d.integer("task start"); err != nil {
-				return err
-			}
-			if t.Finish, err = d.integer("task finish"); err != nil {
-				return err
-			}
+			p.Iter.Tasks[i] = sched.Task{Node: dag.NodeID(d.Int("task node")), PE: pim.PEID(d.Int("task pe")),
+				Start: d.Int("task start"), Finish: d.Int("task finish")}
 		}
 	}
-	if p.Iter.Assignment, err = d.placements("assignment"); err != nil {
-		return err
-	}
-	if p.ConcurrentIterations, err = d.integer("concurrent_iterations"); err != nil {
-		return err
-	}
-	if p.RMax, err = d.integer("r_max"); err != nil {
-		return err
-	}
-	if err = d.retimeResult("retiming", &p.Retiming); err != nil {
-		return err
-	}
-	if err = d.retimeResult("logical_retiming", &p.LogicalRetiming); err != nil {
-		return err
-	}
-	if p.CachedIPRs, err = d.integer("cached_iprs"); err != nil {
-		return err
-	}
-	if p.CacheLoadUnits, err = d.integer("cache_load_units"); err != nil {
-		return err
-	}
-	return d.finish()
+	p.Iter.Assignment = placements(d, "assignment")
+	p.ConcurrentIterations = d.Int("concurrent_iterations")
+	p.RMax = d.Int("r_max")
+	p.Retiming = retimeResult(d, "retiming r", "retiming redge", "retiming rmax", "retiming period")
+	p.LogicalRetiming = retimeResult(d, "logical_retiming r", "logical_retiming redge", "logical_retiming rmax", "logical_retiming period")
+	p.CachedIPRs = d.Int("cached_iprs")
+	p.CacheLoadUnits = d.Int("cache_load_units")
+	return d.Finish()
 }
 
 // DecodeLeanPlan parses a kernel-free plan frame against g, the
@@ -283,18 +221,12 @@ func (d *decoder) planBody(p *sched.Plan) error {
 //
 //paraconv:hotpath
 func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
-	d, err := newPlanDecoder(data, kindLeanPlan)
-	if err != nil {
-		return nil, err
-	}
-	p := &sched.Plan{}
-	if p.Scheme, err = d.str("scheme"); err != nil {
-		return nil, err
-	}
+	d := openPlan(data, kindLeanPlan)
+	p := &sched.Plan{Scheme: d.String("scheme")}
 	if g == nil {
-		return nil, fmt.Errorf("wire: lean plan frame needs the problem graph to rebuild its kernel")
+		d.Fail(fmt.Errorf("wire: lean plan frame needs the problem graph to rebuild its kernel"))
 	}
-	if err := d.planBody(p); err != nil {
+	if err := planBody(&d, p); err != nil {
 		return nil, err
 	}
 	// One task per kernel vertex: checking that here keeps a lying CI
@@ -306,6 +238,7 @@ func DecodeLeanPlan(data []byte, g *dag.Graph) (*sched.Plan, error) {
 	if ci > 1 && p.Scheme != SchemeParaCONV {
 		return nil, fmt.Errorf("wire: lean %q plan replicates its kernel; only %s kernels replicate", p.Scheme, SchemeParaCONV)
 	}
+	var err error
 	if ci == 1 {
 		p.Iter.Graph = g
 	} else if p.Iter.Graph, err = dag.Replicate(g, ci); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/frame"
 	"repro/internal/pim"
 	"repro/internal/sched"
 	"repro/internal/synth"
@@ -74,7 +75,7 @@ func planSeeds(tb testing.TB) []planSeed {
 	// A lean frame's group count is its task count over |V|: one that
 	// claims 2^31 groups' tasks must be refused before anything is
 	// sized by it.
-	huge := appendInt(appendInt(appendString(appendPlanHeader(nil, kindLeanPlan), multi.Scheme), 1<<31), multi.Iter.Period)
+	huge := appendInt(appendInt(frame.AppendBytes(appendPlanHeader(nil, kindLeanPlan), multi.Scheme), 1<<31), multi.Iter.Period)
 	huge = binary.AppendUvarint(huge, uint64(1<<31*g.NumNodes()))
 	replicatedBaseline := *multi
 	replicatedBaseline.Scheme = baseline.Scheme
